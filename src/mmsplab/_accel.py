@@ -15,7 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import TooLarge
+
 PURE_NUMPY = os.environ.get("MMSPLAB_PURE_NUMPY", "") == "1"
+
+# largest share histogram (int64 cells, q^x * q^rows) gf_share_hist will
+# allocate: 16 Mi cells = 128 MiB
+SHARE_HIST_CELL_CAP = 1 << 24
 
 try:
     if PURE_NUMPY:
@@ -277,6 +283,10 @@ def gf_is_mds(data: np.ndarray, k: int, t: Tables) -> bool:
 
 def gf_share_hist(gr: np.ndarray, fr: np.ndarray, t: Tables) -> np.ndarray:
     """counts[m_index, share_code] over exhaustive randomness enumeration."""
+    cells = t.q ** fr.shape[1] * t.q ** gr.shape[0]
+    if cells > SHARE_HIST_CELL_CAP:
+        raise TooLarge(f"share histogram of {cells} cells exceeds the cap of "
+                       f"{SHARE_HIST_CELL_CAP}")
     if NUMBA_AVAILABLE:
         return _share_hist_kernel(gr, fr, t.q, t.add, t.mul)
     return _share_hist_numpy(gr, fr, t.q, t)

@@ -238,8 +238,7 @@ def css_run(p: CssProtocol, m: VecGF, seed: int) -> Transcript:
     """One seeded execution: share, then decode on every qualified set."""
     rng = np.random.default_rng(seed)
     tr = Transcript(protocol="css", seed=seed)
-    u = VecGF(p.ctx, rng.integers(0, p.ctx.q, size=p.y).astype(np.int64)) \
-        if p.y else VecGF.zeros(p.ctx, 0)
+    u = VecGF(p.ctx, p.ctx.random_cells(rng, p.y)) if p.y else VecGF.zeros(p.ctx, 0)
     z = css_share(p, m, u)
     tr.log("share", message=m.tolist(), randomness=u.tolist(), shares=z.tolist())
     outcomes = {}
@@ -284,11 +283,9 @@ def spir_run(p: SpirProtocol, files: VecGF, k: int, seed: int) -> Transcript:
     """One seeded retrieval of file k, decoded on every qualified set."""
     rng = np.random.default_rng(seed)
     tr = Transcript(protocol="cspir", seed=seed)
-    u_q = MatGF(p.ctx, rng.integers(0, p.ctx.q, size=(p.y, p.x * p.nfiles))
-                .astype(np.int64))
+    u_q = MatGF(p.ctx, p.ctx.random_cells(rng, p.y, p.x * p.nfiles))
     q = p.fixed_query[k - 1] if p.fixed_query else spir_query(p, k, u_q)
-    u_s = VecGF(p.ctx, rng.integers(0, p.ctx.q, size=p.y).astype(np.int64)) \
-        if p.y else VecGF.zeros(p.ctx, 0)
+    u_s = VecGF(p.ctx, p.ctx.random_cells(rng, p.y)) if p.y else VecGF.zeros(p.ctx, 0)
     shared = p.g @ u_s
     answers = q @ files + shared
     tr.log("query", k=k, query_digest=hashlib.sha256(q.a.tobytes()).hexdigest())

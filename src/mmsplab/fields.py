@@ -688,6 +688,13 @@ class FieldCtx:
             return np.zeros(shape, dtype=np.int64)
         return np.zeros(shape + (self.r,), dtype=np.int64)
 
+    def random_cells(self, rng: np.random.Generator, *shape) -> np.ndarray:
+        """Uniform cells of the given shape: element indices on tabled
+        fields, coefficient rows over F_p on poly fields."""
+        if self.kind == "tabled":
+            return rng.integers(0, self.q, size=shape).astype(np.int64)
+        return rng.integers(0, self.p, size=shape + (self.r,)).astype(np.int64)
+
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:

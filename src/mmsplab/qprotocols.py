@@ -21,6 +21,7 @@ cross-validated against the dense oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .qstate import (
     frame_for,
     joint_eigenvector,
     mutual_info_dims,
+    reduce_factor,
     reduce_state,
     vn_entropy,
 )
@@ -104,22 +106,30 @@ class DispDecoder:
         self.x = f.cols
         self.ok = accepts_one(hstack([g1, g2]), f, self.sympl)
 
+    @cached_property
+    def _reduction(self) -> tuple[MatGF, list[int]]:
+        """Row transform T with T [P(G) P(F)] in RREF, and its pivot columns:
+        [P(G) P(F) | I] is reduced once per decoder."""
+        stacked = hstack([self.g, self.f])
+        red, piv, _ = rref(hstack([stacked, MatGF.identity(self.ctx, stacked.rows)]))
+        return (MatGF(self.ctx, red.a[:, stacked.cols:].copy()),
+                [c for c in piv if c < stacked.cols])
+
     def decode(self, z: Sequence[int]) -> Optional[VecGF]:
         """Solve z = P(G) a + P(F) m for the unique m, if any."""
         if not self.ok:
             return None
         ctx = self.ctx
         zv = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in z])
-        stacked = hstack([self.g, self.f]) if self.g.cols else self.f
-        gw = self.g.cols
-        red, piv, rk = rref(MatGF(ctx, np.concatenate(
-            [stacked.a, zv.a[:, None]], axis=1)))
-        if stacked.cols in piv:
+        t, piv = self._reduction
+        tz = (t @ zv).a
+        # rows past the rank vanish on [P(G) P(F)]: z is in its image iff
+        # they vanish on z too
+        if ctx.ax_nonzero(tz[len(piv):]).any():
             return None
-        sol = VecGF.zeros(ctx, stacked.cols)
-        for i, c in enumerate(piv):
-            sol.a[c] = red.a[i, stacked.cols]
-        return VecGF(ctx, sol.a[gw:].copy())
+        sol = VecGF.zeros(ctx, self.g.cols + self.x)
+        sol.a[piv] = tz[:len(piv)]
+        return VecGF(ctx, sol.a[self.g.cols:].copy())
 
     def outcome_coset(self, z: Sequence[int]) -> tuple:
         ctx = self.ctx
@@ -185,20 +195,10 @@ class EaEngine:
         """Born distribution over z in F_q^(2|A|) plus a complement tail."""
         sub = sorted(subset)
         keep = [s - 1 for s in sub] + [self.n + s - 1 for s in sub]
-        dm = self.dm_for(sub)
-        pieces = []
-        if len(keep) == 2 * self.n:
-            perm = keep  # pure fast path: reduction is a permutation
-            for w, amps in components:
-                pieces.append((w, np.transpose(amps, perm)))
-        else:
-            for w, amps in components:
-                rho = reduce_state(amps, keep)
-                ev, vec = np.linalg.eigh(rho)
-                for lam, v in zip(ev, vec.T):
-                    if lam > 1e-12:
-                        pieces.append((w * lam, v))
-        return dm.probabilities(pieces)
+        # Born probabilities are linear in the mixture: each component enters
+        # through its (kept x traced) factor, one column per traced basis state
+        return self.dm_for(sub).probabilities(
+            [(w, reduce_factor(amps, keep)) for w, amps in components])
 
     def decoded_distribution(self, subset: Sequence[int], components,
                              decoder: DispDecoder) -> dict:

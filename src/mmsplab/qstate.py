@@ -13,9 +13,12 @@ projectors need no per-generator phase hunting.  Protocol statistics are
 invariant under the alignment choice (runs conjugate by plain Weyls).
 
 Displaced-basis measurements {W(z) sigma W(z)^dag} are evaluated without
-materializing the operator family: probabilities come from correlation
-transforms of sigma's eigenvectors (a DFT over the Z part), which keeps the
-full-set decoders at n = 3 fast.
+materializing the operator family or any density matrix: sigma and the
+measured mixture are both held as amplitude factors (sigma = psi psi^dag),
+and the probabilities of all z come from one batched overlap matrix between
+the two factors, whose shifted diagonals (the X part) are transformed by one
+DFT (the Z part).  No eigendecomposition is needed, which keeps the full-set
+decoders at n = 3 fast.
 """
 
 from __future__ import annotations
@@ -282,15 +285,21 @@ def ea_resource(g1: MatGF, y: Sequence[int]) -> DenseState:
 # partial trace / reductions
 # ---------------------------------------------------------------------------
 
-def reduce_state(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Density matrix of a pure state on the kept registers (sorted order)."""
+def reduce_factor(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """The (kept x traced) amplitude matrix psi of a pure state, kept
+    registers in sorted order; its reduction to them is psi psi^dag."""
     m = amps.ndim
     keep = sorted(keep)
     if any(not 0 <= k < m for k in keep) or len(set(keep)) != len(keep):
         raise BadRegisters(f"keep={keep} invalid for {m} registers")
     drop = [i for i in range(m) if i not in keep]
     q = amps.shape[0] if m else 1
-    psi = np.transpose(amps, keep + drop).reshape(q ** len(keep), -1)
+    return np.transpose(amps, keep + drop).reshape(q ** len(keep), -1)
+
+
+def reduce_state(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Density matrix of a pure state on the kept registers (sorted order)."""
+    psi = reduce_factor(amps, keep)
     return psi @ psi.conj().T
 
 
@@ -316,70 +325,79 @@ def partial_trace(rho: np.ndarray, q: int, nregs: int,
 class DisplacedMeasurement:
     """The outcome family {W_A(z) sigma W_A(z)^dag : z in F_q^(2 n_act)}.
 
-    sigma acts on (n_act displaced registers) x (a rest factor); it is
-    eigendecomposed once, and Born probabilities are evaluated for pure
-    states via correlation transforms (roll + DFT), never materializing the
-    q^(2 n_act) operators.  The family is normalized so the elements sum to
-    the projector onto their joint support; states outside the support feed
-    a complement outcome labeled None.
+    sigma acts on (n_act displaced registers) x (a rest factor) and is given
+    by an amplitude factor psi with sigma = psi psi^dag (see reduce_factor).
+    The thin SVD of psi keeps sigma's support as weighted singular vectors;
+    Born probabilities of a mixture of factors are then one batched overlap
+    matrix, a gather of its shifted diagonals and one DFT, never
+    materializing the q^(2 n_act) operators.  The family is normalized so the
+    elements sum to the projector onto their joint support; states outside
+    the support feed a complement outcome labeled None.
     """
 
-    def __init__(self, q: int, n_act: int, sigma: np.ndarray, rest_dim: int):
+    # complex entries per batched overlap block; bounds the working memory
+    # of probabilities() independently of the number of pieces
+    BLOCK_CELLS = 1 << 18
+
+    def __init__(self, q: int, n_act: int, factor: np.ndarray, rest_dim: int):
         self.q, self.n_act, self.rest = q, n_act, rest_dim
-        d = sigma.shape[0]
+        d = factor.shape[0]
         if d != q**n_act * rest_dim:
             raise BadRegisters("sigma dimension mismatch")
         self.d = d
-        w, v = np.linalg.eigh(sigma)
-        sel = w > 1e-12
-        self.eigvals = w[sel]
-        self.eigvecs = v[:, sel]
+        u, s, _ = np.linalg.svd(factor.reshape(d, -1), full_matrices=False)
+        sel = s**2 > EIG_CUTOFF
+        vecs = u[:, sel]  # descending: largest singular vector first
+        k = q**n_act
+        # sigma on its support as sum_i lambda_i |phi_i><phi_i|; row (i, k)
+        # of this (I k, rest) matrix holds conj(sqrt(lambda_i) phi_i[k, :])
+        self._nphi = vecs.shape[1]
+        self._phi_rows = np.ascontiguousarray(
+            (vecs * s[sel]).conj().T).reshape(self._nphi * k, rest_dim)
+        kvec = np.indices((q,) * n_act).reshape(n_act, -1)
+        # _shift[a, k] = flat index of k + a (componentwise mod q)
+        self._shift = np.ravel_multi_index(
+            (kvec[:, :, None] + kvec[:, None, :]) % q, (q,) * n_act)
         self.nout = q ** (2 * n_act)
         # the family sums to lam times the projector onto its joint support;
         # calibrate lam against sigma's own top eigenvector, which lies in
         # the support by construction (input-independent, deterministic)
         self._lam = 1.0
-        probe = self.eigvecs[:, -1]
-        total = self.probabilities([(1.0, probe)])[:-1].sum()
+        total = self.probabilities([(1.0, vecs[:, 0])])[:-1].sum()
         if total <= 1e-12:
             raise IncompletePovm("degenerate displaced family")
-        if self.eigvecs.shape[1] > 1:
-            other = self.probabilities([(1.0, self.eigvecs[:, 0])])[:-1].sum()
+        if vecs.shape[1] > 1:
+            other = self.probabilities([(1.0, vecs[:, -1])])[:-1].sum()
             if abs(other - total) > 1e-8 * total:
                 raise IncompletePovm(
                     "displacement family does not tile its support uniformly")
         self._lam = float(total)
 
-    def _correlate(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """<W(z) phi | psi> for all z; returns shape (q,)*2n_act (a..., b...)."""
-        q, n = self.q, self.n_act
-        phi_t = phi.reshape((q,) * n + (self.rest,))
-        psi_t = psi.reshape((q,) * n + (self.rest,))
-        out = np.zeros((q,) * (2 * n), dtype=np.complex128)
-        # <W(a,b) phi | psi> = sum_k conj(phi[k]) w^{-b.k} psi[k + a]
-        for aidx in range(q**n):
-            a = tuple((aidx // q**i) % q for i in range(n))
-            shifted = psi_t
-            for ax, ai in enumerate(a):
-                if ai:
-                    shifted = np.roll(shifted, -ai, axis=ax)
-            c = (phi_t.conj() * shifted).sum(axis=-1)
-            # g(b) = sum_k w^{-b.k} c[k] = fft (numpy's sign convention)
-            out[a] = np.fft.fftn(c)
-        return out
-
     def probabilities(self, components: list) -> np.ndarray:
-        """Born distribution over z (+ complement tail) for a mixture given
-        as [(weight, pure amplitude array), ...]."""
+        """Born distribution over z (+ complement tail) for the mixture
+        sum_j w_j psi_j psi_j^dag given as [(w_j, psi_j), ...]; psi_j is a
+        pure amplitude array or any factor that reshapes to (d, columns)."""
         q, n = self.q, self.n_act
-        acc = np.zeros((q,) * (2 * n), dtype=np.float64)
-        for wgt, amps in components:
-            psi = amps.reshape(-1)
-            for lam, phi in zip(self.eigvals, self.eigvecs.T):
-                g = self._correlate(phi, psi)
-                acc += wgt * lam * np.abs(g) ** 2
-        flat = acc.reshape(-1)
-        probs = flat / self._lam
+        k, rest = q**n, self.rest
+        cols = np.concatenate(
+            [np.sqrt(w) * np.asarray(f).reshape(self.d, -1)
+             for w, f in components], axis=1)
+        nphi = self._nphi
+        # <W(a,b) phi_i | psi_p> = sum_k w^{-b.k} sum_r conj(phi_i[k,r])
+        #   psi_p[k+a, r]: overlaps M[i,k,k',p], gathered at k' = k + a, then
+        # a DFT over k (numpy's fft sign convention) gives the b axis
+        acc = np.zeros(q ** (2 * n), dtype=np.float64)
+        step = max(1, self.BLOCK_CELLS // (nphi * k * k))
+        for lo in range(0, cols.shape[1], step):
+            psi = cols[:, lo:lo + step].reshape(k, rest, -1)
+            npsi = psi.shape[-1]
+            m = (self._phi_rows @ psi.transpose(1, 0, 2).reshape(rest, -1)) \
+                .reshape(nphi, k, k, npsi)
+            c = m[:, np.arange(k), self._shift, :]  # (I, a, k, P)
+            c = c.reshape((nphi,) + (q,) * (2 * n) + (npsi,))
+            g = np.fft.fftn(c, axes=tuple(range(1 + n, 1 + 2 * n)))
+            acc += (g.real**2 + g.imag**2).sum(axis=(0, -1)).reshape(-1)
+        probs = acc / self._lam
         tail = max(0.0, 1.0 - probs.sum())
         return np.concatenate([probs, [tail]])
 
@@ -397,14 +415,15 @@ class DisplacedMeasurement:
 
 def displaced_measurement_for(g1: MatGF, subset: Sequence[int]) -> DisplacedMeasurement:
     """The decoder measurement on (D[A], E[A]): base sigma is the reduction
-    of |Phi[0, G1]> and displacements act on the D[A] registers."""
+    of |Phi[0, G1]>, passed as its factor, and displacements act on the D[A]
+    registers."""
     fr = frame_for(g1)
     n, q = fr.n, fr.q
     sub = sorted(int(s) for s in subset)
     keep = [s - 1 for s in sub] + [n + s - 1 for s in sub]
-    sigma = reduce_state(fr.resource([0] * fr.y1), keep)
+    psi = reduce_factor(fr.resource([0] * fr.y1), keep)
     # register order after reduce: D[A] then E[A]
-    return DisplacedMeasurement(q, len(sub), sigma, rest_dim=q ** len(sub))
+    return DisplacedMeasurement(q, len(sub), psi, rest_dim=q ** len(sub))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The jitted kernels agree with the pure-numpy fallback."""
 
 import numpy as np
+import pytest
 
 from mmsplab import _accel
+from mmsplab.errors import TooLarge
 from mmsplab.fields import field_build
 
 
@@ -37,6 +39,24 @@ def test_hist_paths_agree():
         h1 = _accel.gf_share_hist(g, f, t)
         h2 = _accel._share_hist_numpy(g, f, 3, t)
         assert np.array_equal(h1, h2)
+
+
+def test_share_hist_cell_cap(monkeypatch):
+    """The histogram is refused from its computed size q^x * q^rows, before
+    anything is allocated; only tiny matrices are used."""
+    t = tables()
+    g = np.zeros((3, 1), dtype=np.int64)
+    f = np.zeros((3, 2), dtype=np.int64)  # 3^2 * 3^3 = 243 cells
+    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 243)
+    assert _accel.gf_share_hist(g, f, t).shape == (9, 27)
+    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 242)
+    with pytest.raises(TooLarge):
+        _accel.gf_share_hist(g, f, t)
+    monkeypatch.undo()
+    # 3^60 share codes: far past the cap (and past what numpy can allocate)
+    with pytest.raises(TooLarge):
+        _accel.gf_share_hist(np.zeros((60, 1), dtype=np.int64),
+                             np.zeros((60, 1), dtype=np.int64), t)
 
 
 def test_backend_name():

@@ -170,3 +170,43 @@ def test_spir_audit_mutated_cross_check():
         f = la.MatGF(F5, rng.integers(0, 5, size=(3, 1)))
         rep = cl.spir_audit(cl.SpirProtocol(g=g, f=f, nfiles=2, access=fs))
         assert rep.matches_mmsp
+
+
+@pytest.fixture(scope="module")
+def tower_bundles():
+    """Constructed bundles over poly tower fields GF(3^32) and GF(3^128)."""
+    from mmsplab.constructions import construct_cqmmsp, construct_eammsp
+    return [(construct_eammsp(2, 1, 2, 2), make_threshold(2, 1, 2)),
+            (construct_cqmmsp(2, 1, 3), make_threshold(2, 1, 3))]
+
+
+def test_css_run_tower_fields(tower_bundles):
+    """Randomness over a poly field is drawn as coefficient rows: every
+    qualified set decodes the sent message, for every seed."""
+    for bundle, fs in tower_bundles:
+        p = cl.CssProtocol(g=bundle.g_stack(), f=bundle.f,
+                           access=symplectify_structure(fs))
+        m = la.VecGF.from_ints(bundle.ctx, [1] * bundle.x)
+        for seed in range(8):
+            tr = cl.css_run(p, m, seed)
+            assert tr.outcome and all(v == m.tolist() for v in tr.outcome.values())
+
+
+def test_spir_run_tower_fields(tower_bundles):
+    for bundle, fs in tower_bundles:
+        p = cl.SpirProtocol(g=bundle.g_stack(), f=bundle.f, nfiles=2,
+                            access=symplectify_structure(fs))
+        files = la.VecGF.from_ints(bundle.ctx, [1, 2] * bundle.x)
+        for seed in range(4):
+            tr = cl.spir_run(p, files, 2, seed)
+            want = files.tolist()[bundle.x:]
+            assert tr.outcome and all(v == want for v in tr.outcome.values())
+
+
+def test_random_cells_tabled_draw_unchanged():
+    """On tabled fields the draw is the plain index draw, so seeded
+    transcripts keep their digests."""
+    for ctx in (F3, field_build(3, 2)):
+        got = ctx.random_cells(np.random.default_rng(9), 4, 3)
+        want = np.random.default_rng(9).integers(0, ctx.q, size=(4, 3))
+        assert got.dtype == np.int64 and np.array_equal(got, want)

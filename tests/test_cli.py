@@ -107,3 +107,23 @@ def test_fixtures_regenerate_bit_exact():
     ex1 = fx.example1()
     assert rep["fixtures"]["example1"]["bundle"] == json.loads(
         json.dumps(ex1.bundle.to_json()))
+
+
+def test_audit_share_histogram_guard_exit_3(tmp_path):
+    """A CSS audit whose share histogram (q^x * q^|A| = 3^61 cells on the
+    one 60-server accept set) is past the cap exits 3 without allocating."""
+    from mmsplab.access import make_threshold
+    from mmsplab.fields import field_build
+    from mmsplab.linalg import MatGF
+    from mmsplab.mmsp import make_bundle
+
+    ctx = field_build(3, 1)
+    ones = MatGF.from_ints(ctx, [[1]] * 60)
+    bundle = make_bundle("plain", ones, None, ones, n=60)
+    b = tmp_path / BUNDLE
+    s = tmp_path / STRUCT
+    b.write_text(json.dumps(bundle.to_json()))
+    s.write_text(json.dumps(make_threshold(60, 59, 60).to_json()))
+    rc, out, _ = run_cli("audit", "css", str(b), str(s))
+    assert rc == 3
+    assert json.loads(out)["error"].startswith("TooLarge")

@@ -50,6 +50,54 @@ def test_eass_audit_example1(ex1):
     assert rep.secure and rep.matches_classify
 
 
+@pytest.mark.parametrize("field", ["F3", "GF(9)", "GF(3^16)"])
+def test_disp_decoder_matches_solve(field):
+    """Decoding through the cached row transform agrees with a fresh solve
+    of [P(G) P(F)] (a, m) = z, on labels inside and outside its image."""
+    from mmsplab.fields import tower_build
+    from mmsplab.linalg import hstack, solve
+
+    rng = np.random.default_rng(3)
+    if field == "F3":
+        ex = example1()
+        g1, g2, f = ex.g1, MatGF.zeros(F3, 6, 0), ex.f
+    else:
+        ctx = field_build(3, 2) if field == "GF(9)" else tower_build(3, 4)
+        g1 = MatGF.zeros(ctx, 6, 0)
+        g2 = MatGF.from_ints(ctx, rng.integers(0, 3, size=(6, 2)).tolist())
+        f = MatGF.from_ints(ctx, rng.integers(0, 3, size=(6, 1)).tolist())
+    ctx = f.ctx
+    seen = {True: 0, False: 0}  # labels inside / outside the image
+    for sub in ([1, 2], [2, 3], [1, 2, 3]):
+        dec = qp.DispDecoder(g1, g2, f, sub)
+        stacked = hstack([dec.g, dec.f])
+        for _ in range(40):
+            z = [int(v) for v in rng.integers(0, 3, size=2 * len(sub))]
+            got = dec.decode(z)
+            if not dec.ok:
+                assert got is None
+                continue
+            want = solve(stacked, VecGF.from_ints(ctx, z))
+            seen[want is not None] += 1
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got.a, want.a[dec.g.cols:])
+    assert seen[True] and seen[False]
+
+
+def test_eass_audit_needs_no_eigendecomposition(ex1, monkeypatch):
+    """The displaced-measurement path of an audit runs without eigh: the
+    report is unchanged with numpy.linalg.eigh made to raise."""
+    want = qp.audit_ss(ex1.bundle, ex1.access, protocol="eass").to_json()
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(qs, "_FRAMES", {})  # rebuild frames and measurements
+    assert qp.audit_ss(ex1.bundle, ex1.access, protocol="eass").to_json() == want
+
+
 def test_cqss_audit_example2(ex2):
     rep = qp.audit_ss(ex2.bundle, ex2.access, protocol="cqss")
     assert rep.secure and rep.matches_classify

@@ -146,6 +146,58 @@ def test_displaced_measurement_uniform_mixture():
     assert np.allclose(probs[:-1], 1.0 / Q**2, atol=1e-10)
 
 
+@pytest.mark.parametrize("block_cells", [qs.DisplacedMeasurement.BLOCK_CELLS, 1])
+@pytest.mark.parametrize("case", [
+    # (G1, n, subset, whether the family leaves part of the space uncovered)
+    ("empty n=1", 1, [1], False),
+    ("example1", 3, [2], False),
+    ("example1", 3, [1, 3], False),
+    ("example2", 3, [1], False),
+    ("example2", 3, [2, 3], True),
+])
+def test_displaced_measurement_brute_force_born_rule(case, block_cells,
+                                                     monkeypatch):
+    """The batched probabilities equal Tr[E_z rho] with the elements
+    E_z = (W(z) (x) I) sigma (W(z) (x) I)^dag / lam built explicitly, for
+    mixtures of unnormalised factors; the tail is Tr[(I - sum E_z) rho]."""
+    name, n, sub, has_tail = case
+    monkeypatch.setattr(qs.DisplacedMeasurement, "BLOCK_CELLS", block_cells)
+    g1 = {"empty n=1": MatGF.zeros(F3, 2, 0), "example1": example1().g1,
+          "example2": example2().g1}[name]
+    k = len(sub)
+    keep = [s - 1 for s in sub] + [n + s - 1 for s in sub]
+    psi = qs.reduce_factor(qs.frame_for(g1).resource([0] * g1.cols), keep)
+    sigma = psi @ psi.conj().T
+    d, rest = sigma.shape[0], Q**k
+    if k < n:
+        assert np.linalg.matrix_rank(sigma, tol=1e-9) > 1
+    elems = []
+    for zi in range(Q ** (2 * k)):
+        z = np.unravel_index(zi, (Q,) * (2 * k))
+        w = np.kron(qs.weyl_matrix(Q, k, z), np.eye(rest))
+        elems.append(w @ sigma @ w.conj().T)
+    lam = np.linalg.eigvalsh(sum(elems)).max()
+    elems = [e / lam for e in elems]
+    tail_op = np.eye(d) - sum(elems)
+
+    rng = np.random.default_rng(len(keep) + 7 * g1.cols)
+    pieces = []
+    for cols in (1, 3, 2):
+        f = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
+        pieces.append((float(rng.uniform(0.2, 2.0)), f))
+    pieces.append((0.5, psi))  # a piece inside the support
+    tr = sum(w * np.linalg.norm(f) ** 2 for w, f in pieces)
+    pieces = [(w / tr, f) for w, f in pieces]
+    rho = sum(w * f @ f.conj().T for w, f in pieces)
+
+    want = [np.trace(e @ rho).real for e in elems]
+    want.append(np.trace(tail_op @ rho).real)
+    dm = qs.DisplacedMeasurement(Q, k, psi, rest_dim=rest)
+    got = dm.probabilities(pieces)
+    assert np.abs(got - np.array(want)).max() < 1e-12
+    assert (want[-1] > 1e-3) == has_tail
+
+
 def test_partial_trace_consistency():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(Q,) * 3) + 1j * rng.normal(size=(Q,) * 3)
@@ -227,8 +279,8 @@ def test_alignment_covariance():
     comps2 = [(w, qs.apply_weyl(shifted_base, Q, list(x), [0, 1, 2]))
               for (w, _), x in zip(comps, engine.message_displacements(m))]
     keep = [s - 1 for s in sub] + [3 + s - 1 for s in sub]
-    sigma2 = qs.reduce_state(shifted_base, keep)
-    dm2 = qs.DisplacedMeasurement(Q, len(sub), sigma2, rest_dim=Q ** len(sub))
+    psi2 = qs.reduce_factor(shifted_base, keep)
+    dm2 = qs.DisplacedMeasurement(Q, len(sub), psi2, rest_dim=Q ** len(sub))
     pieces = []
     for w, a in comps2:
         rho = qs.reduce_state(a, keep)
