@@ -3,10 +3,15 @@
 Two internal element representations are used, chosen by field size.  Small
 fields (q <= 2^16) carry discrete-log tables and encode an element as the
 integer index whose little-endian base-p digits are its coefficients in the
-power basis.  Large tower fields encode an element as the raw byte string of
-its coefficient vector and multiply by polynomial convolution modulo the
-field polynomial.  Both flavors expose the same scalar API, so the rest of
-the package treats elements as opaque tokens owned by their FieldCtx.
+power basis.  Large ("poly") fields encode an element as the byte string of
+its coefficient vector (uint8 while p < 256, wider above).  They multiply
+exactly in float64, by an FFT or direct convolution, and reduce the product
+by the sparse tail of the field polynomial: x^d = sum c_k x^k folds each
+coefficient at or above x^d down with one shifted multiply-add per nonzero
+c_k (two rounds for every canonical modulus).  Inverses follow Itoh-Tsujii:
+a Frobenius chain gives a^(-1) as a product of conjugates over the norm.
+Both flavors expose the same scalar API, so the rest of the package treats
+elements as opaque tokens owned by their FieldCtx.
 
 Towers F_p[e_1, ..., e_K] are realized as the chain of subfields of degree
 2^j inside one ambient field of degree 2^K; a subfield-membership test is a
@@ -28,6 +33,7 @@ from .errors import (
     NoTower,
     NotPrime,
     ReduciblePolynomial,
+    TooLarge,
     TowerTooShallow,
 )
 
@@ -69,49 +75,66 @@ def _ptrim(v: np.ndarray) -> np.ndarray:
     return v[: nz[-1] + 1] if nz.size else v[:1]
 
 
-_RED_CACHE: dict[tuple[int, bytes], np.ndarray] = {}
+EXACT = 2.0**53  # float64 holds every integer below this exactly
+# largest product coefficient d (p-1)^2 for which a float64 FFT product still
+# rounds to the exact integers, with a wide margin for its rounding error
+FFT_EXACT = 2**40
 
 
-def _reduction_rows(mod: np.ndarray, p: int, upto: Optional[int] = None) -> np.ndarray:
-    """Rows k = coefficients of x^k mod f, for k < max(2 deg(f) - 1, upto)."""
-    d = len(mod) - 1
-    need = max(2 * d - 1, upto or 0, 1)
-    key = (p, mod.tobytes())
-    red = _RED_CACHE.get(key)
-    if red is None or red.shape[0] < need:
-        if len(_RED_CACHE) > 8:
-            _RED_CACHE.clear()
-        red = np.zeros((need, d), dtype=np.float64)
-        cur = np.zeros(d, dtype=np.int64)
-        cur[0] = 1
-        red[0] = cur
-        for k in range(1, need):
-            nxt = np.zeros(d, dtype=np.int64)
-            nxt[1:] = cur[:-1]
-            if cur[-1]:
-                nxt = (nxt - cur[-1] * mod[:d]) % p
-            cur = nxt % p
-            red[k] = cur
-        _RED_CACHE[key] = red
-    return red
+def _tail(mod: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (k, c) of x^d = sum c x^k mod the monic f of degree d."""
+    mod = np.asarray(mod, dtype=np.int64)
+    nz = np.nonzero(mod[:-1] % p)[0]
+    return tuple(zip(nz.tolist(), ((-mod[nz]) % p).tolist()))
+
+
+def _modp(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for integral float64 x with |x| < 2^53, as floats.
+
+    x - p floor(x / p) is exact there, because a correctly rounded x / p
+    never reaches the next integer, and is much faster than np.mod.
+    """
+    out = x / p
+    np.floor(out, out=out)
+    out *= -p
+    out += x
+    return out
+
+
+def _reduce(full: np.ndarray, tail: tuple[tuple[int, int], ...], d: int, p: int,
+            bound: float) -> np.ndarray:
+    """Coefficient rows (..., L) modulo the monic f of degree d whose x^d
+    equals `tail`, as int64 rows (..., min(L, d)) with entries in [0, p).
+
+    `full` holds integral float64 values in [0, bound] and is overwritten.
+    Each round folds the coefficients at x^(d+i) onto x^(i+k), one shifted
+    multiply-add per tail term, which leaves n + e - d coefficients at or
+    above x^d out of n for a tail of degree e; so a product of two reduced
+    rows takes two rounds when e <= d/2.  Values are taken mod p once at
+    the end, and between rounds only when the next one could reach 2^53.
+    """
+    e = tail[-1][0] if tail else 0
+    growth = 1 + sum(c for _, c in tail)
+    while full.shape[-1] > d:
+        if bound * growth >= EXACT:
+            full, bound = _modp(full, p), p - 1
+        n = full.shape[-1] - d
+        hi = full[..., d:].copy()
+        full = full[..., : max(d, n + e)]
+        full[..., d:] = 0
+        scaled = {1: hi}  # c * hi, once per distinct tail coefficient
+        for k, c in tail:
+            if c not in scaled:
+                scaled[c] = c * hi
+            full[..., k : k + n] += scaled[c]
+        bound *= growth
+    return _modp(full, p).astype(np.int64)
 
 
 def _pmulmod(a: np.ndarray, b: np.ndarray, mod: np.ndarray, p: int) -> np.ndarray:
-    d = len(mod) - 1
-    nfull = len(a) + len(b) - 1
-    if d >= 64 and nfull > 16:
-        # exact float FFT: products stay far below 2^53
-        n = 1 << int(np.ceil(np.log2(nfull)))
-        fa = np.fft.rfft(a.astype(np.float64), n)
-        fb = np.fft.rfft(b.astype(np.float64), n)
-        full = np.rint(np.fft.irfft(fa * fb, n)[:nfull]).astype(np.int64) % p
-    else:
-        full = np.convolve(a, b) % p
-    if len(full) <= d:
-        return _ptrim(full)
-    red = _reduction_rows(mod, p, upto=len(full))
-    out = np.rint(full.astype(np.float64) @ red[: len(full)]).astype(np.int64) % p
-    return _ptrim(out)
+    full = np.convolve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    bound = min(len(a), len(b)) * (p - 1) ** 2
+    return _ptrim(_reduce(full, _tail(mod, p), len(mod) - 1, p, bound))
 
 
 def _ppowmod(a: np.ndarray, e: int, mod: np.ndarray, p: int) -> np.ndarray:
@@ -232,8 +255,9 @@ def _find_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of an integer matrix mod a prime p; returns (matrix, pivot cols)."""
-    a = a.copy() % p
+    """RREF of an integer matrix mod a prime p, in exact float64 arithmetic;
+    returns (matrix, pivot cols)."""
+    a = _modp(np.asarray(a, dtype=np.float64), p)
     rows, cols = a.shape
     piv = []
     r = 0
@@ -246,12 +270,13 @@ def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         sel = r + int(nz[0])
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        # rows r.. are zero left of column c, so only columns c.. change
+        a[r, c:] = _modp(a[r, c:] * pow(int(a[r, c]), p - 2, p), p)
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0
         if mask.any():
-            a[mask] = (a[mask] - col[mask, None] * a[r][None, :]) % p
+            a[mask, c:] = _modp(a[mask, c:] - col[mask, None] * a[r, c:][None, :], p)
         piv.append(c)
         r += 1
     return a, piv
@@ -260,13 +285,10 @@ def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def _modp_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Columns spanning the right nullspace of a mod p."""
     rr, piv = _modp_rref(a, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(piv):
-            basis[pc, j] = (-rr[i, fc]) % p
+    free = np.setdiff1d(np.arange(a.shape[1]), piv)
+    basis = np.zeros((a.shape[1], free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[piv] = _modp(-rr[: len(piv), free], p)
     return basis
 
 
@@ -296,6 +318,7 @@ class FieldCtx:
         else:
             self._init_poly()
         self._init_frobenius()
+        self._trace_vec: Optional[np.ndarray] = None
         self._level_gens: dict[int, object] = {}
         self._sub_bases: dict[int, np.ndarray] = {}
 
@@ -385,41 +408,38 @@ class FieldCtx:
 
     def _init_poly(self):
         p, d = self.p, self.r
-        mod = np.asarray(self.modulus, dtype=np.int64)
-        # reduction table: row k = coefficients of x^k mod f, for k < 2d-1
-        red = np.zeros((2 * d - 1, d), dtype=np.float64)
-        cur = np.zeros(d, dtype=np.int64)
-        cur[0] = 1
-        red[0, :] = cur
-        for k in range(1, 2 * d - 1):
-            nxt = np.zeros(d, dtype=np.int64)
-            nxt[1:] = cur[:-1]
-            if cur[-1]:
-                nxt = (nxt - cur[-1] * mod[:d]) % p
-            cur = nxt % p
-            red[k, :] = cur
-        self._red = red
+        self._prod_bound = d * (p - 1) ** 2  # largest coefficient of a product
+        # tokens are coefficient bytes; uint8 whenever it holds every residue
+        self._tok = np.uint8 if p <= 1 << 8 else np.uint16 if p <= 1 << 16 else np.uint32
+        self._tail = _tail(self.modulus, p)
         self._nfft = 1 << int(np.ceil(np.log2(max(2 * d - 1, 2))))
-        self._zero_bytes = bytes(d)
-        one = np.zeros(d, dtype=np.uint8)
-        one[0] = 1
-        self._one_bytes = one.tobytes()
+        self._zero_bytes = self.cell_to_token(np.zeros(d, dtype=np.int64))
+        self._one_bytes = self.cell_to_token(np.eye(1, d, dtype=np.int64)[0])
 
     def _init_frobenius(self):
         p, r = self.p, self.r
         mod = np.asarray(self.modulus, dtype=np.int64)
         xp = _ppowmod(np.array([0, 1], dtype=np.int64), p, mod, p)
-        frob = np.zeros((r, r), dtype=np.int64)
+        frob = np.zeros((r, r), dtype=np.float64)
         cur = np.array([1], dtype=np.int64)
         for i in range(r):
             frob[: len(cur), i] = cur
             cur = _pmulmod(cur, xp, mod, p)
         self._frob = frob
+        self._phis = [frob]
         if self.tower_levels:
-            phis = [frob]  # phi_j = Frobenius^(2^j) as matrix, j = 0..K
-            for _ in range(len(self.tower_levels) - 1):
-                phis.append(phis[-1] @ phis[-1] % p)
-            self._phis = phis
+            self._frobenius_powers(len(self.tower_levels))
+
+    def _frobenius_powers(self, count: int) -> list[np.ndarray]:
+        """phi_j = Frobenius^(2^j) as float64 matrices, for j < count.
+
+        Squared with BLAS matmul, which is exact: every sum is at most
+        r (p-1)^2 < 2^53.  Towers keep j = 0..K from set-up; other fields
+        grow the list on first use.
+        """
+        while len(self._phis) < count:
+            self._phis.append(self._phis[-1] @ self._phis[-1] % self.p)
+        return self._phis
 
     # -- scalar element API ----------------------------------------------------
 
@@ -437,12 +457,12 @@ class FieldCtx:
             v = v[: self.r]
         if self.kind == "tabled":
             return int(v @ self._powers)
-        return v.astype(np.uint8).tobytes()
+        return self.cell_to_token(v)
 
     def coeffs(self, a) -> tuple[int, ...]:
         if self.kind == "tabled":
             return tuple(int(x) for x in self._digits_scalar(a))
-        return tuple(int(x) for x in np.frombuffer(a, dtype=np.uint8))
+        return tuple(self.token_to_cell(a).tolist())
 
     def from_int(self, k: int):
         """Element with index k (tabled) or the image of k mod p (poly)."""
@@ -459,15 +479,12 @@ class FieldCtx:
     def add(self, a, b):
         if self.kind == "tabled":
             return int(self._encode(self._digits_scalar(a) + self._digits_scalar(b)))
-        va = np.frombuffer(a, dtype=np.uint8).astype(np.int64)
-        vb = np.frombuffer(b, dtype=np.uint8).astype(np.int64)
-        return (((va + vb) % self.p).astype(np.uint8)).tobytes()
+        return self.cell_to_token(self.ax_add(self.token_to_cell(a), self.token_to_cell(b)))
 
     def neg(self, a):
         if self.kind == "tabled":
             return int(self._neg1d[a])
-        va = np.frombuffer(a, dtype=np.uint8).astype(np.int64)
-        return (((-va) % self.p).astype(np.uint8)).tobytes()
+        return self.cell_to_token(self.ax_neg(self.token_to_cell(a)))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -477,11 +494,12 @@ class FieldCtx:
             if a == 0 or b == 0:
                 return 0
             return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-        va = np.frombuffer(a, dtype=np.uint8).astype(np.float64)
-        vb = np.frombuffer(b, dtype=np.uint8).astype(np.float64)
-        full = np.convolve(va, vb)
-        out = np.rint(full @ self._red[: len(full)]).astype(np.int64) % self.p
-        return out.astype(np.uint8).tobytes()
+        return self.cell_to_token(self._mul_row(self.token_to_cell(a), self.token_to_cell(b)))
+
+    def _mul_row(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two coefficient rows (poly fields)."""
+        full = np.convolve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+        return _reduce(full, self._tail, self.r, self.p, self._prod_bound)
 
     def inv(self, a):
         if self.kind == "tabled":
@@ -490,37 +508,27 @@ class FieldCtx:
             return int(self._inv1d[a])
         if a == self._zero_bytes:
             raise DivisionByZero("inverse of zero")
-        return self._poly_inv(a)
+        return self.cell_to_token(self._poly_inv(self.token_to_cell(a)))
 
-    def _poly_inv(self, a):
-        p = self.p
-        r0 = np.asarray(self.modulus, dtype=np.int64)
-        r1 = _ptrim(np.frombuffer(a, dtype=np.uint8).astype(np.int64))
-        s0 = np.array([0], dtype=np.int64)
-        s1 = np.array([1], dtype=np.int64)
-        while len(r1) > 1 or r1[0] != 0:
-            # divide r0 by r1
-            quo = np.zeros(max(len(r0) - len(r1) + 1, 1), dtype=np.int64)
-            rem = r0.copy()
-            lead_inv = pow(int(r1[-1]), p - 2, p)
-            while len(rem) >= len(r1) and np.any(rem):
-                c = rem[-1] * lead_inv % p
-                kpos = len(rem) - len(r1)
-                quo[kpos] = c
-                rem = rem.copy()
-                rem[kpos:] = (rem[kpos:] - c * r1) % p
-                rem = _ptrim(rem)
-                if len(rem) == 1 and rem[0] == 0:
-                    break
-            new_s = _psub(s0, np.convolve(quo, s1) % p, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, new_s
-        if len(r0) != 1:
-            raise DivisionByZero("element not invertible")
-        c_inv = pow(int(r0[0]), p - 2, p)
-        out = np.zeros(self.r, dtype=np.int64)
-        out[: len(s0)] = s0 * c_inv % p
-        return out.astype(np.uint8).tobytes()
+    def _poly_inv(self, a: np.ndarray) -> np.ndarray:
+        """Itoh-Tsujii inverse: a^-1 = phi(S_(r-1)) N(a)^-1 with
+        S_m = prod_(i<m) phi^i(a) and the norm N(a) = a phi(S_(r-1)) in F_p.
+
+        S_(r-1) is built from u_j = S_(2^j), u_(j+1) = u_j phi^(2^j)(u_j),
+        by S_(2^j+m) = u_j phi^(2^j)(S_m) over the set bits j of r-1, so it
+        takes about 2 log2(r) products and Frobenius matvecs.
+        """
+        p, m = self.p, self.r - 1
+        phis = self._frobenius_powers(m.bit_length())
+        u, s = a, None
+        for j in range(m.bit_length()):
+            if m >> j & 1:
+                s = u if s is None else self._mul_row(u, phis[j] @ s % p)
+            if j + 1 < m.bit_length():
+                u = self._mul_row(u, phis[j] @ u % p)
+        rest = np.eye(1, self.r, dtype=np.int64)[0] if s is None else phis[0] @ s % p
+        norm = int(self._mul_row(a, rest)[0])
+        return (rest * pow(norm, -1, p) % p).astype(np.int64)
 
     def pow_(self, a, e: int):
         if e < 0:
@@ -543,25 +551,20 @@ class FieldCtx:
 
     def trace(self, a) -> int:
         """Trace of the multiplication-by-a map, as an integer in [0, p)."""
-        if not hasattr(self, "_trace_vec"):
+        return int(self.ax_trace(self.token_to_cell(a)))
+
+    def _trace_vector(self) -> np.ndarray:
+        """tr(x^k) for k < r: the power sums of the modulus roots, by
+        Newton's identities s_k = -(k f_(r-k) + sum_(0<j<k) f_(r-j) s_(k-j))."""
+        if self._trace_vec is None:
             p, r = self.p, self.r
-            mod = np.asarray(self.modulus, dtype=np.int64)
-            # x^k mod f for k in [0, 2r-2]; trace of mult-by-x^i is
-            # sum_j coeff_j(x^{i+j} mod f)
-            pows = []
-            cur = np.array([1], dtype=np.int64)
-            for _ in range(2 * r - 1):
-                row = np.zeros(r, dtype=np.int64)
-                row[: len(cur)] = cur
-                pows.append(row)
-                cur = _pmulmod(cur, np.array([0, 1], dtype=np.int64), mod, p)
-            tv = np.array(
-                [sum(int(pows[i + j][j]) for j in range(r)) % p for i in range(r)],
-                dtype=np.int64,
-            )
-            self._trace_vec = tv
-        c = np.asarray(self.coeffs(a), dtype=np.int64)
-        return int((c @ self._trace_vec) % self.p)
+            f = np.asarray(self.modulus, dtype=np.int64)[::-1]  # f[j] = coeff of x^(r-j)
+            s = np.zeros(r, dtype=np.int64)
+            s[0] = r % p
+            for k in range(1, r):
+                s[k] = -(k * f[k] + f[1:k] @ s[k - 1 : 0 : -1]) % p
+            self._trace_vec = s
+        return self._trace_vec
 
     def frobenius(self, a):
         c = np.asarray(self.coeffs(a), dtype=np.int64)
@@ -584,8 +587,7 @@ class FieldCtx:
                 b = np.zeros((self.r, 1), dtype=np.int64)
                 b[0, 0] = 1
             else:
-                eye = np.eye(self.r, dtype=np.int64)
-                b = _modp_nullspace((self._phis[j] - eye) % self.p, self.p)
+                b = _modp_nullspace(self._phis[j] - np.eye(self.r), self.p)
             self._sub_bases[j] = b
         return self._sub_bases[j]
 
@@ -663,9 +665,8 @@ class FieldCtx:
             return out
         fa = np.fft.rfft(np.asarray(a, dtype=np.float64), self._nfft, axis=-1)
         fb = np.fft.rfft(np.asarray(b, dtype=np.float64), self._nfft, axis=-1)
-        full = np.fft.irfft(fa * fb, self._nfft, axis=-1)[..., : 2 * self.r - 1]
-        reduced = np.rint(full) @ self._red
-        return np.rint(reduced).astype(np.int64) % self.p
+        full = np.rint(np.fft.irfft(fa * fb, self._nfft, axis=-1)[..., : 2 * self.r - 1])
+        return _reduce(full, self._tail, self.r, self.p, self._prod_bound)
 
     def ax_nonzero(self, a: np.ndarray) -> np.ndarray:
         """Boolean mask of nonzero cells (drops the coefficient axis if any)."""
@@ -673,15 +674,20 @@ class FieldCtx:
             return np.asarray(a) != 0
         return np.asarray(a).any(axis=-1)
 
+    def ax_trace(self, a: np.ndarray) -> np.ndarray:
+        """Trace of every cell, as int64 values in [0, p)."""
+        rows = self._digits_all[a] if self.kind == "tabled" else np.asarray(a)
+        return rows @ self._trace_vector() % self.p
+
     def cell_to_token(self, cell):
         if self.kind == "tabled":
             return int(cell)
-        return np.asarray(cell, dtype=np.int64).astype(np.uint8).tobytes()
+        return np.asarray(cell, dtype=np.int64).astype(self._tok).tobytes()
 
     def token_to_cell(self, token):
         if self.kind == "tabled":
             return int(token)
-        return np.frombuffer(token, dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(token, dtype=self._tok).astype(np.int64)
 
     def cell_zeros(self, *shape) -> np.ndarray:
         if self.kind == "tabled":
@@ -714,12 +720,20 @@ class FieldCtx:
 _REGISTRY: dict[tuple, FieldCtx] = {}
 
 
+def _check_size(p: int, r: int) -> None:
+    """Refuse, before any modulus search, a poly field whose products
+    cannot be computed exactly in float64."""
+    if p**r > TABLE_LIMIT and r * (p - 1) ** 2 > FFT_EXACT:
+        raise TooLarge(f"GF({p}^{r}) products exceed exact float64 arithmetic")
+
+
 def field_build(p: int, r: int, poly: Optional[Sequence[int]] = None) -> FieldCtx:
     """GF(p^r) with the given monic modulus, or the canonical one if omitted."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if r < 1:
         raise ReduciblePolynomial("extension degree must be >= 1")
+    _check_size(p, r)
     if poly is None:
         modulus = _find_irreducible(p, r)
     else:
@@ -741,6 +755,7 @@ def tower_build(p: int, depth: int) -> FieldCtx:
     if depth < 1:
         raise TowerTooShallow("tower depth must be >= 1")
     r = 1 << depth
+    _check_size(p, r)
     modulus = _find_irreducible(p, r)
     levels = tuple(1 << j for j in range(depth + 1))
     key = (p, r, modulus, levels)

@@ -8,7 +8,7 @@ X part (entries 1..n) and a Z part (entries n+1..2n).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
 from .fields import FieldCtx, field_from_json
 
 MDS_MAX_ROWS = 24
+MDS_BLOCK_CELLS = 1 << 15
 
 
 class VecGF:
@@ -273,34 +274,38 @@ def _rref_cells(ctx: FieldCtx, a: np.ndarray):
     return r, piv
 
 
-def _rank_cells_noinv(ctx: FieldCtx, a: np.ndarray) -> int:
-    """Rank by cross-multiplication elimination (no pivot inversions)."""
-    rows, cols = a.shape[0], a.shape[1]
+def _ff_rank(ctx: FieldCtx, a: np.ndarray) -> Optional[int]:
+    """Rank of every matrix in a stack (N, rows, cols[, r]), by one
+    fraction-free forward elimination run in lockstep, in place.
+
+    Each matrix takes its own pivot row, the first nonzero at or below the
+    current row, through fancy indexing.  Rows below become
+    piv*row_i - a[i,c]*row_piv, which keeps the row span without inverting
+    anything.  Returns the common rank, or None as soon as a column has a
+    pivot in some matrices of the stack but not in others.
+    """
+    stack = np.arange(a.shape[0])
+    rows, cols = a.shape[1], a.shape[2]
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(ctx.ax_nonzero(a[r:, c]))[0]
-        if nz.size == 0:
+        nz = ctx.ax_nonzero(a[:, r:, c])
+        has = nz.any(axis=1)
+        if not has.all():
+            if has.any():
+                return None
             continue
-        sel = r + int(nz[0])
-        if sel != r:
-            tmp = a[r].copy()
-            a[r] = a[sel]
-            a[sel] = tmp
-        below = a[r + 1:, c]
-        mask = ctx.ax_nonzero(below)
-        if mask.any():
-            idx = np.nonzero(mask)[0] + r + 1
-            piv = a[r, c]
-            # row_i <- piv*row_i - a[i,c]*row_r keeps row spans and zeroes c
-            if ctx.kind == "tabled":
-                scaled = ctx.ax_mul(piv, a[idx])
-                subtract = ctx.ax_mul(a[idx, c][:, None], a[r][None, :])
-            else:
-                scaled = ctx.ax_mul(piv[None, None, :], a[idx])
-                subtract = ctx.ax_mul(a[idx, c][:, None, :], a[r][None, :, :])
-            a[idx] = ctx.ax_add(scaled, ctx.ax_neg(subtract))
+        sel = r + nz.argmax(axis=1)
+        piv_rows = a[stack, sel]
+        a[stack, sel] = a[:, r].copy()
+        a[:, r] = piv_rows
+        if r + 1 < rows:
+            # rows r.. are zero left of column c, so only columns c.. change
+            below = a[:, r + 1:, c:]
+            scaled = ctx.ax_mul(piv_rows[:, None, c:c + 1], below)
+            subtract = ctx.ax_mul(below[:, :, :1], piv_rows[:, None, c:])
+            a[:, r + 1:, c:] = ctx.ax_add(scaled, ctx.ax_neg(subtract))
         r += 1
     return r
 
@@ -322,7 +327,7 @@ def rank(m: MatGF) -> int:
     t = m.ctx.tables()
     if t is not None:
         return _accel.gf_rank(m.a.copy(), t)
-    return _rank_cells_noinv(m.ctx, m.a.copy())
+    return _ff_rank(m.ctx, m.a[None].copy())
 
 
 def solve(m: MatGF, b: VecGF) -> Optional[VecGF]:
@@ -426,15 +431,17 @@ def restrict_vec(v: VecGF, subset: Iterable[int]) -> VecGF:
     return VecGF(v.ctx, v.a[[s - 1 for s in rows]].copy())
 
 
+def _symp_traces(f: MatGF, g: MatGF) -> np.ndarray:
+    """symp(f_i, g_j) for every column pair, from one Gram product F^T M G."""
+    gram = f.transpose() @ (_symp_gram_matrix(f.ctx, f.rows) @ g)
+    return f.ctx.ax_trace(gram.a)
+
+
 def is_self_col_orth(g: MatGF) -> bool:
     """All columns pairwise null under the symplectic product."""
     if g.rows % 2:
         raise OddLength("matrix must have 2n rows")
-    for i in range(g.cols):
-        for j in range(i, g.cols):
-            if symp(g.col(i), g.col(j)) != 0:
-                return False
-    return True
+    return not _symp_traces(g, g).any()
 
 
 def is_col_orth(f: MatGF, g: MatGF) -> bool:
@@ -442,12 +449,7 @@ def is_col_orth(f: MatGF, g: MatGF) -> bool:
     _same_ctx(f, g)
     if f.rows != g.rows or f.rows % 2:
         raise OddLength("matrices must share an even row count")
-    for i in range(f.cols):
-        fi = f.col(i)
-        for j in range(g.cols):
-            if symp(fi, g.col(j)) != 0:
-                return False
-    return True
+    return not _symp_traces(f, g).any()
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +517,12 @@ def is_mds(m: MatGF) -> bool:
         if rank(m) != k:
             return False
         return is_mds(nullspace(m.transpose()))
-    for rows_sel in combinations(range(m.rows), k):
-        sub = m.a[list(rows_sel)].copy()
-        if _rank_cells_noinv(m.ctx, sub) != k:
+    # minors in blocks of about MDS_BLOCK_CELLS coefficients, each block
+    # eliminated in lockstep
+    block = max(1, MDS_BLOCK_CELLS // (k * k * int(np.prod(m.a.shape[2:]))))
+    minors = combinations(range(m.rows), k)
+    while chunk := list(islice(minors, block)):
+        if _ff_rank(m.ctx, m.a[np.array(chunk)]) != k:
             return False
     return True
 

@@ -601,12 +601,17 @@ def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int,
                 corr = [int(v) % q for v in label]
             corrections[label] = weyl_matrix(q, n_out, corr)
 
+    # the contraction order depends only on the shapes: search it once here
+    # rather than once per POVM element on every application
+    spec = "ra,sc,bd,sdrb->ac"
+    path, _ = np.einsum_path(spec, phi, phi, np.empty((d_b, d_b)),
+                             povm.ops[0].reshape(d_a, d_b, d_a, d_b), optimize=True)
+
     def fn(rho_b: np.ndarray) -> np.ndarray:
         out = np.zeros((d_a, d_a), dtype=np.complex128)
         for label, op in zip(povm.labels, povm.ops):
             pi = op.reshape(d_a, d_b, d_a, d_b)
-            m = np.einsum("ra,sc,bd,sdrb->ac", phi, phi.conj(), rho_b, pi,
-                          optimize=True)
+            m = np.einsum(spec, phi, phi.conj(), rho_b, pi, optimize=path)
             if label is not None:
                 u = corrections[label]
                 m = u @ m @ u.conj().T

@@ -176,3 +176,79 @@ def test_json_round_trip():
     d = t.to_json()
     t2 = fields.field_from_json(d)
     assert t2 is t  # registry returns the identical context
+
+
+# ---------------------------------------------------------------------------
+# poly-field arithmetic against a dense reference
+# ---------------------------------------------------------------------------
+
+DENSE_F3_11 = [1, 1, 2, 1, 1, 2, 2, 1, 1, 2, 2, 1]  # irreducible, no zero term
+
+
+def _ref_mulmod(a, b, mod, p):
+    """Schoolbook product reduced by long division by the whole modulus."""
+    a, b, mod = (np.asarray(v, dtype=np.int64) for v in (a, b, mod))
+    d = len(mod) - 1
+    full = np.zeros(2 * d - 1, dtype=np.int64)
+    for i, ai in enumerate(a):
+        full[i : i + d] = (full[i : i + d] + ai * b) % p
+    for k in range(2 * d - 2, d - 1, -1):
+        full[k - d : k + 1] = (full[k - d : k + 1] - full[k] * mod) % p
+    return full[:d]
+
+
+def _poly_fields():
+    from mmsplab._moduli import CANONICAL_MODULI
+
+    out = [(p, d, None) for (p, d) in sorted(CANONICAL_MODULI) if d >= 32]
+    return out + [(3, 11, DENSE_F3_11), (257, 2, None), (65537, 1, None)]
+
+
+@pytest.mark.parametrize("p,d,poly", _poly_fields())
+def test_poly_arith_matches_dense_reference(p, d, poly):
+    ctx = field_build(p, d, poly)
+    assert ctx.kind == "poly"
+    mod = ctx.modulus
+    rng = np.random.default_rng(p * 1000 + d)
+    a = ctx.random_cells(rng, 3)
+    b = ctx.random_cells(rng, 3)
+    a[0] = p - 1  # the largest coefficients every product can have
+    b[0] = p - 1
+    ref = np.stack([_ref_mulmod(x, y, mod, p) for x, y in zip(a, b)])
+    assert np.array_equal(ctx.ax_mul(a, b), ref)
+    assert np.array_equal(ctx.ax_mul(a, b[:1]), np.stack(
+        [_ref_mulmod(x, b[0], mod, p) for x in a]))
+    one = np.eye(1, d, dtype=np.int64)[0]
+    for x, y, want in zip(a, b, ref):
+        tx, ty = ctx.cell_to_token(x), ctx.cell_to_token(y)
+        assert ctx.coeffs(ctx.mul(tx, ty)) == tuple(want.tolist())
+        inv = ctx.token_to_cell(ctx.inv(tx))
+        assert np.array_equal(_ref_mulmod(x, inv, mod, p), one)
+
+
+def test_large_p_coefficients_round_trip():
+    # tokens were uint8 bytes, so GF(257^2) read 256 back as 0
+    f = field_build(257, 2)
+    assert f.kind == "poly"
+    a = f.from_coeffs([256, 3])
+    assert f.coeffs(a) == (256, 3)
+    assert f.coeffs(f.neg(a)) == (1, 254)
+    assert f.coeffs(f.add(a, f.from_coeffs([2, 0]))) == (1, 3)
+    assert f.mul(a, f.inv(a)) == f.one
+
+
+def test_poly_field_past_exact_float_range_refused():
+    from mmsplab.errors import TooLarge
+
+    with pytest.raises(TooLarge):
+        field_build(1000003, 2)
+
+
+def test_canonical_moduli_tails_are_short():
+    # x^d = tail folds a product down in two rounds when deg(tail) <= d/2
+    from mmsplab._moduli import CANONICAL_MODULI
+
+    for (p, d), poly in CANONICAL_MODULI.items():
+        if d >= 32:
+            tail_degree = max(k for k in range(d) if poly[k] % p)
+            assert tail_degree <= d // 2, (p, d)

@@ -1,5 +1,7 @@
 """GF(q) linear algebra: elimination, symplectic form, MDS, completion."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +220,68 @@ def test_symp_bilinearity_property(ai, bi):
     v = la.VecGF.from_ints(F3, [(ai // 3**k) % 3 for k in range(6)])
     w = la.VecGF.from_ints(F3, [(bi // 3**k) % 3 for k in range(6)])
     assert la.symp(v, w) == (-la.symp(w, v)) % 3
+
+
+# ---------------------------------------------------------------------------
+# lockstep MDS minors and Gram-product orthogonality against loop references
+# ---------------------------------------------------------------------------
+
+def _minor_rank(m, rows):
+    # RREF with pivot inversions, independent of the fraction-free eliminator
+    return la.rref(la.restrict(m, [i + 1 for i in rows]))[2]
+
+
+def _ref_is_mds(m):
+    return all(_minor_rank(m, rows) == m.cols
+               for rows in combinations(range(m.rows), m.cols))
+
+
+@pytest.mark.parametrize("block_minors", [1, 5, 7, 17, 34, 35, 1000])
+def test_is_mds_lockstep_one_singular_minor(monkeypatch, block_minors):
+    # 7 x 3 has 35 minors; the only singular one, rows {5, 6, 7}, comes
+    # last in order: a block ends on it (5, 7, 35), starts on it (17, 34)
+    # or holds all of them (1000).  The identity on top puts zeros where
+    # minors must pick different pivot rows.
+    t = tower_build(3, 4)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m = la.MatGF(t, t.random_cells(rng, 7, 3))
+        m.a[:3] = la.MatGF.identity(t, 3).a
+        if _ref_is_mds(m):
+            break
+    m.a[6] = t.ax_add(m.a[4], m.a[5])
+    singular = [rows for rows in combinations(range(7), 3) if _minor_rank(m, rows) < 3]
+    assert singular == [(4, 5, 6)]
+    monkeypatch.setattr(la, "MDS_BLOCK_CELLS", block_minors * 9 * t.r)
+    assert la.is_mds(m) is False
+    m.a[6] = t.ax_add(m.a[6], m.a[0])  # now every minor is invertible
+    assert la.is_mds(m) is _ref_is_mds(m) is True
+
+
+def _ref_col_orth(f, g):
+    return all(la.symp(f.col(i), g.col(j)) == 0
+               for i in range(f.cols) for j in range(g.cols))
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, tower_build(3, 4)], ids=str)
+def test_gram_orthogonality_matches_pairwise_symp(ctx):
+    rng = np.random.default_rng(3)
+    lam = ctx.random_cells(rng, 1)
+    n = 3
+    seen = set()
+    for trial in range(12):
+        x = la.MatGF(ctx, ctx.random_cells(rng, n, 3))
+        y = la.MatGF(ctx, ctx.random_cells(rng, n, 2))
+        # columns (x; lam x) pair to zero with each other and with (y; lam y)
+        g = la.vstack([x, la.MatGF(ctx, ctx.ax_mul(lam, x.a))])
+        f = la.vstack([y, la.MatGF(ctx, ctx.ax_mul(lam, y.a))])
+        if trial % 3 == 1:  # break one entry
+            g.a[n + 1, 2] = ctx.ax_add(g.a[n + 1, 2], ctx.random_cells(rng))
+        if trial % 3 == 2:
+            f = la.MatGF(ctx, ctx.random_cells(rng, 2 * n, 2))
+        assert la.is_self_col_orth(g) == _ref_col_orth(g, g)
+        assert la.is_self_col_orth(f) == _ref_col_orth(f, f)
+        assert la.is_col_orth(f, g) == _ref_col_orth(f, g)
+        assert la.is_col_orth(g, f) == _ref_col_orth(g, f)
+        seen |= {("self", la.is_self_col_orth(g)), ("cross", la.is_col_orth(f, g))}
+    assert len(seen) == 4  # both verdicts of both predicates were checked
