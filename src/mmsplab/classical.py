@@ -30,7 +30,7 @@ from .linalg import (
     rank,
     restrict,
     restrict_vec,
-    rref,
+    solve,
 )
 from .mmsp import accepts_one, is_mmsp
 
@@ -139,14 +139,8 @@ def css_decode(p: CssProtocol, subset: Iterable[int], z: VecGF) -> Optional[VecG
         raise DimensionMismatch("restricted share length")
     if not accepts_one(p.g, p.f, sub):
         return None
-    stacked = hstack([pg, pf])
-    red, piv, rk = rref(MatGF(p.ctx, np.concatenate([stacked.a, z.a[:, None]], axis=1)))
-    if stacked.cols in piv:
-        return None
-    sol = VecGF.zeros(p.ctx, stacked.cols)
-    for i, c in enumerate(piv):
-        sol.a[c] = red.a[i, stacked.cols]
-    return VecGF(p.ctx, sol.a[p.y:].copy())
+    sol = solve(hstack([pg, pf]), z)
+    return None if sol is None else VecGF(p.ctx, sol.a[p.y:].copy())
 
 
 def _vec_from_index(ctx, idx: int, length: int) -> VecGF:

@@ -151,9 +151,7 @@ class MatGF:
         return MatGF(self.ctx, self.a.copy())
 
     def transpose(self) -> "MatGF":
-        if self.ctx.kind == "tabled":
-            return MatGF(self.ctx, self.a.T.copy())
-        return MatGF(self.ctx, np.transpose(self.a, (1, 0, 2)).copy())
+        return MatGF(self.ctx, np.swapaxes(self.a, 0, 1).copy())
 
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.ctx is other.ctx
@@ -191,16 +189,14 @@ class MatGF:
             if self.cols == 0:
                 return VecGF.zeros(self.ctx, self.rows)
             prods = self.ctx.ax_mul(self.a, other.a[None, :])
-            return VecGF(self.ctx, _fold_add(self.ctx, prods, axis=1))
+            return VecGF(self.ctx, _fold_add(self.ctx, prods))
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shapes")
         if self.cols == 0:
             return MatGF.zeros(self.ctx, self.rows, other.cols)
-        if self.ctx.kind == "tabled":
-            prods = self.ctx.ax_mul(self.a[:, :, None], other.a[None, :, :])
-            return MatGF(self.ctx, _fold_add(self.ctx, prods, axis=1))
-        prods = self.ctx.ax_mul(self.a[:, :, None, :], other.a[None, :, :, :])
-        return MatGF(self.ctx, _fold_add(self.ctx, prods, axis=1))
+        # cells sit in trailing axes: (rows, k, 1) x (1, k, cols) products
+        prods = self.ctx.ax_mul(self.a[:, :, None], other.a[None])
+        return MatGF(self.ctx, _fold_add(self.ctx, prods))
 
 
 def _same_ctx(x, y):
@@ -208,12 +204,11 @@ def _same_ctx(x, y):
         raise DimensionMismatch("elements from distinct field contexts never combine")
 
 
-def _fold_add(ctx: FieldCtx, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Sum cells along an axis with field addition."""
-    arr = np.moveaxis(arr, axis, 0)
-    acc = arr[0]
-    for k in range(1, arr.shape[0]):
-        acc = ctx.ax_add(acc, arr[k])
+def _fold_add(ctx: FieldCtx, arr: np.ndarray) -> np.ndarray:
+    """Sum cells along axis 1 with field addition."""
+    acc = arr[:, 0]
+    for k in range(1, arr.shape[1]):
+        acc = ctx.ax_add(acc, arr[:, k])
     return acc
 
 
@@ -259,16 +254,13 @@ def _rref_cells(ctx: FieldCtx, a: np.ndarray):
             a[r] = a[sel]
             a[sel] = tmp
         pinv = ctx.token_to_cell(ctx.inv(ctx.cell_to_token(a[r, c])))
-        a[r] = ctx.ax_mul(a[r], np.asarray(pinv)[None] if ctx.kind == "poly" else pinv)
+        a[r] = ctx.ax_mul(a[r], np.asarray(pinv)[None])
         colcells = a[:, c].copy()
         mask = ctx.ax_nonzero(colcells)
         mask[r] = False
         if mask.any():
             f = ctx.ax_neg(colcells[mask])
-            if ctx.kind == "tabled":
-                a[mask] = ctx.ax_add(a[mask], ctx.ax_mul(f[:, None], a[r][None, :]))
-            else:
-                a[mask] = ctx.ax_add(a[mask], ctx.ax_mul(f[:, None, :], a[r][None, :, :]))
+            a[mask] = ctx.ax_add(a[mask], ctx.ax_mul(f[:, None], a[r][None]))
         piv.append(c)
         r += 1
     return r, piv
@@ -642,11 +634,7 @@ def _is_zero(ctx: FieldCtx, e) -> bool:
 
 
 def _scale(v: VecGF, c) -> VecGF:
-    ctx = v.ctx
-    cell = ctx.token_to_cell(c)
-    if ctx.kind == "tabled":
-        return VecGF(ctx, ctx.ax_mul(v.a, cell))
-    return VecGF(ctx, ctx.ax_mul(v.a, np.asarray(cell)[None, :]))
+    return VecGF(v.ctx, v.ctx.ax_mul(v.a, np.asarray(v.ctx.token_to_cell(c))[None]))
 
 
 def _unit_trace_element(ctx: FieldCtx):

@@ -34,6 +34,7 @@ from .linalg import (
     MatGF,
     VecGF,
     hstack,
+    mat_inverse,
     restrict,
     restrict_vec,
     rref,
@@ -71,23 +72,14 @@ def coset_rep(g: MatGF, z: VecGF) -> tuple:
     """Canonical representative of z + Im(g): the pivot coordinates of the
     column space are eliminated in order."""
     ctx = g.ctx
-    if g.cols == 0:
-        if ctx.kind == "tabled":
-            return tuple(int(v) for v in z.a)
-        return tuple(ctx.cell_to_token(z.a[i]) for i in range(len(z)))
-    red, piv, rk = rref(g.transpose())  # rows = canonical column-space basis
     work = z.a.copy()
-    for i, pcol in enumerate(piv):
-        c = work[pcol]
-        if ctx.ax_nonzero(np.asarray(c)).any() if ctx.kind != "tabled" else c != 0:
-            if ctx.kind == "tabled":
-                work = ctx.ax_add(work, ctx.ax_neg(ctx.ax_mul(c, red.a[i])))
-            else:
-                work = ctx.ax_add(work, ctx.ax_neg(
-                    ctx.ax_mul(np.asarray(c)[None, :], red.a[i])))
-    if ctx.kind == "tabled":
-        return tuple(int(v) for v in work)
-    return tuple(ctx.cell_to_token(work[i]) for i in range(len(z)))
+    if g.cols:
+        red, piv, rk = rref(g.transpose())  # rows = canonical column-space basis
+        for i, pcol in enumerate(piv):
+            c = work[pcol]
+            if ctx.ax_nonzero(c):
+                work = ctx.ax_add(work, ctx.ax_neg(ctx.ax_mul(np.asarray(c)[None], red.a[i])))
+    return tuple(ctx.cell_to_token(c) for c in work)
 
 
 class DispDecoder:
@@ -115,35 +107,48 @@ class DispDecoder:
         return (MatGF(self.ctx, red.a[:, stacked.cols:].copy()),
                 [c for c in piv if c < stacked.cols])
 
-    def decode(self, z: Sequence[int]) -> Optional[VecGF]:
-        """Solve z = P(G) a + P(F) m for the unique m, if any."""
+    def decode_all(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve z = P(G) a + P(F) m for every row z of cells in zs through
+        one product T Z: the rows of message cells m, and the mask of the
+        rows that decode to a unique m."""
+        ctx, nz = self.ctx, len(zs)
+        msgs = ctx.cell_zeros(nz, self.g.cols + self.x)
         if not self.ok:
-            return None
-        ctx = self.ctx
-        zv = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in z])
+            return msgs[:, self.g.cols:], np.zeros(nz, dtype=bool)
         t, piv = self._reduction
-        tz = (t @ zv).a
+        tz = (t @ MatGF(ctx, np.swapaxes(zs, 0, 1))).a
         # rows past the rank vanish on [P(G) P(F)]: z is in its image iff
         # they vanish on z too
-        if ctx.ax_nonzero(tz[len(piv):]).any():
-            return None
-        sol = VecGF.zeros(ctx, self.g.cols + self.x)
-        sol.a[piv] = tz[:len(piv)]
-        return VecGF(ctx, sol.a[self.g.cols:].copy())
+        ok = ~ctx.ax_nonzero(tz[len(piv):]).any(axis=0)
+        msgs[:, piv] = np.swapaxes(tz[:len(piv)], 0, 1)
+        return msgs[:, self.g.cols:], ok
+
+    def decode(self, z: Sequence[int]) -> Optional[VecGF]:
+        """The unique m for one label z of integers, read by from_int."""
+        msgs, ok = self.decode_all(VecGF.from_ints(self.ctx, z).a[None])
+        return VecGF(self.ctx, msgs[0]) if ok[0] else None
 
     def outcome_coset(self, z: Sequence[int]) -> tuple:
-        ctx = self.ctx
-        zv = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in z])
-        return coset_rep(self.pg1, zv)
+        return coset_rep(self.pg1, VecGF.from_ints(self.ctx, z))
 
 
-def _mat_int(m: MatGF) -> np.ndarray:
-    return m.a.astype(np.int64)
+def _enum_vecs(q: int, k: int) -> np.ndarray:
+    """Every vector of F_q^k as a row of element indices, little-endian:
+    row i holds the base-q digits of i."""
+    return np.arange(q**k)[:, None] // q ** np.arange(k) % q
 
 
-def _enum_vecs(q: int, k: int):
-    for idx in range(q**k):
-        yield np.array([(idx // q**i) % q for i in range(k)], dtype=np.int64)
+def _displacements(g: MatGF, base: np.ndarray) -> np.ndarray:
+    """base + G u over every u in _enum_vecs order, one row of cells each."""
+    ctx = g.ctx
+    offsets = g @ MatGF(ctx, _enum_vecs(ctx.q, g.cols).T)
+    return ctx.ax_add(np.asarray(base)[None], np.swapaxes(offsets.a, 0, 1))
+
+
+def _indices(ctx, cells: np.ndarray) -> list[int]:
+    """The index sum_i c_i p^i of every cell (the cell itself when tabled)."""
+    return [sum(c * ctx.p**i for i, c in enumerate(ctx.coeffs(ctx.cell_to_token(cell))))
+            for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +167,12 @@ class EaEngine:
         self.g1, self.g2, self.f = g1, g2, f
         self.frame = frame_for(g1)
         self.base = self.frame.resource([0] * g1.cols)
-        self._g2i = _mat_int(g2)
-        self._fi = _mat_int(f)
         self._dms: dict = {}
 
-    def message_displacements(self, m: np.ndarray) -> list[np.ndarray]:
-        """All displacements F m + G2 u2 over exhaustive u2."""
-        q = self.q
-        base = (self._fi @ m) % q if self.f.cols else np.zeros(2 * self.n, int)
-        out = []
-        for u in _enum_vecs(q, self.g2.cols):
-            d = base.copy()
-            if self.g2.cols:
-                d = (d + self._g2i @ u) % q
-            out.append(d)
-        return out
+    def message_displacements(self, m: np.ndarray) -> np.ndarray:
+        """All displacements F m + G2 u2 over exhaustive u2, one per row."""
+        mv = VecGF(self.ctx, np.asarray(m, dtype=np.int64))
+        return _displacements(self.g2, (self.f @ mv).a)
 
     def share_components(self, disp_list: Iterable[np.ndarray]):
         regs = list(range(self.n))
@@ -204,14 +200,15 @@ class EaEngine:
                              decoder: DispDecoder) -> dict:
         probs = self.outcome_distribution(subset, components)
         dm = self.dm_for(sorted(subset))
+        hit = np.nonzero(~(probs < 1e-12))[0]
+        labels = [dm.label(idx) for idx in hit if idx < dm.nout]
+        msgs, ok = decoder.decode_all(
+            np.array(labels, dtype=np.int64).reshape(len(labels), -1))
+        keys = [tuple(m.tolist()) if good else None for m, good in zip(msgs, ok)]
+        keys += [None] * (len(hit) - len(labels))  # the complement tail
         out: dict = {}
-        for idx, p in enumerate(probs):
-            if p < 1e-12:
-                continue
-            label = dm.label(idx) if idx < dm.nout else None
-            m = decoder.decode(label) if label is not None else None
-            key = tuple(int(v) for v in m.a) if m is not None else None
-            out[key] = out.get(key, 0.0) + float(p)
+        for key, idx in zip(keys, hit):
+            out[key] = out.get(key, 0.0) + float(probs[idx])
         return out
 
     def coset_distribution(self, subset: Sequence[int], components,
@@ -250,41 +247,25 @@ def _bundle_engine(bundle: MmspBundle, kind: str) -> EaEngine:
 # symplectic-track backend
 # ---------------------------------------------------------------------------
 
-def symp_track_displacement(bundle: MmspBundle, m: np.ndarray,
-                            u2: np.ndarray) -> VecGF:
-    """The classical displacement F m + G2 u2 as a field vector."""
-    ctx = bundle.ctx
-    mv = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in m])
-    x = bundle.f @ mv if bundle.x else VecGF.zeros(ctx, 2 * bundle.n)
-    if bundle.y2:
-        uv = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in u2])
-        x = x + (bundle.g2 @ uv)
-    return x
-
-
 def symp_track(bundle: MmspBundle, m: np.ndarray, u2: np.ndarray,
                subset: Sequence[int]):
     """Outcome of the displaced-basis measurement, predicted classically:
     the canonical coset representative of P_Abar(F m + G2 u2), plus the
-    decoded message.  Works for any field, including prime powers."""
-    x = symp_track_displacement(bundle, m, u2)
+    decoded message.  m and u2 hold field cells (element indices on tabled
+    fields).  Works for any field, including prime powers."""
+    return _track(bundle, bundle.f @ VecGF(bundle.ctx, np.asarray(m, dtype=np.int64)),
+                  u2, subset)
+
+
+def _track(bundle: MmspBundle, base: VecGF, u2: np.ndarray, subset: Sequence[int]):
+    """The symplectic track of the displacement base + G2 u2."""
+    ctx = bundle.ctx
+    x = base + bundle.g2 @ VecGF(ctx, np.asarray(u2, dtype=np.int64))
     sympl = sorted(symplectify(subset, bundle.n))
     z = restrict_vec(x, sympl)
     rep = coset_rep(restrict(bundle.g1, sympl), z)
-    dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset)
-    zi = [int(v) for v in z.a] if bundle.ctx.kind == "tabled" else None
-    decoded = dec.decode(zi) if zi is not None else None
-    if decoded is None and bundle.ctx.kind != "tabled":
-        # large-field track: decode through field solving directly
-        stacked = hstack([dec.g, dec.f]) if dec.g.cols else dec.f
-        red, piv, rk = rref(MatGF(bundle.ctx, np.concatenate(
-            [stacked.a, z.a[:, None]], axis=1)))
-        if stacked.cols not in piv and dec.ok:
-            sol = VecGF.zeros(bundle.ctx, stacked.cols)
-            for i, c in enumerate(piv):
-                sol.a[c] = red.a[i, stacked.cols]
-            decoded = VecGF(bundle.ctx, sol.a[dec.g.cols:].copy())
-    return rep, decoded
+    msgs, ok = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset).decode_all(z.a[None])
+    return rep, VecGF(ctx, msgs[0]) if ok[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +298,20 @@ def run_cqss(bundle: MmspBundle, m: VecGF, seed: int,
 def _run_ss(bundle: MmspBundle, m: VecGF, seed: int, access: AccessStructure,
             backend: str, protocol: str) -> Transcript:
     tr = Transcript(protocol=protocol, seed=seed)
-    q = bundle.ctx.q
-    mi = m.a.astype(np.int64) if bundle.ctx.kind == "tabled" else m.a
+    ctx = bundle.ctx
     rng = np.random.default_rng(seed)
     if backend == "symplectic":
-        u2 = rng.integers(0, q, size=bundle.y2)
+        u2 = ctx.random_cells(rng, bundle.y2)
         outcomes = {}
         for a in access.accept_iter():
-            rep, decoded = symp_track(bundle, mi, u2, sorted(a))
+            rep, decoded = symp_track(bundle, m.a, u2, sorted(a))
             outcomes[str(sorted(a))] = (None if decoded is None
-                                        else [int(v) for v in decoded.a])
-        tr.log("symplectic-track", u2=[int(v) for v in u2], outcomes=outcomes)
+                                        else _indices(ctx, decoded.a))
+        tr.log("symplectic-track", u2=_indices(ctx, u2), outcomes=outcomes)
         tr.outcome = outcomes
         return tr
     engine = _bundle_engine(bundle, protocol)
-    comps = engine.share_components(engine.message_displacements(mi))
+    comps = engine.share_components(engine.message_displacements(m.a))
     outcomes = {}
     for a in access.accept_iter():
         dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
@@ -354,8 +334,7 @@ def run_modified_eass(bundle: MmspBundle, m: VecGF, seed: int,
         raise ClassMismatch("modified protocol needs an EA/CQ bundle")
     engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
     q, n, y1 = engine.q, engine.n, bundle.y1
-    mi = m.a.astype(np.int64)
-    disps = engine.message_displacements(mi)
+    disps = engine.message_displacements(m.a)
     comps = []
     wy = 1.0 / (q**y1 * len(disps))
     for y in _enum_vecs(q, y1):
@@ -377,8 +356,7 @@ def eass_decoded_distributions(bundle: MmspBundle, m: VecGF,
                                access: AccessStructure) -> dict:
     """Exact decoded distribution of the standard run, per accept set."""
     engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
-    comps = engine.share_components(
-        engine.message_displacements(m.a.astype(np.int64)))
+    comps = engine.share_components(engine.message_displacements(m.a))
     out = {}
     for a in access.accept_iter():
         dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
@@ -510,14 +488,13 @@ class QqCodec:
                 gram[i, j] = symp(f.col(i), f.col(j))
         s = _symplectic_pairs(gram, self.q)
         self.s = s
-        self.s_inv = _mod_inverse(s, self.q)
-        self.ft = (_mat_int(f) @ s) % self.q
-        gens = np.concatenate(
-            [_mat_int(bundle.g1), self.ft[:, self.xq:]], axis=1)
+        self.s_inv = mat_inverse(MatGF(ctx, s)).a
+        self.ft = (f.a @ s) % self.q
+        gens = np.concatenate([bundle.g1.a, self.ft[:, self.xq:]], axis=1)
         xi0 = joint_eigenvector(self.q, self.n, gens, [0] * gens.shape[1])
-        d = self.q**self.n
         cols = []
-        for x in _enum_vecs_c(self.q, self.xq):
+        # C order: the first coordinate is the most significant digit
+        for x in _enum_vecs(self.q, self.xq)[:, ::-1]:
             disp = (self.ft[:, : self.xq] @ x) % self.q
             cols.append(apply_sw(xi0, self.q, list(disp),
                                  list(range(self.n))).reshape(-1))
@@ -529,32 +506,6 @@ class QqCodec:
         return tuple(int(v) for v in (self.s_inv @ mf) % self.q)
 
 
-def _mod_inverse(mat: np.ndarray, q: int) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % q, np.eye(n, dtype=np.int64)], axis=1)
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i, c] % q:
-                piv = i
-                break
-        aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), -1, q) % q
-        for i in range(n):
-            if i != r and aug[i, c] % q:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % q
-        r += 1
-    return aug[:, n:] % q
-
-
-def _enum_vecs_c(q: int, k: int):
-    """C-order enumeration matching np.unravel_index of the flat index."""
-    for idx in range(q**k):
-        yield np.array(np.unravel_index(idx, (q,) * k) if k else [],
-                       dtype=np.int64)
-
-
 def qq_channel(bundle: MmspBundle, codec: QqCodec,
                subset: Sequence[int]) -> Channel:
     """The message-space channel: encode, randomize with G2, keep D[A]."""
@@ -563,10 +514,7 @@ def qq_channel(bundle: MmspBundle, codec: QqCodec,
     keep = [s - 1 for s in sub]
     d_msg = q**codec.xq
     d_b = q ** len(sub)
-    g2i = _mat_int(bundle.g2)
-    disps = []
-    for u in _enum_vecs(q, bundle.y2):
-        disps.append((g2i @ u) % q if bundle.y2 else np.zeros(2 * n, int))
+    disps = _displacements(bundle.g2, bundle.ctx.cell_zeros(2 * n))
     wgt = 1.0 / len(disps)
 
     def fn(rho_msg: np.ndarray) -> np.ndarray:
@@ -600,17 +548,12 @@ def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
     keep_d = [s - 1 for s in sub]
     d_r = q**xq
     d_b = q ** len(sub)
-    g2i = _mat_int(bundle.g2)
     # |phi_code> on R (x) D-full, as an (d_r, q^n) matrix of amplitudes
     phi = codec.v.T / np.sqrt(d_r)  # phi[r, :] = <.|xi_r>/sqrt(d)
     sigmas = []
-    for x in _enum_vecs_c(q, 2 * xq):
-        disp = (codec.ft @ x) % q
+    for x in _enum_vecs(q, 2 * xq)[:, ::-1]:  # C order, as the labels below
         rho = np.zeros((d_r * d_b, d_r * d_b), dtype=np.complex128)
-        for u in _enum_vecs(q, bundle.y2):
-            full = disp.copy()
-            if bundle.y2:
-                full = (full + g2i @ u) % q
+        for full in _displacements(bundle.g2, (codec.ft @ x) % q):
             mat = np.stack([apply_weyl(phi[r].reshape((q,) * n), q,
                                        list(full), list(range(n))).reshape(-1)
                             for r in range(d_r)], axis=0)
@@ -743,7 +686,7 @@ def dense_coding_information_check(chan: Channel, q: int, n_prime: int) -> tuple
     # dense coding: tau_x = (id_R (x) Lambda)(W_A(x) phi) over uniform x
     taus = []
     phi = np.eye(d, dtype=np.complex128) / np.sqrt(d)  # phi[r, a]
-    for x in _enum_vecs_c(q, 2 * n_prime):
+    for x in _enum_vecs(q, 2 * n_prime)[:, ::-1]:  # C order
         fx = apply_weyl(phi.reshape((d,) + (q,) * n_prime), q, list(x),
                         list(range(1, 1 + n_prime))).reshape(d, d)
         rho_ra = np.einsum("ra,sb->rasb", fx, fx.conj()).reshape(d * d, d * d)
@@ -770,16 +713,13 @@ def _apply_on_second(rho_ra: np.ndarray, d_r: int, chan: Channel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def spir_standard_query(bundle: MmspBundle, k: int, nfiles: int,
-                        u_q: np.ndarray) -> np.ndarray:
-    """Q^(k) = F E_k + (G1|G2) U_Q as an integer matrix (2n x x*nfiles)."""
-    q = bundle.ctx.q
-    fi, g = _mat_int(bundle.f), _mat_int(bundle.g_stack())
-    x = bundle.x
-    out = (g @ u_q) % q if g.shape[1] else np.zeros((2 * bundle.n, x * nfiles),
-                                                    dtype=np.int64)
+                        u_q: np.ndarray) -> MatGF:
+    """Q^(k) = F E_k + (G1|G2) U_Q (2n x x*nfiles) for a U_Q of cells."""
+    ctx, x = bundle.ctx, bundle.x
+    out = (bundle.g_stack() @ MatGF(ctx, np.asarray(u_q, dtype=np.int64))).a
     lo = (k - 1) * x
-    out[:, lo: lo + x] = (out[:, lo: lo + x] + fi) % q
-    return out
+    out[:, lo: lo + x] = ctx.ax_add(out[:, lo: lo + x], bundle.f.a)
+    return MatGF(ctx, out)
 
 
 def run_easpir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
@@ -810,30 +750,22 @@ def run_feaspir(g: MatGF, f: MatGF, files: np.ndarray, k: int, seed: int,
 def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
               access: AccessStructure, nfiles: int, backend: str,
               protocol: str) -> Transcript:
-    q = bundle.ctx.q
+    ctx = bundle.ctx
     rng = np.random.default_rng(seed)
-    u_q = rng.integers(0, q, size=(bundle.y1 + bundle.y2, bundle.x * nfiles))
-    qmat = spir_standard_query(bundle, k, nfiles, u_q)
-    net = (qmat @ np.asarray(files, dtype=np.int64)) % q
+    u_q = ctx.random_cells(rng, bundle.y1 + bundle.y2, bundle.x * nfiles)
+    net = spir_standard_query(bundle, k, nfiles, u_q) @ VecGF.from_ints(ctx, files)
     tr = Transcript(protocol=protocol, seed=seed)
     tr.log("query", k=k)
     outcomes = {}
     if backend == "symplectic":
-        u2 = rng.integers(0, q, size=bundle.y2)
+        u2 = ctx.random_cells(rng, bundle.y2)
         for a in access.accept_iter():
-            rep, dec = _spir_track(bundle, net, u2, sorted(a))
+            rep, dec = _track(bundle, net, u2, sorted(a))
             outcomes[str(sorted(a))] = (None if dec is None
-                                        else [int(v) for v in dec.a])
+                                        else _indices(ctx, dec.a))
     else:
-        engine = _bundle_engine(bundle, protocol if protocol != "feaspir"
-                                else "feaspir")
-        disps = []
-        for u in _enum_vecs(q, bundle.y2):
-            d = net.copy()
-            if bundle.y2:
-                d = (d + _mat_int(bundle.g2) @ u) % q
-            disps.append(d)
-        comps = engine.share_components(disps)
+        engine = _bundle_engine(bundle, protocol)
+        comps = engine.share_components(_displacements(bundle.g2, net.a))
         for a in access.accept_iter():
             dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
             dist = engine.decoded_distribution(sorted(a), comps, dec)
@@ -846,21 +778,6 @@ def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
     return tr
 
 
-def _spir_track(bundle: MmspBundle, net: np.ndarray, u2: np.ndarray,
-                subset: Sequence[int]):
-    ctx = bundle.ctx
-    x = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in net])
-    if bundle.y2:
-        uv = VecGF.from_elements(ctx, [ctx.from_int(int(v)) for v in u2])
-        x = x + bundle.g2 @ uv
-    sympl = sorted(symplectify(subset, bundle.n))
-    z = restrict_vec(x, sympl)
-    rep = coset_rep(restrict(bundle.g1, sympl), z)
-    dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset)
-    decoded = dec.decode([int(v) for v in z.a])
-    return rep, decoded
-
-
 def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
                protocol: str = "easpir") -> QAuditReport:
     """Quantum SPIR audit: exhaustive correctness and server secrecy over
@@ -868,18 +785,14 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     invariance of the share state, all against the span-program verdict."""
     engine = _bundle_engine(bundle, protocol)
     ctx, q = bundle.ctx, bundle.ctx.q
-    x, y2 = bundle.x, bundle.y2
+    x, y = bundle.x, bundle.y1 + bundle.y2
     details = []
-    g2i = _mat_int(bundle.g2)
+    zero_uq = ctx.cell_zeros(y, x * nfiles)
 
-    def displacements(net):
-        out = []
-        for u in _enum_vecs(q, y2):
-            d = net.copy()
-            if y2:
-                d = (d + g2i @ u) % q
-            out.append(d)
-        return out
+    def components(qmat: MatGF, fv: np.ndarray):
+        """Share-state mixture for the file vector fv under query qmat."""
+        return engine.share_components(
+            _displacements(bundle.g2, (qmat @ VecGF(ctx, fv)).a))
 
     # query-randomness invariance: the share state is identical for any U_Q
     rng = np.random.default_rng(20240)
@@ -888,11 +801,8 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     for k in (1, min(2, nfiles)):
         base = None
         for trial in range(3):
-            u_q = (np.zeros((bundle.y1 + y2, x * nfiles), dtype=np.int64)
-                   if trial == 0 else
-                   rng.integers(0, q, size=(bundle.y1 + y2, x * nfiles)))
-            net = (spir_standard_query(bundle, k, nfiles, u_q) @ files0) % q
-            comps = engine.share_components(displacements(net))
+            u_q = zero_uq if trial == 0 else ctx.random_cells(rng, y, x * nfiles)
+            comps = components(spir_standard_query(bundle, k, nfiles, u_q), files0)
             rho = engine.secrecy_state(list(range(1, bundle.n + 1)), comps)
             if base is None:
                 base = rho
@@ -908,14 +818,11 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
         ok = True
         for k in range(1, nfiles + 1):
-            qmat = spir_standard_query(
-                bundle, k, nfiles,
-                np.zeros((bundle.y1 + y2, x * nfiles), dtype=np.int64))
+            qmat = spir_standard_query(bundle, k, nfiles, zero_uq)
             for mk in _enum_vecs(q, x):
                 fv = np.zeros(x * nfiles, dtype=np.int64)
                 fv[(k - 1) * x: k * x] = mk
-                net = (qmat @ fv) % q
-                comps = engine.share_components(displacements(net))
+                comps = components(qmat, fv)
                 dist = engine.decoded_distribution(sorted(a), comps, dec)
                 if dist.get(tuple(int(v) for v in mk), 0.0) < 1 - TRACE_TOL:
                     ok = False
@@ -939,18 +846,14 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     # server secrecy: share state depends only on m_k (exhaustive over u2)
     server_ok = True
     for k in range(1, nfiles + 1):
-        qmat = spir_standard_query(
-            bundle, k, nfiles,
-            np.zeros((bundle.y1 + y2, x * nfiles), dtype=np.int64))
+        qmat = spir_standard_query(bundle, k, nfiles, zero_uq)
         groups: dict = {}
         ok = True
-        for fv in _enum_vecs(q, x * nfiles):
-            net = (qmat @ fv) % q
-            reps = tuple(sorted(
-                coset_rep(bundle.g1,
-                          VecGF.from_elements(ctx, [ctx.from_int(int(v))
-                                                    for v in d]))
-                for d in displacements(net)))
+        # Q fv over every file vector fv
+        nets = _displacements(qmat, ctx.cell_zeros(2 * bundle.n))
+        for fv, net in zip(_enum_vecs(q, x * nfiles), nets):
+            reps = tuple(sorted(coset_rep(bundle.g1, VecGF(ctx, d))
+                                for d in _displacements(bundle.g2, net)))
             mk = tuple(int(v) for v in fv[(k - 1) * x: k * x])
             if mk in groups:
                 if groups[mk] != reps:
@@ -962,18 +865,12 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         server_ok &= ok
     # dense spot check of one server-secrecy comparison
     if server_ok and nfiles >= 2 and x * nfiles <= 6:
-        qmat = spir_standard_query(
-            bundle, 1, nfiles,
-            np.zeros((bundle.y1 + y2, x * nfiles), dtype=np.int64))
+        qmat = spir_standard_query(bundle, 1, nfiles, zero_uq)
         fv1 = np.zeros(x * nfiles, dtype=np.int64)
         fv2 = fv1.copy()
         fv2[-1] = 1  # differs only off-target
-        r1 = engine.secrecy_state(list(range(1, bundle.n + 1)),
-                                  engine.share_components(
-                                      displacements((qmat @ fv1) % q)))
-        r2 = engine.secrecy_state(list(range(1, bundle.n + 1)),
-                                  engine.share_components(
-                                      displacements((qmat @ fv2) % q)))
+        r1 = engine.secrecy_state(list(range(1, bundle.n + 1)), components(qmat, fv1))
+        r2 = engine.secrecy_state(list(range(1, bundle.n + 1)), components(qmat, fv2))
         okd = trace_distance(r1, r2) < TRACE_TOL
         details.append(["server-secret-dense-spot", okd])
         server_ok &= okd
@@ -1029,25 +926,14 @@ def flow5_equivalence(bundle: MmspBundle, nfiles: int,
     query randomness image and dealer randomness) equal the direct EASS
     distributions, per message and accept set."""
     engine = _bundle_engine(bundle, "eass" if bundle.cls == "ea" else "cqss")
-    q, x = engine.q, bundle.x
-    gi = _mat_int(bundle.g_stack())
-    g2i = _mat_int(bundle.g2)
-    fi = _mat_int(bundle.f)
+    ctx, q, x = bundle.ctx, engine.q, bundle.x
     for m in _enum_vecs(q, x):
         # converted: displacement F m + G w + G2 u2, w = U_Q (m,0..0) uniform
         # over F_q^y when m != 0, and w = 0 when m = 0
-        conv = []
-        base = (fi @ m) % q
-        wspace = list(_enum_vecs(q, gi.shape[1])) if m.any() else \
-            [np.zeros(gi.shape[1], dtype=np.int64)]
-        for w in wspace:
-            mid = (base + gi @ w) % q if gi.shape[1] else base
-            for u in _enum_vecs(q, bundle.y2):
-                d = mid.copy()
-                if bundle.y2:
-                    d = (d + g2i @ u) % q
-                conv.append(d)
-        conv_comps = engine.share_components(conv)
+        fm = (bundle.f @ VecGF(ctx, m)).a
+        mids = _displacements(bundle.g_stack(), fm) if m.any() else fm[None]
+        conv_comps = engine.share_components(
+            np.concatenate([_displacements(bundle.g2, mid) for mid in mids]))
         direct_comps = engine.share_components(engine.message_displacements(m))
         for a in access.accept_iter():
             dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))

@@ -271,3 +271,81 @@ def test_flow5_security_inheritance():
         ss_rep = qp.audit_ss(conv, fs, protocol="eass")
         if spir_rep.secure:
             assert ss_rep.secure
+
+
+@pytest.fixture(scope="module")
+def tower32():
+    """Constructed EA and CQ bundles over the poly tower field GF(3^32)."""
+    from mmsplab.constructions import construct_cqmmsp, construct_eammsp
+
+    return (construct_eammsp(2, 1, 2, 2), construct_cqmmsp(2, 1, 2),
+            make_threshold(2, 1, 2))
+
+
+def test_symplectic_runs_on_tower_bundles(tower32):
+    """EASS, FEASS, CQSS and EASPIR run on the symplectic track over
+    GF(3^32); every qualified set reports the sent elements by their index
+    sum_i c_i 3^i."""
+    ea, cq, fs = tower32
+    ctx = ea.ctx
+    m = VecGF.from_elements(ctx, [ctx.from_coeffs([2, 1]), ctx.from_coeffs([0, 0, 1])])
+    want = [2 + 1 * 3, 9]
+    files = np.array([1, 2, 0, 2], dtype=np.int64)
+    for seed in range(3):
+        runs = [qp.run_eass(ea, m, seed, fs, backend="symplectic"),
+                qp.run_feass(ea.g_stack(), ea.f, m, seed, fs, backend="symplectic"),
+                qp.run_cqss(cq, m, seed, fs, backend="symplectic")]
+        for tr in runs:
+            assert tr.outcome and all(v == want for v in tr.outcome.values())
+        for k in (1, 2):
+            tr = qp.run_easpir(ea, files, k, seed, fs, nfiles=2, backend="symplectic")
+            assert tr.outcome and all(v == files[2 * k - 2: 2 * k].tolist()
+                                      for v in tr.outcome.values())
+
+
+def test_symplectic_feaspir_prime_power():
+    """Over GF(9) the query and the net displacement use field arithmetic,
+    not integers mod 9: every seeded run returns file k."""
+    gf9 = field_build(3, 2)
+    rng = np.random.default_rng(8)
+    g = MatGF(gf9, rng.integers(0, 9, size=(4, 2)))
+    f = MatGF(gf9, rng.integers(0, 9, size=(4, 1)))
+    fs = make_threshold(2, 1, 2)
+    for seed in range(30):
+        files = rng.integers(0, 9, size=2)
+        k = 1 + seed % 2
+        tr = qp.run_feaspir(g, f, files, k, seed, fs, nfiles=2, backend="symplectic")
+        assert tr.outcome and all(v == [int(files[k - 1])] for v in tr.outcome.values())
+
+
+@pytest.mark.parametrize("field", ["GF(5)", "GF(9)", "GF(3^32)"])
+def test_symp_track_matches_css_decode(field, tower32):
+    """The symplectic track decodes a displacement F m + G2 u2 exactly as
+    classical CSS decoding of the same restricted displacement with
+    randomness matrix (G1|G2), on every qualified set."""
+    from mmsplab.access import symplectify
+    from mmsplab.classical import CssProtocol, css_decode
+    from mmsplab.linalg import restrict_vec
+
+    rng = np.random.default_rng(12)
+    if field == "GF(3^32)":
+        bundle, fs = tower32[0], tower32[2]
+    else:
+        ctx = field_build(5, 1) if field == "GF(5)" else field_build(3, 2)
+        cells = [MatGF(ctx, ctx.random_cells(rng, 6, c)) for c in (1, 1, 1)]
+        bundle, fs = make_bundle("ea", *cells, n=3), make_threshold(2, 1, 3)
+    ctx = bundle.ctx
+    css = CssProtocol(g=bundle.g_stack(), f=bundle.f, access=symplectify_structure(fs))
+    decoded = 0
+    for _ in range(10):
+        m, u2 = ctx.random_cells(rng, bundle.x), ctx.random_cells(rng, bundle.y2)
+        disp = bundle.f @ VecGF(ctx, m) + bundle.g2 @ VecGF(ctx, u2)
+        for a in fs.accept_iter():
+            sympl = sorted(symplectify(a, bundle.n))
+            want = css_decode(css, sympl, restrict_vec(disp, sympl))
+            _, got = qp.symp_track(bundle, m, u2, sorted(a))
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got.a, want.a) and np.array_equal(got.a, m)
+                decoded += 1
+    assert decoded
