@@ -1,14 +1,11 @@
-"""Table-driven finite-field kernels for small tabled fields.
-
-The kernels operate on matrices of element indices (int64) plus the
-small-field operation tables built by fields.FieldCtx (add, mul, neg, inv).
-Only fields with q <= 512 carry full 2-D tables; callers fall back to the
-generic path for anything larger.
+"""Finite-field kernels: one lockstep elimination over stacks of FieldCtx
+cells (through the ctx.ax_* operations, so for both field kinds), and the
+share histogram, which reads the operation tables of fields with q <= 512.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -29,46 +26,76 @@ class Tables(NamedTuple):
 
     add: np.ndarray  # (q, q) int64
     mul: np.ndarray  # (q, q) int64
-    neg: np.ndarray  # (q,)  int64
-    inv: np.ndarray  # (q,)  int64, inv[0] = 0 sentinel
     q: int
 
 
-def gf_rref(a: np.ndarray, t: Tables):
-    """In-place reduced row echelon form; returns (rank, pivot columns)."""
-    rows, cols = a.shape
-    pivots = []
-    r = 0
+def _eliminate(ctx, a: np.ndarray, reduce: bool):
+    """Eliminate every matrix of a stack a (N, rows, cols[, r]) in place, in
+    lockstep; returns (ranks (N,), pivot-column mask (N, cols)).
+
+    Each matrix takes as pivot the first nonzero at or below its own next
+    pivot row.  Only rows from the smallest next pivot row down and columns
+    from the current one right change, so coinciding pivot patterns cost N
+    times one matrix.  reduce=False is fraction-free (Bareiss, no inverses)
+    and leaves only the ranks and pivots meaningful; reduce=True normalises
+    each pivot row and clears its whole column, leaving the RREF."""
+    n, rows, cols = a.shape[:3]
+    nxt = np.zeros(n, dtype=np.int64)
+    piv = np.zeros((n, cols), dtype=bool)
+    row_ids = np.arange(rows)
+    lo, level = 0, True  # smallest next pivot row; whether all are equal
     for c in range(cols):
-        if r == rows:
+        if lo == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = ctx.ax_nonzero(a[:, lo:, c])
+        if not level:
+            nz &= row_ids[lo:] >= nxt[:, None]
+        has = nz.any(axis=1)
+        idx = has.nonzero()[0]
+        if idx.size == 0:
             continue
-        sel = r + int(nz[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        a[r] = t.mul[t.inv[a[r, c]], a[r]]
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            f = t.neg[col[mask]]
-            a[mask] = t.add[a[mask], t.mul[f[:, None], a[r][None, :]]]
-        pivots.append(c)
-        r += 1
-    return r, pivots
+        own, sel = nxt[idx], lo + nz[idx].argmax(axis=1)
+        prow = a[idx, sel]
+        a[idx, sel] = a[idx, own]
+        if reduce:
+            inv = [ctx.token_to_cell(ctx.inv(ctx.cell_to_token(e))) for e in prow[:, c]]
+            prow = ctx.ax_mul(prow, np.array(inv)[:, None])
+        top = 0 if reduce else lo + 1
+        if top < rows:
+            # the pivot row is zero left of column c, so only columns c..
+            # change; forward, rows above a matrix's own pivot row are done
+            # and never read again.  The pivot row itself is written after.
+            sub = a[idx, top:, c:]
+            scaled = sub if reduce else ctx.ax_mul(prow[:, None, c:c + 1], sub)
+            a[idx, top:, c:] = ctx.ax_add(
+                scaled, ctx.ax_mul(ctx.ax_neg(sub[:, :, :1]), prow[:, None, c:]))
+        a[idx, own] = prow
+        piv[:, c] = has
+        nxt += has
+        if idx.size == n:
+            lo += 1
+        else:
+            lo, level = int(nxt.min()), False
+    return nxt, piv
 
 
-def gf_rank(a: np.ndarray, t: Tables) -> int:
-    rank, _ = gf_rref(a, t)
-    return rank
+def gf_rref(ctx, a: np.ndarray):
+    """RREF of every matrix of a stack in place; (ranks, pivot-column mask)."""
+    return _eliminate(ctx, a, True)
 
 
-def gf_is_mds(data: np.ndarray, k: int, t: Tables) -> bool:
-    """True iff every k-row submatrix of data has rank k."""
-    for rows in combinations(range(data.shape[0]), k):
-        if gf_rref(data[list(rows)].copy(), t)[0] != k:
+def gf_rank(ctx, a: np.ndarray):
+    """(ranks, pivot-column mask) of a stack, by fraction-free elimination."""
+    return _eliminate(ctx, a, False)
+
+
+def gf_is_mds(ctx, data: np.ndarray, k: int, block: int) -> bool:
+    """True iff every k-row submatrix of data (rows, k[, r]) has rank k; the
+    minors are eliminated block at a time."""
+    minors = combinations(range(data.shape[0]), k)
+    while chunk := list(islice(minors, block)):
+        ranks, _ = _eliminate(ctx, data[np.array(chunk)], False)
+        if (ranks < k).any():
             return False
     return True
 

@@ -1,14 +1,15 @@
 """Access structures: qualified/forbidden subset collections, thresholds,
 validity checks, and symplectification.
 
-Subsets are frozensets of 1-based indices.  Threshold structures stay
-symbolic until a predicate needs enumeration; explicit collections are
-limited to ground sets of size <= 20.
+Subsets are frozensets of 1-based indices.  Threshold structures and their
+symplectified images stay symbolic until a predicate needs enumeration;
+explicit collections given directly are limited to ground sets of size <= 20.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import FrozenSet, Iterable, Iterator
 
 from .errors import BadThreshold, TooLarge
@@ -16,6 +17,8 @@ from .errors import BadThreshold, TooLarge
 Subset = FrozenSet[int]
 
 MAX_EXPLICIT_N = 20
+# cap on C(n, r) + C(n, t): as many sets as an explicit structure can hold
+MAX_THRESHOLD_SETS = 1 << 20
 
 
 def _norm_sets(sets: Iterable[Iterable[int]]) -> tuple[Subset, ...]:
@@ -24,7 +27,11 @@ def _norm_sets(sets: Iterable[Iterable[int]]) -> tuple[Subset, ...]:
 
 
 class AccessStructure:
-    """A pair (accept, reject) of subset collections over the ground set [n]."""
+    """A pair (accept, reject) of subset collections over the ground set [n].
+
+    A symplectified threshold on [n] = [2m] holds only the symplectified
+    minimal accept and maximal reject sets of the (r, t, m) threshold.
+    """
 
     def __init__(self, n: int, accept, reject, *, symplectified: bool = False):
         self.n = int(n)
@@ -34,39 +41,54 @@ class AccessStructure:
             self.r, self.t = int(accept), int(reject)
         else:
             self.kind = "explicit"
-            if self.n > MAX_EXPLICIT_N:
+            # a symplectified image has as many sets as the structure it came from
+            if self.n > MAX_EXPLICIT_N and not symplectified:
                 raise TooLarge(f"explicit structures capped at n <= {MAX_EXPLICIT_N}")
-            self.accept_sets = _norm_sets(accept)
-            self.reject_sets = _norm_sets(reject)
+            self._accept = _norm_sets(accept)
+            self._reject = _norm_sets(reject)
+
+    @property
+    def accept_sets(self) -> tuple[Subset, ...]:
+        return self.materialize()._accept
+
+    @property
+    def reject_sets(self) -> tuple[Subset, ...]:
+        return self.materialize()._reject
 
     # -- iteration --------------------------------------------------------------
+
+    def _threshold_sets(self, k: int) -> Iterator[Subset]:
+        m = self.n // 2 if self.symplectified else self.n
+        count = comb(m, self.r) + comb(m, self.t)
+        if count > MAX_THRESHOLD_SETS:
+            raise TooLarge(f"{count} threshold sets exceed the cap of {MAX_THRESHOLD_SETS}")
+        for c in combinations(range(1, m + 1), k):
+            yield symplectify(c, m) if self.symplectified else frozenset(c)
 
     def accept_iter(self) -> Iterator[Subset]:
         """Accept sets; for thresholds only the minimal (|A| = r) ones, which
         suffices for the MMSP predicates by monotonicity."""
         if self.kind == "threshold":
-            for c in combinations(range(1, self.n + 1), self.r):
-                yield frozenset(c)
+            yield from self._threshold_sets(self.r)
         else:
-            yield from self.accept_sets
+            yield from self._accept
 
     def reject_iter(self) -> Iterator[Subset]:
         """Reject sets; for thresholds only the maximal (|B| = t) ones."""
         if self.kind == "threshold":
-            for c in combinations(range(1, self.n + 1), self.t):
-                yield frozenset(c)
+            yield from self._threshold_sets(self.t)
         else:
-            yield from self.reject_sets
+            yield from self._reject
 
     def is_accept(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
-        if self.kind == "threshold":
+        if self.kind == "threshold" and not self.symplectified:
             return len(s) >= self.r
         return s in self.accept_sets
 
     def is_reject(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
-        if self.kind == "threshold":
+        if self.kind == "threshold" and not self.symplectified:
             return len(s) <= self.t
         return s in self.reject_sets
 
@@ -74,6 +96,9 @@ class AccessStructure:
         """Explicit form (thresholds expanded to every member set)."""
         if self.kind == "explicit":
             return self
+        if self.symplectified:
+            return AccessStructure(self.n, self.accept_iter(), self.reject_iter(),
+                                   symplectified=True)
         if self.n > MAX_EXPLICIT_N:
             raise TooLarge("threshold too large to materialize")
         ground = range(1, self.n + 1)
@@ -92,14 +117,15 @@ class AccessStructure:
 
     def __repr__(self):
         if self.kind == "threshold":
-            return f"AccessStructure(threshold r={self.r}, t={self.t}, n={self.n})"
+            kind = "symplectified threshold" if self.symplectified else "threshold"
+            return f"AccessStructure({kind} r={self.r}, t={self.t}, n={self.n})"
         return (f"AccessStructure(n={self.n}, accept={len(self.accept_sets)} sets,"
                 f" reject={len(self.reject_sets)} sets)")
 
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "threshold":
+        if self.kind == "threshold" and not self.symplectified:
             return {"n": self.n, "accept": {"threshold": self.r},
                     "reject": {"threshold": self.t}}
         return {"n": self.n,
@@ -121,12 +147,15 @@ def make_explicit(n: int, accept, reject) -> AccessStructure:
 def validate(fs: AccessStructure) -> tuple[bool, list[str]]:
     """Check monotonicity of both collections and their disjointness.
 
-    Returns (ok, diagnostics); never raises.  Symplectified structures are
-    images of valid base structures and are exempt from the monotone check
-    (their members are only the symplectified sets).
+    Returns (ok, diagnostics); never raises.  Thresholds are valid by
+    construction (make_threshold enforces n >= r > t >= 0) and are not
+    enumerated.  Symplectified structures are images of valid base structures
+    and are exempt from the monotone check (their members are only the
+    symplectified sets).
     """
+    if fs.kind == "threshold":
+        return True, []
     problems: list[str] = []
-    fs = fs.materialize()
     ground = frozenset(range(1, fs.n + 1))
     acc, rej = set(fs.accept_sets), set(fs.reject_sets)
     if not fs.symplectified:
@@ -155,14 +184,13 @@ def symplectify(s: Iterable[int], n: int) -> Subset:
 def symplectify_structure(fs: AccessStructure) -> AccessStructure:
     """Elementwise symplectification; the result lives on [2n].
 
-    For threshold structures only the minimal accept (|A| = r) and maximal
-    reject (|B| = t) sets are materialized: the MMSP predicates that consume
-    symplectified structures are monotone, so these suffice.
+    A threshold stays symbolic and stands for its symplectified minimal
+    accept (|A| = r) and maximal reject (|B| = t) sets only: the MMSP
+    predicates that consume symplectified structures are monotone, so these
+    suffice.
     """
-    if fs.kind == "threshold":
-        acc = [symplectify(a, fs.n) for a in fs.accept_iter()]
-        rej = [symplectify(b, fs.n) for b in fs.reject_iter()]
-        return AccessStructure(2 * fs.n, acc, rej, symplectified=True)
+    if fs.kind == "threshold" and not fs.symplectified:
+        return AccessStructure(2 * fs.n, fs.r, fs.t, symplectified=True)
     acc = [symplectify(a, fs.n) for a in fs.accept_sets]
     rej = [symplectify(b, fs.n) for b in fs.reject_sets]
     return AccessStructure(2 * fs.n, acc, rej, symplectified=True)

@@ -22,7 +22,7 @@ from . import qprotocols as qp
 from .access import structure_from_json, symplectify_structure, validate
 from .classical import CssProtocol, SpirProtocol, css_audit, spir_audit
 from .errors import MmsplabError, TooLarge
-from .mmsp import bundle_from_json, is_mmsp, rate
+from .mmsp import bundle_from_json, mmsp_failure, rate
 
 REPORT_SCHEMA = 1
 
@@ -51,19 +51,12 @@ def cmd_verify(args) -> int:
     ok_struct, diags = validate(fs)
     checks.append({"name": "structure-valid", "ok": ok_struct, "detail": diags})
     target = fs if bundle.cls == "plain" else symplectify_structure(fs)
-    verdict = is_mmsp(bundle.g_stack(), bundle.f, target)
-    counterexample = None
-    if not verdict:
-        from .mmsp import accepts_one, rejects_one
-        for a in target.accept_iter():
-            if not accepts_one(bundle.g_stack(), bundle.f, a):
-                counterexample = {"kind": "acceptance", "set": sorted(a)}
-                break
-        if counterexample is None:
-            for b in target.reject_iter():
-                if not rejects_one(bundle.g_stack(), bundle.f, b):
-                    counterexample = {"kind": "rejection", "set": sorted(b)}
-                    break
+    try:
+        failure = mmsp_failure(bundle.g_stack(), bundle.f, target)
+    except TooLarge as exc:
+        return _emit({"error": f"TooLarge: {exc}", "summary": [str(exc)]}, 3)
+    verdict = failure is None
+    counterexample = None if verdict else {"kind": failure[0], "set": sorted(failure[1])}
     checks.append({"name": "mmsp", "ok": verdict, "detail": counterexample})
     ok = ok_struct and verdict
     return _emit({

@@ -402,7 +402,7 @@ class FieldCtx:
             nzi = np.arange(1, q)
             la = log[nzi]
             mul2[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
-            self._tables = _accel.Tables(add=add2, mul=mul2, neg=neg, inv=inv, q=q)
+            self._tables = _accel.Tables(add=add2, mul=mul2, q=q)
         else:
             self._tables = None
 

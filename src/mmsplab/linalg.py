@@ -8,7 +8,6 @@ X part (entries 1..n) and a Z part (entries n+1..2n).
 
 from __future__ import annotations
 
-from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -237,89 +236,15 @@ def mat_from_cols(cols: Sequence[VecGF]) -> MatGF:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _rref_cells(ctx: FieldCtx, a: np.ndarray):
-    """Generic in-place RREF on a cell array; returns (rank, pivot cols)."""
-    rows, cols = a.shape[0], a.shape[1]
-    piv: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(ctx.ax_nonzero(a[r:, c]))[0]
-        if nz.size == 0:
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            tmp = a[r].copy()
-            a[r] = a[sel]
-            a[sel] = tmp
-        pinv = ctx.token_to_cell(ctx.inv(ctx.cell_to_token(a[r, c])))
-        a[r] = ctx.ax_mul(a[r], np.asarray(pinv)[None])
-        colcells = a[:, c].copy()
-        mask = ctx.ax_nonzero(colcells)
-        mask[r] = False
-        if mask.any():
-            f = ctx.ax_neg(colcells[mask])
-            a[mask] = ctx.ax_add(a[mask], ctx.ax_mul(f[:, None], a[r][None]))
-        piv.append(c)
-        r += 1
-    return r, piv
-
-
-def _ff_rank(ctx: FieldCtx, a: np.ndarray) -> Optional[int]:
-    """Rank of every matrix in a stack (N, rows, cols[, r]), by one
-    fraction-free forward elimination run in lockstep, in place.
-
-    Each matrix takes its own pivot row, the first nonzero at or below the
-    current row, through fancy indexing.  Rows below become
-    piv*row_i - a[i,c]*row_piv, which keeps the row span without inverting
-    anything.  Returns the common rank, or None as soon as a column has a
-    pivot in some matrices of the stack but not in others.
-    """
-    stack = np.arange(a.shape[0])
-    rows, cols = a.shape[1], a.shape[2]
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = ctx.ax_nonzero(a[:, r:, c])
-        has = nz.any(axis=1)
-        if not has.all():
-            if has.any():
-                return None
-            continue
-        sel = r + nz.argmax(axis=1)
-        piv_rows = a[stack, sel]
-        a[stack, sel] = a[:, r].copy()
-        a[:, r] = piv_rows
-        if r + 1 < rows:
-            # rows r.. are zero left of column c, so only columns c.. change
-            below = a[:, r + 1:, c:]
-            scaled = ctx.ax_mul(piv_rows[:, None, c:c + 1], below)
-            subtract = ctx.ax_mul(below[:, :, :1], piv_rows[:, None, c:])
-            a[:, r + 1:, c:] = ctx.ax_add(scaled, ctx.ax_neg(subtract))
-        r += 1
-    return r
-
-
 def rref(m: MatGF):
     """Reduced row echelon form; returns (MatGF, pivot columns, rank)."""
-    t = m.ctx.tables()
-    a = m.a.copy()
-    if t is not None:
-        rank, piv = _accel.gf_rref(a, t)
-    else:
-        rank, piv = _rref_cells(m.ctx, a)
-    return MatGF(m.ctx, a), list(piv), rank
+    a = m.a[None].copy()
+    rank, piv = _accel.gf_rref(m.ctx, a)
+    return MatGF(m.ctx, a[0]), np.flatnonzero(piv[0]).tolist(), int(rank[0])
 
 
 def rank(m: MatGF) -> int:
-    if m.cols == 0 or m.rows == 0:
-        return 0
-    t = m.ctx.tables()
-    if t is not None:
-        return _accel.gf_rank(m.a.copy(), t)
-    return _ff_rank(m.ctx, m.a[None].copy())
+    return int(_accel.gf_rank(m.ctx, m.a[None].copy())[0][0])
 
 
 def solve(m: MatGF, b: VecGF) -> Optional[VecGF]:
@@ -336,8 +261,7 @@ def solve(m: MatGF, b: VecGF) -> Optional[VecGF]:
     if m.cols in piv:
         return None
     x = VecGF.zeros(m.ctx, m.cols)
-    for i, c in enumerate(piv):
-        x.a[c] = red.a[i, m.cols]
+    x.a[piv] = red.a[:rk, m.cols]
     return x
 
 
@@ -349,14 +273,10 @@ def in_span(m: MatGF, v: VecGF) -> bool:
 def nullspace(m: MatGF) -> MatGF:
     """Matrix whose columns span the right nullspace of m."""
     red, piv, rk = rref(m)
-    ctx = m.ctx
     free = [c for c in range(m.cols) if c not in piv]
-    out = MatGF.zeros(ctx, m.cols, len(free))
-    one = ctx.token_to_cell(ctx.one)
-    for j, fc in enumerate(free):
-        out.a[fc, j] = one
-        for i, pc in enumerate(piv):
-            out.a[pc, j] = ctx.token_to_cell(ctx.neg(ctx.cell_to_token(red.a[i, fc])))
+    out = MatGF.zeros(m.ctx, m.cols, len(free))
+    out.a[free, range(len(free))] = m.ctx.token_to_cell(m.ctx.one)
+    out.a[piv] = m.ctx.ax_neg(red.a[:rk][:, free])
     return out
 
 
@@ -405,22 +325,21 @@ def symp(v: VecGF, w: VecGF) -> int:
     return v.ctx.trace(symp_q(v, w))
 
 
+def subset_rows(subset: Iterable[int], n: int) -> list[int]:
+    """0-based indices of a 1-based subset of 1..n, ascending."""
+    rows = sorted(set(int(s) for s in subset))
+    if rows and not (rows[0] >= 1 and rows[-1] <= n):
+        raise IndexOutOfRange(f"subset {rows} outside 1..{n}")
+    return [s - 1 for s in rows]
+
+
 def restrict(m: MatGF, subset: Iterable[int]) -> MatGF:
     """Rows of m indexed by a 1-based subset, in ascending order."""
-    rows = sorted(set(int(s) for s in subset))
-    for s in rows:
-        if not 1 <= s <= m.rows:
-            raise IndexOutOfRange(f"row {s} outside 1..{m.rows}")
-    idx = [s - 1 for s in rows]
-    return MatGF(m.ctx, m.a[idx].copy())
+    return MatGF(m.ctx, m.a[subset_rows(subset, m.rows)].copy())
 
 
 def restrict_vec(v: VecGF, subset: Iterable[int]) -> VecGF:
-    rows = sorted(set(int(s) for s in subset))
-    for s in rows:
-        if not 1 <= s <= len(v):
-            raise IndexOutOfRange(f"entry {s} outside 1..{len(v)}")
-    return VecGF(v.ctx, v.a[[s - 1 for s in rows]].copy())
+    return VecGF(v.ctx, v.a[subset_rows(subset, len(v))].copy())
 
 
 def _symp_traces(f: MatGF, g: MatGF) -> np.ndarray:
@@ -452,29 +371,14 @@ class QuotientMap:
     """Coset coordinates on F_q^n modulo the column span of a matrix."""
 
     def __init__(self, g: MatGF):
-        ctx = g.ctx
-        n = g.rows
-        # independent columns of g
-        _, cpiv, crk = rref(g)
-        basis_cols = [g.col(j) for j in cpiv]
-        # greedily extend by unit vectors to a basis of F_q^n
-        cur = mat_from_cols(basis_cols) if basis_cols else MatGF.zeros(ctx, n, 0)
-        comp_cols = []
-        r0 = crk
-        for i in range(n):
-            e = VecGF.zeros(ctx, n)
-            e.a[i] = ctx.token_to_cell(ctx.one)
-            cand = MatGF(ctx, np.concatenate([cur.a, e.a[:, None]], axis=1))
-            if rank(cand) > cur.cols:
-                cur = cand
-                comp_cols.append(e)
-            if cur.cols == n:
-                break
-        self.ctx = ctx
-        self.ambient = n
-        self.subspace_rank = crk
-        self._basis = mat_from_cols(basis_cols) if basis_cols else MatGF.zeros(ctx, n, 0)
-        self._full_inv = mat_inverse(cur)
+        # the pivot columns of [G | I]: independent columns of G, extended
+        # greedily by unit vectors to a basis of F_q^n
+        full = hstack([g, MatGF.identity(g.ctx, g.rows)])
+        _, piv, _ = rref(full)
+        self.ctx = g.ctx
+        self.ambient = g.rows
+        self.subspace_rank = sum(c < g.cols for c in piv)
+        self._full_inv = mat_inverse(MatGF(g.ctx, full.a[:, piv]))
 
     def coset_coords(self, v: VecGF) -> VecGF:
         """Linear coordinates that vanish exactly on the subspace."""
@@ -501,9 +405,6 @@ def is_mds(m: MatGF) -> bool:
         raise TooLarge(f"MDS brute force capped at {MDS_MAX_ROWS} rows")
     if k == 0:
         return True
-    t = m.ctx.tables()
-    if t is not None:
-        return _accel.gf_is_mds(m.a, k, t)
     if 2 * k > m.rows and k < m.rows:
         # a code is MDS iff its dual is; the dual side has smaller minors
         if rank(m) != k:
@@ -512,11 +413,7 @@ def is_mds(m: MatGF) -> bool:
     # minors in blocks of about MDS_BLOCK_CELLS coefficients, each block
     # eliminated in lockstep
     block = max(1, MDS_BLOCK_CELLS // (k * k * int(np.prod(m.a.shape[2:]))))
-    minors = combinations(range(m.rows), k)
-    while chunk := list(islice(minors, block)):
-        if _ff_rank(m.ctx, m.a[np.array(chunk)]) != k:
-            return False
-    return True
+    return _accel.gf_is_mds(m.ctx, m.a, k, block)
 
 
 def min_weight_nonzero(m: MatGF) -> int:
@@ -591,15 +488,11 @@ def dual_and_completion(g1: MatGF) -> tuple[MatGF, MatGF]:
         else:
             perp = MatGF.identity(ctx, n2)
         cur = mat_from_cols(basis) if basis else MatGF.zeros(ctx, n2, 0)
-        chosen = None
-        for j in range(perp.cols):
-            cand = perp.col(j)
-            if not in_span(cur, cand):
-                chosen = cand
-                break
-        if chosen is None:
+        # the first perp column outside span(cur) is the first pivot past cur
+        new = [c - cur.cols for c in rref(hstack([cur, perp]))[1] if c >= cur.cols]
+        if not new:
             raise NotSelfOrthogonal("could not extend isotropic subspace")
-        basis.append(chosen)
+        basis.append(perp.col(new[0]))
     # dual vectors: sigma_q(w_j, u_i) = delta_{ij} for the Lagrangian basis u
     # (so the F_p-valued pairing satisfies symp(h^j, g^{j'}) = delta); row i
     # must be (J u_i)^T with J = M^T so that row . w = sigma_q(u_i, w)

@@ -5,21 +5,23 @@ programs, and the closed-form protocol rates.
 A pair (G, F) accepts a subset A when the columns of F restricted to A stay
 linearly independent modulo the column span of G restricted to A; it rejects
 B when the restricted F columns fall inside the restricted span of G.  The
-two equivalent formulations (rank test vs row-space containment of the unit
-block) are both implemented; their agreement is exposed as an operation for
-the audit CLI.
+two equivalent formulations (F columns vs unit-block columns of a transposed
+stack, each read off the pivot columns of one elimination) are both
+implemented; their agreement is exposed as an operation for the audit CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from math import ceil
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .access import AccessStructure, make_threshold, symplectify_structure
+from . import _accel
+from .access import AccessStructure, Subset, make_threshold, symplectify_structure
 from .errors import (
     ClassInvariantViolated,
     DimensionMismatch,
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .fields import FieldCtx
 from .linalg import (
+    MDS_BLOCK_CELLS,
     MatGF,
     hstack,
     is_col_orth,
@@ -36,71 +39,90 @@ from .linalg import (
     mat_to_json,
     rank,
     restrict,
+    subset_rows,
 )
 
 
-def _restricted(g: MatGF, f: MatGF, subset: Iterable[int]):
-    sub = sorted(set(int(s) for s in subset))
-    pg = restrict(g, sub) if sub else MatGF.zeros(g.ctx, 0, g.cols)
-    pf = restrict(f, sub) if sub else MatGF.zeros(f.ctx, 0, f.cols)
-    return pg, pf
+def _f_pivots(g: MatGF, f: MatGF, sets: Sequence[Iterable[int]]) -> np.ndarray:
+    """For each 1-based row set A, which F columns of [P_A G | P_A F] are pivot
+    columns, from one stack padded with zero rows (which change no pivot)."""
+    if g.rows != f.rows:
+        raise DimensionMismatch("G and F must share their row count")
+    m = hstack([g, f])
+    rows = [subset_rows(s, m.rows) for s in sets]
+    w = max(map(len, rows))
+    idx = np.array([r + [m.rows] * (w - len(r)) for r in rows], dtype=np.int64)
+    padded = np.concatenate([m.a, m.ctx.cell_zeros(1, m.cols)])
+    return _accel.gf_rank(g.ctx, padded[idx.reshape(len(rows), w)])[1][:, g.cols:]
+
+
+def _lemma1_pivots(g: MatGF, f: MatGF, subset: Iterable[int]):
+    """Pivot F columns of [P_A G | P_A F] and pivot unit-block columns of
+    [(P_A G | P_A F)^T | E^T] (E: rows e_{y+1} .. e_{y+x}), one zero-padded stack."""
+    m = restrict(hstack([g, f]), subset).a
+    w, y, x = m.shape[0], g.cols, f.cols
+    stack = g.ctx.cell_zeros(2, max(w, y + x), max(y + x, w + x))
+    stack[0, :w, :y + x] = m
+    stack[1, :y + x, :w] = np.swapaxes(m, 0, 1)
+    stack[1, y + np.arange(x), w + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
+    piv = _accel.gf_rank(g.ctx, stack)[1]
+    return piv[0, y:y + x], piv[1, w:w + x]
 
 
 def accepts_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    """Condition (A1): restricted F columns independent modulo Im(P_A G)."""
-    if g.rows != f.rows:
-        raise DimensionMismatch("G and F must share their row count")
-    pg, pf = _restricted(g, f, subset)
-    return rank(hstack([pg, pf])) == rank(pg) + f.cols
+    """Condition (A1): restricted F columns independent modulo Im(P_A G),
+    i.e. every F column of [P_A G | P_A F] is a pivot column."""
+    return bool(_f_pivots(g, f, [subset]).all())
 
 
 def rejects_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    """Condition (B1): every restricted F column inside span(P_B G)."""
-    if g.rows != f.rows:
-        raise DimensionMismatch("G and F must share their row count")
-    pg, pf = _restricted(g, f, subset)
-    return rank(hstack([pg, pf])) == rank(pg)
-
-
-def _unit_block_rows(ctx: FieldCtx, y: int, x: int) -> MatGF:
-    """Rows e_{y+1} .. e_{y+x} of F_q^{y+x} (the space called E)."""
-    m = MatGF.zeros(ctx, x, y + x)
-    one = ctx.token_to_cell(ctx.one)
-    for i in range(x):
-        m.a[i, y + i] = one
-    return m
+    """Condition (B1): every restricted F column inside span(P_B G), i.e. no
+    F column of [P_B G | P_B F] is a pivot column."""
+    return not _f_pivots(g, f, [subset]).any()
 
 
 def cond_a2(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    """Condition (A2): row space of (P_A G, P_A F) contains the unit block."""
-    pg, pf = _restricted(g, f, subset)
-    m = hstack([pg, pf])
-    e = _unit_block_rows(g.ctx, g.cols, f.cols)
-    stacked = MatGF(g.ctx, np.concatenate([m.a, e.a], axis=0))
-    return rank(stacked) == rank(m)
+    """Condition (A2): row space of (P_A G, P_A F) contains the unit block E,
+    i.e. no unit-block column of [(P_A G | P_A F)^T | E^T] is a pivot."""
+    return not _lemma1_pivots(g, f, subset)[1].any()
 
 
 def cond_b2(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    """Condition (B2): row space meets the unit block only in zero."""
-    pg, pf = _restricted(g, f, subset)
-    m = hstack([pg, pf])
-    e = _unit_block_rows(g.ctx, g.cols, f.cols)
-    stacked = MatGF(g.ctx, np.concatenate([m.a, e.a], axis=0))
-    return rank(stacked) == rank(m) + f.cols
+    """Condition (B2): row space meets the unit block only in zero, i.e.
+    every unit-block column of [(P_A G | P_A F)^T | E^T] is a pivot."""
+    return bool(_lemma1_pivots(g, f, subset)[1].all())
 
 
 def a1_a2_agree(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    return accepts_one(g, f, subset) == cond_a2(g, f, subset)
+    f_piv, unit_piv = _lemma1_pivots(g, f, subset)
+    return bool(f_piv.all()) == (not unit_piv.any())
 
 
 def b1_b2_agree(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    return rejects_one(g, f, subset) == cond_b2(g, f, subset)
+    f_piv, unit_piv = _lemma1_pivots(g, f, subset)
+    return (not f_piv.any()) == bool(unit_piv.all())
+
+
+def mmsp_failure(g: MatGF, f: MatGF, fs: AccessStructure) -> Optional[tuple[str, Subset]]:
+    """("acceptance", A) for the first accept set (G, F) does not accept, else
+    ("rejection", B) for the first reject set it does not reject, else None;
+    the restrictions are eliminated in stacks of about MDS_BLOCK_CELLS cells."""
+    cells = f.rows * (g.cols + f.cols) * int(np.prod(f.a.shape[2:]))
+    block = max(1, MDS_BLOCK_CELLS // max(1, cells))
+    sets = chain((("acceptance", a) for a in fs.accept_iter()),
+                 (("rejection", b) for b in fs.reject_iter()))
+    while chunk := list(islice(sets, block)):
+        piv = _f_pivots(g, f, [s for _, s in chunk])
+        accept = np.array([kind == "acceptance" for kind, _ in chunk])
+        bad = np.where(accept, ~piv.all(axis=1), piv.any(axis=1))
+        if bad.any():
+            return chunk[int(bad.argmax())]
+    return None
 
 
 def is_mmsp(g: MatGF, f: MatGF, fs: AccessStructure) -> bool:
     """(G, F) accepts every accept set and rejects every reject set."""
-    return (all(accepts_one(g, f, a) for a in fs.accept_iter())
-            and all(rejects_one(g, f, b) for b in fs.reject_iter()))
+    return mmsp_failure(g, f, fs) is None
 
 
 def is_threshold_mmsp_via_mds(g: MatGF, f: MatGF, r: int, t: int) -> bool:
@@ -258,10 +280,7 @@ def is_eamds(g1: MatGF, f: MatGF) -> bool:
         raise ClassInvariantViolated("G1 is not self-column-orthogonal")
     n = g1.rows // 2
     r = ceil((g1.cols + f.cols) / 2)
-    fs = symplectify_structure(make_threshold(r, 0, n)) if r > 0 else None
-    if fs is None:
-        return True
-    return all(accepts_one(g1, f, a) for a in fs.accept_sets)
+    return r == 0 or is_mmsp(g1, f, symplectify_structure(make_threshold(r, 0, n)))
 
 
 def is_qqmds(g1: MatGF, f: MatGF) -> bool:
@@ -280,8 +299,7 @@ def is_qqmds(g1: MatGF, f: MatGF) -> bool:
         raise ClassInvariantViolated("G1 is not self-column-orthogonal")
     if not is_col_orth(f, g1):
         raise ClassInvariantViolated("F is not column-orthogonal to G1")
-    fs = symplectify_structure(make_threshold(r, 0, n))
-    return all(accepts_one(g1, f, a) for a in fs.accept_sets)
+    return is_mmsp(g1, f, symplectify_structure(make_threshold(r, 0, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,12 @@ from .linalg import (
     MatGF,
     VecGF,
     hstack,
-    mat_inverse,
     restrict,
     restrict_vec,
     rref,
     symp,
 )
-from .mmsp import MmspBundle, accepts_one, is_mmsp
+from .mmsp import MmspBundle, is_mmsp
 from .qstate import (
     Channel,
     DisplacedMeasurement,
@@ -68,18 +67,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 # classical displacement decoding (shared by both backends)
 # ---------------------------------------------------------------------------
 
-def coset_rep(g: MatGF, z: VecGF) -> tuple:
-    """Canonical representative of z + Im(g): the pivot coordinates of the
-    column space are eliminated in order."""
-    ctx = g.ctx
-    work = z.a.copy()
+def coset_rep(g: MatGF, zs: np.ndarray) -> list[tuple]:
+    """Canonical representatives of z + Im(g), one per row z of cells in zs:
+    the pivot coordinates of the column space are eliminated in order."""
     if g.cols:
         red, piv, rk = rref(g.transpose())  # rows = canonical column-space basis
-        for i, pcol in enumerate(piv):
-            c = work[pcol]
-            if ctx.ax_nonzero(c):
-                work = ctx.ax_add(work, ctx.ax_neg(ctx.ax_mul(np.asarray(c)[None], red.a[i])))
-    return tuple(ctx.cell_to_token(c) for c in work)
+        # each row is zero on the other rows' pivots: subtract z[pivot] times it
+        shift = MatGF(g.ctx, zs[:, piv]) @ MatGF(g.ctx, red.a[:rk])
+        zs = (MatGF(g.ctx, zs) - shift).a
+    return [tuple(g.ctx.cell_to_token(c) for c in z) for z in zs]
 
 
 class DispDecoder:
@@ -96,7 +92,6 @@ class DispDecoder:
         self.f = restrict(f, self.sympl)
         self.ctx = ctx
         self.x = f.cols
-        self.ok = accepts_one(hstack([g1, g2]), f, self.sympl)
 
     @cached_property
     def _reduction(self) -> tuple[MatGF, list[int]]:
@@ -106,6 +101,11 @@ class DispDecoder:
         red, piv, _ = rref(hstack([stacked, MatGF.identity(self.ctx, stacked.rows)]))
         return (MatGF(self.ctx, red.a[:, stacked.cols:].copy()),
                 [c for c in piv if c < stacked.cols])
+
+    @property
+    def ok(self) -> bool:
+        """(A1): every F column of [P(G) P(F)] is a pivot of the reduction."""
+        return all(c in self._reduction[1] for c in range(self.g.cols, self.g.cols + self.x))
 
     def decode_all(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve z = P(G) a + P(F) m for every row z of cells in zs through
@@ -127,9 +127,6 @@ class DispDecoder:
         """The unique m for one label z of integers, read by from_int."""
         msgs, ok = self.decode_all(VecGF.from_ints(self.ctx, z).a[None])
         return VecGF(self.ctx, msgs[0]) if ok[0] else None
-
-    def outcome_coset(self, z: Sequence[int]) -> tuple:
-        return coset_rep(self.pg1, VecGF.from_ints(self.ctx, z))
 
 
 def _enum_vecs(q: int, k: int) -> np.ndarray:
@@ -216,13 +213,13 @@ class EaEngine:
         """Outcome distribution folded onto Im(P G1)-cosets."""
         probs = self.outcome_distribution(subset, components)
         dm = self.dm_for(sorted(subset))
+        hit = np.nonzero(~(probs < 1e-12))[0]
+        labels = [dm.label(idx) for idx in hit if idx < dm.nout]
+        zs = np.array(labels, dtype=np.int64).reshape(len(labels), -1)
+        keys = coset_rep(decoder.pg1, zs) + [None] * (len(hit) - len(labels))
         out: dict = {}
-        for idx, p in enumerate(probs):
-            if p < 1e-12:
-                continue
-            label = dm.label(idx) if idx < dm.nout else None
-            key = decoder.outcome_coset(label) if label is not None else None
-            out[key] = out.get(key, 0.0) + float(p)
+        for key, idx in zip(keys, hit):
+            out[key] = out.get(key, 0.0) + float(probs[idx])
         return out
 
     def secrecy_state(self, subset: Sequence[int], components) -> np.ndarray:
@@ -263,7 +260,7 @@ def _track(bundle: MmspBundle, base: VecGF, u2: np.ndarray, subset: Sequence[int
     x = base + bundle.g2 @ VecGF(ctx, np.asarray(u2, dtype=np.int64))
     sympl = sorted(symplectify(subset, bundle.n))
     z = restrict_vec(x, sympl)
-    rep = coset_rep(restrict(bundle.g1, sympl), z)
+    rep = coset_rep(restrict(bundle.g1, sympl), z.a[None])[0]
     msgs, ok = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset).decode_all(z.a[None])
     return rep, VecGF(ctx, msgs[0]) if ok[0] else None
 
@@ -488,7 +485,6 @@ class QqCodec:
                 gram[i, j] = symp(f.col(i), f.col(j))
         s = _symplectic_pairs(gram, self.q)
         self.s = s
-        self.s_inv = mat_inverse(MatGF(ctx, s)).a
         self.ft = (f.a @ s) % self.q
         gens = np.concatenate([bundle.g1.a, self.ft[:, self.xq:]], axis=1)
         xi0 = joint_eigenvector(self.q, self.n, gens, [0] * gens.shape[1])
@@ -499,11 +495,6 @@ class QqCodec:
             cols.append(apply_sw(xi0, self.q, list(disp),
                                  list(range(self.n))).reshape(-1))
         self.v = np.stack(cols, axis=1)  # (q^n, q^xq)
-
-    def teleport_label(self, m_f: Sequence[int]) -> tuple:
-        """EASS-frame message coordinates -> message-space displacement."""
-        mf = np.asarray([int(v) for v in m_f], dtype=np.int64)
-        return tuple(int(v) for v in (self.s_inv @ mf) % self.q)
 
 
 def qq_channel(bundle: MmspBundle, codec: QqCodec,
@@ -851,9 +842,11 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         ok = True
         # Q fv over every file vector fv
         nets = _displacements(qmat, ctx.cell_zeros(2 * bundle.n))
-        for fv, net in zip(_enum_vecs(q, x * nfiles), nets):
-            reps = tuple(sorted(coset_rep(bundle.g1, VecGF(ctx, d))
-                                for d in _displacements(bundle.g2, net)))
+        shares = _displacements(bundle.g2, ctx.cell_zeros(2 * bundle.n))
+        disps = ctx.ax_add(nets[:, None], shares[None])
+        all_reps = coset_rep(bundle.g1, disps.reshape((-1,) + disps.shape[2:]))
+        for i, fv in enumerate(_enum_vecs(q, x * nfiles)):
+            reps = tuple(sorted(all_reps[i * len(shares):(i + 1) * len(shares)]))
             mk = tuple(int(v) for v in fv[(k - 1) * x: k * x])
             if mk in groups:
                 if groups[mk] != reps:

@@ -40,7 +40,6 @@ from .fields import _is_prime
 from .linalg import MatGF, dual_and_completion, hstack, is_self_col_orth, rank
 
 DENSE_DIM_LIMIT = 1 << 14
-PSD_TOL = 1e-10
 POVM_TOL = 1e-10
 EIG_CUTOFF = 1e-12
 
@@ -73,28 +72,6 @@ class DenseState:
 
     def vector(self) -> np.ndarray:
         return self.amps.reshape(-1)
-
-
-@dataclass
-class DensityMatrix:
-    """Mixed state: Hermitian, PSD within 1e-10, unit trace within 1e-12."""
-
-    q: int
-    nregs: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        d = self.q**self.nregs
-        if self.mat.shape != (d, d):
-            raise NotAState("density matrix shape mismatch")
-        tr = np.trace(self.mat)
-        if abs(tr.real - 1.0) > 1e-9 or abs(tr.imag) > 1e-9:
-            raise NotAState("trace != 1")
-        if np.linalg.norm(self.mat - self.mat.conj().T) > 1e-9:
-            raise NotAState("not Hermitian")
-        w = np.linalg.eigvalsh(self.mat)
-        if w.min() < -PSD_TOL:
-            raise NotAState(f"not PSD: min eigenvalue {w.min()}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +203,6 @@ class StabFrame:
             self._kets[key] = joint_eigenvector(self.q, self.n,
                                                 self._lag_int, phases)
         return self._kets[key]
-
-    def code_isometry(self) -> np.ndarray:
-        """(q^n, q^(n-y1)) isometry |x> -> |x, 0>."""
-        kdim = self.n - self.y1
-        cols = []
-        for xi in range(self.q**kdim):
-            x = [(xi // self.q**i) % self.q for i in range(kdim)]
-            cols.append(self.ket(x, [0] * self.y1).reshape(-1))
-        return np.stack(cols, axis=1)
 
     def resource(self, y: Sequence[int]) -> np.ndarray:
         """|Phi[y, G1]> amplitudes on 2n registers [D..., E...]."""
@@ -407,12 +375,6 @@ class DisplacedMeasurement:
         q, n = self.q, self.n_act
         return tuple(int(v) for v in np.unravel_index(idx, (q,) * (2 * n)))
 
-    def index_of(self, label: Sequence[int]) -> int:
-        q, n = self.q, self.n_act
-        return int(np.ravel_multi_index([int(v) % q for v in label],
-                                        (q,) * (2 * n)))
-
-
 def displaced_measurement_for(g1: MatGF, subset: Sequence[int]) -> DisplacedMeasurement:
     """The decoder measurement on (D[A], E[A]): base sigma is the reduction
     of |Phi[0, G1]>, passed as its factor, and displacements act on the D[A]
@@ -499,16 +461,6 @@ def rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
             ent += lam * np.log2(lam)
             ent -= lam * float((vec.conj() @ log_sigma @ vec).real)
     return float(ent)
-
-
-def mutual_info(rho: np.ndarray, q: int, nregs: int,
-                part_a: Sequence[int]) -> float:
-    """I(A;B) = S(A) + S(B) - S(AB) in bits over a register bipartition."""
-    part_a = sorted(part_a)
-    part_b = [i for i in range(nregs) if i not in part_a]
-    ra = partial_trace(rho, q, nregs, part_a)
-    rb = partial_trace(rho, q, nregs, part_b)
-    return vn_entropy(ra) + vn_entropy(rb) - vn_entropy(rho)
 
 
 def mutual_info_dims(rho: np.ndarray, da: int, db: int) -> float:

@@ -1,5 +1,6 @@
-"""The table kernels agree with the generic cell path and brute-force oracles
-over prime and prime-power fields."""
+"""The elimination kernel agrees with a scalar Gauss-Jordan reference over
+prime, prime-power and tower fields; the table kernels agree with
+brute-force oracles."""
 
 from itertools import product
 
@@ -10,8 +11,8 @@ from mmsplab import _accel
 from mmsplab.access import make_threshold
 from mmsplab.classical import CssProtocol, css_share
 from mmsplab.errors import TooLarge
-from mmsplab.fields import field_build
-from mmsplab.linalg import MatGF, VecGF, _rref_cells, min_weight_nonzero
+from mmsplab.fields import field_build, tower_build
+from mmsplab.linalg import MatGF, VecGF, min_weight_nonzero
 
 # F_3, GF(4), GF(8), GF(9)
 FIELDS = [field_build(3, 1), field_build(2, 2), field_build(2, 3), field_build(3, 2)]
@@ -21,24 +22,69 @@ def tables():
     return field_build(3, 1).tables()
 
 
+def _ref_rref(ctx, cells):
+    """Gauss-Jordan one token at a time with ctx.add/mul/inv: (reduced
+    matrix as tokens, pivot columns)."""
+    m = [[ctx.cell_to_token(c) for c in row] for row in cells]
+    rows, cols = len(m), len(m[0]) if m else 0
+    piv, r = [], 0
+    for c in range(cols):
+        sel = next((i for i in range(r, rows) if m[i][c] != ctx.zero), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = ctx.inv(m[r][c])
+        m[r] = [ctx.mul(inv, e) for e in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != ctx.zero:
+                f = ctx.neg(m[i][c])
+                m[i] = [ctx.add(e, ctx.mul(f, pe)) for e, pe in zip(m[i], m[r])]
+        piv.append(c)
+        r += 1
+    return m, piv
+
+
+def _mixed_stack(ctx, rng, n, rows, cols):
+    """n random matrices with zeroed entries, rows and columns, so ranks and
+    pivot patterns differ across the stack."""
+    a = ctx.random_cells(rng, n, rows, cols)
+    for k in range(n):
+        zero = rng.random((rows, cols)) < 0.3
+        if k % 3 == 1:
+            zero[:, rng.integers(cols)] = True
+        if k % 3 == 2:
+            zero[rng.integers(rows)] = True
+            a[k, rng.integers(rows)] = a[k, 0]  # a repeated row
+        a[k][zero] = 0
+    return a
+
+
 def test_rref_paths_agree():
-    """gf_rref on the tables matches the generic elimination on cells:
-    the reduced matrix, the rank and the pivot columns."""
+    """gf_rref on a stack matches the scalar reference matrix by matrix: the
+    reduced matrix, the pivot columns and the rank; gf_rank finds the same
+    pivot columns and ranks."""
     rng = np.random.default_rng(0)
-    for ctx in FIELDS:
-        for _ in range(30):
-            a = rng.integers(0, ctx.q, size=(5, 4))
-            a[rng.random(a.shape) < 0.4] = 0  # rank-deficient cases too
-            t1, t2 = a.copy(), a.copy()
-            r1, piv1 = _accel.gf_rref(t1, ctx.tables())
-            r2, piv2 = _rref_cells(ctx, t2)
-            assert r1 == r2 and list(piv1) == list(piv2)
-            assert np.array_equal(t1, t2)
+    for ctx, (rows, cols) in product(FIELDS + [tower_build(3, 4)],
+                                     ((5, 4), (3, 6), (4, 4))):
+        a = _mixed_stack(ctx, rng, 12, rows, cols)
+        red = a.copy()
+        ranks, piv = _accel.gf_rref(ctx, red)
+        franks, fpiv = _accel.gf_rank(ctx, a.copy())
+        seen = set()
+        for k in range(len(a)):
+            want, want_piv = _ref_rref(ctx, a[k])
+            got = [[ctx.cell_to_token(c) for c in row] for row in red[k]]
+            assert got == want
+            assert np.flatnonzero(piv[k]).tolist() == want_piv
+            assert np.flatnonzero(fpiv[k]).tolist() == want_piv
+            assert ranks[k] == franks[k] == len(want_piv)
+            seen.add(tuple(want_piv))
+        assert len(seen) > 3  # the stack mixed pivot patterns
 
 
 def test_mds_paths_agree():
     """gf_is_mds holds exactly when the column code meets the Singleton
-    bound, by brute-force codeword enumeration."""
+    bound, by brute-force codeword enumeration, for every block size."""
     rng = np.random.default_rng(1)
     # rows (1, a) for three distinct a, and (0, 1): MDS over every field
     doubly_extended = np.array([[1, 0], [1, 1], [1, 2], [0, 1]])
@@ -46,9 +92,10 @@ def test_mds_paths_agree():
         seen = set()
         for a in [doubly_extended] + [rng.integers(0, ctx.q, size=(4, 2))
                                       for _ in range(25)]:
-            mds = _accel.gf_is_mds(a, 2, ctx.tables())
-            assert mds == (min_weight_nonzero(MatGF(ctx, a)) == 4 - 2 + 1)
-            seen.add(mds)
+            want = min_weight_nonzero(MatGF(ctx, a)) == 4 - 2 + 1
+            for block in (1, 4, 6):
+                assert _accel.gf_is_mds(ctx, a, 2, block) == want
+            seen.add(want)
         assert seen == {True, False}
 
 

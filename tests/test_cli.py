@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mmsplab import fixtures as fx
@@ -127,3 +128,41 @@ def test_audit_share_histogram_guard_exit_3(tmp_path):
     rc, out, _ = run_cli("audit", "css", str(b), str(s))
     assert rc == 3
     assert json.loads(out)["error"].startswith("TooLarge")
+
+
+def _vandermonde_bundle(cls, rows, n):
+    """Columns 1, x, x^2, x^3 evaluated at distinct points of GF(23): for
+    the (2, 1) threshold, G = 1 and F = x form a plain MMSP on n points, and
+    G = (1, x) and F = (x^2, x^3) a symplectified one on 2n points."""
+    from mmsplab.fields import field_build
+    from mmsplab.linalg import MatGF
+    from mmsplab.mmsp import make_bundle
+
+    gf23 = field_build(23, 1)
+    v = MatGF(gf23, (np.arange(rows)[:, None] ** np.arange(4)) % 23)
+    if cls == "plain":
+        g, f = MatGF(gf23, v.a[:, :1].copy()), MatGF(gf23, v.a[:, 1:2].copy())
+        return make_bundle("plain", g, None, f, n=n)
+    g, f = MatGF(gf23, v.a[:, :2].copy()), MatGF(gf23, v.a[:, 2:].copy())
+    return make_bundle("ea", MatGF.zeros(gf23, rows, 0), g, f, n=n)
+
+
+@pytest.mark.parametrize("cls,rows,n,r,t,code", [
+    ("plain", 21, 21, 2, 1, 0),    # past the n <= 20 cap on explicit sets
+    ("ea", 22, 11, 2, 1, 0),       # symplectified on 22 points
+    ("plain", 24, 24, 12, 2, 3),   # C(24, 12) + C(24, 2) sets: past the cap
+])
+def test_verify_large_thresholds(tmp_path, cls, rows, n, r, t, code):
+    from mmsplab.access import make_threshold
+
+    b = tmp_path / BUNDLE
+    s = tmp_path / STRUCT
+    b.write_text(json.dumps(_vandermonde_bundle(cls, rows, n).to_json()))
+    s.write_text(json.dumps(make_threshold(r, t, n).to_json()))
+    rc, out, _ = run_cli("verify", str(b), str(s))
+    assert rc == code
+    rep = json.loads(out)
+    if code == 0:
+        assert rep["ok"]
+    else:
+        assert rep["error"].startswith("TooLarge")

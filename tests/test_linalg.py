@@ -227,7 +227,7 @@ def test_symp_bilinearity_property(ai, bi):
 # ---------------------------------------------------------------------------
 
 def _minor_rank(m, rows):
-    # RREF with pivot inversions, independent of the fraction-free eliminator
+    # RREF with pivot inversions, not the fraction-free pass is_mds runs
     return la.rref(la.restrict(m, [i + 1 for i in rows]))[2]
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from mmsplab import mmsp
 from mmsplab.access import make_explicit, make_threshold, symplectify, symplectify_structure
-from mmsplab.errors import ClassInvariantViolated, DimensionMismatch, OutOfRange
-from mmsplab.fields import field_build
+from mmsplab.errors import ClassInvariantViolated, DimensionMismatch, OutOfRange, TooLarge
+from mmsplab.fields import field_build, tower_build
 from mmsplab.fixtures import example1, example2, example3
-from mmsplab.linalg import MatGF, hstack
+from mmsplab.linalg import MatGF, hstack, rank, restrict, vstack
 
 F3 = field_build(3, 1)
 
@@ -176,3 +176,106 @@ def test_bundle_json_round_trip():
     b2 = mmsp.bundle_from_json(b.to_json())
     assert b2.cls == "qq" and b2.n == 3
     assert b2.g1 == b.g1 and b2.f == b.f
+
+
+def _two_rank_failure(g, f, fs):
+    """The MMSP definition one subset at a time: (A1) as
+    rank(P_A G | P_A F) = rank(P_A G) + x and (B1) as equal ranks."""
+    def ranks(s):
+        pg, pf = restrict(g, s), restrict(f, s)
+        return rank(hstack([pg, pf])), rank(pg)
+    for a in fs.accept_iter():
+        both, alone = ranks(a)
+        if both != alone + f.cols:
+            return "acceptance", a
+    for b in fs.reject_iter():
+        both, alone = ranks(b)
+        if both != alone:
+            return "rejection", b
+    return None
+
+
+@pytest.mark.parametrize("ctx", [field_build(3, 2), tower_build(3, 4)], ids=str)
+def test_stacked_mmsp_matches_per_subset_ranks(ctx, monkeypatch):
+    """mmsp_failure, stacked in blocks of 1, 3 or all sets, names the same
+    first failing set as the per-subset two-rank loop, over thresholds,
+    symplectified thresholds and explicit sets of unequal sizes."""
+    rng = np.random.default_rng(41)
+    n = 4
+    structures = [make_threshold(2, 1, n), make_threshold(3, 1, n),
+                  make_explicit(n, [[1, 2], [2, 3, 4], [1, 2, 3, 4], [1, 3, 4]],
+                                [[], [1], [3, 4], [2]])]
+    seen = set()
+    for trial in range(6):
+        for base in structures:
+            for fs in (base, symplectify_structure(base)):
+                rows, y, x = fs.n, 1 + trial % 2, 1 + trial // 3
+                g = MatGF(ctx, ctx.random_cells(rng, rows, y))
+                f = MatGF(ctx, ctx.random_cells(rng, rows, x))
+                if trial % 3 == 2:  # a zero row or F inside span(G) somewhere
+                    f.a[rng.integers(rows)] = 0
+                    g.a[rng.integers(rows), 0] = f.a[rng.integers(rows), 0]
+                want = _two_rank_failure(g, f, fs)
+                for block_sets in (1, 3, 10 ** 6):
+                    cells = rows * (y + x) * int(np.prod(g.a.shape[2:]))
+                    monkeypatch.setattr(mmsp, "MDS_BLOCK_CELLS", block_sets * cells)
+                    assert mmsp.mmsp_failure(g, f, fs) == want
+                    assert mmsp.is_mmsp(g, f, fs) == (want is None)
+                seen.add(want[0] if want else None)
+    assert seen == {"acceptance", "rejection", None}
+
+
+@pytest.mark.parametrize("ctx", [field_build(3, 2), tower_build(3, 4)], ids=str)
+def test_lemma1_predicates_match_rank_definitions(ctx):
+    """(A1)/(A2)/(B1)/(B2) on every subset against their rank definitions;
+    (A2) and (B2) stack the unit rows E under (P_A G | P_A F)."""
+    rng = np.random.default_rng(43)
+    for trial in range(4):
+        g = MatGF(ctx, ctx.random_cells(rng, 5, 2))
+        f = MatGF(ctx, ctx.random_cells(rng, 5, 2))
+        if trial % 2:
+            f.a[:, 1] = g.a[:, 0]
+        e = MatGF.zeros(ctx, 2, 4)
+        e.a[[0, 1], [2, 3]] = ctx.token_to_cell(ctx.one)
+        for k in range(6):
+            for sub in combinations(range(1, 6), k):
+                pg, pf = restrict(g, sub), restrict(f, sub)
+                m = hstack([pg, pf])
+                both, alone, with_e = rank(m), rank(pg), rank(vstack([m, e]))
+                assert mmsp.accepts_one(g, f, sub) == (both == alone + 2)
+                assert mmsp.rejects_one(g, f, sub) == (both == alone)
+                assert mmsp.cond_a2(g, f, sub) == (with_e == both)
+                assert mmsp.cond_b2(g, f, sub) == (with_e == both + 2)
+
+
+def test_classify_symplectified_threshold_past_n_10():
+    """classify, is_mmsp and is_eamds at n = 11 enumerate the 55 + 11
+    symplectified sets of the (2, 1, 11) threshold instead of refusing the
+    22-point explicit structure."""
+    rng = np.random.default_rng(47)
+    n = 11
+    g2 = MatGF(F3, rng.integers(0, 3, size=(2 * n, 2)))
+    f = MatGF(F3, rng.integers(0, 3, size=(2 * n, 2)))
+    b = mmsp.make_bundle("ea", MatGF.zeros(F3, 2 * n, 0), g2, f, n=n)
+    rep = mmsp.classify(b, 2, 1)
+    sfs = symplectify_structure(make_threshold(2, 1, n))
+    assert rep.ok == (_two_rank_failure(b.g_stack(), f, sfs) is None)
+    # evaluations of 1, x, x^2, x^3 at 22 distinct points of GF(23): every 4
+    # rows are independent, every 2 rows of (1, x) span the plane
+    gf23 = field_build(23, 1)
+    vander = MatGF(gf23, np.arange(2 * n)[:, None] ** np.arange(4) % 23)
+    g2, f = MatGF(gf23, vander.a[:, :2].copy()), MatGF(gf23, vander.a[:, 2:].copy())
+    b = mmsp.make_bundle("ea", MatGF.zeros(gf23, 2 * n, 0), g2, f, n=n)
+    assert mmsp.classify(b, 2, 1).ok
+    assert mmsp.is_eamds(MatGF.zeros(gf23, 2 * n, 0), vander)
+
+
+def test_threshold_past_subset_cap_refused_before_enumerating():
+    fs = symplectify_structure(make_threshold(10, 5, 40))
+    with pytest.raises(TooLarge):
+        next(fs.accept_iter())
+    with pytest.raises(TooLarge):
+        next(make_threshold(10, 5, 40).reject_iter())
+    g = MatGF.zeros(F3, 80, 5)
+    with pytest.raises(TooLarge):
+        mmsp.is_mmsp(g, g, fs)
