@@ -6,7 +6,7 @@ The staircase mechanism places entry (i, j) at tower level i+j-2 (the (1,1)
 entry is 1), which makes every minor invertible: in any submatrix the
 bottom-right entry lives strictly above the subfield generated by the rest.
 Strict subfield chains double the ambient degree per level, so the demanded
-depth is capped (MMSPLAB_TOWER_CAP, default 10); virtual levels above the
+depth is capped (MMSPLAB_TOWER_CAP, default 9); virtual levels above the
 cap compress onto the top level using distinct deterministic elements, and
 every construction output is verified by brute force before it is returned
 (a verification failure bumps the free choices and retries, then errors).
@@ -69,7 +69,10 @@ class FreshPicker:
 
 @dataclass
 class AmtPair:
-    """The isotropic pair: A (2b x a) with A^T J A = 0 and its complement B."""
+    """The isotropic pair: A (2b x a) with A^T J A = 0 and its complement B.
+
+    `a_mds` records that `build_amt` proved A MDS, so builders reuse it.
+    """
 
     a_mat: MatGF
     b_mat: MatGF
@@ -78,6 +81,7 @@ class AmtPair:
     a3: MatGF
     a: int
     b: int
+    a_mds: bool = False
 
     @property
     def ctx(self):
@@ -86,13 +90,18 @@ class AmtPair:
 
 @dataclass
 class AmxExtension:
-    """The C extension of an AmtPair: (A,C), every prefix, and (B,C) are MDS."""
+    """The C extension of an AmtPair: (A,C), every prefix, and (B,C) are MDS.
+
+    `mds_widths` holds each width s for which `build_amx` proved the column
+    prefix (A, C^(s)) MDS (s = c is (A, C) itself), so builders reuse them.
+    """
 
     c_mat: MatGF
     c1: MatGF
     c2: MatGF
     c3: MatGF
     c: int
+    mds_widths: frozenset = frozenset()
 
 
 def required_depth(a: int, b: int, c: int = 0) -> int:
@@ -207,8 +216,11 @@ def verify_amt(pair: AmtPair) -> list[tuple[str, bool]]:
     checks.append(("A isotropic (A^T J A = 0)", is_self_col_orth(pair.a_mat)))
     checks.append(("B orthogonal to A (A^T J B = 0)",
                    is_col_orth(pair.b_mat, pair.a_mat)))
-    checks.append((f"A is (2b,{pair.a})-MDS", is_mds(pair.a_mat)))
-    checks.append((f"B is (2b,{2 * pair.b - pair.a})-MDS", is_mds(pair.b_mat)))
+    a_mds = is_mds(pair.a_mat)
+    checks.append((f"A is (2b,{pair.a})-MDS", a_mds))
+    # B is A itself when a = b, where isotropy makes A3 symmetric
+    checks.append((f"B is (2b,{2 * pair.b - pair.a})-MDS",
+                   a_mds if pair.b_mat == pair.a_mat else is_mds(pair.b_mat)))
     return checks
 
 
@@ -228,6 +240,7 @@ def build_amt(a: int, b: int, ctx: FieldCtx) -> AmtPair:
         pair = _build_amt_once(a, b, ctx, salt)
         checks = verify_amt(pair)
         if all(ok for _, ok in checks):
+            pair.a_mds = True
             _AMT_CACHE[key] = pair
             return pair
         last = [name for name, ok in checks if not ok]
@@ -264,8 +277,8 @@ def verify_amx(pair: AmtPair, ext: AmxExtension,
     """Joint MDS facts for the extension; prefixes default to every width."""
     a, b, c = pair.a, pair.b, ext.c
     checks = []
-    ac = hstack([pair.a_mat, ext.c_mat])
-    checks.append((f"(A,C) is (2b,{a + c})-MDS", is_mds(ac)))
+    ac_mds = is_mds(hstack([pair.a_mat, ext.c_mat]))
+    checks.append((f"(A,C) is (2b,{a + c})-MDS", ac_mds))
     if prefixes is None:
         prefixes = list(range(1, c))
     for s in prefixes:
@@ -274,8 +287,9 @@ def verify_amx(pair: AmtPair, ext: AmxExtension,
                        is_mds(hstack([pair.a_mat, pref]))))
     if 2 * b - a + c <= 2 * b:
         # the (B,C) fact is well-formed only for c <= a (the QQ range)
-        bc = hstack([pair.b_mat, ext.c_mat])
-        checks.append((f"(B,C) is (2b,{2 * b - a + c})-MDS", is_mds(bc)))
+        bc_mds = ac_mds if pair.b_mat == pair.a_mat else is_mds(
+            hstack([pair.b_mat, ext.c_mat]))
+        checks.append((f"(B,C) is (2b,{2 * b - a + c})-MDS", bc_mds))
     return checks
 
 
@@ -299,9 +313,11 @@ def build_amx(pair: AmtPair, c: int, ctx: FieldCtx,
             return pooled
         sl = lambda m: MatGF(ctx, m.a[:, :c].copy()) if m.cols else m
         ext = AmxExtension(c_mat=sl(pooled.c_mat), c1=sl(pooled.c1),
-                           c2=sl(pooled.c2), c3=sl(pooled.c3), c=c)
-        if c <= pair.a:
-            # (B, C^(c)) is square-or-tall only here; check it for this width
+                           c2=sl(pooled.c2), c3=sl(pooled.c3), c=c,
+                           mds_widths=frozenset(s for s in pooled.mds_widths if s <= c))
+        # (B, C^(c)) is square-or-tall only for c <= a; check it for this
+        # width unless B is A and the pooled build proved (A, C^(c))
+        if c <= pair.a and not (pair.b_mat == pair.a_mat and c in ext.mds_widths):
             if not is_mds(hstack([pair.b_mat, ext.c_mat])):
                 raise ConstructionFailedVerification(
                     f"build_amx(c={c}): sliced (B,C) not MDS")
@@ -311,6 +327,8 @@ def build_amx(pair: AmtPair, c: int, ctx: FieldCtx,
         ext = _build_amx_once(pair, c, ctx, salt)
         checks = verify_amx(pair, ext, prefixes=check_prefixes)
         if all(ok for _, ok in checks):
+            ext.mds_widths = frozenset(
+                range(1, c) if check_prefixes is None else check_prefixes) | {c}
             _AMX_CACHE[key] = ext
             return ext
         last = [name for name, ok in checks if not ok]
@@ -334,6 +352,16 @@ def qqmmsp_dims(r: int, t: int, n: int) -> dict:
     tp = max(t, n - r)
     return {"n": n, "y1": n - r + tp, "y2": tp + r - n, "x": 2 * (r - tp),
             "t_prime": tp}
+
+
+def _joint_mds(name: str, pair: AmtPair, ext: Optional[AmxExtension],
+               s: int) -> tuple[str, bool]:
+    """The check `name` that (A, C^(s)) is MDS (A alone when s = 0): the
+    verdict the pair's or extension's build proved, else computed here."""
+    if pair.a_mds if s == 0 else s in ext.mds_widths:
+        return name, True
+    cols = [pair.a_mat] + ([MatGF(pair.ctx, ext.c_mat.a[:, :s].copy())] if s else [])
+    return name, is_mds(hstack(cols))
 
 
 def _verdict(bundle: MmspBundle, r: int, t: int, n: int,
@@ -361,10 +389,9 @@ def construct_eammsp(r: int, t: int, n: int, y1: int, p: int = 3) -> MmspBundle:
     g2 = MatGF(ctx, ext.c_mat.a[:, :y2].copy())
     f = MatGF(ctx, ext.c_mat.a[:, y2: y2 + 2 * (r - t)].copy())
     bundle = make_bundle("ea", g1, g2, f, n=n, r=r, t=t)
-    extra = [
-        (f"(G1,G2) is (2n,{2 * t})-MDS", is_mds(hstack([g1, g2]))),
-        (f"((G1,G2),F) is (2n,{2 * r})-MDS", is_mds(hstack([g1, g2, f]))),
-    ]
+    # (G1,G2) = (A, C^(y2)) and ((G1,G2),F) = (A, C)
+    extra = [_joint_mds(f"(G1,G2) is (2n,{2 * t})-MDS", pair, ext, y2),
+             _joint_mds(f"((G1,G2),F) is (2n,{2 * r})-MDS", pair, ext, c)]
     return _verdict(bundle, r, t, n, extra)
 
 
@@ -383,10 +410,9 @@ def construct_cqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
     g2 = MatGF(ctx, ext.c_mat.a[:, :y2].copy())
     f = MatGF(ctx, ext.c_mat.a[:, y2: y2 + x].copy())
     bundle = make_bundle("cq", g1, g2, f, n=n, r=r, t=t)
-    extra = [
-        (f"(G1,G2) is (2n,{n + y2})-MDS", is_mds(hstack([g1, g2]))),
-        (f"((G1,G2),F) is (2n,{2 * r})-MDS", is_mds(hstack([g1, g2, f]))),
-    ]
+    # (G1,G2) = (A, C^(y2)) and ((G1,G2),F) = (A, C)
+    extra = [_joint_mds(f"(G1,G2) is (2n,{n + y2})-MDS", pair, ext, y2),
+             _joint_mds(f"((G1,G2),F) is (2n,{2 * r})-MDS", pair, ext, c)]
     return _verdict(bundle, r, t, n, extra)
 
 
@@ -421,7 +447,7 @@ def _qq_from_amt(r: int, t: int, n: int, a: int, c: int, p: int) -> MmspBundle:
              ("F column-orthogonal to G1", is_col_orth(f, g1))]
     if c > 0:
         tp = max(t, n - r)
-        extra.append((f"(G1,G2) is (2n,{2 * tp})-MDS", is_mds(hstack([g1, g2]))))
+        extra.append(_joint_mds(f"(G1,G2) is (2n,{2 * tp})-MDS", pair, ext, c))
     return _verdict(bundle, r, t, n, extra)
 
 

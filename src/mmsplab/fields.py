@@ -171,48 +171,21 @@ def _psub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _ptrim(out % p)
 
 
-def _small_irreducibles(p: int, e: int) -> list[np.ndarray]:
-    """All monic irreducibles of degree e over F_p (e small)."""
-    key = (p, e)
-    out = _SMALL_IRR_CACHE.get(key)
-    if out is None:
-        out = []
-        for code in range(p**e):
-            low = [(code // p**i) % p for i in range(e)]
-            f = np.asarray(low + [1], dtype=np.int64)
-            if is_irreducible(f, p):
-                out.append(f)
-        _SMALL_IRR_CACHE[key] = out
-    return out
-
-
-_SMALL_IRR_CACHE: dict = {}
-_SMALL_RED_CACHE: dict = {}
-
-
 def _has_small_factor(f: np.ndarray, p: int, upto: int) -> bool:
-    """Divisibility screen against all irreducibles of degree <= upto."""
-    d = len(f) - 1
-    for e in range(1, min(upto, d - 1) + 1):
-        for g in _small_irreducibles(p, e):
-            key = (p, g.tobytes(), d)
-            red = _SMALL_RED_CACHE.get(key)
-            if red is None:
-                red = np.zeros((d + 1, e), dtype=np.float64)
-                cur = np.zeros(e, dtype=np.int64)
-                cur[0] = 1
-                for k in range(d + 1):
-                    red[k] = cur
-                    nxt = np.zeros(e, dtype=np.int64)
-                    nxt[1:] = cur[:-1]
-                    if cur[-1]:
-                        nxt = (nxt - cur[-1] * g[:e]) % p
-                    cur = nxt % p
-                _SMALL_RED_CACHE[key] = red
-            rem = np.rint(f.astype(np.float64) @ red).astype(np.int64) % p
-            if not rem.any():
-                return True
-    return False
+    """Whether f has an irreducible factor of degree <= upto (<= 4).
+
+    Every such degree divides upto - 1 or upto, so the factor divides
+    x^(p^e) - x for one of those e, whose factors all have degree dividing
+    e: one gcd with their product mod f decides it, after O(upto log p)
+    products mod f.
+    """
+    x = np.array([0, 1], dtype=np.int64)
+    xe, h = x, np.array([1], dtype=np.int64)
+    for e in range(1, upto + 1):
+        xe = _ppowmod(xe, p, f, p)  # x^(p^e) mod f
+        if e >= upto - 1:
+            h = _pmulmod(h, _psub(xe, x, p), f, p)
+    return len(_pgcd(h, f, p)) > 1
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -254,22 +227,26 @@ def _find_irreducible(p: int, d: int) -> tuple[int, ...]:
     raise ReduciblePolynomial(f"no irreducible polynomial of degree {d} over F_{p}")
 
 
-def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of an integer matrix mod a prime p, in exact float64 arithmetic;
-    returns (matrix, pivot cols)."""
-    a = _modp(np.asarray(a, dtype=np.float64), p)
+RREF_PANEL = 64  # columns per blocked step of _modp_rref
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Scalar Gauss-Jordan of a float64 matrix with entries in [0, p), in
+    place; returns the pivot columns and the row order it swapped into."""
     rows, cols = a.shape
-    piv = []
-    r = 0
+    order = np.arange(rows)
+    piv: list[int] = []
     for c in range(cols):
+        r = len(piv)
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         sel = r + int(nz[0])
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
+            order[[r, sel]] = order[[sel, r]]
         # rows r.. are zero left of column c, so only columns c.. change
         a[r, c:] = _modp(a[r, c:] * pow(int(a[r, c]), p - 2, p), p)
         col = a[:, c].copy()
@@ -278,18 +255,42 @@ def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if mask.any():
             a[mask, c:] = _modp(a[mask, c:] - col[mask, None] * a[r, c:][None, :], p)
         piv.append(c)
-        r += 1
+    return piv, order
+
+
+def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of an integer matrix mod a prime p, in exact float64 arithmetic;
+    returns (matrix, pivot cols).
+
+    Blocked after Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008): for each
+    panel of RREF_PANEL columns, `_gauss_jordan` on the rows without a pivot
+    yet finds the panel's k pivot columns and the rows that carry them; the
+    inverse of that k x k pivot block M turns those rows into the new pivot
+    rows T = M^-1 A_sel, and one BLAS product A -= A[:, piv] T clears the
+    pivot columns from every other row, with one reduction mod p after it.
+    RREF is unique, so this is the column-by-column result.  The products
+    are exact: each sums k <= RREF_PANEL terms below p^2, and k <= r on
+    the r-column matrices of a poly field, so at most r (p-1)^2 <= FFT_EXACT
+    = 2^40 there (the guard in `_check_size`) and 64 (p-1)^2 < 2^38 on a
+    tabled field (p < 2^16), both far below 2^53.
+    """
+    a = _modp(np.asarray(a, dtype=np.float64), p)
+    piv: list[int] = []
+    for c0 in range(0, a.shape[1], RREF_PANEL):
+        r = len(piv)
+        pc, order = _gauss_jordan(a[r:, c0 : c0 + RREF_PANEL].copy(), p)
+        if not pc:
+            continue
+        k = len(pc)
+        pc = [c0 + c for c in pc]
+        a[r:] = a[r + order]  # the pivot-carrying rows first, in pivot order
+        block = np.concatenate([a[r : r + k, pc], np.eye(k)], axis=1)
+        _gauss_jordan(block, p)  # [M | I] -> [I | M^-1]
+        top = _modp(block[:, k:] @ a[r : r + k, c0:], p)
+        a[:, c0:] = _modp(a[:, c0:] - a[:, pc] @ top, p)
+        a[r : r + k, c0:] = top  # the product zeroed these rows
+        piv += pc
     return a, piv
-
-
-def _modp_nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the right nullspace of a mod p."""
-    rr, piv = _modp_rref(a, p)
-    free = np.setdiff1d(np.arange(a.shape[1]), piv)
-    basis = np.zeros((a.shape[1], free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[piv] = _modp(-rr[: len(piv), free], p)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +439,7 @@ class FieldCtx:
         grow the list on first use.
         """
         while len(self._phis) < count:
-            self._phis.append(self._phis[-1] @ self._phis[-1] % self.p)
+            self._phis.append(_modp(self._phis[-1] @ self._phis[-1], self.p))
         return self._phis
 
     # -- scalar element API ----------------------------------------------------
@@ -581,13 +582,26 @@ class FieldCtx:
         raise AssertionError("element not fixed by full Frobenius orbit")
 
     def _subfield_basis(self, j: int) -> np.ndarray:
-        """F_p-basis (columns) of the level-j subfield."""
+        """F_p-basis (columns) of the level-j subfield, in the canonical form
+        of a kernel basis of phi_j - I: each column is 1 on its own free
+        coordinate and 0 on the other columns' free coordinates.
+
+        Built top-down from level K, the whole field: x -> x + phi_j(x) is
+        the relative trace from level j+1 onto level j, which is onto
+        (Lidl & Niederreiter, Finite Fields, Thm 2.23), so it maps the
+        level-(j+1) basis to a spanning set of level j.  A free coordinate
+        is the last nonzero coordinate of some subfield element, so the
+        canonical basis is the RREF of the spanning set, coordinates read
+        in reverse: one elimination of rank d_j on d_(j+1) x r per level.
+        """
         if j not in self._sub_bases:
-            if j == 0:
-                b = np.zeros((self.r, 1), dtype=np.int64)
-                b[0, 0] = 1
+            if j == len(self.tower_levels) - 1:
+                b = np.eye(self.r, dtype=np.int64)
             else:
-                b = _modp_nullspace(self._phis[j] - np.eye(self.r), self.p)
+                up = self._subfield_basis(j + 1)
+                span = _modp(up + self._phis[j] @ up, self.p)
+                rr, piv = _modp_rref(span.T[:, ::-1], self.p)
+                b = rr[len(piv) - 1 :: -1, ::-1].T.astype(np.int64)
             self._sub_bases[j] = b
         return self._sub_bases[j]
 

@@ -80,6 +80,16 @@ def test_construct_out_of_range():
     assert "bound violated" in out
 
 
+def test_construct_large_p():
+    # GF(257^32) passes the large-p guard; its modulus search never finished
+    r = subprocess.run([sys.executable, "-m", "mmsplab.cli", "construct", "ea",
+                        "2", "1", "2", "257", "--y1", "2"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["ok"] and out["bundle"]["G1"]["field"]["p"] == 257
+
+
 def test_audit_and_exit_codes(ex1_files):
     rc, out, _ = run_cli("audit", "eass", *ex1_files)
     assert rc == 0 and json.loads(out)["ok"]

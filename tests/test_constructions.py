@@ -196,3 +196,39 @@ def test_required_depth_and_cap():
     assert con.required_depth(2, 3, 2) == 4 + (6 - 2) + 2 - 1
     ctx = con.construction_field(3, 2, 5, 8)
     assert len(ctx.tower_levels) - 1 == con.DEPTH_CAP
+
+
+def test_builders_reuse_proved_mds_facts(monkeypatch):
+    # (G1,G2) and ((G1,G2),F) are A, a C prefix or (A,C), which build_amt
+    # and build_amx proved MDS; the builders read those verdicts
+    monkeypatch.setattr(con, "_AMT_CACHE", {})
+    monkeypatch.setattr(con, "_AMX_CACHE", {})
+    calls = []
+    monkeypatch.setattr(con, "is_mds", lambda m: calls.append(m) or la.is_mds(m))
+    builds = [(con.construct_eammsp, (3, 1, 3, 2)),   # (G1,G2) = A
+              (con.construct_eammsp, (3, 2, 3, 3)),   # (G1,G2) = (A, C^(1))
+              (con.construct_cqmmsp, (3, 2, 4)),
+              (con.construct_qqmmsp, (3, 1, 4))]
+    for build, args in builds:
+        calls.clear()
+        want = build(*args).params["verified"]  # builds the pair and extension
+        seen = [(m.a.shape, m.a.tobytes()) for m in calls]
+        assert len(seen) == len(set(seen)), args  # B = A when a = b, checked once
+        calls.clear()
+        assert build(*args).params["verified"] == want
+        assert calls == [], args
+
+    ctx = con.construction_field(3, 1, 2, 3)
+    pair = con.build_amt(1, 2, ctx)
+    assert pair.a_mds
+    assert con.build_amx(pair, 3, ctx).mds_widths == {1, 2, 3}
+    sliced = con.build_amx(pair, 2, ctx)  # served from the pool
+    assert sliced.mds_widths == {1, 2}
+    calls.clear()
+    assert con._joint_mds("s", pair, sliced, 2) == ("s", True) and calls == []
+    # a prefix the build did not check is computed
+    monkeypatch.setattr(con, "_AMX_CACHE", {})
+    unchecked = con.build_amx(pair, 3, ctx, check_prefixes=[])
+    assert unchecked.mds_widths == {3}
+    calls.clear()
+    assert con._joint_mds("s", pair, unchecked, 1) == ("s", True) and len(calls) == 1

@@ -1,5 +1,8 @@
 """Field tower arithmetic: construction, trace, levels, both backends."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,3 +255,143 @@ def test_canonical_moduli_tails_are_short():
         if d >= 32:
             tail_degree = max(k for k in range(d) if poly[k] % p)
             assert tail_degree <= d // 2, (p, d)
+
+
+# ---------------------------------------------------------------------------
+# modulus search at large p
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _deadline(seconds):
+    def expire(*_):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _has_root(coeffs, p):
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * xs + c) % p
+    return bool((vals == 0).any())
+
+
+def test_modulus_search_large_p_finishes():
+    # the small-factor screen enumerated every monic polynomial of degree
+    # <= 4 over F_p: about 1.7e7 Rabin tests for a degree-4 modulus at p = 257
+    with _deadline(30):
+        f = field_build(257, 3)
+        towers = [tower_build(257, 2), tower_build(11, 3)]
+    # a cubic is irreducible iff it has no root: f is the first such
+    code = sum(c * 257**i for i, c in enumerate(f.modulus[:3]))
+    assert not _has_root(f.modulus, 257)
+    for k in range(code):
+        low = [(k // 257**i) % 257 for i in range(3)]
+        assert _has_root(low + [1], 257)
+    for t in towers:
+        for j in range(1, len(t.tower_levels)):
+            assert t.tower_level(t.level_gen(j)) == j
+
+
+# ---------------------------------------------------------------------------
+# tower set-up against scalar Gauss-Jordan references
+# ---------------------------------------------------------------------------
+
+def _ref_rref(m, p):
+    """RREF mod p by scalar Gauss-Jordan on Python ints; (rows, pivots)."""
+    a = [[int(x) % p for x in row] for row in m]
+    piv = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(piv)
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        piv.append(c)
+    return a, piv
+
+
+def _ref_kernel(m, p):
+    """Kernel basis of m mod p (columns): 1 on its own free coordinate, 0 on
+    the other free coordinates."""
+    rr, piv = _ref_rref(m, p)
+    cols = len(m[0])
+    free = [c for c in range(cols) if c not in piv]
+    out = np.zeros((cols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        out[f, k] = 1
+        for i, c in enumerate(piv):
+            out[c, k] = -rr[i][f] % p
+    return out
+
+
+def _frobenius_power_matrix(ctx, j):
+    """Matrix of x -> x^(p^(2^j)) in the power basis, column by column."""
+    cols = [ctx.coeffs(ctx.pow_(ctx.from_coeffs([0] * k + [1]), ctx.p ** (2**j)))
+            for k in range(ctx.r)]
+    return np.array(cols, dtype=np.int64).T
+
+
+@pytest.mark.parametrize("p,depth", [(2, 3), (2, 5), (3, 3), (3, 4), (5, 2),
+                                     (5, 3), (7, 2), (7, 3)])
+def test_subfield_bases_match_kernel_reference(p, depth):
+    t = tower_build(p, depth)
+    assert t.kind == ("tabled" if t.q <= fields.TABLE_LIMIT else "poly")
+    eye = np.eye(t.r, dtype=np.int64)
+    want = {j: _ref_kernel((_frobenius_power_matrix(t, j) - eye) % p, p)
+            for j in range(depth + 1)}
+    for j in range(depth + 1):
+        assert want[j].shape == (t.r, 2**j)
+        assert np.array_equal(t._subfield_basis(j), want[j]), j
+    for j in range(1, depth + 1):
+        phi = _frobenius_power_matrix(t, j - 1)
+        gen = next(col for col in want[j].T if not np.array_equal(phi @ col % p, col))
+        if t.kind == "poly":  # tabled generators come from the log tables
+            assert t.level_gen(j) == t.from_coeffs(gen)
+        for v in (1, 2, 7, 4097):
+            low = want[j - 1]
+            digits = [(v % p ** low.shape[1]) // p**i % p for i in range(low.shape[1])]
+            shift = t.from_coeffs(low @ np.array(digits) % p)
+            assert t.pick_fresh(j, v) == t.add(t.level_gen(j), shift)
+
+
+def _rank_deficient(rng, rows, cols, rank, p):
+    a = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols))
+    return a % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537])
+def test_modp_rref_matches_scalar_reference(p):
+    rng = np.random.default_rng(p)
+    width = fields.RREF_PANEL
+    cases = [
+        _rank_deficient(rng, 40, 2 * width + 5, 17, p),    # rows < cols, ragged panel
+        _rank_deficient(rng, 2 * width + 3, 70, 30, p),    # rows > cols
+        rng.integers(0, p, size=(width + 1, width + 1)),   # full rank, one extra column
+        np.zeros((5, 9), dtype=np.int64),
+    ]
+    zero_panel = _rank_deficient(rng, 30, 3 * width, 12, p)
+    zero_panel[:, :width] = 0                               # no pivot in the first panel
+    zero_panel[:, 2 * width : 2 * width + 20] = 0
+    cases.append(zero_panel)
+    late = _rank_deficient(rng, 20, 2 * width + 10, 6, p)
+    late[10:, width:] = _rank_deficient(rng, 10, width + 10, 4, p)  # pivots past row 10 in panel 2
+    cases.append(late)
+    for a in cases:
+        got, piv = fields._modp_rref(a, p)
+        rr, want_piv = _ref_rref(a.tolist(), p)
+        assert piv == want_piv
+        assert np.array_equal(got.astype(np.int64), np.array(rr, dtype=np.int64).reshape(a.shape))
