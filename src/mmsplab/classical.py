@@ -69,36 +69,14 @@ class CssProtocol:
 
 
 @dataclass
-class SpirProtocol:
-    """Standard-form linear CSPIR with f files of x symbols each."""
+class SpirProtocol(CssProtocol):
+    """Standard-form linear CSPIR with f files of x symbols each; the
+    answers to a standard query are a CSS share of the target file."""
 
-    g: MatGF
-    f: MatGF
     nfiles: int
-    access: AccessStructure
     # optional non-standard query override: per file index k, an explicit
     # nbar x (x * nfiles) query matrix (used by audits as a negative control)
     fixed_query: Optional[list[MatGF]] = None
-
-    def __post_init__(self):
-        if self.g.rows != self.f.rows:
-            raise DimensionMismatch("G and F row counts differ")
-
-    @property
-    def ctx(self):
-        return self.f.ctx
-
-    @property
-    def nbar(self) -> int:
-        return self.f.rows
-
-    @property
-    def x(self) -> int:
-        return self.f.cols
-
-    @property
-    def y(self) -> int:
-        return self.g.cols
 
 
 @dataclass
@@ -235,6 +213,12 @@ def css_run(p: CssProtocol, m: VecGF, seed: int) -> Transcript:
     u = VecGF(p.ctx, p.ctx.random_cells(rng, p.y)) if p.y else VecGF.zeros(p.ctx, 0)
     z = css_share(p, m, u)
     tr.log("share", message=m.tolist(), randomness=u.tolist(), shares=z.tolist())
+    return _decode_and_log(p, z, tr)
+
+
+def _decode_and_log(p: CssProtocol, z: VecGF, tr: Transcript) -> Transcript:
+    """Decode the restriction of z on every qualified set; log and keep the
+    outcomes."""
     outcomes = {}
     for a in p.access.accept_iter():
         dec = css_decode(p, a, restrict_vec(z, a))
@@ -284,14 +268,7 @@ def spir_run(p: SpirProtocol, files: VecGF, k: int, seed: int) -> Transcript:
     answers = q @ files + shared
     tr.log("query", k=k, query_digest=hashlib.sha256(q.a.tobytes()).hexdigest())
     tr.log("answers", answers=answers.tolist())
-    css = CssProtocol(g=p.g, f=p.f, access=p.access)
-    outcomes = {}
-    for a in p.access.accept_iter():
-        dec = css_decode(css, a, restrict_vec(answers, a))
-        outcomes[str(sorted(a))] = dec.tolist() if dec is not None else None
-    tr.log("decode", outcomes=outcomes)
-    tr.outcome = outcomes
-    return tr
+    return _decode_and_log(p, answers, tr)
 
 
 def _query_column_hist(p: SpirProtocol, k: int, col: int, subset: Sequence[int]):
@@ -313,7 +290,6 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
         raise TooLarge("audit needs q^(x+y) and q^(x*f) <= 1e6")
     details, cex = [], []
     # correctness: answers are a CSS share of m_k with effective randomness
-    css = CssProtocol(g=p.g, f=p.f, access=p.access)
     correct = True
     for a in p.access.accept_iter():
         counts = _hist(p.g, p.f, sorted(a))

@@ -19,10 +19,12 @@ import numpy as np
 from . import constructions as con
 from . import fixtures as fx
 from . import qprotocols as qp
-from .access import structure_from_json, symplectify_structure, validate
-from .classical import CssProtocol, SpirProtocol, css_audit, spir_audit
-from .errors import MmsplabError, TooLarge
-from .mmsp import bundle_from_json, mmsp_failure, rate
+from .access import (AccessStructure, make_explicit, structure_from_json,
+                     symplectify_structure, validate)
+from .classical import CssProtocol, SpirProtocol, css_audit, css_run, spir_audit
+from .errors import DimensionMismatch, IndexOutOfRange, MmsplabError, TooLarge
+from .linalg import VecGF
+from .mmsp import MmspBundle, bundle_from_json, mmsp_failure, rate
 
 REPORT_SCHEMA = 1
 
@@ -36,29 +38,53 @@ def _emit(report: dict, code: int) -> int:
     return code
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+class _BadInput(Exception):
+    """Carries the error of an input that cannot be read or used (exit 2)."""
+
+
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers (an argparse type)."""
+    return [int(v) for v in text.split(",")]
+
+
+def _load_inputs(args) -> tuple[MmspBundle, AccessStructure]:
+    """The bundle and the access structure of a command (one accept set
+    when --subset names it); the structure must be on the bundle's parties,
+    with every set inside them."""
+    try:
+        with open(args.bundle) as fh:
+            bundle = bundle_from_json(json.load(fh))
+        with open(args.structure) as fh:
+            fs = structure_from_json(json.load(fh))
+    except TooLarge:
+        raise
+    except (OSError, KeyError, TypeError, ValueError, MmsplabError) as exc:
+        raise _BadInput(exc) from exc
+    if getattr(args, "subset", None):
+        fs = make_explicit(fs.n, [args.subset], [[]])
+    if fs.n != bundle.n:
+        raise _BadInput(DimensionMismatch(
+            f"structure on {fs.n} parties, bundle on {bundle.n}"))
+    ground = frozenset(range(1, fs.n + 1))
+    if fs.kind == "explicit" and not all(s <= ground for s in fs.accept_sets + fs.reject_sets):
+        raise _BadInput(IndexOutOfRange(f"a set lies outside 1..{fs.n}"))
+    return bundle, fs
+
+
+def _target(bundle: MmspBundle, fs: AccessStructure) -> AccessStructure:
+    """The structure the span-program predicates read for this bundle."""
+    return fs if bundle.cls == "plain" else symplectify_structure(fs)
 
 
 def cmd_verify(args) -> int:
-    try:
-        bundle = bundle_from_json(_load_json(args.bundle))
-        fs = structure_from_json(_load_json(args.structure))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _emit({"error": f"parse: {exc}", "summary": [f"parse error: {exc}"]}, 2)
-    checks = []
+    bundle, fs = _load_inputs(args)
     ok_struct, diags = validate(fs)
-    checks.append({"name": "structure-valid", "ok": ok_struct, "detail": diags})
-    target = fs if bundle.cls == "plain" else symplectify_structure(fs)
-    try:
-        failure = mmsp_failure(bundle.g_stack(), bundle.f, target)
-    except TooLarge as exc:
-        return _emit({"error": f"TooLarge: {exc}", "summary": [str(exc)]}, 3)
-    verdict = failure is None
-    counterexample = None if verdict else {"kind": failure[0], "set": sorted(failure[1])}
-    checks.append({"name": "mmsp", "ok": verdict, "detail": counterexample})
-    ok = ok_struct and verdict
+    failure = mmsp_failure(bundle.g_stack(), bundle.f, _target(bundle, fs))
+    counterexample = None if failure is None else {"kind": failure[0],
+                                                   "set": sorted(failure[1])}
+    checks = [{"name": "structure-valid", "ok": ok_struct, "detail": diags},
+              {"name": "mmsp", "ok": failure is None, "detail": counterexample}]
+    ok = ok_struct and failure is None
     return _emit({
         "command": "verify",
         "checks": checks,
@@ -68,20 +94,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        if args.cls == "ea":
-            y1 = args.y1 if args.y1 is not None else min(2 * args.t, args.n)
-            bundle = con.construct_eammsp(args.r, args.t, args.n, y1, args.p)
-        elif args.cls == "cq":
-            bundle = con.construct_cqmmsp(args.r, args.t, args.n, args.p)
-        elif args.cls == "qq":
-            bundle = con.construct_qqmmsp(args.r, args.t, args.n, args.p)
-        else:
-            return _emit({"error": f"unknown class {args.cls}"}, 2)
-    except MmsplabError as exc:
-        return _emit({"command": "construct", "ok": False,
-                      "error": f"{type(exc).__name__}: {exc}",
-                      "summary": [f"construction failed: {exc}"]}, 1)
+    if args.cls == "ea":
+        y1 = args.y1 if args.y1 is not None else min(2 * args.t, args.n)
+        bundle = con.construct_eammsp(args.r, args.t, args.n, y1, args.p)
+    elif args.cls == "cq":
+        bundle = con.construct_cqmmsp(args.r, args.t, args.n, args.p)
+    else:
+        bundle = con.construct_qqmmsp(args.r, args.t, args.n, args.p)
     payload = bundle.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -97,10 +116,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    try:
-        val = rate(args.kind, args.r, args.t, args.n)
-    except MmsplabError as exc:
-        return _emit({"error": str(exc), "summary": [str(exc)]}, 1)
+    val = rate(args.kind, args.r, args.t, args.n)
     return _emit({
         "command": "rate", "kind": args.kind,
         "r": args.r, "t": args.t, "n": args.n,
@@ -110,145 +126,82 @@ def cmd_rate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        bundle = bundle_from_json(_load_json(args.bundle))
-        fs = structure_from_json(_load_json(args.structure))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _emit({"error": f"parse: {exc}"}, 2)
-    try:
-        if args.protocol == "css":
-            rep = css_audit(CssProtocol(g=bundle.g_stack(), f=bundle.f,
-                                        access=fs if bundle.cls == "plain"
-                                        else symplectify_structure(fs)))
-            payload = rep.to_json()
-            ok = rep.matches_mmsp and rep.secure
-        elif args.protocol == "cspir":
-            rep = spir_audit(SpirProtocol(
-                g=bundle.g_stack(), f=bundle.f, nfiles=args.files,
-                access=fs if bundle.cls == "plain"
-                else symplectify_structure(fs)))
-            payload = rep.to_json()
-            ok = rep.matches_mmsp and rep.secure
-        elif args.protocol in ("eass", "cqss", "feass"):
-            rep = qp.audit_ss(bundle, fs, protocol=args.protocol)
-            payload = rep.to_json()
-            ok = rep.matches_classify and rep.secure
-        elif args.protocol == "qqss":
-            rep = qp.audit_qqss(bundle, fs)
-            payload = rep.to_json()
-            ok = rep.matches_classify and rep.secure
-        elif args.protocol in ("easpir", "cqspir", "feaspir"):
-            rep = qp.audit_spir(bundle, fs, nfiles=args.files,
-                                protocol=args.protocol)
-            payload = rep.to_json()
-            ok = rep.matches_classify and rep.secure
-        else:
-            return _emit({"error": f"unknown protocol {args.protocol}"}, 2)
-    except TooLarge as exc:
-        return _emit({"error": f"TooLarge: {exc}", "summary": [str(exc)]}, 3)
-    except MmsplabError as exc:
-        return _emit({"error": f"{type(exc).__name__}: {exc}"}, 1)
+    bundle, fs = _load_inputs(args)
+    proto = args.protocol
+    if proto == "css":
+        rep = css_audit(CssProtocol(g=bundle.g_stack(), f=bundle.f,
+                                    access=_target(bundle, fs)))
+    elif proto == "cspir":
+        rep = spir_audit(SpirProtocol(g=bundle.g_stack(), f=bundle.f, nfiles=args.files,
+                                      access=_target(bundle, fs)))
+    elif proto == "qqss":
+        rep = qp.audit_qqss(bundle, fs)
+    elif proto.endswith("spir"):
+        rep = qp.audit_spir(bundle, fs, nfiles=args.files, protocol=proto)
+    else:
+        rep = qp.audit_ss(bundle, fs, protocol=proto)
+    payload = rep.to_json()
+    ok = rep.ok and rep.secure
     return _emit({
-        "command": "audit", "protocol": args.protocol, "report": payload,
+        "command": "audit", "protocol": proto, "report": payload,
         "ok": ok,
-        "summary": [f"{args.protocol} audit: secure={payload['secure']} "
-                    f"matches_predicate={payload.get('matches_classify', payload.get('matches_mmsp'))}"],
+        "summary": [f"{proto} audit: secure={payload['secure']} "
+                    f"matches_predicate={rep.ok}"],
     }, 0 if ok else 1)
 
 
 def cmd_simulate(args) -> int:
-    try:
-        bundle = bundle_from_json(_load_json(args.bundle))
-        fs = structure_from_json(_load_json(args.structure))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _emit({"error": f"parse: {exc}"}, 2)
-    ctx = bundle.ctx
-    try:
-        if args.subset:
-            chosen = [int(v) for v in args.subset.split(",")]
-            from .access import make_explicit
-            fs = make_explicit(fs.n, [chosen], [[]])
-        if args.protocol in ("feass", "eass", "cqss"):
-            from .linalg import VecGF
-            m = VecGF.from_ints(ctx, [int(v) for v in args.message.split(",")])
-            if args.protocol == "feass":
-                tr = qp.run_feass(bundle.g_stack(), bundle.f, m, args.seed, fs,
-                                  backend=args.backend)
-            elif args.protocol == "eass":
-                tr = qp.run_eass(bundle, m, args.seed, fs, backend=args.backend)
-            else:
-                tr = qp.run_cqss(bundle, m, args.seed, fs, backend=args.backend)
-        elif args.protocol in ("feaspir", "easpir", "cqspir"):
-            files = np.array([int(v) for v in args.files_data.split(",")],
-                             dtype=np.int64)
-            runner = {"easpir": qp.run_easpir, "cqspir": qp.run_cqspir}.get(
-                args.protocol)
-            if runner is None:
-                tr = qp.run_feaspir(bundle.g_stack(), bundle.f, files, args.k,
-                                    args.seed, fs, args.files,
-                                    backend=args.backend)
-            else:
-                tr = runner(bundle, files, args.k, args.seed, fs, args.files,
-                            backend=args.backend)
-        elif args.protocol == "css":
-            from .classical import css_run
-            from .linalg import VecGF
-            target = fs if bundle.cls == "plain" else symplectify_structure(fs)
-            m = VecGF.from_ints(ctx, [int(v) for v in args.message.split(",")])
-            tr = css_run(CssProtocol(g=bundle.g_stack(), f=bundle.f,
-                                     access=target), m, args.seed)
-        elif args.protocol == "qqss":
-            d = ctx.q ** (bundle.x // 2)
-            rho = np.zeros((d, d), dtype=complex)
-            rho[0, 0] = 1.0
-            subset = sorted(next(iter(fs.accept_iter())))
-            tr, rec = qp.run_qqss(bundle, rho, args.seed, subset)
-        else:
-            return _emit({"error": f"unknown protocol {args.protocol}"}, 2)
-    except TooLarge as exc:
-        return _emit({"error": f"TooLarge: {exc}"}, 3)
-    except MmsplabError as exc:
-        return _emit({"error": f"{type(exc).__name__}: {exc}"}, 1)
+    bundle, fs = _load_inputs(args)
+    proto, seed, backend = args.protocol, args.seed, args.backend
+    g, f = bundle.g_stack(), bundle.f
+    m = VecGF.from_ints(bundle.ctx, args.message)
+    files = np.array(args.files_data, dtype=np.int64)
+    if proto == "css":
+        tr = css_run(CssProtocol(g=g, f=f, access=_target(bundle, fs)), m, seed)
+    elif proto == "qqss":
+        d = bundle.ctx.q ** (bundle.x // 2)
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        tr, _ = qp.run_qqss(bundle, rho, seed, sorted(next(iter(fs.accept_iter()))))
+    elif proto == "feass":
+        tr = qp.run_feass(g, f, m, seed, fs, backend=backend)
+    elif proto == "feaspir":
+        tr = qp.run_feaspir(g, f, files, args.k, seed, fs, args.files, backend=backend)
+    elif proto in ("easpir", "cqspir"):
+        run = qp.run_easpir if proto == "easpir" else qp.run_cqspir
+        tr = run(bundle, files, args.k, seed, fs, args.files, backend=backend)
+    else:
+        run = qp.run_eass if proto == "eass" else qp.run_cqss
+        tr = run(bundle, m, seed, fs, backend=backend)
     return _emit({
-        "command": "simulate", "protocol": args.protocol, "seed": args.seed,
+        "command": "simulate", "protocol": proto, "seed": seed,
         "transcript": {"steps": tr.steps, "outcome": tr.outcome,
                        "digest": tr.digest()},
         "ok": True,
-        "summary": [f"{args.protocol} run complete; digest {tr.digest()[:16]}"],
+        "summary": [f"{proto} run complete; digest {tr.digest()[:16]}"],
     }, 0)
 
 
 def cmd_crosscheck(args) -> int:
-    try:
-        bundle = bundle_from_json(_load_json(args.bundle))
-        fs = structure_from_json(_load_json(args.structure))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _emit({"error": f"parse: {exc}"}, 2)
-    try:
-        engine = qp.EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
-    except TooLarge as exc:
-        return _emit({"error": f"TooLarge: {exc}"}, 3)
-    q = bundle.ctx.q
+    bundle, fs = _load_inputs(args)
+    ctx, q = bundle.ctx, bundle.ctx.q
+    engine = qp.EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
+    decoders = [(sorted(a), qp.DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
+                for a in fs.accept_iter()]
     mismatches = []
     total = 0
-    for mi in range(q**bundle.x):
-        m = np.array([(mi // q**i) % q for i in range(bundle.x)],
-                     dtype=np.int64)
+    for m in qp._enum_vecs(q, bundle.x):
         comps = engine.share_components(engine.message_displacements(m))
-        for a in fs.accept_iter():
-            dec = qp.DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-            dist = engine.coset_distribution(sorted(a), comps, dec)
-            for u2 in ([np.zeros(bundle.y2, dtype=np.int64)] if bundle.y2 == 0
-                       else [np.array([(ui // q**i) % q
-                                       for i in range(bundle.y2)], dtype=np.int64)
-                             for ui in range(q**bundle.y2)]):
+        fm = bundle.f @ VecGF(ctx, m)
+        for sub, dec in decoders:
+            dist = engine.coset_distribution(sub, comps, dec)
+            for u2 in qp._enum_vecs(q, bundle.y2):
                 total += 1
-                rep, _ = qp.symp_track(bundle, m, u2, sorted(a))
+                rep, _ = dec.track(fm + bundle.g2 @ VecGF(ctx, u2))
                 if bundle.y2 == 0 and abs(dist.get(rep, 0.0) - 1.0) > 1e-9:
-                    mismatches.append({"m": m.tolist(), "set": sorted(a)})
+                    mismatches.append({"m": m.tolist(), "set": sub})
                 elif bundle.y2 and dist.get(rep, 0.0) <= 0:
-                    mismatches.append({"m": m.tolist(), "u2": u2.tolist(),
-                                       "set": sorted(a)})
+                    mismatches.append({"m": m.tolist(), "u2": u2.tolist(), "set": sub})
     ok = not mismatches
     return _emit({
         "command": "crosscheck", "cases": total, "mismatches": mismatches,
@@ -320,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "cqspir", "feaspir", "easpir"])
     s.add_argument("--bundle", required=True)
     s.add_argument("--structure", required=True)
-    s.add_argument("--message", default="0")
-    s.add_argument("--files-data", dest="files_data", default="0,0")
+    s.add_argument("--message", type=_int_list, default="0")
+    s.add_argument("--files-data", dest="files_data", type=_int_list, default="0,0")
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--files", type=int, default=2)
-    s.add_argument("--subset", default=None)
+    s.add_argument("--subset", type=_int_list, default=None)
     s.add_argument("--backend", choices=["dense", "symplectic"],
                    default="dense")
     s.add_argument("--seed", type=int, required=True)
@@ -343,8 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every package error becomes a JSON report: inputs
+    that cannot be read or used exit 2, a size guard 3, any other error 1."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadInput as exc:
+        err, code = exc.args[0], 2
+    except TooLarge as exc:
+        err, code = exc, 3
+    except MmsplabError as exc:
+        err, code = exc, 1
+    error = f"{type(err).__name__}: {err}"
+    return _emit({"command": args.cmd, "ok": False, "error": error,
+                  "summary": [f"{args.cmd} failed: {error}"]}, code)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .access import AccessStructure, make_explicit, make_threshold
 from .fields import field_build
-from .linalg import MatGF, is_col_orth, nullspace, rank
+from .linalg import MatGF, is_col_orth, nullspace, rank, symp_gram
 from .mmsp import MmspBundle, is_mmsp, make_bundle
 
 
@@ -171,10 +171,7 @@ def make_pools(kind: str, count: int, seed: int = 2024,
                 if not is_col_orth(f, g1):
                     continue
                 # message frame must be nondegenerate on the quotient
-                from .linalg import symp
-                gram = np.array([[symp(f.col(i), f.col(j)) for j in range(x)]
-                                 for i in range(x)], dtype=np.int64)
-                if rank(MatGF(ctx, gram % 3)) != x:
+                if rank(MatGF(ctx, symp_gram(f, f))) != x:
                     continue
             else:
                 x = int(rng.integers(1, 3))
@@ -199,7 +196,6 @@ def mutate_negative(bundle: MmspBundle, fs: AccessStructure,
     """Redraw the message matrix (respecting the class orthogonality
     invariants) until the span-program verdict flips to false."""
     from .access import symplectify_structure
-    from .linalg import symp
 
     ctx = bundle.ctx
     rng = np.random.default_rng(seed)
@@ -209,9 +205,7 @@ def mutate_negative(bundle: MmspBundle, fs: AccessStructure,
             f = _orth_complement_draw(ctx, bundle.g1, bundle.x, rng)
             if not is_col_orth(f, bundle.g1):
                 continue
-            gram = np.array([[symp(f.col(i), f.col(j)) for j in range(bundle.x)]
-                             for i in range(bundle.x)], dtype=np.int64)
-            if rank(MatGF(ctx, gram % ctx.q)) != bundle.x:
+            if rank(MatGF(ctx, symp_gram(f, f))) != bundle.x:
                 continue
         else:
             f = MatGF(ctx, rng.integers(0, ctx.q, size=(bundle.f.rows, bundle.x))

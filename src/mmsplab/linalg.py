@@ -342,7 +342,7 @@ def restrict_vec(v: VecGF, subset: Iterable[int]) -> VecGF:
     return VecGF(v.ctx, v.a[subset_rows(subset, len(v))].copy())
 
 
-def _symp_traces(f: MatGF, g: MatGF) -> np.ndarray:
+def symp_gram(f: MatGF, g: MatGF) -> np.ndarray:
     """symp(f_i, g_j) for every column pair, from one Gram product F^T M G."""
     gram = f.transpose() @ (_symp_gram_matrix(f.ctx, f.rows) @ g)
     return f.ctx.ax_trace(gram.a)
@@ -352,7 +352,7 @@ def is_self_col_orth(g: MatGF) -> bool:
     """All columns pairwise null under the symplectic product."""
     if g.rows % 2:
         raise OddLength("matrix must have 2n rows")
-    return not _symp_traces(g, g).any()
+    return not symp_gram(g, g).any()
 
 
 def is_col_orth(f: MatGF, g: MatGF) -> bool:
@@ -360,7 +360,7 @@ def is_col_orth(f: MatGF, g: MatGF) -> bool:
     _same_ctx(f, g)
     if f.rows != g.rows or f.rows % 2:
         raise OddLength("matrices must share an even row count")
-    return not _symp_traces(f, g).any()
+    return not symp_gram(f, g).any()
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .linalg import (
     restrict,
     restrict_vec,
     rref,
-    symp,
+    symp_gram,
 )
 from .mmsp import MmspBundle, is_mmsp
 from .qstate import (
@@ -50,6 +50,7 @@ from .qstate import (
     frame_for,
     joint_eigenvector,
     mutual_info_dims,
+    partial_trace,
     reduce_factor,
     reduce_state,
     vn_entropy,
@@ -128,6 +129,15 @@ class DispDecoder:
         msgs, ok = self.decode_all(VecGF.from_ints(self.ctx, z).a[None])
         return VecGF(self.ctx, msgs[0]) if ok[0] else None
 
+    def track(self, x: VecGF) -> tuple[tuple, Optional[VecGF]]:
+        """The symplectic track of a full displacement x: the canonical
+        coset representative of P x modulo Im(P G1), and the decoded
+        message (None when not unique)."""
+        z = restrict_vec(x, self.sympl).a[None]
+        msgs, ok = self.decode_all(z)
+        return (coset_rep(self.pg1, z)[0],
+                VecGF(self.ctx, msgs[0]) if ok[0] else None)
+
 
 def _enum_vecs(q: int, k: int) -> np.ndarray:
     """Every vector of F_q^k as a row of element indices, little-endian:
@@ -193,34 +203,32 @@ class EaEngine:
         return self.dm_for(sub).probabilities(
             [(w, reduce_factor(amps, keep)) for w, amps in components])
 
-    def decoded_distribution(self, subset: Sequence[int], components,
-                             decoder: DispDecoder) -> dict:
+    def _fold(self, subset: Sequence[int], components, keys_of) -> dict:
+        """Outcome distribution folded by keys_of, which maps the rows of
+        measured label cells to one key each; the complement tail is None."""
         probs = self.outcome_distribution(subset, components)
         dm = self.dm_for(sorted(subset))
         hit = np.nonzero(~(probs < 1e-12))[0]
         labels = [dm.label(idx) for idx in hit if idx < dm.nout]
-        msgs, ok = decoder.decode_all(
-            np.array(labels, dtype=np.int64).reshape(len(labels), -1))
-        keys = [tuple(m.tolist()) if good else None for m, good in zip(msgs, ok)]
+        keys = keys_of(np.array(labels, dtype=np.int64).reshape(len(labels), -1))
         keys += [None] * (len(hit) - len(labels))  # the complement tail
         out: dict = {}
         for key, idx in zip(keys, hit):
             out[key] = out.get(key, 0.0) + float(probs[idx])
         return out
 
+    def decoded_distribution(self, subset: Sequence[int], components,
+                             decoder: DispDecoder) -> dict:
+        """Outcome distribution folded onto decoded messages."""
+        def keys_of(zs):
+            msgs, ok = decoder.decode_all(zs)
+            return [tuple(m.tolist()) if good else None for m, good in zip(msgs, ok)]
+        return self._fold(subset, components, keys_of)
+
     def coset_distribution(self, subset: Sequence[int], components,
                            decoder: DispDecoder) -> dict:
         """Outcome distribution folded onto Im(P G1)-cosets."""
-        probs = self.outcome_distribution(subset, components)
-        dm = self.dm_for(sorted(subset))
-        hit = np.nonzero(~(probs < 1e-12))[0]
-        labels = [dm.label(idx) for idx in hit if idx < dm.nout]
-        zs = np.array(labels, dtype=np.int64).reshape(len(labels), -1)
-        keys = coset_rep(decoder.pg1, zs) + [None] * (len(hit) - len(labels))
-        out: dict = {}
-        for key, idx in zip(keys, hit):
-            out[key] = out.get(key, 0.0) + float(probs[idx])
-        return out
+        return self._fold(subset, components, lambda zs: coset_rep(decoder.pg1, zs))
 
     def secrecy_state(self, subset: Sequence[int], components) -> np.ndarray:
         """Reduced density on D[B] (x) E-full for the given mixture."""
@@ -232,12 +240,50 @@ class EaEngine:
         return rho
 
 
-def _bundle_engine(bundle: MmspBundle, kind: str) -> EaEngine:
-    expect = {"eass": "ea", "cqss": "cq", "qqss": "qq",
-              "easpir": "ea", "cqspir": "cq"}.get(kind)
+def _check_class(bundle: MmspBundle, kind: str) -> None:
+    expect = {"eass": "ea", "cqss": "cq", "easpir": "ea", "cqspir": "cq"}.get(kind)
     if expect and bundle.cls != expect:
         raise ClassMismatch(f"{kind} needs a {expect} bundle, got {bundle.cls}")
+
+
+def _bundle_engine(bundle: MmspBundle, kind: str) -> EaEngine:
+    _check_class(bundle, kind)
     return EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
+
+
+def _fe_bundle(g: MatGF, f: MatGF) -> MmspBundle:
+    """The fully entangled bundle: G1 empty, all of G randomized."""
+    return MmspBundle(cls="ea", g1=MatGF.zeros(f.ctx, f.rows, 0), g2=g, f=f,
+                      n=f.rows // 2)
+
+
+def _decode_sets(bundle: MmspBundle, base: VecGF, rng, access: AccessStructure,
+                 backend: str, protocol: str) -> tuple[Optional[list], dict]:
+    """Decode the share displacement base + G2 u2 on every accept set.
+
+    On the symplectic track one u2 is drawn from rng and returned (as
+    indices); on the dense oracle u2 is exhaustive, one Born sample is drawn
+    per set, and None is returned in its place."""
+    ctx = bundle.ctx
+    outcomes = {}
+    if backend == "symplectic":
+        _check_class(bundle, protocol)
+        u2 = ctx.random_cells(rng, bundle.y2)
+        x = base + bundle.g2 @ VecGF(ctx, u2)
+        for a in access.accept_iter():
+            _, dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)).track(x)
+            outcomes[str(sorted(a))] = None if dec is None else _indices(ctx, dec.a)
+        return _indices(ctx, u2), outcomes
+    engine = _bundle_engine(bundle, protocol)
+    comps = engine.share_components(_displacements(bundle.g2, base.a))
+    for a in access.accept_iter():
+        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
+        dist = engine.decoded_distribution(sorted(a), comps, dec)
+        labels = sorted(dist, key=lambda k: (k is None, k))
+        pvals = np.array([dist[k] for k in labels])
+        pick = labels[int(rng.choice(len(labels), p=pvals / pvals.sum()))]
+        outcomes[str(sorted(a))] = list(pick) if pick is not None else None
+    return None, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +296,10 @@ def symp_track(bundle: MmspBundle, m: np.ndarray, u2: np.ndarray,
     the canonical coset representative of P_Abar(F m + G2 u2), plus the
     decoded message.  m and u2 hold field cells (element indices on tabled
     fields).  Works for any field, including prime powers."""
-    return _track(bundle, bundle.f @ VecGF(bundle.ctx, np.asarray(m, dtype=np.int64)),
-                  u2, subset)
-
-
-def _track(bundle: MmspBundle, base: VecGF, u2: np.ndarray, subset: Sequence[int]):
-    """The symplectic track of the displacement base + G2 u2."""
     ctx = bundle.ctx
-    x = base + bundle.g2 @ VecGF(ctx, np.asarray(u2, dtype=np.int64))
-    sympl = sorted(symplectify(subset, bundle.n))
-    z = restrict_vec(x, sympl)
-    rep = coset_rep(restrict(bundle.g1, sympl), z.a[None])[0]
-    msgs, ok = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset).decode_all(z.a[None])
-    return rep, VecGF(ctx, msgs[0]) if ok[0] else None
+    x = (bundle.f @ VecGF(ctx, np.asarray(m, dtype=np.int64))
+         + bundle.g2 @ VecGF(ctx, np.asarray(u2, dtype=np.int64)))
+    return DispDecoder(bundle.g1, bundle.g2, bundle.f, subset).track(x)
 
 
 # ---------------------------------------------------------------------------
@@ -272,52 +309,28 @@ def _track(bundle: MmspBundle, base: VecGF, u2: np.ndarray, subset: Sequence[int
 def run_feass(g: MatGF, f: MatGF, m: VecGF, seed: int,
               access: AccessStructure, backend: str = "dense") -> Transcript:
     """Fully entangled protocol with (G, F): G1 empty, all of G randomized."""
-    ctx = f.ctx
-    empty = MatGF.zeros(ctx, f.rows, 0)
-    bundle = MmspBundle(cls="ea", g1=empty, g2=g, f=f, n=f.rows // 2)
-    return _run_ss(bundle, m, seed, access, backend, protocol="feass")
+    return _run_ss(_fe_bundle(g, f), m, seed, access, backend, protocol="feass")
 
 
 def run_eass(bundle: MmspBundle, m: VecGF, seed: int,
              access: AccessStructure, backend: str = "dense") -> Transcript:
-    if bundle.cls != "ea":
-        raise ClassMismatch("run_eass needs an EA bundle")
     return _run_ss(bundle, m, seed, access, backend, protocol="eass")
 
 
 def run_cqss(bundle: MmspBundle, m: VecGF, seed: int,
              access: AccessStructure, backend: str = "dense") -> Transcript:
-    if bundle.cls != "cq":
-        raise ClassMismatch("run_cqss needs a CQ bundle")
     return _run_ss(bundle, m, seed, access, backend, protocol="cqss")
 
 
 def _run_ss(bundle: MmspBundle, m: VecGF, seed: int, access: AccessStructure,
             backend: str, protocol: str) -> Transcript:
     tr = Transcript(protocol=protocol, seed=seed)
-    ctx = bundle.ctx
-    rng = np.random.default_rng(seed)
-    if backend == "symplectic":
-        u2 = ctx.random_cells(rng, bundle.y2)
-        outcomes = {}
-        for a in access.accept_iter():
-            rep, decoded = symp_track(bundle, m.a, u2, sorted(a))
-            outcomes[str(sorted(a))] = (None if decoded is None
-                                        else _indices(ctx, decoded.a))
-        tr.log("symplectic-track", u2=_indices(ctx, u2), outcomes=outcomes)
-        tr.outcome = outcomes
-        return tr
-    engine = _bundle_engine(bundle, protocol)
-    comps = engine.share_components(engine.message_displacements(m.a))
-    outcomes = {}
-    for a in access.accept_iter():
-        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-        dist = engine.decoded_distribution(sorted(a), comps, dec)
-        labels = sorted(dist, key=lambda k: (k is None, k))
-        pvals = np.array([dist[k] for k in labels])
-        pick = labels[int(rng.choice(len(labels), p=pvals / pvals.sum()))]
-        outcomes[str(sorted(a))] = list(pick) if pick is not None else None
-    tr.log("decode", outcomes=outcomes)
+    u2, outcomes = _decode_sets(bundle, bundle.f @ m, np.random.default_rng(seed),
+                                access, backend, protocol)
+    if u2 is None:
+        tr.log("decode", outcomes=outcomes)
+    else:
+        tr.log("symplectic-track", u2=u2, outcomes=outcomes)
     tr.outcome = outcomes
     return tr
 
@@ -388,41 +401,44 @@ class QAuditReport:
                 "details": self.details}
 
 
+def _decodes(engine: EaEngine, bundle: MmspBundle, subset: list[int],
+             cases: Iterable) -> bool:
+    """Every (message, share mixture) case decodes to its message with
+    probability 1 on the subset; stops at the first case that does not."""
+    dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset)
+    return all(engine.decoded_distribution(subset, comps, dec).get(mt, 0.0)
+               >= 1 - TRACE_TOL for mt, comps in cases)
+
+
+def _qreport(protocol: str, bundle: MmspBundle, access: AccessStructure,
+             correct: bool, secret: bool, details: list) -> QAuditReport:
+    """The audit verdicts, cross-checked against the span-program verdict."""
+    cls_verdict = is_mmsp(bundle.g_stack(), bundle.f, symplectify_structure(access))
+    return QAuditReport(protocol=protocol, correct=correct, secret=secret,
+                        matches_classify=((correct and secret) == cls_verdict),
+                        details=details)
+
+
 def audit_ss(bundle: MmspBundle, access: AccessStructure,
              protocol: str = "eass") -> QAuditReport:
     """Exhaustive audit of the EASS/CQSS (or FEASS via an ea bundle with
     empty G1) protocol against the span-program verdict."""
     engine = _bundle_engine(bundle, protocol)
-    q, x = engine.q, bundle.x
-    comps_by_m = {}
-    for m in _enum_vecs(q, x):
-        comps_by_m[tuple(m)] = engine.share_components(
-            engine.message_displacements(m))
+    cases = [(tuple(m), engine.share_components(engine.message_displacements(m)))
+             for m in _enum_vecs(engine.q, bundle.x)]
     details = []
     correct = True
     for a in access.accept_iter():
-        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-        ok = True
-        for mt, comps in comps_by_m.items():
-            dist = engine.decoded_distribution(sorted(a), comps, dec)
-            if dist.get(mt, 0.0) < 1 - TRACE_TOL:
-                ok = False
-                break
+        ok = _decodes(engine, bundle, sorted(a), cases)
         details.append([f"correct@{sorted(a)}", ok])
         correct &= ok
     secret = True
     for b in access.reject_iter():
-        states = [engine.secrecy_state(sorted(b), comps)
-                  for comps in comps_by_m.values()]
+        states = [engine.secrecy_state(sorted(b), comps) for _, comps in cases]
         ok = all(trace_distance(states[0], s) < TRACE_TOL for s in states[1:])
         details.append([f"secret@{sorted(b)}", ok])
         secret &= ok
-    verdict = correct and secret
-    cls_verdict = is_mmsp(bundle.g_stack(), bundle.f,
-                          symplectify_structure(access))
-    return QAuditReport(protocol=protocol, correct=correct, secret=secret,
-                        matches_classify=(verdict == cls_verdict),
-                        details=details)
+    return _qreport(protocol, bundle, access, correct, secret, details)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +494,9 @@ class QqCodec:
         self.bundle = bundle
         self.q, self.n = ctx.q, bundle.n
         self.xq = bundle.x // 2
-        f = bundle.f
-        gram = np.zeros((2 * self.xq, 2 * self.xq), dtype=np.int64)
-        for i in range(2 * self.xq):
-            for j in range(2 * self.xq):
-                gram[i, j] = symp(f.col(i), f.col(j))
-        s = _symplectic_pairs(gram, self.q)
+        s = _symplectic_pairs(symp_gram(bundle.f, bundle.f), self.q)
         self.s = s
-        self.ft = (f.a @ s) % self.q
+        self.ft = (bundle.f.a @ s) % self.q
         gens = np.concatenate([bundle.g1.a, self.ft[:, self.xq:]], axis=1)
         xi0 = joint_eigenvector(self.q, self.n, gens, [0] * gens.shape[1])
         cols = []
@@ -517,23 +528,17 @@ def qq_channel(bundle: MmspBundle, codec: QqCodec,
             tk = np.conj(apply_weyl(np.conj(tk), q, list(x),
                                     list(range(n, 2 * n))))
             rho_big = tk.reshape(q**n, q**n)
-            out += wgt * _ptrace_keep(rho_big, q, n, keep)
+            out += wgt * partial_trace(rho_big, q, n, keep)
         return out
 
     return Channel(din=d_msg, dout=d_b, fn=fn)
 
 
-def _ptrace_keep(rho: np.ndarray, q: int, nregs: int,
-                 keep: Sequence[int]) -> np.ndarray:
-    from .qstate import partial_trace
-    return partial_trace(rho, q, nregs, keep)
-
-
 def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
-                    subset: Sequence[int]):
+                    subset: Sequence[int]) -> Optional[Povm]:
     """Canonical dense-coding discriminator on (R, D[A]): the support
-    projectors of the channel-displaced entangled states; returns
-    (Povm | None, perfectly_discriminating: bool)."""
+    projectors of the channel-displaced entangled states; None when they
+    do not discriminate perfectly."""
     q, n, xq = codec.q, codec.n, codec.xq
     sub = sorted(subset)
     keep_d = [s - 1 for s in sub]
@@ -556,17 +561,13 @@ def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
         sigmas.append(rho)
     # support projectors; require pairwise orthogonality for a sharp decoder
     projs = []
-    ok = True
     for rho in sigmas:
         w, v = np.linalg.eigh(rho)
         pv = v[:, w > 1e-10]
         projs.append(pv @ pv.conj().T)
     total = sum(projs)
-    wtot = np.linalg.eigvalsh(total)
-    if wtot.max() > 1 + 1e-8:
-        ok = False
-    if not ok:
-        return None, False
+    if np.linalg.eigvalsh(total).max() > 1 + 1e-8:
+        return None
     labels = [tuple(int(v) for v in np.unravel_index(i, (q,) * (2 * xq)))
               for i in range(q ** (2 * xq))]
     comp = np.eye(d_r * d_b) - total
@@ -574,25 +575,31 @@ def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
     if np.linalg.norm(comp) > 1e-10 * d_r * d_b:
         ops = projs + [comp]
         labels = labels + [None]
-    return Povm(labels=labels, ops=np.stack(ops, axis=0)), True
+    return Povm(labels=labels, ops=np.stack(ops, axis=0))
+
+
+def qq_decoded_channel(bundle: MmspBundle, codec: QqCodec,
+                       subset: Sequence[int]) -> Optional[Channel]:
+    """Encode, randomize, keep D[A], then decode with the teleportation
+    channel of the dense-coding POVM; None when that POVM is not sharp."""
+    lam = qq_channel(bundle, codec, subset)
+    povm = qq_decoder_povm(bundle, codec, subset)
+    if povm is None:
+        return None
+    return qs.compose(qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout,
+                                   label_side="A"), lam)
 
 
 def run_qqss(bundle: MmspBundle, rho_in: np.ndarray, seed: int,
              subset: Sequence[int]):
     """Encode, randomize, restrict to the subset, and decode with the
     teleportation channel; returns (Transcript, recovered density)."""
-    if bundle.cls != "qq":
-        raise ClassMismatch("run_qqss needs a QQ bundle")
-    codec = QqCodec(bundle)
-    lam = qq_channel(bundle, codec, subset)
-    povm, sharp = qq_decoder_povm(bundle, codec, subset)
+    chan = qq_decoded_channel(bundle, QqCodec(bundle), subset)
     tr = Transcript(protocol="qqss", seed=seed)
-    tr.log("encode", subset=sorted(subset), sharp=bool(sharp))
-    if not sharp:
-        tr.outcome = None
+    tr.log("encode", subset=sorted(subset), sharp=chan is not None)
+    if chan is None:
         return tr, None
-    dec = qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout, label_side="A")
-    recovered = dec(lam(rho_in))
+    recovered = chan(rho_in)
     tr.log("decode", fidelity_with_input=float(
         np.real(np.trace(recovered @ rho_in))))
     tr.outcome = "recovered"
@@ -602,21 +609,16 @@ def run_qqss(bundle: MmspBundle, rho_in: np.ndarray, seed: int,
 def audit_qqss(bundle: MmspBundle, access: AccessStructure) -> QAuditReport:
     """Correctness as Choi fidelity of decode(encode(.)) with the identity on
     every accept set; secrecy as input-independence of reduced shares."""
-    if bundle.cls != "qq":
-        raise ClassMismatch("audit_qqss needs a QQ bundle")
     codec = QqCodec(bundle)
-    q, xq = codec.q, codec.xq
-    d = q**xq
+    d = codec.q**codec.xq
     details = []
     correct = True
     for a in access.accept_iter():
-        lam = qq_channel(bundle, codec, sorted(a))
-        povm, sharp = qq_decoder_povm(bundle, codec, sorted(a))
-        if not sharp:
+        chan = qq_decoded_channel(bundle, codec, sorted(a))
+        if chan is None:
             details.append([f"correct@{sorted(a)}", False])
             correct = False
             continue
-        chan = qs.compose(qs.gamma_bar(q, xq, povm, d_b=lam.dout, label_side="A"), lam)
         fid = choi_fidelity_identity(chan)
         ok = fid >= 1 - TRACE_TOL
         details.append([f"correct@{sorted(a)} fid={fid:.12f}", ok])
@@ -637,12 +639,7 @@ def audit_qqss(bundle: MmspBundle, access: AccessStructure) -> QAuditReport:
         ok = np.linalg.norm(choi - target) < TRACE_TOL
         details.append([f"secret@{sorted(b)}", ok])
         secret &= ok
-    verdict = correct and secret
-    cls_verdict = is_mmsp(bundle.g_stack(), bundle.f,
-                          symplectify_structure(access))
-    return QAuditReport(protocol="qqss", correct=correct, secret=secret,
-                        matches_classify=(verdict == cls_verdict),
-                        details=details)
+    return _qreport("qqss", bundle, access, correct, secret, details)
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +650,8 @@ def teleport_decoder_fidelities(bundle: MmspBundle,
                         access: AccessStructure) -> list[float]:
     """Choi fidelity of the teleport-decoded channel on each accept set."""
     codec = QqCodec(bundle)
-    out = []
-    for a in access.accept_iter():
-        lam = qq_channel(bundle, codec, sorted(a))
-        povm, sharp = qq_decoder_povm(bundle, codec, sorted(a))
-        if not sharp:
-            out.append(0.0)
-            continue
-        chan = qs.compose(qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout,
-                                         label_side="A"), lam)
-        out.append(choi_fidelity_identity(chan))
-    return out
+    chans = (qq_decoded_channel(bundle, codec, sorted(a)) for a in access.accept_iter())
+    return [0.0 if c is None else choi_fidelity_identity(c) for c in chans]
 
 
 def dense_coding_information_check(chan: Channel, q: int, n_prime: int) -> tuple[float, float]:
@@ -716,26 +704,20 @@ def spir_standard_query(bundle: MmspBundle, k: int, nfiles: int,
 def run_easpir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
                access: AccessStructure, nfiles: int,
                backend: str = "dense") -> Transcript:
-    if bundle.cls != "ea":
-        raise ClassMismatch("run_easpir needs an EA bundle")
     return _run_spir(bundle, files, k, seed, access, nfiles, backend, "easpir")
 
 
 def run_cqspir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
                access: AccessStructure, nfiles: int,
                backend: str = "dense") -> Transcript:
-    if bundle.cls != "cq":
-        raise ClassMismatch("run_cqspir needs a CQ bundle")
     return _run_spir(bundle, files, k, seed, access, nfiles, backend, "cqspir")
 
 
 def run_feaspir(g: MatGF, f: MatGF, files: np.ndarray, k: int, seed: int,
                 access: AccessStructure, nfiles: int,
                 backend: str = "dense") -> Transcript:
-    ctx = f.ctx
-    empty = MatGF.zeros(ctx, f.rows, 0)
-    bundle = MmspBundle(cls="ea", g1=empty, g2=g, f=f, n=f.rows // 2)
-    return _run_spir(bundle, files, k, seed, access, nfiles, backend, "feaspir")
+    return _run_spir(_fe_bundle(g, f), files, k, seed, access, nfiles, backend,
+                     "feaspir")
 
 
 def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
@@ -747,23 +729,7 @@ def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
     net = spir_standard_query(bundle, k, nfiles, u_q) @ VecGF.from_ints(ctx, files)
     tr = Transcript(protocol=protocol, seed=seed)
     tr.log("query", k=k)
-    outcomes = {}
-    if backend == "symplectic":
-        u2 = ctx.random_cells(rng, bundle.y2)
-        for a in access.accept_iter():
-            rep, dec = _track(bundle, net, u2, sorted(a))
-            outcomes[str(sorted(a))] = (None if dec is None
-                                        else _indices(ctx, dec.a))
-    else:
-        engine = _bundle_engine(bundle, protocol)
-        comps = engine.share_components(_displacements(bundle.g2, net.a))
-        for a in access.accept_iter():
-            dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-            dist = engine.decoded_distribution(sorted(a), comps, dec)
-            labels = sorted(dist, key=lambda kk: (kk is None, kk))
-            pvals = np.array([dist[kk] for kk in labels])
-            pick = labels[int(rng.choice(len(labels), p=pvals / pvals.sum()))]
-            outcomes[str(sorted(a))] = list(pick) if pick is not None else None
+    _, outcomes = _decode_sets(bundle, net, rng, access, backend, protocol)
     tr.log("decode", outcomes=outcomes)
     tr.outcome = outcomes
     return tr
@@ -804,28 +770,22 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     # correctness: exhaustive over the target message and shared randomness;
     # off-target blocks only add Im(G) displacements, whose irrelevance is
     # checked exactly by the server-secrecy sweep below
-    correct = inv_ok
-    for a in access.accept_iter():
-        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-        ok = True
+    def cases():
         for k in range(1, nfiles + 1):
             qmat = spir_standard_query(bundle, k, nfiles, zero_uq)
             for mk in _enum_vecs(q, x):
                 fv = np.zeros(x * nfiles, dtype=np.int64)
                 fv[(k - 1) * x: k * x] = mk
-                comps = components(qmat, fv)
-                dist = engine.decoded_distribution(sorted(a), comps, dec)
-                if dist.get(tuple(int(v) for v in mk), 0.0) < 1 - TRACE_TOL:
-                    ok = False
-                    break
-            if not ok:
-                break
+                yield tuple(int(v) for v in mk), components(qmat, fv)
+
+    correct = inv_ok
+    for a in access.accept_iter():
+        ok = _decodes(engine, bundle, sorted(a), cases())
         details.append([f"correct@{sorted(a)}", ok])
         correct &= ok
 
     # user secrecy: restricted query columns have k-independent multisets
     user_ok = True
-    sfs = symplectify_structure(access)
     for b in access.reject_iter():
         sub = sorted(symplectify(b, bundle.n))
         if not sub:
@@ -868,12 +828,7 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         details.append(["server-secret-dense-spot", okd])
         server_ok &= okd
 
-    secret = user_ok and server_ok
-    verdict = correct and secret
-    cls_verdict = is_mmsp(bundle.g_stack(), bundle.f, sfs)
-    return QAuditReport(protocol=protocol, correct=correct, secret=secret,
-                        matches_classify=(verdict == cls_verdict),
-                        details=details)
+    return _qreport(protocol, bundle, access, correct, user_ok and server_ok, details)
 
 
 def _query_marginals_equal(bundle: MmspBundle, nfiles: int,
@@ -920,6 +875,8 @@ def flow5_equivalence(bundle: MmspBundle, nfiles: int,
     distributions, per message and accept set."""
     engine = _bundle_engine(bundle, "eass" if bundle.cls == "ea" else "cqss")
     ctx, q, x = bundle.ctx, engine.q, bundle.x
+    decoders = [(sorted(a), DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
+                for a in access.accept_iter()]
     for m in _enum_vecs(q, x):
         # converted: displacement F m + G w + G2 u2, w = U_Q (m,0..0) uniform
         # over F_q^y when m != 0, and w = 0 when m = 0
@@ -928,10 +885,9 @@ def flow5_equivalence(bundle: MmspBundle, nfiles: int,
         conv_comps = engine.share_components(
             np.concatenate([_displacements(bundle.g2, mid) for mid in mids]))
         direct_comps = engine.share_components(engine.message_displacements(m))
-        for a in access.accept_iter():
-            dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-            d1 = engine.coset_distribution(sorted(a), conv_comps, dec)
-            d2 = engine.coset_distribution(sorted(a), direct_comps, dec)
+        for sub, dec in decoders:
+            d1 = engine.coset_distribution(sub, conv_comps, dec)
+            d2 = engine.coset_distribution(sub, direct_comps, dec)
             keys = set(d1) | set(d2)
             if any(abs(d1.get(kk, 0.0) - d2.get(kk, 0.0)) > 1e-9
                    for kk in keys):

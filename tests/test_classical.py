@@ -6,7 +6,7 @@ import pytest
 from mmsplab import classical as cl
 from mmsplab import linalg as la
 from mmsplab.access import make_threshold, symplectify, symplectify_structure
-from mmsplab.errors import BadIndex, NotQualified, TooLarge
+from mmsplab.errors import BadIndex, DimensionMismatch, NotQualified, TooLarge
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1
 
@@ -100,6 +100,12 @@ def spir5():
     g = la.MatGF.from_ints(F5, [[1], [1], [1]])
     f = la.MatGF.from_ints(F5, [[1], [2], [3]])
     return cl.SpirProtocol(g=g, f=f, nfiles=2, access=make_threshold(2, 1, 3))
+
+
+def test_spir_protocol_checks_ground_set(spir5):
+    """The access structure must be on the share rows, as for CSS."""
+    with pytest.raises(DimensionMismatch):
+        cl.SpirProtocol(g=spir5.g, f=spir5.f, nfiles=2, access=make_threshold(2, 1, 4))
 
 
 def test_spir_query_forms(spir5):

@@ -176,3 +176,75 @@ def test_verify_large_thresholds(tmp_path, cls, rows, n, r, t, code):
         assert rep["ok"]
     else:
         assert rep["error"].startswith("TooLarge")
+
+
+def _error_report(out, command):
+    rep = json.loads(out)
+    assert rep["command"] == command and rep["ok"] is False
+    assert set(rep) >= {"error", "summary"}
+    return rep["error"]
+
+
+def test_structure_on_other_parties_refused(tmp_path, ex1_files):
+    """A 2-party structure against the 3-party example 1 bundle is refused
+    with exit 2: symplectified on its own n it would name rows {1,2,3,4}
+    where the bundle's parties 1 and 2 are rows {1,2,4,5}."""
+    from mmsplab.access import make_threshold
+
+    bpath, _ = ex1_files
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(make_threshold(2, 1, 2).to_json()))
+    for args in (("verify", bpath, str(two)),
+                 ("audit", "eass", bpath, str(two)),
+                 ("simulate", "--protocol", "eass", "--bundle", bpath,
+                  "--structure", str(two), "--message", "1,2", "--seed", "1"),
+                 ("crosscheck", bpath, str(two))):
+        rc, out, _ = run_cli(*args)
+        assert rc == 2, args
+        assert _error_report(out, args[0]).startswith("DimensionMismatch")
+
+
+def test_errors_are_json_reports(tmp_path, ex1_files):
+    """Each failure exits with its documented code and one JSON report,
+    never a traceback."""
+    from mmsplab.fields import field_build
+    from mmsplab.linalg import MatGF
+    from mmsplab.mmsp import make_bundle
+
+    bpath, spath = ex1_files
+    reducible = json.loads(open(bpath).read())
+    for key in ("F", "G1"):
+        reducible[key]["field"] = {"p": 3, "r": 2, "poly": [2, 0, 1]}  # x^2 - 1
+    red = tmp_path / "reducible.json"
+    red.write_text(json.dumps(reducible))
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps({"n": 3, "accept": [[1, 2], [2, 5], [1, 2, 3]],
+                               "reject": [[], [1], [2], [3]]}))
+    gf9 = tmp_path / "gf9.json"
+    ctx = field_build(3, 2)
+    g = MatGF.from_ints(ctx, [[1], [2], [4], [5]])
+    f = MatGF.from_ints(ctx, [[3], [1], [0], [7]])
+    gf9.write_text(json.dumps(make_bundle("ea", MatGF.zeros(ctx, 4, 0), g, f).to_json()))
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"n": 2, "accept": {"threshold": 2},
+                               "reject": {"threshold": 1}}))
+    for args, code, kind in (
+            (("construct", "ea", "2", "1", "2", "1000003"), 3, "TooLarge"),
+            (("verify", str(red), spath), 2, "ReduciblePolynomial"),
+            (("verify", bpath, str(off)), 2, "IndexOutOfRange"),
+            (("simulate", "--protocol", "eass", "--bundle", bpath, "--structure", spath,
+              "--seed", "1", "--subset", "1,7"), 2, "IndexOutOfRange"),
+            (("crosscheck", str(gf9), str(two)), 1, "NonPrimeLocalDim"),
+            (("verify", str(tmp_path / "missing.json"), spath), 2, "FileNotFoundError")):
+        rc, out, err = run_cli(*args)
+        assert rc == code, args
+        assert "Traceback" not in err
+        assert _error_report(out, args[0]).startswith(kind + ": ")
+
+
+@pytest.mark.parametrize("flag", ["--message", "--files-data", "--subset"])
+def test_simulate_non_integer_list_exits_2(ex1_files, flag):
+    rc, _, err = run_cli("simulate", "--protocol", "eass", "--bundle", ex1_files[0],
+                         "--structure", ex1_files[1], "--seed", "1", flag, "1,x")
+    assert rc == 2
+    assert "Traceback" not in err

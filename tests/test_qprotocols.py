@@ -325,7 +325,7 @@ def test_symp_track_matches_css_decode(field, tower32):
     randomness matrix (G1|G2), on every qualified set."""
     from mmsplab.access import symplectify
     from mmsplab.classical import CssProtocol, css_decode
-    from mmsplab.linalg import restrict_vec
+    from mmsplab.linalg import restrict, restrict_vec
 
     rng = np.random.default_rng(12)
     if field == "GF(3^32)":
@@ -336,6 +336,8 @@ def test_symp_track_matches_css_decode(field, tower32):
         bundle, fs = make_bundle("ea", *cells, n=3), make_threshold(2, 1, 3)
     ctx = bundle.ctx
     css = CssProtocol(g=bundle.g_stack(), f=bundle.f, access=symplectify_structure(fs))
+    decoders = {tuple(sorted(a)): qp.DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
+                for a in fs.accept_iter()}
     decoded = 0
     for _ in range(10):
         m, u2 = ctx.random_cells(rng, bundle.x), ctx.random_cells(rng, bundle.y2)
@@ -348,4 +350,11 @@ def test_symp_track_matches_css_decode(field, tower32):
             if want is not None:
                 assert np.array_equal(got.a, want.a) and np.array_equal(got.a, m)
                 decoded += 1
+            # the set's one decoder, reused across messages, tracks the full
+            # displacement: CSS decoding and the coset of P_A G1
+            rep2, got2 = decoders[tuple(sorted(a))].track(disp)
+            assert rep2 == qp.coset_rep(restrict(bundle.g1, sympl),
+                                        restrict_vec(disp, sympl).a[None])[0]
+            assert (got2 is None) == (want is None)
+            assert want is None or np.array_equal(got2.a, want.a)
     assert decoded
