@@ -22,9 +22,11 @@ from . import qprotocols as qp
 from .access import (AccessStructure, make_explicit, structure_from_json,
                      symplectify_structure, validate)
 from .classical import CssProtocol, SpirProtocol, css_audit, css_run, spir_audit
-from .errors import DimensionMismatch, IndexOutOfRange, MmsplabError, TooLarge
+from .errors import (BadIndex, DimensionMismatch, IndexOutOfRange, MmsplabError,
+                     OutOfRange, TooLarge)
 from .linalg import VecGF
 from .mmsp import MmspBundle, bundle_from_json, mmsp_failure, rate
+from .qstate import _enum_vecs
 
 REPORT_SCHEMA = 1
 
@@ -50,7 +52,8 @@ def _int_list(text: str) -> list[int]:
 def _load_inputs(args) -> tuple[MmspBundle, AccessStructure]:
     """The bundle and the access structure of a command (one accept set
     when --subset names it); the structure must be on the bundle's parties,
-    with every set inside them."""
+    with every set inside them, and a SPIR command needs --files >= 1 and
+    --k in 1..--files."""
     try:
         with open(args.bundle) as fh:
             bundle = bundle_from_json(json.load(fh))
@@ -68,7 +71,24 @@ def _load_inputs(args) -> tuple[MmspBundle, AccessStructure]:
     ground = frozenset(range(1, fs.n + 1))
     if fs.kind == "explicit" and not all(s <= ground for s in fs.accept_sets + fs.reject_sets):
         raise _BadInput(IndexOutOfRange(f"a set lies outside 1..{fs.n}"))
+    if getattr(args, "protocol", "").endswith("spir"):
+        if args.files < 1:
+            raise _BadInput(BadIndex(f"--files {args.files} is below 1"))
+        if not 1 <= getattr(args, "k", 1) <= args.files:
+            raise _BadInput(BadIndex(f"--k {args.k} outside 1..{args.files}"))
     return bundle, fs
+
+
+def _entries(bundle: MmspBundle, vals: list[int], length: int, flag: str) -> list[int]:
+    """vals, when it holds `length` entries that from_int reads back as
+    themselves (0..q-1 on tabled fields, 0..p-1 on poly fields)."""
+    ctx = bundle.ctx
+    top = ctx.q if ctx.kind == "tabled" else ctx.p
+    if len(vals) != length:
+        raise _BadInput(DimensionMismatch(f"{flag} needs {length} entries, got {len(vals)}"))
+    if not all(0 <= v < top for v in vals):
+        raise _BadInput(OutOfRange(f"{flag} entries must lie in 0..{top - 1}"))
+    return vals
 
 
 def _target(bundle: MmspBundle, fs: AccessStructure) -> AccessStructure:
@@ -154,8 +174,10 @@ def cmd_simulate(args) -> int:
     bundle, fs = _load_inputs(args)
     proto, seed, backend = args.protocol, args.seed, args.backend
     g, f = bundle.g_stack(), bundle.f
-    m = VecGF.from_ints(bundle.ctx, args.message)
-    files = np.array(args.files_data, dtype=np.int64)
+    if proto.endswith("spir"):
+        files = _entries(bundle, args.files_data, bundle.x * args.files, "--files-data")
+    elif proto != "qqss":
+        m = VecGF.from_ints(bundle.ctx, _entries(bundle, args.message, bundle.x, "--message"))
     if proto == "css":
         tr = css_run(CssProtocol(g=g, f=f, access=_target(bundle, fs)), m, seed)
     elif proto == "qqss":
@@ -190,12 +212,12 @@ def cmd_crosscheck(args) -> int:
                 for a in fs.accept_iter()]
     mismatches = []
     total = 0
-    for m in qp._enum_vecs(q, bundle.x):
+    for m in _enum_vecs(q, bundle.x):
         comps = engine.share_components(engine.message_displacements(m))
         fm = bundle.f @ VecGF(ctx, m)
         for sub, dec in decoders:
             dist = engine.coset_distribution(sub, comps, dec)
-            for u2 in qp._enum_vecs(q, bundle.y2):
+            for u2 in _enum_vecs(q, bundle.y2):
                 total += 1
                 rep, _ = dec.track(fm + bundle.g2 @ VecGF(ctx, u2))
                 if bundle.y2 == 0 and abs(dist.get(rep, 0.0) - 1.0) > 1e-9:

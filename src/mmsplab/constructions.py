@@ -6,7 +6,7 @@ The staircase mechanism places entry (i, j) at tower level i+j-2 (the (1,1)
 entry is 1), which makes every minor invertible: in any submatrix the
 bottom-right entry lives strictly above the subfield generated by the rest.
 Strict subfield chains double the ambient degree per level, so the demanded
-depth is capped (MMSPLAB_TOWER_CAP, default 9); virtual levels above the
+depth is capped at DEPTH_CAP = 9 levels; virtual levels above the
 cap compress onto the top level using distinct deterministic elements, and
 every construction output is verified by brute force before it is returned
 (a verification failure bumps the free choices and retries, then errors).
@@ -14,7 +14,6 @@ every construction output is verified by brute force before it is returned
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +28,7 @@ from .fields import FieldCtx, tower_build
 from .linalg import MatGF, hstack, is_col_orth, is_mds, is_self_col_orth
 from .mmsp import MmspBundle, classify, make_bundle
 
-DEPTH_CAP = int(os.environ.get("MMSPLAB_TOWER_CAP", "9"))
+DEPTH_CAP = 9
 MAX_RETRIES = 16
 
 
@@ -76,9 +75,6 @@ class AmtPair:
 
     a_mat: MatGF
     b_mat: MatGF
-    a1: MatGF
-    a2: MatGF
-    a3: MatGF
     a: int
     b: int
     a_mds: bool = False
@@ -97,9 +93,6 @@ class AmxExtension:
     """
 
     c_mat: MatGF
-    c1: MatGF
-    c2: MatGF
-    c3: MatGF
     c: int
     mds_widths: frozenset = frozenset()
 
@@ -176,9 +169,7 @@ def _build_amt_once(a: int, b: int, ctx: FieldCtx, salt: int) -> AmtPair:
     # global staircase alpha[i][j], i in 1..2b-a covering A1 (1..b-a),
     # A2 (b-a+1..2(b-a)), A3 (2(b-a)+1..2b-a), PP8-indexed levels i+j-2
     alpha = _staircase(ctx, 2 * b - a, a, picker)
-    A1 = [[alpha[i][j] for j in range(a)] for i in range(ba)]
-    A2 = [[alpha[ba + i][j] for j in range(a)] for i in range(ba)]
-    A3 = [[alpha[2 * ba + i][j] for j in range(a)] for i in range(a)]
+    A1, A2, A3 = alpha[:ba], alpha[ba:2 * ba], alpha[2 * ba:]
     # solve the strict lower triangle of A3 from A^T J A = 0
     for j in range(a):
         for i in range(j):
@@ -187,27 +178,19 @@ def _build_amt_once(a: int, b: int, ctx: FieldCtx, salt: int) -> AmtPair:
                 acc = ctx.add(acc, ctx.mul(A2[k][j], A1[k][i]))
                 acc = ctx.sub(acc, ctx.mul(A2[k][i], A1[k][j]))
             A3[j][i] = acc
-    a1 = MatGF.from_elements(ctx, A1) if ba else MatGF.zeros(ctx, 0, a)
-    a2 = MatGF.from_elements(ctx, A2) if ba else MatGF.zeros(ctx, 0, a)
-    a3 = MatGF.from_elements(ctx, A3)
-    eye_a = MatGF.identity(ctx, a)
-    a_mat = MatGF(ctx, np.concatenate([a2.a, a3.a, a1.a, eye_a.a], axis=0))
+    cells = MatGF.from_elements(ctx, alpha).a
+    a1, a2, a3 = cells[:ba], cells[ba:2 * ba], cells[2 * ba:]
+    eye, zero = (lambda k: MatGF.identity(ctx, k).a), ctx.cell_zeros
+    a_mat = MatGF(ctx, np.concatenate([a2, a3, a1, eye(a)], axis=0))
     # B = ((I,0,0); (-A1^T, A2^T, A3^T); (0,I,0); (0,0,I))
-    zero = lambda r, c: MatGF.zeros(ctx, r, c)
-    top = MatGF(ctx, np.concatenate(
-        [MatGF.identity(ctx, ba).a, zero(ba, ba).a, zero(ba, a).a], axis=1)) \
-        if ba else zero(0, 2 * b - a)
-    mid = MatGF(ctx, np.concatenate(
-        [(-a1.transpose()).a, a2.transpose().a, a3.transpose().a], axis=1)) \
-        if ba else a3.transpose()
-    row3 = MatGF(ctx, np.concatenate(
-        [zero(ba, ba).a, MatGF.identity(ctx, ba).a, zero(ba, a).a], axis=1)) \
-        if ba else zero(0, 2 * b - a)
-    row4 = MatGF(ctx, np.concatenate(
-        [zero(a, ba).a, zero(a, ba).a, MatGF.identity(ctx, a).a], axis=1)) \
-        if ba else MatGF.identity(ctx, a)
-    b_mat = MatGF(ctx, np.concatenate([top.a, mid.a, row3.a, row4.a], axis=0))
-    return AmtPair(a_mat=a_mat, b_mat=b_mat, a1=a1, a2=a2, a3=a3, a=a, b=b)
+    t = lambda m: np.swapaxes(m, 0, 1)
+    b_mat = MatGF(ctx, np.concatenate([
+        np.concatenate(blocks, axis=1) for blocks in (
+            (eye(ba), zero(ba, ba), zero(ba, a)),
+            (t(ctx.ax_neg(a1)), t(a2), t(a3)),
+            (zero(ba, ba), eye(ba), zero(ba, a)),
+            (zero(a, ba), zero(a, ba), eye(a)))], axis=0))
+    return AmtPair(a_mat=a_mat, b_mat=b_mat, a=a, b=b)
 
 
 def verify_amt(pair: AmtPair) -> list[tuple[str, bool]]:
@@ -256,20 +239,12 @@ def _build_amx_once(pair: AmtPair, c: int, ctx: FieldCtx, salt: int) -> AmxExten
     # C3 (..2b-a); fresh at e'-level i+j-1, absolute offset+i+j-1.  Each
     # pick depends only on (i, j), so a width-c build is the column prefix
     # of any wider build, bit for bit.
-    nr = 2 * b - a
-    gamma = [[None] * c for _ in range(nr)]
-    for j in range(1, c + 1):
-        for i in range(1, nr + 1):
-            gamma[i - 1][j - 1] = picker.fresh(offset + i + j - 1, i, j)
-    C1 = [[gamma[i][j] for j in range(c)] for i in range(ba)]
-    C2 = [[gamma[ba + i][j] for j in range(c)] for i in range(ba)]
-    C3 = [[gamma[2 * ba + i][j] for j in range(c)] for i in range(a)]
-    c1 = MatGF.from_elements(ctx, C1) if ba else MatGF.zeros(ctx, 0, c)
-    c2 = MatGF.from_elements(ctx, C2) if ba else MatGF.zeros(ctx, 0, c)
-    c3 = MatGF.from_elements(ctx, C3)
-    zero_a = MatGF.zeros(ctx, a, c)
-    c_mat = MatGF(ctx, np.concatenate([c2.a, c3.a, c1.a, zero_a.a], axis=0))
-    return AmxExtension(c_mat=c_mat, c1=c1, c2=c2, c3=c3, c=c)
+    gamma = MatGF.from_elements(ctx, _staircase(ctx, 2 * b - a, c, picker,
+                                                offset=offset + 1)).a
+    # rows (C2; C3; C1; 0)
+    c_mat = MatGF(ctx, np.concatenate([gamma[ba:], gamma[:ba],
+                                       MatGF.zeros(ctx, a, c).a], axis=0))
+    return AmxExtension(c_mat=c_mat, c=c)
 
 
 def verify_amx(pair: AmtPair, ext: AmxExtension,
@@ -312,8 +287,7 @@ def build_amx(pair: AmtPair, c: int, ctx: FieldCtx,
         if pooled.c == c:
             return pooled
         sl = lambda m: MatGF(ctx, m.a[:, :c].copy()) if m.cols else m
-        ext = AmxExtension(c_mat=sl(pooled.c_mat), c1=sl(pooled.c1),
-                           c2=sl(pooled.c2), c3=sl(pooled.c3), c=c,
+        ext = AmxExtension(c_mat=sl(pooled.c_mat), c=c,
                            mds_widths=frozenset(s for s in pooled.mds_widths if s <= c))
         # (B, C^(c)) is square-or-tall only for c <= a; check it for this
         # width unless B is A and the pooled build proved (A, C^(c))

@@ -126,10 +126,10 @@ def _orth_complement_draw(ctx, g1: MatGF, cols: int, rng) -> MatGF:
 
 
 def make_pools(kind: str, count: int, seed: int = 2024,
-               n_values: tuple = (2, 3)) -> tuple[list, list]:
-    """(positives, negatives): bundles plus threshold structures, searched
-    deterministically.  kind in {plain, ea, cq, qq}."""
-    ctx = field_build(3, 1)
+               n_values: tuple = (2, 3), p: int = 3) -> tuple[list, list]:
+    """(positives, negatives): bundles over F_p plus threshold structures,
+    searched deterministically.  kind in {plain, ea, cq, qq}."""
+    ctx = field_build(p, 1)
     rng = np.random.default_rng(seed)
     pos, neg = [], []
     guard = 0
@@ -146,8 +146,8 @@ def make_pools(kind: str, count: int, seed: int = 2024,
             nbar = n
             y = t
             x = max(r - t, 1)
-            g = MatGF(ctx, rng.integers(0, 3, size=(nbar, y)).astype(np.int64))
-            f = MatGF(ctx, rng.integers(0, 3, size=(nbar, x)).astype(np.int64))
+            g = MatGF(ctx, rng.integers(0, ctx.q, size=(nbar, y)).astype(np.int64))
+            f = MatGF(ctx, rng.integers(0, ctx.q, size=(nbar, x)).astype(np.int64))
             bundle = make_bundle("plain", g, None, f, n=nbar, r=r, t=t)
             verdict = is_mmsp(g, f, fs)
         else:
@@ -163,7 +163,7 @@ def make_pools(kind: str, count: int, seed: int = 2024,
             if g1 is None or (y1 and rank(g1) != y1):
                 continue
             y2 = int(rng.integers(0, 2))
-            g2 = (MatGF(ctx, rng.integers(0, 3, size=(2 * n, y2)).astype(np.int64))
+            g2 = (MatGF(ctx, rng.integers(0, ctx.q, size=(2 * n, y2)).astype(np.int64))
                   if y2 else MatGF.zeros(ctx, 2 * n, 0))
             if kind == "qq":
                 x = 2 * xq
@@ -175,7 +175,7 @@ def make_pools(kind: str, count: int, seed: int = 2024,
                     continue
             else:
                 x = int(rng.integers(1, 3))
-                f = MatGF(ctx, rng.integers(0, 3, size=(2 * n, x)).astype(np.int64))
+                f = MatGF(ctx, rng.integers(0, ctx.q, size=(2 * n, x)).astype(np.int64))
             if kind == "cq" and rank(MatGF(ctx, np.concatenate(
                     [g1.a, g2.a, f.a], axis=1))) != y1 + y2 + x:
                 continue

@@ -29,7 +29,7 @@ import numpy as np
 from . import qstate as qs
 from .access import AccessStructure, symplectify, symplectify_structure
 from .classical import Transcript
-from .errors import ClassMismatch, NonStandardQuery, TooLarge
+from .errors import BadIndex, ClassMismatch, NonStandardQuery, TooLarge
 from .linalg import (
     MatGF,
     VecGF,
@@ -44,6 +44,7 @@ from .qstate import (
     Channel,
     DisplacedMeasurement,
     Povm,
+    _enum_vecs,
     apply_sw,
     apply_weyl,
     choi_fidelity_identity,
@@ -137,12 +138,6 @@ class DispDecoder:
         msgs, ok = self.decode_all(z)
         return (coset_rep(self.pg1, z)[0],
                 VecGF(self.ctx, msgs[0]) if ok[0] else None)
-
-
-def _enum_vecs(q: int, k: int) -> np.ndarray:
-    """Every vector of F_q^k as a row of element indices, little-endian:
-    row i holds the base-q digits of i."""
-    return np.arange(q**k)[:, None] // q ** np.arange(k) % q
 
 
 def _displacements(g: MatGF, base: np.ndarray) -> np.ndarray:
@@ -694,6 +689,8 @@ def _apply_on_second(rho_ra: np.ndarray, d_r: int, chan: Channel) -> np.ndarray:
 def spir_standard_query(bundle: MmspBundle, k: int, nfiles: int,
                         u_q: np.ndarray) -> MatGF:
     """Q^(k) = F E_k + (G1|G2) U_Q (2n x x*nfiles) for a U_Q of cells."""
+    if not 1 <= k <= nfiles:
+        raise BadIndex(f"file index {k} outside 1..{nfiles}")
     ctx, x = bundle.ctx, bundle.x
     out = (bundle.g_stack() @ MatGF(ctx, np.asarray(u_q, dtype=np.int64))).a
     lo = (k - 1) * x

@@ -12,6 +12,11 @@ on an isotropic span this is an exact representation, so stabilizer
 projectors need no per-generator phase hunting.  Protocol statistics are
 invariant under the alignment choice (runs conjugate by plain Weyls).
 
+Every stabilizer object comes from one group average, stabilizer_projector:
+a stabilizer state is its first nonzero column, and the resource
+|Phi[y, G1]> = sum_x |x,y> (x) conj|x,y> is the vectorized projector P_y onto
+the y-eigenspace of G1's group, so G1 is never completed to a Lagrangian.
+
 Displaced-basis measurements {W(z) sigma W(z)^dag} are evaluated without
 materializing the operator family or any density matrix: sigma and the
 measured mixture are both held as amplitude factors (sigma = psi psi^dag),
@@ -37,7 +42,7 @@ from .errors import (
     NoFixedVector,
 )
 from .fields import _is_prime
-from .linalg import MatGF, dual_and_completion, hstack, is_self_col_orth, rank
+from .linalg import MatGF, is_self_col_orth, rank
 
 DENSE_DIM_LIMIT = 1 << 14
 POVM_TOL = 1e-10
@@ -128,48 +133,56 @@ def weyl_matrix(q: int, n: int, disp: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# joint eigenvectors of commuting aligned Weyl families
+# stabilizer projectors of commuting aligned Weyl families
 # ---------------------------------------------------------------------------
+
+def _enum_vecs(q: int, k: int) -> np.ndarray:
+    """Every vector of F_q^k as a row of element indices, little-endian:
+    row i holds the base-q digits of i."""
+    return np.arange(q**k)[:, None] // q ** np.arange(k) % q
+
+
+def stabilizer_projector(q: int, n: int, gens: np.ndarray,
+                         phases: Sequence[int]) -> np.ndarray:
+    """The group sum sum_c w^(-c.phases) SW(gens c) over c in F_q^k, which
+    is q^k times the projector onto the joint eigenspace where every
+    SW(gens[:, i]) has eigenvalue w^(phases[i]); callers fold the q^-k into
+    their own normalization, so each entry is rounded once.
+
+    gens: 2n x k integer matrix with isotropic, independent columns, on
+    whose span SW is an exact representation.
+    """
+    om = _omega_powers(q)
+    phase_vec = np.asarray(phases, dtype=np.int64)
+    acc = np.zeros((q**n, q**n), dtype=np.complex128)
+    for c in _enum_vecs(q, gens.shape[1]):
+        disp = (gens @ c) % q
+        ph = om[int(c @ phase_vec) % q].conjugate()
+        acc = acc + ph * (aligned_phase(q, disp) * weyl_matrix(q, n, disp))
+    return acc
+
 
 def joint_eigenvector(q: int, n: int, gens: np.ndarray,
                       phases: Sequence[int]) -> np.ndarray:
-    """Unit vector with SW(gens[:, i])-eigenvalue w^(phases[i]) for all i.
-
-    gens: 2n x k integer matrix with isotropic, independent columns; the
-    group-average projector is applied to computational seed vectors until a
-    nonzero image appears.  The global phase is fixed deterministically.
-    """
-    k = gens.shape[1]
-    om = _omega_powers(q)
-    dims = (q,) * n
-    regs = list(range(n))
-    phase_vec = np.asarray(phases, dtype=np.int64)
-    for seed in range(q**n):
-        sidx = np.unravel_index(seed, dims) if n else ()
-        base = np.zeros(dims, dtype=np.complex128)
-        base[sidx] = 1.0
-        acc = np.zeros(dims, dtype=np.complex128)
-        for cidx in range(q**k):
-            c = np.array([(cidx // q**i) % q for i in range(k)], dtype=np.int64)
-            disp = (gens @ c) % q if k else np.zeros(2 * n, dtype=np.int64)
-            ph = om[int(c @ phase_vec) % q].conjugate() if k else 1.0
-            acc = acc + ph * apply_sw(base, q, disp, regs)
-        nrm = np.linalg.norm(acc)
+    """Unit vector with SW(gens[:, i])-eigenvalue w^(phases[i]) for all i:
+    the first nonzero column of stabilizer_projector, normalized, with its
+    global phase fixed deterministically."""
+    for col in stabilizer_projector(q, n, gens, phases).T:
+        nrm = np.linalg.norm(col)
         if nrm > 1e-8:
-            v = acc / nrm
-            flat = v.reshape(-1)
-            nz = np.flatnonzero(np.abs(flat) > 1e-9)[0]
-            return v * (np.abs(flat[nz]) / flat[nz])
+            v = col / nrm
+            nz = np.flatnonzero(np.abs(v) > 1e-9)[0]
+            return (v * (np.abs(v[nz]) / v[nz])).reshape((q,) * n)
     raise NoFixedVector("no joint eigenvector found (phase alignment failed)")
 
 
 class StabFrame:
-    """Eigenbasis machinery for a self-column-orthogonal G1 over prime F_q.
+    """Stabilizer resources of a self-column-orthogonal G1 over prime F_q.
 
-    Completes G1 to a Lagrangian (G1 | Gbar) and provides the joint
-    eigenvectors |x,y> with SW(g_j)-eigenvalue w^(y_j) and SW(gbar_j)-
-    eigenvalue w^(x_j).  Entangled resources put the complex conjugate of
-    |x,y> on the end-user half, so per-vector phase choices cancel.
+    |Phi[y, G1]> = sum_x |x,y> (x) conj|x,y> over any eigenbasis |x,y> of
+    the y-eigenspace (SW(g_j)-eigenvalue w^(y_j)) is the vectorized
+    projector P_y onto that eigenspace, so no completion of G1 and no
+    per-vector phase choice is needed.
     """
 
     def __init__(self, g1: MatGF):
@@ -182,40 +195,20 @@ class StabFrame:
             raise NotMaximalIsotropic("G1 has dependent columns")
         if not is_self_col_orth(g1):
             raise NotMaximalIsotropic("G1 is not self-column-orthogonal")
-        self.ctx = ctx
         self.q = ctx.q
         self.n = g1.rows // 2
         self.y1 = g1.cols
-        self.g1 = g1
-        gbar, h1 = dual_and_completion(g1)
-        self.gbar, self.h1 = gbar, h1
-        self.lag = hstack([g1, gbar])
-        self._lag_int = self.lag.a.astype(np.int64)
-        self._kets: dict = {}
+        self._lag_int = g1.a.astype(np.int64)
         self._res: dict = {}
 
-    def ket(self, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
-        x = tuple(int(v) % self.q for v in x)
-        y = tuple(int(v) % self.q for v in y)
-        key = (x, y)
-        if key not in self._kets:
-            phases = list(y) + list(x)
-            self._kets[key] = joint_eigenvector(self.q, self.n,
-                                                self._lag_int, phases)
-        return self._kets[key]
-
     def resource(self, y: Sequence[int]) -> np.ndarray:
-        """|Phi[y, G1]> amplitudes on 2n registers [D..., E...]."""
+        """|Phi[y, G1]> amplitudes on 2n registers [D..., E...]:
+        P_y / sqrt(q^(n - y1)), rows on D and columns on E."""
         y = tuple(int(v) % self.q for v in y)
         if y not in self._res:
-            q, n, y1 = self.q, self.n, self.y1
-            kdim = n - y1
-            out = np.zeros((q,) * (2 * n), dtype=np.complex128)
-            for xi in range(q**kdim):
-                x = [(xi // q**i) % q for i in range(kdim)]
-                k = self.ket(x, y)
-                out = out + np.multiply.outer(k, k.conj())
-            self._res[y] = out / np.sqrt(q**kdim)
+            q, n = self.q, self.n
+            psum = stabilizer_projector(q, n, self._lag_int, y)  # q^y1 P_y
+            self._res[y] = psum.reshape((q,) * (2 * n)) / np.sqrt(q ** (n + self.y1))
         return self._res[y]
 
 
@@ -235,7 +228,7 @@ def stabilizer_state(g1: MatGF) -> DenseState:
     fr = frame_for(g1)
     if fr.y1 != fr.n:
         raise NotMaximalIsotropic(f"need n={fr.n} columns, got {fr.y1}")
-    v = fr.ket([], [0] * fr.n)
+    v = joint_eigenvector(fr.q, fr.n, fr._lag_int, [0] * fr.n)
     for j in range(fr.n):
         w = apply_sw(v, fr.q, fr._lag_int[:, j], list(range(fr.n)))
         if np.linalg.norm(w - v) > 1e-10:
@@ -426,11 +419,10 @@ def bell_basis_povm(q: int, n: int) -> Povm:
     phi = np.eye(d, dtype=np.complex128).reshape((q,) * n + (q,) * n)
     phi = phi / np.sqrt(d)
     ops, labels = [], []
-    for zi in range(q ** (2 * n)):
-        z = [(zi // q**i) % q for i in range(2 * n)]
+    for z in _enum_vecs(q, 2 * n):
         vec = apply_weyl(phi, q, z, list(range(n))).reshape(-1)
         ops.append(np.outer(vec, vec.conj()))
-        labels.append(tuple(z))
+        labels.append(tuple(z.tolist()))
     return Povm(labels=labels, ops=np.stack(ops, axis=0))
 
 

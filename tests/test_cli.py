@@ -248,3 +248,61 @@ def test_simulate_non_integer_list_exits_2(ex1_files, flag):
                          "--structure", ex1_files[1], "--seed", "1", flag, "1,x")
     assert rc == 2
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tower_files(tmp_path_factory):
+    """A constructed EA bundle over the poly field GF(3^32), with its
+    threshold structure."""
+    from mmsplab.access import make_threshold
+    from mmsplab.constructions import construct_eammsp
+
+    root = tmp_path_factory.mktemp("tower")
+    paths = (root / BUNDLE, root / STRUCT)
+    for path, obj in zip(paths, (construct_eammsp(2, 1, 2, 2).to_json(),
+                                 make_threshold(2, 1, 2).to_json())):
+        path.write_text(json.dumps(obj))
+    return tuple(map(str, paths))
+
+
+@pytest.mark.parametrize("args,kind", [
+    # a file index outside 1..--files, or no files at all
+    (("simulate", "--protocol", "easpir", "--k", "0", "--files-data", "0,1,2,0"), "BadIndex"),
+    (("simulate", "--protocol", "cqspir", "--k", "3", "--files-data", "0,1,2,0"), "BadIndex"),
+    (("simulate", "--protocol", "feaspir", "--k", "3", "--files-data", "0,1,2,0",
+      "--backend", "symplectic"), "BadIndex"),
+    (("simulate", "--protocol", "easpir", "--k", "1", "--files", "0"), "BadIndex"),
+    (("audit", "easpir", "--files", "0"), "BadIndex"),
+    (("audit", "cspir", "--files", "0"), "BadIndex"),
+    # entries that would wrap mod q, or lists of the wrong length
+    (("simulate", "--protocol", "eass", "--message", "7,8"), "OutOfRange"),
+    (("simulate", "--protocol", "eass", "--message=-1,0"), "OutOfRange"),
+    (("simulate", "--protocol", "eass", "--message", "1,2,0"), "DimensionMismatch"),
+    (("simulate", "--protocol", "easpir", "--files-data", "1"), "DimensionMismatch"),
+    (("simulate", "--protocol", "easpir", "--files-data", "0,1,2,3"), "OutOfRange"),
+])
+def test_bad_simulate_and_audit_inputs_exit_2(ex1_files, capsys, args, kind):
+    """Each case was a traceback, a wrong exit code or a run that silently
+    read other inputs; now it is refused as malformed input."""
+    from mmsplab import cli
+
+    if args[0] == "audit":
+        argv = [*args[:2], *ex1_files, *args[2:]]
+    else:
+        argv = [*args[:1], "--bundle", ex1_files[0], "--structure", ex1_files[1],
+                "--seed", "1", *args[1:]]
+    assert cli.main(argv) == 2
+    assert _error_report(capsys.readouterr().out, args[0]).startswith(kind + ": ")
+
+
+def test_poly_field_message_entries_below_p(tower_files, capsys):
+    """Over GF(3^32) an integer entry is read mod p, so 4,5 would run as
+    1,2: it is refused, and 1,2 runs."""
+    from mmsplab import cli
+
+    base = ["simulate", "--protocol", "eass", "--bundle", tower_files[0],
+            "--structure", tower_files[1], "--seed", "1", "--backend", "symplectic"]
+    assert cli.main(base + ["--message", "4,5"]) == 2
+    assert _error_report(capsys.readouterr().out, "simulate").startswith("OutOfRange: ")
+    assert cli.main(base + ["--message", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["transcript"]["outcome"] == {"[1, 2]": [1, 2]}

@@ -1,16 +1,20 @@
 """Protocol runners, audits, conversions, and the symplectic-track backend."""
 
+import json
+
 import numpy as np
 import pytest
 
+from conftest import wide_ea_pools
+from mmsplab import cli
 from mmsplab import qprotocols as qp
 from mmsplab import qstate as qs
 from mmsplab.access import make_threshold, symplectify_structure
-from mmsplab.errors import ClassMismatch, TooLarge
+from mmsplab.errors import BadIndex, ClassMismatch, TooLarge
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1, example2, example3
 from mmsplab.linalg import MatGF, VecGF
-from mmsplab.mmsp import make_bundle
+from mmsplab.mmsp import is_mmsp, make_bundle
 
 F3 = field_build(3, 1)
 
@@ -235,6 +239,33 @@ def test_easpir_run_and_audit(ex1):
 def test_cqspir_audit_example2(ex2):
     rep = qp.audit_spir(ex2.bundle, ex2.access, nfiles=2, protocol="cqspir")
     assert rep.secure and rep.matches_classify
+
+
+def test_spir_query_index_outside_files_refused(ex1):
+    u_q = np.zeros((ex1.bundle.y1 + ex1.bundle.y2, 2 * ex1.bundle.x), dtype=np.int64)
+    for k in (0, 3):
+        with pytest.raises(BadIndex):
+            qp.spir_standard_query(ex1.bundle, k, 2, u_q)
+    with pytest.raises(BadIndex):
+        qp.run_easpir(ex1.bundle, np.zeros(4, dtype=np.int64), 3, seed=0,
+                      access=ex1.access, nfiles=2, backend="symplectic")
+
+
+@pytest.mark.parametrize("case", wide_ea_pools(), ids=lambda c: c[0])
+def test_dense_audit_and_crosscheck_beyond_f3(case, tmp_path, capsys):
+    """On seeded n = 2 EA bundles over F_5 and F_7 the dense audit's verdict
+    is the span-program verdict, and the dense oracle agrees with the
+    symplectic track on every message and u2."""
+    _, bundle, fs = case
+    rep = qp.audit_ss(bundle, fs, protocol="eass")
+    assert rep.secure == is_mmsp(bundle.g_stack(), bundle.f, symplectify_structure(fs))
+    assert rep.matches_classify
+    paths = [tmp_path / "b.json", tmp_path / "s.json"]
+    for path, obj in zip(paths, (bundle.to_json(), fs.to_json())):
+        path.write_text(json.dumps(obj))
+    assert cli.main(["crosscheck", *map(str, paths)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cases"] == bundle.ctx.q ** (bundle.x + bundle.y2) and not out["mismatches"]
 
 
 def test_single_server_degenerate_spir():

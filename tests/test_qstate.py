@@ -4,6 +4,7 @@ partial traces, entropic metrics, teleportation channel."""
 import numpy as np
 import pytest
 
+from conftest import wide_ea_pools
 from mmsplab import qstate as qs
 from mmsplab.errors import NonPrimeLocalDim, NotMaximalIsotropic
 from mmsplab.fields import field_build
@@ -96,6 +97,30 @@ def test_ea_resource_example1_schmidt_rank():
     res = qs.ea_resource(ex.g1, [0, 0])
     s = np.linalg.svd(res.amps.reshape(27, 27), compute_uv=False)
     assert (s > 1e-9).sum() == 3
+
+
+def _resource_cases():
+    cases = [("example1", example1().g1), ("example2", example2().g1)]
+    cases += [(label, b.g1) for label, b, _ in wide_ea_pools()]
+    return [pytest.param(g1, id=label) for label, g1 in cases]
+
+
+@pytest.mark.parametrize("g1", _resource_cases())
+def test_resource_is_the_eigenspace_projector(g1):
+    """For every y, |Phi[y, G1]> has unit norm, is an SW(g_j)-eigenvector
+    with eigenvalue w^(y_j) on the D registers, and has Schmidt rank
+    q^(n - y1) across D | E."""
+    q, n, y1 = g1.ctx.q, g1.rows // 2, g1.cols
+    om = np.exp(2j * np.pi / q)
+    fr = qs.frame_for(g1)
+    for y in qs._enum_vecs(q, y1):
+        res = fr.resource(y)
+        assert abs(np.linalg.norm(res) - 1) < 1e-12
+        for j in range(y1):
+            moved = qs.apply_sw(res, q, g1.a[:, j], list(range(n)))
+            assert np.linalg.norm(moved - om ** y[j] * res) < 1e-10
+        s = np.linalg.svd(res.reshape(q**n, q**n), compute_uv=False)
+        assert (s > 1e-9).sum() == q ** (n - y1)
 
 
 def test_xzp_reduction():

@@ -3,7 +3,7 @@
 These pin the observable behaviour of the runners and audits: a refactor of
 the protocol layer must leave every digest unchanged.  To regenerate after
 a deliberate behaviour change, run ``python tests/test_transcripts.py``
-and paste its output into GOLDEN.
+and paste its two blocks into GOLDEN and GOLDEN_WIDE.
 """
 
 import hashlib
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from mmsplab import qprotocols as qp
-from mmsplab.access import make_threshold
+from mmsplab.access import make_explicit, make_threshold
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1, example2, example3
 from mmsplab.linalg import MatGF, VecGF
 from mmsplab.mmsp import make_bundle
+
+from conftest import wide_ea_pools
 
 SEEDS = (0, 7)
 NFILES = 2
@@ -78,6 +80,17 @@ def compute_digests() -> dict:
         tr, _ = qp.run_qqss(qq, rho, 0, subset)
         out[f"ex1-qq/qqss/{subset}"] = tr.digest()
     out["ex1-qq/audit_qqss"] = _sha(qp.audit_qqss(qq, ex1.access).to_json())
+    return out
+
+
+def compute_wide_digests() -> dict:
+    """Seeded dense EASS/EASPIR transcripts on the F_5 and F_7 pools, decoded
+    on every nonempty set, so single parties are pinned too: None where the
+    party cannot decode, the message where a negative bundle leaks it."""
+    every = make_explicit(2, [[1], [2], [1, 2]], [[]])
+    out = {}
+    for label, bundle, _ in wide_ea_pools():
+        out.update(_runs(label, bundle, every, ("eass", "easpir"), ("dense",)))
     return out
 
 
@@ -158,6 +171,26 @@ GOLDEN = {
 }
 
 
+GOLDEN_WIDE = {
+    'gf5-neg/easpir/dense/0': '8ace93027ac24754e15112eaa46a27c610f4bfcbe1825c6a12f3cc766a18e366',
+    'gf5-neg/easpir/dense/7': '8ace93027ac24754e15112eaa46a27c610f4bfcbe1825c6a12f3cc766a18e366',
+    'gf5-neg/eass/dense/0': '3620cf293967d65715cfc56955022d56891bd0c62388fa42400def25653bb1eb',
+    'gf5-neg/eass/dense/7': '3620cf293967d65715cfc56955022d56891bd0c62388fa42400def25653bb1eb',
+    'gf5-pos/easpir/dense/0': 'c22ab7ce2c3935e9c293bcd597b9b5872214c74a72b9ed8dbaeccf51f7ca1307',
+    'gf5-pos/easpir/dense/7': 'c22ab7ce2c3935e9c293bcd597b9b5872214c74a72b9ed8dbaeccf51f7ca1307',
+    'gf5-pos/eass/dense/0': 'fd3d431065f7990ef101033a1e1a7aca8855cd8a93790005b4f32e2c30902986',
+    'gf5-pos/eass/dense/7': 'fd3d431065f7990ef101033a1e1a7aca8855cd8a93790005b4f32e2c30902986',
+    'gf7-neg/easpir/dense/0': '1e2d0c7adda3ae2b61c44743dc9b6b6f43fff552225d41aeb6b6613acc9ed99c',
+    'gf7-neg/easpir/dense/7': '1e2d0c7adda3ae2b61c44743dc9b6b6f43fff552225d41aeb6b6613acc9ed99c',
+    'gf7-neg/eass/dense/0': '4010f44cdd4f5df05fe61944725de02ab3e7f25cca9e7ae62d976f98f1f67f5b',
+    'gf7-neg/eass/dense/7': '4010f44cdd4f5df05fe61944725de02ab3e7f25cca9e7ae62d976f98f1f67f5b',
+    'gf7-pos/easpir/dense/0': '23da16d5aee985f417194780fda3b9f78aff4fbf4620730e035c7715ebbefebc',
+    'gf7-pos/easpir/dense/7': '23da16d5aee985f417194780fda3b9f78aff4fbf4620730e035c7715ebbefebc',
+    'gf7-pos/eass/dense/0': 'e4201c7ad5440f0285525ffb28fd905f200a67051ce4b76fb995fde5763f0a8e',
+    'gf7-pos/eass/dense/7': 'e4201c7ad5440f0285525ffb28fd905f200a67051ce4b76fb995fde5763f0a8e',
+}
+
+
 @pytest.fixture(scope="module")
 def digests():
     return compute_digests()
@@ -175,6 +208,12 @@ def test_transcript_digests_unchanged(digests):
     assert not changed
 
 
+def test_wide_field_dense_digests_unchanged():
+    assert compute_wide_digests() == GOLDEN_WIDE
+
+
 if __name__ == "__main__":
-    for key, val in sorted(compute_digests().items()):
-        print(f"    {key!r}: {val!r},")
+    for block in (compute_digests(), compute_wide_digests()):
+        for key, val in sorted(block.items()):
+            print(f"    {key!r}: {val!r},")
+        print()
