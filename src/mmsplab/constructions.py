@@ -10,12 +10,16 @@ depth is capped at DEPTH_CAP = 9 levels; virtual levels above the
 cap compress onto the top level using distinct deterministic elements, and
 every construction output is verified by brute force before it is returned
 (a verification failure bumps the free choices and retries, then errors).
+
+`build_amt` and `build_amx` prove every MDS fact the theorem-level builders
+rest on, or raise: (G1, G2) and ((G1, G2), F) are A, a column prefix
+(A, C^(s)) or (A, C), so a bundle records those facts by the names of the
+`verify_amt`/`verify_amx` checks its pair and extension passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,16 +72,12 @@ class FreshPicker:
 
 @dataclass
 class AmtPair:
-    """The isotropic pair: A (2b x a) with A^T J A = 0 and its complement B.
-
-    `a_mds` records that `build_amt` proved A MDS, so builders reuse it.
-    """
+    """The isotropic pair: A (2b x a) with A^T J A = 0 and its complement B."""
 
     a_mat: MatGF
     b_mat: MatGF
     a: int
     b: int
-    a_mds: bool = False
 
     @property
     def ctx(self):
@@ -86,15 +86,10 @@ class AmtPair:
 
 @dataclass
 class AmxExtension:
-    """The C extension of an AmtPair: (A,C), every prefix, and (B,C) are MDS.
-
-    `mds_widths` holds each width s for which `build_amx` proved the column
-    prefix (A, C^(s)) MDS (s = c is (A, C) itself), so builders reuse them.
-    """
+    """The C extension of an AmtPair: (A,C), every prefix, and (B,C) are MDS."""
 
     c_mat: MatGF
     c: int
-    mds_widths: frozenset = frozenset()
 
 
 def required_depth(a: int, b: int, c: int = 0) -> int:
@@ -141,22 +136,24 @@ def mds_l78(l: int, k: int, r_rows: int, ctx: FieldCtx) -> MatGF:
     return _staircase_mds(l, k, r_rows, ctx)
 
 
-def _staircase_mds(l: int, k: int, r_rows: int, ctx: FieldCtx) -> MatGF:
-    if not ctx.tower_levels:
-        raise TowerTooShallow("staircase construction needs a tower context")
+def _first_verified(what: str, build, verify):
+    """build(salt) for the first salt whose verify checks all pass."""
     for salt in range(MAX_RETRIES):
-        picker = FreshPicker(ctx, salt)
+        out = build(salt)
+        failed = [name for name, ok in verify(out) if not ok]
+        if not failed:
+            return out
+    raise ConstructionFailedVerification(f"{what}: failed {failed}")
+
+
+def _staircase_mds(l: int, k: int, r_rows: int, ctx: FieldCtx) -> MatGF:
+    def build(salt):
+        stairs = _staircase(ctx, r_rows - l, k, FreshPicker(ctx, salt))
         m = MatGF.zeros(ctx, r_rows, k)
-        one = ctx.token_to_cell(ctx.one)
-        for j in range(min(l, k)):
-            m.a[j, j] = one
-        stairs = _staircase(ctx, r_rows - l, k, picker)
-        for i in range(r_rows - l):
-            for j in range(k):
-                m.a[l + i, j] = ctx.token_to_cell(stairs[i][j])
-        if is_mds(m):
-            return m
-    raise ConstructionFailedVerification("staircase matrix not MDS")
+        m.a[:min(l, k), :min(l, k)] = MatGF.identity(ctx, min(l, k)).a
+        m.a[l:] = MatGF.from_elements(ctx, stairs).a
+        return m
+    return _first_verified("staircase matrix", build, lambda m: [("MDS", is_mds(m))])
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +196,11 @@ def verify_amt(pair: AmtPair) -> list[tuple[str, bool]]:
     checks.append(("A isotropic (A^T J A = 0)", is_self_col_orth(pair.a_mat)))
     checks.append(("B orthogonal to A (A^T J B = 0)",
                    is_col_orth(pair.b_mat, pair.a_mat)))
-    a_mds = is_mds(pair.a_mat)
-    checks.append((f"A is (2b,{pair.a})-MDS", a_mds))
+    a_ok = is_mds(pair.a_mat)
+    checks.append((f"A is (2b,{pair.a})-MDS", a_ok))
     # B is A itself when a = b, where isotropy makes A3 symmetric
     checks.append((f"B is (2b,{2 * pair.b - pair.a})-MDS",
-                   a_mds if pair.b_mat == pair.a_mat else is_mds(pair.b_mat)))
+                   a_ok if pair.b_mat == pair.a_mat else is_mds(pair.b_mat)))
     return checks
 
 
@@ -216,18 +213,10 @@ def build_amt(a: int, b: int, ctx: FieldCtx) -> AmtPair:
     if not 0 < a <= b:
         raise OutOfRange(f"need 0 < a <= b, got a={a}, b={b}")
     key = (id(ctx), a, b)
-    if key in _AMT_CACHE:
-        return _AMT_CACHE[key]
-    last = None
-    for salt in range(MAX_RETRIES):
-        pair = _build_amt_once(a, b, ctx, salt)
-        checks = verify_amt(pair)
-        if all(ok for _, ok in checks):
-            pair.a_mds = True
-            _AMT_CACHE[key] = pair
-            return pair
-        last = [name for name, ok in checks if not ok]
-    raise ConstructionFailedVerification(f"build_amt({a},{b}): failed {last}")
+    if key not in _AMT_CACHE:
+        _AMT_CACHE[key] = _first_verified(
+            f"build_amt({a},{b})", lambda salt: _build_amt_once(a, b, ctx, salt), verify_amt)
+    return _AMT_CACHE[key]
 
 
 def _build_amx_once(pair: AmtPair, c: int, ctx: FieldCtx, salt: int) -> AmxExtension:
@@ -247,16 +236,14 @@ def _build_amx_once(pair: AmtPair, c: int, ctx: FieldCtx, salt: int) -> AmxExten
     return AmxExtension(c_mat=c_mat, c=c)
 
 
-def verify_amx(pair: AmtPair, ext: AmxExtension,
-               prefixes: Optional[list[int]] = None) -> list[tuple[str, bool]]:
-    """Joint MDS facts for the extension; prefixes default to every width."""
+def verify_amx(pair: AmtPair, ext: AmxExtension) -> list[tuple[str, bool]]:
+    """Joint MDS facts for the extension: (A, C), every column prefix
+    (A, C^(s)) and, for c <= a, (B, C)."""
     a, b, c = pair.a, pair.b, ext.c
     checks = []
     ac_mds = is_mds(hstack([pair.a_mat, ext.c_mat]))
     checks.append((f"(A,C) is (2b,{a + c})-MDS", ac_mds))
-    if prefixes is None:
-        prefixes = list(range(1, c))
-    for s in prefixes:
+    for s in range(1, c):
         pref = MatGF(ext.c_mat.ctx, ext.c_mat.a[:, :s].copy())
         checks.append((f"(A,C^({s})) is (2b,{a + s})-MDS",
                        is_mds(hstack([pair.a_mat, pref]))))
@@ -268,45 +255,18 @@ def verify_amx(pair: AmtPair, ext: AmxExtension,
     return checks
 
 
-def build_amx(pair: AmtPair, c: int, ctx: FieldCtx,
-              check_prefixes: Optional[list[int]] = None) -> AmxExtension:
-    """The verified C extension; deterministic for fixed inputs.
-
-    A wider verified extension is cached per (field, a, b) and narrower
-    requests are served as column slices; the column-major generation makes
-    the slice bit-identical to a direct build, and its joint-MDS facts are
-    among the already-verified prefix facts of the wide build.
-    """
+def build_amx(pair: AmtPair, c: int, ctx: FieldCtx) -> AmxExtension:
+    """The verified C extension; deterministic for fixed inputs."""
     if c < 1:
         raise OutOfRange(f"need c >= 1, got {c}")
     if ctx is not pair.ctx:
         raise OutOfRange("extension must live in the pair's field")
-    key = (id(ctx), pair.a, pair.b)
-    pooled = _AMX_CACHE.get(key)
-    if pooled is not None and pooled.c >= c:
-        if pooled.c == c:
-            return pooled
-        sl = lambda m: MatGF(ctx, m.a[:, :c].copy()) if m.cols else m
-        ext = AmxExtension(c_mat=sl(pooled.c_mat), c=c,
-                           mds_widths=frozenset(s for s in pooled.mds_widths if s <= c))
-        # (B, C^(c)) is square-or-tall only for c <= a; check it for this
-        # width unless B is A and the pooled build proved (A, C^(c))
-        if c <= pair.a and not (pair.b_mat == pair.a_mat and c in ext.mds_widths):
-            if not is_mds(hstack([pair.b_mat, ext.c_mat])):
-                raise ConstructionFailedVerification(
-                    f"build_amx(c={c}): sliced (B,C) not MDS")
-        return ext
-    last = None
-    for salt in range(MAX_RETRIES):
-        ext = _build_amx_once(pair, c, ctx, salt)
-        checks = verify_amx(pair, ext, prefixes=check_prefixes)
-        if all(ok for _, ok in checks):
-            ext.mds_widths = frozenset(
-                range(1, c) if check_prefixes is None else check_prefixes) | {c}
-            _AMX_CACHE[key] = ext
-            return ext
-        last = [name for name, ok in checks if not ok]
-    raise ConstructionFailedVerification(f"build_amx(c={c}): failed {last}")
+    key = (id(ctx), pair.a, pair.b, c)
+    if key not in _AMX_CACHE:
+        _AMX_CACHE[key] = _first_verified(
+            f"build_amx(c={c})", lambda salt: _build_amx_once(pair, c, ctx, salt),
+            lambda ext: verify_amx(pair, ext))
+    return _AMX_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +288,14 @@ def qqmmsp_dims(r: int, t: int, n: int) -> dict:
             "t_prime": tp}
 
 
-def _joint_mds(name: str, pair: AmtPair, ext: Optional[AmxExtension],
-               s: int) -> tuple[str, bool]:
-    """The check `name` that (A, C^(s)) is MDS (A alone when s = 0): the
-    verdict the pair's or extension's build proved, else computed here."""
-    if pair.a_mds if s == 0 else s in ext.mds_widths:
-        return name, True
-    cols = [pair.a_mat] + ([MatGF(pair.ctx, ext.c_mat.a[:, :s].copy())] if s else [])
-    return name, is_mds(hstack(cols))
-
-
-def _verdict(bundle: MmspBundle, r: int, t: int, n: int,
-             extra: list[tuple[str, bool]]) -> MmspBundle:
+def _verdict(bundle: MmspBundle, r: int, t: int, n: int, proved: list[str]) -> MmspBundle:
+    """Classify the bundle and record as verified the facts `proved` (checks
+    its pair and extension builds passed) plus the classification."""
     rep = classify(bundle, r, t, n)
-    checks = extra + [(name, ok) for name, ok, _ in rep.checks]
-    bad = [name for name, ok in checks if not ok]
+    bad = [name for name, ok, _ in rep.checks if not ok]
     if bad:
         raise ConstructionFailedVerification(f"failed: {bad}")
-    bundle.params["verified"] = [name for name, _ in checks]
+    bundle.params["verified"] = proved + [name for name, _, _ in rep.checks]
     return bundle
 
 
@@ -363,10 +313,9 @@ def construct_eammsp(r: int, t: int, n: int, y1: int, p: int = 3) -> MmspBundle:
     g2 = MatGF(ctx, ext.c_mat.a[:, :y2].copy())
     f = MatGF(ctx, ext.c_mat.a[:, y2: y2 + 2 * (r - t)].copy())
     bundle = make_bundle("ea", g1, g2, f, n=n, r=r, t=t)
-    # (G1,G2) = (A, C^(y2)) and ((G1,G2),F) = (A, C)
-    extra = [_joint_mds(f"(G1,G2) is (2n,{2 * t})-MDS", pair, ext, y2),
-             _joint_mds(f"((G1,G2),F) is (2n,{2 * r})-MDS", pair, ext, c)]
-    return _verdict(bundle, r, t, n, extra)
+    # (G1,G2) = (A, C^(y2)), A itself when y2 = 0, and ((G1,G2),F) = (A, C)
+    return _verdict(bundle, r, t, n, [f"(G1,G2) is (2n,{2 * t})-MDS",
+                                      f"((G1,G2),F) is (2n,{2 * r})-MDS"])
 
 
 def construct_cqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
@@ -384,10 +333,9 @@ def construct_cqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
     g2 = MatGF(ctx, ext.c_mat.a[:, :y2].copy())
     f = MatGF(ctx, ext.c_mat.a[:, y2: y2 + x].copy())
     bundle = make_bundle("cq", g1, g2, f, n=n, r=r, t=t)
-    # (G1,G2) = (A, C^(y2)) and ((G1,G2),F) = (A, C)
-    extra = [_joint_mds(f"(G1,G2) is (2n,{n + y2})-MDS", pair, ext, y2),
-             _joint_mds(f"((G1,G2),F) is (2n,{2 * r})-MDS", pair, ext, c)]
-    return _verdict(bundle, r, t, n, extra)
+    # (G1,G2) = (A, C^(y2)), A itself when y2 = 0, and ((G1,G2),F) = (A, C)
+    return _verdict(bundle, r, t, n, [f"(G1,G2) is (2n,{n + y2})-MDS",
+                                      f"((G1,G2),F) is (2n,{2 * r})-MDS"])
 
 
 def construct_qqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
@@ -406,23 +354,17 @@ def _qq_from_amt(r: int, t: int, n: int, a: int, c: int, p: int) -> MmspBundle:
     ctx = construction_field(p, a, n, c)
     if a == 0:
         # r = n, t' = 0: no stabilizer directions, F = identity pair frame
-        g1 = MatGF.zeros(ctx, 2 * n, 0)
-        g2 = MatGF.zeros(ctx, 2 * n, 0)
-        f = MatGF.identity(ctx, 2 * n)
-        bundle = make_bundle("qq", g1, g2, f, n=n, r=r, t=t)
+        bundle = make_bundle("qq", None, None, MatGF.identity(ctx, 2 * n), n=n, r=r, t=t)
         return _verdict(bundle, r, t, n, [])
     pair = build_amt(a, n, ctx)
-    ext = build_amx(pair, c, ctx) if c > 0 else None
-    g1 = pair.a_mat
-    g2 = ext.c_mat if ext else MatGF.zeros(ctx, 2 * n, 0)
+    g2 = build_amx(pair, c, ctx).c_mat if c > 0 else None
     f = MatGF(ctx, pair.b_mat.a[:, : 2 * (n - a)].copy())
-    bundle = make_bundle("qq", g1, g2, f, n=n, r=r, t=t)
-    extra = [("G1 self-column-orthogonal", is_self_col_orth(g1)),
-             ("F column-orthogonal to G1", is_col_orth(f, g1))]
+    bundle = make_bundle("qq", pair.a_mat, g2, f, n=n, r=r, t=t)
+    # G1 = A is isotropic, F is a column prefix of B and (G1,G2) = (A, C)
+    proved = ["G1 self-column-orthogonal", "F column-orthogonal to G1"]
     if c > 0:
-        tp = max(t, n - r)
-        extra.append(_joint_mds(f"(G1,G2) is (2n,{2 * tp})-MDS", pair, ext, c))
-    return _verdict(bundle, r, t, n, extra)
+        proved.append(f"(G1,G2) is (2n,{2 * max(t, n - r)})-MDS")
+    return _verdict(bundle, r, t, n, proved)
 
 
 def construct_qqmds(r: int, n: int, p: int = 3) -> tuple[MatGF, MatGF]:

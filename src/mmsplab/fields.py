@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _accel
 from .errors import (
+    DimensionMismatch,
     DivisionByZero,
     NoTower,
     NotPrime,
@@ -346,36 +347,11 @@ class FieldCtx:
         # multiplicative generator: smallest index whose order is q-1
         mx = self._mul_by_x_matrix()
         factors = _prime_factors(q - 1) if q > 2 else []
-
-        def mul_idx(a: int, b: int) -> int:
-            va = digits[a]
-            vb = digits[b]
-            full = np.convolve(va, vb) % p
-            mod = np.asarray(self.modulus, dtype=np.int64)
-            for k in range(len(full) - 1, r - 1, -1):
-                c = full[k]
-                if c:
-                    full[k - r : k] = (full[k - r : k] - c * mod[:r]) % p
-                    full[k] = 0
-            return int(full[:r] @ self._powers)
-
-        def pow_idx(a: int, e: int) -> int:
-            result, base = 1, a
-            while e:
-                if e & 1:
-                    result = mul_idx(result, base)
-                base = mul_idx(base, base)
-                e >>= 1
-            return result
-
-        gen = None
-        for cand in range(2, q):
-            if all(pow_idx(cand, (q - 1) // ell) != 1 for ell in factors):
-                gen = cand
-                break
-        if gen is None:  # q == 2
-            gen = 1
-        self.generator = gen
+        mod = np.asarray(self.modulus, dtype=np.int64)
+        full_order = lambda c: all(
+            not np.array_equal(_ppowmod(digits[c], (q - 1) // ell, mod, p), [1])
+            for ell in factors)
+        self.generator = gen = next((c for c in range(2, q) if full_order(c)), 1)  # q == 2: 1
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         cur = 1
@@ -453,9 +429,10 @@ class FieldCtx:
         return 1 if self.kind == "tabled" else self._one_bytes
 
     def from_coeffs(self, coeffs: Sequence[int]):
+        if len(coeffs) > self.r:
+            raise DimensionMismatch(
+                f"{len(coeffs)} coefficients for an element of GF({self.p}^{self.r})")
         v = np.asarray(list(coeffs) + [0] * (self.r - len(coeffs)), dtype=np.int64) % self.p
-        if len(v) != self.r:
-            v = v[: self.r]
         if self.kind == "tabled":
             return int(v @ self._powers)
         return self.cell_to_token(v)
@@ -787,5 +764,10 @@ def field_from_json(d: dict) -> FieldCtx:
         ctx = tower_build(p, depth)
         if list(ctx.tower_levels) != [int(t) for t in tower]:
             raise ReduciblePolynomial("tower degrees must be 1,2,4,...,2^K")
+        if r != ctx.r:
+            raise DimensionMismatch(f"r={r} but tower {list(tower)} has degree {ctx.r}")
+        if poly is not None and tuple(int(c) % p for c in poly) != ctx.modulus:
+            raise ReduciblePolynomial(f"a tower of degree {ctx.r} has the modulus "
+                                      f"{list(ctx.modulus)}, not {list(poly)}")
         return ctx
     return field_build(p, r, poly)

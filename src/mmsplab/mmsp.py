@@ -187,26 +187,27 @@ class MmspBundle:
 
 
 def bundle_from_json(d: dict) -> MmspBundle:
-    f = mat_from_json(d["F"])
-    ctx = f.ctx
-    rows = f.rows
-    g1 = mat_from_json(d["G1"]) if "G1" in d else MatGF.zeros(ctx, rows, 0)
-    g2 = mat_from_json(d["G2"]) if "G2" in d else MatGF.zeros(ctx, rows, 0)
     params = dict(d.get("params", {}))
-    cls = d["class"]
-    n = int(params.pop("n", rows if cls == "plain" else rows // 2))
-    return MmspBundle(cls=cls, g1=g1, g2=g2, f=f, n=n, params=params)
+    n = params.pop("n", None)
+    g1, g2 = (mat_from_json(d[key]) if key in d else None for key in ("G1", "G2"))
+    bundle = make_bundle(d["class"], g1, g2, mat_from_json(d["F"]),
+                         n=None if n is None else int(n))
+    bundle.params.update(params)  # free-form keys, so not passed as keywords
+    return bundle
 
 
-def make_bundle(cls: str, g1: MatGF, g2: Optional[MatGF], f: MatGF,
+def make_bundle(cls: str, g1: Optional[MatGF], g2: Optional[MatGF], f: MatGF,
                 n: Optional[int] = None, **params) -> MmspBundle:
-    if cls not in BUNDLE_CLASSES:
-        raise ClassInvariantViolated(f"unknown bundle class {cls!r}")
-    if g2 is None:
-        g2 = MatGF.zeros(f.ctx, f.rows, 0)
+    """The bundle (G1, G2, F); a missing or empty G is F's zero-column block
+    and n defaults to F's rows (plain) or half of them.  Raises
+    ClassInvariantViolated for the shapes check_shape refuses."""
+    g1, g2 = (g if g is not None and g.cols else MatGF.zeros(f.ctx, f.rows, 0)
+              for g in (g1, g2))
     if n is None:
         n = f.rows if cls == "plain" else f.rows // 2
-    return MmspBundle(cls=cls, g1=g1, g2=g2, f=f, n=n, params=params)
+    bundle = MmspBundle(cls=cls, g1=g1, g2=g2, f=f, n=n, params=params)
+    check_shape(bundle)
+    return bundle
 
 
 @dataclass
@@ -219,18 +220,28 @@ class ClassifyReport:
         return [c for c in self.checks if not c[1]]
 
 
-def check_structure(bundle: MmspBundle) -> None:
-    """Raise ClassInvariantViolated when a structural invariant fails."""
-    b = bundle
+def check_shape(b: MmspBundle) -> None:
+    """Raise ClassInvariantViolated unless the class is known, G1 and G2
+    with columns share F's field and rows, and F has n rows (plain) or 2n."""
+    if b.cls not in BUNDLE_CLASSES:
+        raise ClassInvariantViolated(f"unknown bundle class {b.cls!r}")
     for m, name in ((b.g1, "G1"), (b.g2, "G2")):
         if m.cols and m.rows != b.f.rows:
             raise ClassInvariantViolated(f"{name} row count != F row count")
-        if m.ctx is not b.f.ctx:
+        if m.cols and m.ctx is not b.f.ctx:
             raise ClassInvariantViolated(f"{name} uses a different field")
+    rows = b.n if b.cls == "plain" else 2 * b.n
+    if b.f.rows != rows:
+        raise ClassInvariantViolated(f"F has {b.f.rows} rows, a {b.cls} bundle on "
+                                     f"n = {b.n} parties has {rows}")
+
+
+def check_structure(bundle: MmspBundle) -> None:
+    """Raise ClassInvariantViolated when a structural invariant fails."""
+    b = bundle
+    check_shape(b)
     if b.cls == "plain":
         return
-    if b.f.rows != 2 * b.n:
-        raise ClassInvariantViolated(f"row count {b.f.rows} != 2n = {2 * b.n}")
     if not is_self_col_orth(b.g1):
         raise ClassInvariantViolated("G1 is not self-column-orthogonal")
     if b.cls == "cq":

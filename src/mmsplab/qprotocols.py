@@ -28,7 +28,7 @@ import numpy as np
 
 from . import qstate as qs
 from .access import AccessStructure, symplectify, symplectify_structure
-from .classical import Transcript
+from .classical import Transcript, _hist
 from .errors import BadIndex, ClassMismatch, NonStandardQuery, TooLarge
 from .linalg import (
     MatGF,
@@ -39,7 +39,7 @@ from .linalg import (
     rref,
     symp_gram,
 )
-from .mmsp import MmspBundle, is_mmsp
+from .mmsp import MmspBundle, is_mmsp, make_bundle
 from .qstate import (
     Channel,
     DisplacedMeasurement,
@@ -248,8 +248,7 @@ def _bundle_engine(bundle: MmspBundle, kind: str) -> EaEngine:
 
 def _fe_bundle(g: MatGF, f: MatGF) -> MmspBundle:
     """The fully entangled bundle: G1 empty, all of G randomized."""
-    return MmspBundle(cls="ea", g1=MatGF.zeros(f.ctx, f.rows, 0), g2=g, f=f,
-                      n=f.rows // 2)
+    return make_bundle("ea", None, g, f)
 
 
 def _decode_sets(bundle: MmspBundle, base: VecGF, rng, access: AccessStructure,
@@ -787,7 +786,7 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         sub = sorted(symplectify(b, bundle.n))
         if not sub:
             continue
-        ok = _query_marginals_equal(bundle, nfiles, sub)
+        ok = _query_marginals_equal(bundle, sub)
         details.append([f"user-secret@{sorted(b)}", ok])
         user_ok &= ok
 
@@ -828,25 +827,15 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     return _qreport(protocol, bundle, access, correct, user_ok and server_ok, details)
 
 
-def _query_marginals_equal(bundle: MmspBundle, nfiles: int,
-                           sympl_subset: list[int]) -> bool:
-    """Exact multiset equality of restricted query columns across k."""
-    from . import _accel
-    ctx = bundle.ctx
-    t = ctx.tables()
-    g = restrict(bundle.g_stack(), sympl_subset)
-    f = restrict(bundle.f, sympl_subset)
-    x = bundle.x
-    for col in range(x):
-        fe = MatGF.zeros(ctx, len(sympl_subset), 1)
-        fe.a[:, 0] = f.a[:, col]
-        with_f = _accel.gf_share_hist(g.a, fe.a, t)[1]
-        without = _accel.gf_share_hist(
-            g.a, MatGF.zeros(ctx, len(sympl_subset), 1).a, t)[1]
-        # column with the selector (target file) vs without (other files)
-        if not np.array_equal(with_f, without):
-            return False
-    return True
+def _query_marginals_equal(bundle: MmspBundle, sympl_subset: list[int]) -> bool:
+    """Exact multiset equality of restricted query columns across k: each
+    F column (the selector of the target file) against the zero column
+    (every other file), over exhaustive randomness."""
+    g, ctx = bundle.g_stack(), bundle.ctx
+    without = _hist(g, MatGF.zeros(ctx, g.rows, 1), sympl_subset)[1]
+    return all(np.array_equal(_hist(g, MatGF(ctx, bundle.f.a[:, col:col + 1].copy()),
+                                    sympl_subset)[1], without)
+               for col in range(bundle.x))
 
 
 # ---------------------------------------------------------------------------

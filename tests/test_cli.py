@@ -306,3 +306,71 @@ def test_poly_field_message_entries_below_p(tower_files, capsys):
     assert _error_report(capsys.readouterr().out, "simulate").startswith("OutOfRange: ")
     assert cli.main(base + ["--message", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out)["transcript"]["outcome"] == {"[1, 2]": [1, 2]}
+
+
+def _fields_set(d, field):
+    """The bundle JSON d with every matrix over the field JSON `field`."""
+    for key in ("F", "G1", "G2"):
+        if key in d:
+            d[key]["field"] = field
+    return d
+
+
+def _ex1_edit(edit):
+    return lambda: edit(fx.example1().bundle.to_json())
+
+
+def _gf9_long_element():
+    from mmsplab.fields import field_build
+    from mmsplab.linalg import MatGF
+    from mmsplab.mmsp import make_bundle
+
+    ctx = field_build(3, 2)
+    g = MatGF.from_ints(ctx, [[1], [2], [4], [5]])
+    f = MatGF.from_ints(ctx, [[3], [1], [0], [7]])
+    d = make_bundle("ea", MatGF.zeros(ctx, 4, 0), g, f).to_json()
+    d["F"]["data"][0] = [1, 2, 2]  # three coefficients over GF(3^2)
+    return d
+
+
+def _short_g1(d):
+    d["G1"]["rows"] -= 1
+    d["G1"]["data"] = d["G1"]["data"][:d["G1"]["rows"] * d["G1"]["cols"]]
+    return d
+
+
+@pytest.mark.parametrize("make,parties,kind", [
+    # a tower whose r or poly disagrees with its degrees
+    (_ex1_edit(lambda d: _fields_set(d, {"p": 3, "r": 8, "poly": [2, 0, 1, 0, 0, 0, 0, 0, 1],
+                                         "tower": [1, 2, 4]})), 3, "DimensionMismatch"),
+    (_ex1_edit(lambda d: _fields_set(d, {"p": 3, "r": 4, "poly": [1, 0, 2, 0, 1],
+                                         "tower": [1, 2, 4]})), 3, "ReduciblePolynomial"),
+    # an element with more coefficients than r
+    (_gf9_long_element, 2, "DimensionMismatch"),
+    # an unknown class, G1 rows other than F's, F rows other than 2n or n
+    (_ex1_edit(lambda d: dict(d, **{"class": "foo"})), 3, "ClassInvariantViolated"),
+    (_ex1_edit(_short_g1), 3, "ClassInvariantViolated"),
+    (_ex1_edit(lambda d: dict(d, params={"n": 2})), 2, "ClassInvariantViolated"),
+    (_ex1_edit(lambda d: dict(d, **{"class": "plain"}, params={"n": 5})), 5,
+     "ClassInvariantViolated"),
+], ids=["tower-r", "tower-poly", "long-element", "class", "g1-rows", "ea-rows", "plain-rows"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_inconsistent_bundle_json_exit_2(tmp_path, capsys, make, parties, kind, command):
+    """Each bundle loaded as something else, ran to a DimensionMismatch
+    (exit 1), or verified and simulated as if well-formed (exit 0 and
+    ok: true); now it is refused as malformed input."""
+    from mmsplab import cli
+    from mmsplab.access import make_threshold
+
+    b, s = tmp_path / BUNDLE, tmp_path / STRUCT
+    d = make()
+    b.write_text(json.dumps(d))
+    s.write_text(json.dumps(make_threshold(2, 1, parties).to_json()))
+    if command == "verify":
+        argv = ["verify", str(b), str(s)]
+    else:
+        argv = ["simulate", "--protocol", "eass", "--bundle", str(b), "--structure", str(s),
+                "--message", ",".join(["1"] * d["F"]["cols"]), "--seed", "1",
+                "--backend", "symplectic"]
+    assert cli.main(argv) == 2
+    assert _error_report(capsys.readouterr().out, command).startswith(kind + ": ")

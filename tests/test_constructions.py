@@ -1,5 +1,8 @@
 """Tower-staircase constructions and their verification predicates."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -121,15 +124,16 @@ def test_determinism():
     assert b1.g1 == b2.g1 and b1.g2 == b2.g2 and b1.f == b2.f
 
 
-def test_amx_slice_matches_direct_build():
+def test_amx_slice_matches_direct_build(monkeypatch):
+    # each pick depends only on its cell, so a narrower C is the column
+    # prefix of a wider one, bit for bit
+    monkeypatch.setattr(con, "_AMX_CACHE", {})
     ctx = con.construction_field(3, 1, 2, 3)
     pair = con.build_amt(1, 2, ctx)
-    con._AMX_CACHE.clear()
     wide = con.build_amx(pair, 3, ctx)
-    sliced = con.build_amx(pair, 2, ctx)   # served from the pool
-    con._AMX_CACHE.clear()
-    direct = con.build_amx(pair, 2, ctx)
-    assert sliced.c_mat == direct.c_mat
+    for c in (1, 2):
+        narrow = con.build_amx(pair, c, ctx)
+        assert narrow.c_mat == la.MatGF(ctx, wide.c_mat.a[:, :c].copy())
 
 
 def test_pivot_above_subfield_invertibility():
@@ -200,35 +204,80 @@ def test_required_depth_and_cap():
 
 def test_builders_reuse_proved_mds_facts(monkeypatch):
     # (G1,G2) and ((G1,G2),F) are A, a C prefix or (A,C), which build_amt
-    # and build_amx proved MDS; the builders read those verdicts
-    monkeypatch.setattr(con, "_AMT_CACHE", {})
-    monkeypatch.setattr(con, "_AMX_CACHE", {})
-    calls = []
-    monkeypatch.setattr(con, "is_mds", lambda m: calls.append(m) or la.is_mds(m))
-    builds = [(con.construct_eammsp, (3, 1, 3, 2)),   # (G1,G2) = A
-              (con.construct_eammsp, (3, 2, 3, 3)),   # (G1,G2) = (A, C^(1))
-              (con.construct_cqmmsp, (3, 2, 4)),
-              (con.construct_qqmmsp, (3, 1, 4))]
-    for build, args in builds:
-        calls.clear()
-        want = build(*args).params["verified"]  # builds the pair and extension
-        seen = [(m.a.shape, m.a.tobytes()) for m in calls]
-        assert len(seen) == len(set(seen)), args  # B = A when a = b, checked once
-        calls.clear()
+    # and build_amx proved MDS; a fresh build checks each matrix once (B is
+    # A when a = b) and a cached one checks none
+    seen = []
+    monkeypatch.setattr(con, "is_mds", lambda m: seen.append(m) or la.is_mds(m))
+    builds = [(con.construct_cqmmsp, (3, 2, 4), 3),
+              (con.construct_eammsp, (3, 1, 3, 2), 6),   # (G1,G2) = A
+              (con.construct_qqmmsp, (3, 1, 4), 2),
+              (con.construct_eammsp, (3, 2, 3, 3), 4)]   # (G1,G2) = (A, C^(1))
+    for build, args, calls in builds:
+        monkeypatch.setattr(con, "_AMT_CACHE", {})
+        monkeypatch.setattr(con, "_AMX_CACHE", {})
+        seen.clear()
+        want = build(*args).params["verified"]
+        keys = {(m.a.shape, m.a.tobytes()) for m in seen}
+        assert len(seen) == len(keys) == calls, args
+        seen.clear()
         assert build(*args).params["verified"] == want
-        assert calls == [], args
+        assert seen == [], args
 
-    ctx = con.construction_field(3, 1, 2, 3)
-    pair = con.build_amt(1, 2, ctx)
-    assert pair.a_mds
-    assert con.build_amx(pair, 3, ctx).mds_widths == {1, 2, 3}
-    sliced = con.build_amx(pair, 2, ctx)  # served from the pool
-    assert sliced.mds_widths == {1, 2}
-    calls.clear()
-    assert con._joint_mds("s", pair, sliced, 2) == ("s", True) and calls == []
-    # a prefix the build did not check is computed
-    monkeypatch.setattr(con, "_AMX_CACHE", {})
-    unchecked = con.build_amx(pair, 3, ctx, check_prefixes=[])
-    assert unchecked.mds_widths == {3}
-    calls.clear()
-    assert con._joint_mds("s", pair, unchecked, 1) == ("s", True) and len(calls) == 1
+
+# SHA-256 of bundle.to_json() (sort_keys) for every benchmark construct
+# tuple (ea uses y1 = min(2t, n)), and of (G1, F) for each qqmds tuple.
+# Regenerate with ``python tests/test_constructions.py``.
+CONSTRUCT_TUPLES = [
+    ("ea", 2, 1, 2), ("cq", 2, 1, 2), ("qq", 2, 1, 2),
+    ("ea", 2, 1, 3), ("cq", 2, 1, 3), ("qq", 2, 1, 3),
+    ("ea", 3, 1, 3), ("cq", 3, 1, 3), ("qq", 3, 1, 3),
+    ("ea", 3, 2, 3), ("cq", 3, 2, 3), ("qq", 3, 2, 3), ("qqmds", 2, 3),
+    ("cq", 3, 2, 4), ("qq", 3, 1, 4), ("qqmds", 3, 4),
+    ("qq", 3, 2, 5), ("qqmds", 4, 5),
+]
+
+
+def compute_construct_digests() -> dict:
+    out = {}
+    for spec in CONSTRUCT_TUPLES:
+        if spec[0] == "qqmds":
+            obj = [la.mat_to_json(m) for m in con.construct_qqmds(*spec[1:])]
+        else:
+            cls, r, t, n = spec
+            obj = {"ea": lambda: con.construct_eammsp(r, t, n, min(2 * t, n)),
+                   "cq": lambda: con.construct_cqmmsp(r, t, n),
+                   "qq": lambda: con.construct_qqmmsp(r, t, n)}[cls]().to_json()
+        blob = json.dumps(obj, sort_keys=True).encode()
+        out[" ".join(map(str, spec))] = hashlib.sha256(blob).hexdigest()
+    return out
+
+
+GOLDEN_CONSTRUCT = {
+    'ea 2 1 2': '750df774ccfb2182703208311581c18245abe95973e28c12c9687bc0f7b41d94',
+    'cq 2 1 2': '626415fd012915be1ff9d4f6a052a3fcaacc9026142e8c7c6b95e1923f810f46',
+    'qq 2 1 2': '07d9024755e4af1ed0e756d6d9f7f2e2f76fb5402926c32be93630fb6c70f77a',
+    'ea 2 1 3': '9d544fed0480f0af76149b5b671a4fe48f7183f9234b3628a9311e894f07ee93',
+    'cq 2 1 3': '183abfeed3ff55a879b076aaeda9a64c743d1be5337b903cad50673184723738',
+    'qq 2 1 3': '3f6e36d007c9b74f9541ce6bce7d179354788c56b7d5f1c385df922742e2c1b6',
+    'ea 3 1 3': '795f4497d6becd5052b2ca4767e248d67706a17d1a45f72ca689445a51e293a1',
+    'cq 3 1 3': 'ba545adcb9cb2d4ab19919b2c09a875e7a3949f0cc138533dcf2d10c54bed8e2',
+    'qq 3 1 3': '591b15122f8f85b066e5509ac4d022ad8b5441680334cea50a5cc858ada8022f',
+    'ea 3 2 3': 'a58211acf7eee04617e9a4c76acac513f0d4038a6a65a3d59a784f2ddb6a8db3',
+    'cq 3 2 3': '88529a6fbf90aa95aaf541fba73e1945b95c6b114da0714148ad93ffb6b973ee',
+    'qq 3 2 3': '0587e2f166e1a70b3ea78ef35b4cfa2c14207af08378c7e4c6dfb7bc32fdc999',
+    'qqmds 2 3': '9ec3f49d601c89d440f976cc1522e49ad288b99c0064a232009b8007852c1f52',
+    'cq 3 2 4': '4d2b01be4a63efe60954941f537ae717c3e92a6c0b0e16dd17e70dde5f81d8ec',
+    'qq 3 1 4': 'd1da938027dbb13f0b76a31c4b6717bfe9c341bab662dd4ddfd6f94494e4538a',
+    'qqmds 3 4': 'e3ba1c79f0348944493da255b4c7b216b896eda20ac4fffba0415f6acdd93a9a',
+    'qq 3 2 5': '2d51df3c13d69e5464b46ef8957990db19b3a909a7191f9d0122921c3ccff056',
+    'qqmds 4 5': 'b1bed2b2a7279e424f15a9427f3783d112150886d36d89a40a484d0b8fd3184e',
+}
+
+
+def test_construct_digests_unchanged():
+    assert compute_construct_digests() == GOLDEN_CONSTRUCT
+
+
+if __name__ == "__main__":
+    for key, val in compute_construct_digests().items():
+        print(f"    {key!r}: {val!r},")

@@ -10,7 +10,7 @@ from mmsplab import cli
 from mmsplab import qprotocols as qp
 from mmsplab import qstate as qs
 from mmsplab.access import make_threshold, symplectify_structure
-from mmsplab.errors import BadIndex, ClassMismatch, TooLarge
+from mmsplab.errors import BadIndex, ClassInvariantViolated, ClassMismatch, TooLarge
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1, example2, example3
 from mmsplab.linalg import MatGF, VecGF
@@ -389,3 +389,15 @@ def test_symp_track_matches_css_decode(field, tower32):
             assert (got2 is None) == (want is None)
             assert want is None or np.array_equal(got2.a, want.a)
     assert decoded
+
+
+@pytest.mark.parametrize("backend", ["dense", "symplectic"])
+def test_fe_runs_refuse_odd_row_count(backend):
+    """(G, F) on 3 rows is no EA pair of n registers: the symplectic FEASS
+    run used to return a transcript for n = 1 and the dense one raised
+    NotMaximalIsotropic; both refuse it as a malformed bundle."""
+    ctx = field_build(3, 1)
+    g, f = MatGF.from_ints(ctx, [[1], [2], [1]]), MatGF.from_ints(ctx, [[1], [2], [0]])
+    m = VecGF.from_ints(ctx, [1])
+    with pytest.raises(ClassInvariantViolated):
+        qp.run_feass(g, f, m, 0, make_threshold(1, 0, 1), backend=backend)
