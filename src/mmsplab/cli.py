@@ -319,12 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; every package error becomes a JSON report: inputs
-    that cannot be read or used exit 2, a size guard 3, any other error 1."""
+    that cannot be read or used and outputs that cannot be written exit 2,
+    a size guard 3, any other error 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _BadInput as exc:
         err, code = exc.args[0], 2
+    except OSError as exc:  # an --out path that cannot be written
+        err, code = exc, 2
     except TooLarge as exc:
         err, code = exc, 3
     except MmsplabError as exc:

@@ -18,6 +18,7 @@ from .errors import (
     IndexOutOfRange,
     NotSelfOrthogonal,
     OddLength,
+    OutOfRange,
     RankDeficient,
     TooLarge,
     TooManyColumns,
@@ -562,6 +563,8 @@ def mat_from_json(d: dict) -> MatGF:
     data = d["data"]
     if len(data) != rows * cols:
         raise DimensionMismatch("data length != rows*cols")
+    if any(not 0 <= int(c) < ctx.p for coeffs in data for c in coeffs):
+        raise OutOfRange(f"coefficients must lie in 0..{ctx.p - 1}")
     m = MatGF.zeros(ctx, rows, cols)
     for i in range(rows):
         for j in range(cols):

@@ -13,7 +13,9 @@ teleportation-style channel built from the dense-coding measurement.
 
 Audits enumerate protocol randomness exhaustively, compare reduced states
 at trace distance 1e-9, and cross-check every verdict against the
-span-program classification.  A symplectic-track backend propagates
+span-program classification.  Secrecy states are held as amplitude factors
+and compared by mixture_distance; the QQ channel is one precomputed Kraus
+tensor, one block per G2 randomization.  A symplectic-track backend propagates
 displacements classically (any q, prime powers included) and is
 cross-validated against the dense oracle.
 """
@@ -51,9 +53,7 @@ from .qstate import (
     frame_for,
     joint_eigenvector,
     mutual_info_dims,
-    partial_trace,
     reduce_factor,
-    reduce_state,
     vn_entropy,
 )
 
@@ -63,6 +63,21 @@ TRACE_TOL = 1e-9
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     w = np.linalg.eigvalsh(a - b)
     return float(0.5 * np.abs(w).sum())
+
+
+def mixture_distance(a: list, b: list) -> float:
+    """Trace distance between two mixtures given as [(w, factor), ...], each
+    sum_i w_i A_i A_i^dag.  With W = [sqrt(w) A_i | sqrt(w') B_j] and
+    D = diag(+1.., -1..), the difference is W D W^dag; when W has fewer
+    columns than rows, R D R^dag for W = QR has the same nonzero
+    eigenvalues and is the narrower matrix."""
+    cols = [np.sqrt(wt) * f for wt, f in a + b]
+    signs = np.repeat([1.0] * len(a) + [-1.0] * len(b), [f.shape[1] for f in cols])
+    w = np.concatenate(cols, axis=1)
+    if w.shape[1] < w.shape[0]:
+        w = np.linalg.qr(w, mode="r")
+    ev = np.linalg.eigvalsh((w * signs) @ w.conj().T)
+    return float(0.5 * np.abs(ev).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +240,16 @@ class EaEngine:
         """Outcome distribution folded onto Im(P G1)-cosets."""
         return self._fold(subset, components, lambda zs: coset_rep(decoder.pg1, zs))
 
-    def secrecy_state(self, subset: Sequence[int], components) -> np.ndarray:
-        """Reduced density on D[B] (x) E-full for the given mixture."""
+    def secrecy_state(self, subset: Sequence[int], components) -> list:
+        """The reduced state on D[B] (x) E-full of the given mixture, as its
+        [(w, factor), ...] pairs (see mixture_distance)."""
         keep = [s - 1 for s in sorted(subset)] + list(range(self.n, 2 * self.n))
-        rho = None
-        for w, amps in components:
-            r = reduce_state(amps, keep)
-            rho = w * r if rho is None else rho + w * r
-        return rho
+        return [(w, reduce_factor(amps, keep)) for w, amps in components]
+
+    def secrecy_states_equal(self, subset: Sequence[int], mixtures) -> bool:
+        """Whether every mixture leaves the same state on D[B] (x) E-full."""
+        states = [self.secrecy_state(subset, comps) for comps in mixtures]
+        return all(mixture_distance(states[0], s) < TRACE_TOL for s in states[1:])
 
 
 def _check_class(bundle: MmspBundle, kind: str) -> None:
@@ -428,8 +445,7 @@ def audit_ss(bundle: MmspBundle, access: AccessStructure,
         correct &= ok
     secret = True
     for b in access.reject_iter():
-        states = [engine.secrecy_state(sorted(b), comps) for _, comps in cases]
-        ok = all(trace_distance(states[0], s) < TRACE_TOL for s in states[1:])
+        ok = engine.secrecy_states_equal(sorted(b), [comps for _, comps in cases])
         details.append([f"secret@{sorted(b)}", ok])
         secret &= ok
     return _qreport(protocol, bundle, access, correct, secret, details)
@@ -504,28 +520,23 @@ class QqCodec:
 
 def qq_channel(bundle: MmspBundle, codec: QqCodec,
                subset: Sequence[int]) -> Channel:
-    """The message-space channel: encode, randomize with G2, keep D[A]."""
+    """The message-space channel: encode, randomize with G2, keep D[A].
+
+    Each G2 randomization x contributes the Kraus block
+    <a, r| W(x) V |m> / sqrt(#x) (a on D[A], r on the traced registers, m
+    the message), so two products apply the channel."""
     q, n = codec.q, codec.n
-    sub = sorted(subset)
-    keep = [s - 1 for s in sub]
-    d_msg = q**codec.xq
-    d_b = q ** len(sub)
+    keep = [s - 1 for s in sorted(subset)]
+    d_b = q ** len(keep)
+    code = codec.v.reshape((q,) * n + (-1,))  # D-full registers, then message
+    d_msg = code.shape[-1]
     disps = _displacements(bundle.g2, bundle.ctx.cell_zeros(2 * n))
-    wgt = 1.0 / len(disps)
-
-    def fn(rho_msg: np.ndarray) -> np.ndarray:
-        big = codec.v @ rho_msg @ codec.v.conj().T
-        out = np.zeros((d_b, d_b), dtype=np.complex128)
-        t = big.reshape((q,) * n + (q,) * n)
-        for x in disps:
-            tk = apply_weyl(t, q, list(x), list(range(n)))
-            tk = np.conj(apply_weyl(np.conj(tk), q, list(x),
-                                    list(range(n, 2 * n))))
-            rho_big = tk.reshape(q**n, q**n)
-            out += wgt * partial_trace(rho_big, q, n, keep)
-        return out
-
-    return Channel(din=d_msg, dout=d_b, fn=fn)
+    # rows a; columns (x, r, m) with m fastest
+    kraus = np.concatenate([reduce_factor(apply_weyl(code, q, list(x), list(range(n))), keep)
+                            for x in disps], axis=1) / np.sqrt(len(disps))
+    kconj = kraus.conj().T
+    return Channel(din=d_msg, dout=d_b,
+                   fn=lambda rho: (kraus.reshape(-1, d_msg) @ rho).reshape(d_b, -1) @ kconj)
 
 
 def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
@@ -534,29 +545,20 @@ def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
     projectors of the channel-displaced entangled states; None when they
     do not discriminate perfectly."""
     q, n, xq = codec.q, codec.n, codec.xq
-    sub = sorted(subset)
-    keep_d = [s - 1 for s in sub]
     d_r = q**xq
-    d_b = q ** len(sub)
-    # |phi_code> on R (x) D-full, as an (d_r, q^n) matrix of amplitudes
-    phi = codec.v.T / np.sqrt(d_r)  # phi[r, :] = <.|xi_r>/sqrt(d)
-    sigmas = []
-    for x in _enum_vecs(q, 2 * xq)[:, ::-1]:  # C order, as the labels below
-        rho = np.zeros((d_r * d_b, d_r * d_b), dtype=np.complex128)
-        for full in _displacements(bundle.g2, (codec.ft @ x) % q):
-            mat = np.stack([apply_weyl(phi[r].reshape((q,) * n), q,
-                                       list(full), list(range(n))).reshape(-1)
-                            for r in range(d_r)], axis=0)
-            # amps on (R, D-full); reduce D-full -> D[A]
-            amps = mat.reshape((d_r,) + (q,) * n)
-            red = reduce_state(amps, [0] + [1 + k for k in keep_d])
-            rho += red
-        rho /= rho.trace().real
-        sigmas.append(rho)
+    d_b = q ** len(subset)
+    # |phi_code> on R (x) D-full; sigma_x is the mixture of its displaced
+    # copies on (R, D[A]), formed from their stacked reduce_factor columns
+    phi = (codec.v.T / np.sqrt(d_r)).reshape((d_r,) + (q,) * n)
+    keep = [0] + sorted(subset)
     # support projectors; require pairwise orthogonality for a sharp decoder
     projs = []
-    for rho in sigmas:
-        w, v = np.linalg.eigh(rho)
+    for x in _enum_vecs(q, 2 * xq)[:, ::-1]:  # C order, as the labels below
+        psi = np.concatenate(
+            [reduce_factor(apply_weyl(phi, q, list(full), list(range(1, n + 1))), keep)
+             for full in _displacements(bundle.g2, (codec.ft @ x) % q)], axis=1)
+        rho = psi @ psi.conj().T
+        w, v = np.linalg.eigh(rho / rho.trace().real)
         pv = v[:, w > 1e-10]
         projs.append(pv @ pv.conj().T)
     total = sum(projs)
@@ -749,18 +751,12 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
 
     # query-randomness invariance: the share state is identical for any U_Q
     rng = np.random.default_rng(20240)
-    inv_ok = True
+    everyone = list(range(1, bundle.n + 1))
     files0 = np.array([1] + [0] * (x * nfiles - 1), dtype=np.int64)
-    for k in (1, min(2, nfiles)):
-        base = None
-        for trial in range(3):
-            u_q = zero_uq if trial == 0 else ctx.random_cells(rng, y, x * nfiles)
-            comps = components(spir_standard_query(bundle, k, nfiles, u_q), files0)
-            rho = engine.secrecy_state(list(range(1, bundle.n + 1)), comps)
-            if base is None:
-                base = rho
-            elif trace_distance(base, rho) > TRACE_TOL:
-                inv_ok = False
+    inv_ok = all(engine.secrecy_states_equal(everyone, [
+        components(spir_standard_query(bundle, k, nfiles, u_q), files0)
+        for u_q in [zero_uq] + [ctx.random_cells(rng, y, x * nfiles) for _ in range(2)]])
+        for k in (1, min(2, nfiles)))
     details.append(["query-randomness-invariance", inv_ok])
 
     # correctness: exhaustive over the target message and shared randomness;
@@ -818,9 +814,7 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         fv1 = np.zeros(x * nfiles, dtype=np.int64)
         fv2 = fv1.copy()
         fv2[-1] = 1  # differs only off-target
-        r1 = engine.secrecy_state(list(range(1, bundle.n + 1)), components(qmat, fv1))
-        r2 = engine.secrecy_state(list(range(1, bundle.n + 1)), components(qmat, fv2))
-        okd = trace_distance(r1, r2) < TRACE_TOL
+        okd = engine.secrecy_states_equal(everyone, [components(qmat, fv) for fv in (fv1, fv2)])
         details.append(["server-secret-dense-spot", okd])
         server_ok &= okd
 

@@ -2,9 +2,11 @@
 
 Implements generalized Pauli (Weyl) displacement operators, stabilizer
 states and entangled code resources built from self-column-orthogonal
-matrices over F_q, displaced-basis measurements, partial traces, channels,
+matrices over F_q, displaced-basis measurements, reductions, channels,
 and entropic metrics.  States carry shape (q,)*m amplitude arrays; register
-order for protocol states is [D_1..D_n, E_1..E_n].
+order for protocol states is [D_1..D_n, E_1..E_n].  A mixed state is held
+as its amplitude factors, [(w, psi), ...] for sum_i w_i psi_i psi_i^dag,
+with each psi from reduce_factor.
 
 Group phases use the symmetric alignment SW(a,b) = w^(ab/2) X(a) Z(b)
 (2^{-1} taken mod p), under which SW(v)SW(w) = w^(-symp(v,w)/2) SW(v+w);
@@ -243,40 +245,26 @@ def ea_resource(g1: MatGF, y: Sequence[int]) -> DenseState:
 
 
 # ---------------------------------------------------------------------------
-# partial trace / reductions
+# reductions
 # ---------------------------------------------------------------------------
 
 def reduce_factor(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """The (kept x traced) amplitude matrix psi of a pure state, kept
-    registers in sorted order; its reduction to them is psi psi^dag."""
+    registers in sorted order; its reduction to them is psi psi^dag.
+    Registers may differ in size; the traced ones flatten in axis order."""
     m = amps.ndim
     keep = sorted(keep)
     if any(not 0 <= k < m for k in keep) or len(set(keep)) != len(keep):
         raise BadRegisters(f"keep={keep} invalid for {m} registers")
     drop = [i for i in range(m) if i not in keep]
-    q = amps.shape[0] if m else 1
-    return np.transpose(amps, keep + drop).reshape(q ** len(keep), -1)
+    kept = int(np.prod([amps.shape[k] for k in keep]))
+    return np.transpose(amps, keep + drop).reshape(kept, -1)
 
 
 def reduce_state(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Density matrix of a pure state on the kept registers (sorted order)."""
     psi = reduce_factor(amps, keep)
     return psi @ psi.conj().T
-
-
-def partial_trace(rho: np.ndarray, q: int, nregs: int,
-                  keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a density matrix over the dropped registers."""
-    keep = sorted(keep)
-    if any(not 0 <= k < nregs for k in keep) or len(set(keep)) != len(keep):
-        raise BadRegisters(f"keep={keep} invalid for {nregs} registers")
-    drop = [i for i in range(nregs) if i not in keep]
-    perm = keep + drop
-    t = rho.reshape((q,) * (2 * nregs))
-    t = np.transpose(t, perm + [nregs + p for p in perm])
-    dk, dd = q ** len(keep), q ** len(drop)
-    t = t.reshape(dk, dd, dk, dd)
-    return np.einsum("ibjb->ij", t)
 
 
 # ---------------------------------------------------------------------------

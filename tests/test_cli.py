@@ -333,6 +333,13 @@ def _gf9_long_element():
     return d
 
 
+def _f_entry(coeffs):
+    def edit(d):
+        d["F"]["data"][0] = coeffs
+        return d
+    return _ex1_edit(edit)
+
+
 def _short_g1(d):
     d["G1"]["rows"] -= 1
     d["G1"]["data"] = d["G1"]["data"][:d["G1"]["rows"] * d["G1"]["cols"]]
@@ -347,13 +354,16 @@ def _short_g1(d):
                                          "tower": [1, 2, 4]})), 3, "ReduciblePolynomial"),
     # an element with more coefficients than r
     (_gf9_long_element, 2, "DimensionMismatch"),
+    # coefficients outside 0..p-1, which were read mod p
+    (_f_entry([5]), 3, "OutOfRange"),
+    (_f_entry([-1]), 3, "OutOfRange"),
     # an unknown class, G1 rows other than F's, F rows other than 2n or n
     (_ex1_edit(lambda d: dict(d, **{"class": "foo"})), 3, "ClassInvariantViolated"),
     (_ex1_edit(_short_g1), 3, "ClassInvariantViolated"),
     (_ex1_edit(lambda d: dict(d, params={"n": 2})), 2, "ClassInvariantViolated"),
     (_ex1_edit(lambda d: dict(d, **{"class": "plain"}, params={"n": 5})), 5,
      "ClassInvariantViolated"),
-], ids=["tower-r", "tower-poly", "long-element", "class", "g1-rows", "ea-rows", "plain-rows"])
+], ids=["tower-r", "tower-poly", "long-element", "coeff-5", "coeff-neg", "class", "g1-rows", "ea-rows", "plain-rows"])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_inconsistent_bundle_json_exit_2(tmp_path, capsys, make, parties, kind, command):
     """Each bundle loaded as something else, ran to a DimensionMismatch
@@ -374,3 +384,17 @@ def test_inconsistent_bundle_json_exit_2(tmp_path, capsys, make, parties, kind, 
                 "--backend", "symplectic"]
     assert cli.main(argv) == 2
     assert _error_report(capsys.readouterr().out, command).startswith(kind + ": ")
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["fixtures", "--out", "{tmp}"], "IsADirectoryError"),
+    (["construct", "cq", "2", "1", "3", "3", "--out", "{tmp}/missing/x.json"],
+     "FileNotFoundError"),
+], ids=["fixtures-dir", "construct-missing-dir"])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv, kind):
+    """An --out path that cannot be written is a malformed input: a JSON
+    report and exit 2, not a traceback."""
+    from mmsplab import cli
+
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert _error_report(capsys.readouterr().out, argv[0]).startswith(kind + ": ")

@@ -241,6 +241,71 @@ def test_cqspir_audit_example2(ex2):
     assert rep.secure and rep.matches_classify
 
 
+@pytest.mark.parametrize("cols,narrow", [((2, 3, 1), True), ((9, 20, 7), False)],
+                         ids=["qr", "dense"])
+def test_mixture_distance_matches_dense(cols, narrow):
+    """On seeded mixtures with unequal weights, on both sides of the shape
+    rule (fewer stacked columns than rows, or not), the factored distance
+    is the dense trace distance; a mixture regrouped with other weights is
+    at distance 0 from itself."""
+    rng = np.random.default_rng(sum(cols))
+    d = 27
+
+    def mixture(widths):
+        out = []
+        for k in widths:
+            f = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+            out.append((float(rng.uniform(0.1, 3.0)), f))
+        total = sum(w * np.linalg.norm(f) ** 2 for w, f in out)
+        return [(w / total, f) for w, f in out]
+
+    def dense(mix):
+        return sum(w * f @ f.conj().T for w, f in mix)
+
+    a, b = mixture(cols), mixture(cols[::-1])
+    assert (2 * sum(cols) < d) == narrow
+    want = qp.trace_distance(dense(a), dense(b))
+    assert want > 0.1
+    assert abs(qp.mixture_distance(a, b) - want) < 1e-12
+    # the same state with its first piece split in two at other weights
+    w0, f0 = a[0]
+    split = [(w0 / 4, 2 * f0[:, :1]), (w0, f0[:, 1:])] + a[1:]
+    assert qp.trace_distance(dense(a), dense(split)) < 1e-12
+    assert qp.mixture_distance(a, split) < 1e-12
+
+
+def test_spir_secrecy_eigvalsh_width_is_factor_span(monkeypatch):
+    """Every secrecy comparison of an n = 3 EASPIR audit runs eigvalsh on a
+    matrix no wider than the two mixtures' summed factor width (2 q^y2 on
+    D-full (x) E-full), not on the 3^6 = 729-dimensional state."""
+    from mmsplab import fixtures as fx
+
+    bundle, fs = fx.make_pools("ea", 2, seed=3, n_values=(3,))[0][0]
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(m):
+        widths.append(m.shape[0])
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rep = qp.audit_spir(bundle, fs, nfiles=2, protocol="easpir")
+    assert rep.secure and rep.matches_classify
+    assert widths and max(widths) <= 2 * 3**bundle.y2
+
+
+@pytest.mark.parametrize("kind", ["ea", "cq"])
+def test_spir_audits_at_n4_match_classify(kind):
+    """Seeded n = 4 F_3 SPIR audits, one positive and one negative each,
+    agree with the span-program verdict."""
+    from mmsplab import fixtures as fx
+
+    pos, neg = fx.make_pools(kind, 1, seed=4, n_values=(4,))
+    for (bundle, fs), want in ((pos[0], True), (neg[0], False)):
+        rep = qp.audit_spir(bundle, fs, nfiles=2, protocol=kind + "spir")
+        assert rep.secure == want and rep.matches_classify
+
+
 def test_spir_query_index_outside_files_refused(ex1):
     u_q = np.zeros((ex1.bundle.y1 + ex1.bundle.y2, 2 * ex1.bundle.x), dtype=np.int64)
     for k in (0, 3):

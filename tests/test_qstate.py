@@ -223,16 +223,25 @@ def test_displaced_measurement_brute_force_born_rule(case, block_cells,
     assert (want[-1] > 1e-3) == has_tail
 
 
-def test_partial_trace_consistency():
+def test_reduce_factor_mixed_register_sizes():
+    """A (d_r, q, q, q) tensor, as the QQ decoder passes with d_r = q^(x/2):
+    the kept dimension is the product of the kept axes' sizes, and the
+    factor reproduces the explicit partial trace."""
     rng = np.random.default_rng(2)
-    v = rng.normal(size=(Q,) * 3) + 1j * rng.normal(size=(Q,) * 3)
+    v = rng.normal(size=(9, Q, Q, Q)) + 1j * rng.normal(size=(9, Q, Q, Q))
     v /= np.linalg.norm(v)
-    rho = np.outer(v.reshape(-1), v.conj().reshape(-1))
-    r1 = qs.partial_trace(rho, Q, 3, [0, 2])
-    r2 = qs.reduce_state(v, [0, 2])
-    assert np.linalg.norm(r1 - r2) < 1e-12
-    # keeping everything returns the operator unchanged
-    assert np.linalg.norm(qs.partial_trace(rho, Q, 3, [0, 1, 2]) - rho) < 1e-12
+    psi = qs.reduce_factor(v, [0, 2])
+    assert psi.shape == (27, 9)
+    want = np.einsum("abcd,ebfd->acef", v, v.conj()).reshape(27, 27)
+    assert np.linalg.norm(psi @ psi.conj().T - want) < 1e-12
+    psi = qs.reduce_factor(v, [1, 3])
+    want = np.einsum("abcd,aecf->bdef", v, v.conj()).reshape(9, 9)
+    assert psi.shape == (9, 27)
+    assert np.linalg.norm(psi @ psi.conj().T - want) < 1e-12
+    # keeping everything returns the pure state's projector
+    flat = v.reshape(-1)
+    assert np.linalg.norm(qs.reduce_state(v, [0, 1, 2, 3])
+                          - np.outer(flat, flat.conj())) < 1e-12
 
 
 def test_entropies_and_relative_entropy():
