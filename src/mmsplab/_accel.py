@@ -1,6 +1,7 @@
-"""Finite-field kernels: one lockstep elimination over stacks of FieldCtx
-cells (through the ctx.ax_* operations, so for both field kinds), and the
-share histogram, which reads the operation tables of fields with q <= 512.
+"""Finite-field kernels: one inverse-free lockstep elimination over stacks
+of FieldCtx cells (through the ctx.ax_* operations, so for both field
+kinds), whose RREF takes one batched ctx.ax_inv per stack, and the share
+histogram, which reads the operation tables of fields with q <= 512.
 """
 
 from __future__ import annotations
@@ -31,14 +32,19 @@ class Tables(NamedTuple):
 
 def _eliminate(ctx, a: np.ndarray, reduce: bool):
     """Eliminate every matrix of a stack a (N, rows, cols[, r]) in place, in
-    lockstep; returns (ranks (N,), pivot-column mask (N, cols)).
+    lockstep, without inverting anything; returns (ranks (N,), pivot-column
+    mask (N, cols)).
 
-    Each matrix takes as pivot the first nonzero at or below its own next
-    pivot row.  Only rows from the smallest next pivot row down and columns
-    from the current one right change, so coinciding pivot patterns cost N
-    times one matrix.  reduce=False is fraction-free (Bareiss, no inverses)
-    and leaves only the ranks and pivots meaningful; reduce=True normalises
-    each pivot row and clears its whole column, leaving the RREF."""
+    Each matrix takes as pivot p the first nonzero at or below its own next
+    pivot row, and every row it updates becomes p row - row_c prow in one
+    ctx.ax_mulsub (the fraction-free step of Bareiss, Math. Comp. 22, 1968).
+    Only rows from the smallest next pivot row down change, so coinciding
+    pivot patterns cost N times one matrix.  reduce=False is the forward
+    pass, over columns c+1.., and leaves only the ranks and pivots meaningful;
+    reduce=True is Gauss-Jordan: every row but the pivot row is updated over
+    its whole width (rows above it carry earlier pivots, which the scaling
+    must keep in step), leaving each pivot row i equal to d_i times row i of
+    the RREF, with d_i its pivot entry."""
     n, rows, cols = a.shape[:3]
     nxt = np.zeros(n, dtype=np.int64)
     piv = np.zeros((n, cols), dtype=bool)
@@ -57,18 +63,14 @@ def _eliminate(ctx, a: np.ndarray, reduce: bool):
         own, sel = nxt[idx], lo + nz[idx].argmax(axis=1)
         prow = a[idx, sel]
         a[idx, sel] = a[idx, own]
-        if reduce:
-            inv = [ctx.token_to_cell(ctx.inv(ctx.cell_to_token(e))) for e in prow[:, c]]
-            prow = ctx.ax_mul(prow, np.array(inv)[:, None])
-        top = 0 if reduce else lo + 1
-        if top < rows:
-            # the pivot row is zero left of column c, so only columns c..
-            # change; forward, rows above a matrix's own pivot row are done
-            # and never read again.  The pivot row itself is written after.
-            sub = a[idx, top:, c:]
-            scaled = sub if reduce else ctx.ax_mul(prow[:, None, c:c + 1], sub)
-            a[idx, top:, c:] = ctx.ax_add(
-                scaled, ctx.ax_mul(ctx.ax_neg(sub[:, :, :1]), prow[:, None, c:]))
+        top, left = (0, 0) if reduce else (lo + 1, c + 1)
+        if top < rows and left < cols:
+            # the pivot row is zero left of column c; forward, rows above a
+            # matrix's own pivot row, and column c below it, are done and
+            # never read again.  The pivot row itself is written after.
+            a[idx, top:, left:] = ctx.ax_mulsub(
+                prow[:, None, c:c + 1], a[idx, top:, left:], a[idx, top:, c:c + 1],
+                prow[:, None, left:])
         a[idx, own] = prow
         piv[:, c] = has
         nxt += has
@@ -79,9 +81,18 @@ def _eliminate(ctx, a: np.ndarray, reduce: bool):
     return nxt, piv
 
 
-def gf_rref(ctx, a: np.ndarray):
-    """RREF of every matrix of a stack in place; (ranks, pivot-column mask)."""
-    return _eliminate(ctx, a, True)
+def gf_rref(ctx, a: np.ndarray, normalise: bool = True):
+    """RREF of every matrix of a stack in place; (ranks, pivot-column mask).
+
+    One ctx.ax_inv call on all pivot entries of the stack normalises the
+    pivot rows; normalise=False leaves pivot row i scaled by its pivot d_i."""
+    ranks, piv = _eliminate(ctx, a, True)
+    if normalise and ranks.any():
+        k, c = piv.nonzero()  # one pair per pivot, row by row in each matrix
+        i = np.cumsum(piv, axis=1)[k, c] - 1
+        inv = ctx.ax_inv(a[k, i, c])
+        a[k, i] = ctx.ax_mul(a[k, i], inv[:, None])
+    return ranks, piv
 
 
 def gf_rank(ctx, a: np.ndarray):

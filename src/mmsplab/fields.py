@@ -78,7 +78,9 @@ def _ptrim(v: np.ndarray) -> np.ndarray:
 
 EXACT = 2.0**53  # float64 holds every integer below this exactly
 # largest product coefficient d (p-1)^2 for which a float64 FFT product still
-# rounds to the exact integers, with a wide margin for its rounding error
+# rounds to the exact integers, with a wide margin for its rounding error;
+# the fused a b - c d of FieldCtx.ax_mulsub sums two such products, at most
+# 2 d (p-1)^2 <= 2^41, which keeps a margin of 2^12 below 2^53
 FFT_EXACT = 2**40
 
 
@@ -480,33 +482,31 @@ class FieldCtx:
         return _reduce(full, self._tail, self.r, self.p, self._prod_bound)
 
     def inv(self, a):
-        if self.kind == "tabled":
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return int(self._inv1d[a])
-        if a == self._zero_bytes:
-            raise DivisionByZero("inverse of zero")
-        return self.cell_to_token(self._poly_inv(self.token_to_cell(a)))
+        return self.cell_to_token(self.ax_inv(self.token_to_cell(a)))
 
     def _poly_inv(self, a: np.ndarray) -> np.ndarray:
-        """Itoh-Tsujii inverse: a^-1 = phi(S_(r-1)) N(a)^-1 with
-        S_m = prod_(i<m) phi^i(a) and the norm N(a) = a phi(S_(r-1)) in F_p.
+        """Itoh-Tsujii inverses of a stack (..., r) of nonzero cells:
+        a^-1 = phi(S_(r-1)) N(a)^-1 with S_m = prod_(i<m) phi^i(a) and the
+        norm N(a) = a phi(S_(r-1)) in F_p.
 
         S_(r-1) is built from u_j = S_(2^j), u_(j+1) = u_j phi^(2^j)(u_j),
-        by S_(2^j+m) = u_j phi^(2^j)(S_m) over the set bits j of r-1, so it
-        takes about 2 log2(r) products and Frobenius matvecs.
+        by S_(2^j+m) = u_j phi^(2^j)(S_m) over the set bits j of r-1, so the
+        whole stack takes about 2 log2(r) ax_mul calls and Frobenius
+        products v phi^T.
         """
         p, m = self.p, self.r - 1
         phis = self._frobenius_powers(m.bit_length())
         u, s = a, None
         for j in range(m.bit_length()):
             if m >> j & 1:
-                s = u if s is None else self._mul_row(u, phis[j] @ s % p)
+                s = u if s is None else self.ax_mul(u, _modp(s @ phis[j].T, p))
             if j + 1 < m.bit_length():
-                u = self._mul_row(u, phis[j] @ u % p)
-        rest = np.eye(1, self.r, dtype=np.int64)[0] if s is None else phis[0] @ s % p
-        norm = int(self._mul_row(a, rest)[0])
-        return (rest * pow(norm, -1, p) % p).astype(np.int64)
+                u = self.ax_mul(u, _modp(u @ phis[j].T, p))
+        rest = (np.eye(1, self.r, dtype=np.int64)[0] if s is None
+                else _modp(s @ phis[0].T, p).astype(np.int64))
+        norm = self.ax_mul(a, rest)[..., 0]
+        inv = np.array([pow(int(v), -1, p) for v in norm.ravel()], dtype=np.int64)
+        return rest * inv.reshape(norm.shape + (1,)) % p
 
     def pow_(self, a, e: int):
         if e < 0:
@@ -658,6 +658,29 @@ class FieldCtx:
         fb = np.fft.rfft(np.asarray(b, dtype=np.float64), self._nfft, axis=-1)
         full = np.rint(np.fft.irfft(fa * fb, self._nfft, axis=-1)[..., : 2 * self.r - 1])
         return _reduce(full, self._tail, self.r, self.p, self._prod_bound)
+
+    def ax_mulsub(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  d: np.ndarray) -> np.ndarray:
+        """a b - c d cellwise, with broadcasting.  On poly fields both
+        products are summed in the frequency domain, so one inverse FFT and
+        one reduction serve them (see FFT_EXACT for its exactness)."""
+        if self.kind == "tabled":
+            if (t := self._tables) is not None:
+                return t.add[t.mul[a, b], self._neg1d[t.mul[c, d]]]
+            return self.ax_add(self.ax_mul(a, b), self.ax_neg(self.ax_mul(c, d)))
+        n = self._nfft
+        fa, fb, fc, fd = (np.fft.rfft(np.asarray(x, dtype=np.float64), n, axis=-1)
+                          for x in (a, b, c, self.ax_neg(d)))
+        full = np.rint(np.fft.irfft(fa * fb + fc * fd, n, axis=-1)[..., : 2 * self.r - 1])
+        return _reduce(full, self._tail, self.r, self.p, 2 * self._prod_bound)
+
+    def ax_inv(self, a: np.ndarray) -> np.ndarray:
+        """Inverse of every cell; raises DivisionByZero if any is zero."""
+        if not self.ax_nonzero(a).all():
+            raise DivisionByZero("inverse of zero")
+        if self.kind == "tabled":
+            return self._inv1d[np.asarray(a, dtype=np.int64)]
+        return self._poly_inv(np.asarray(a, dtype=np.int64))
 
     def ax_nonzero(self, a: np.ndarray) -> np.ndarray:
         """Boolean mask of nonzero cells (drops the coefficient axis if any)."""

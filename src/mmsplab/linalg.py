@@ -273,11 +273,20 @@ def in_span(m: MatGF, v: VecGF) -> bool:
 
 def nullspace(m: MatGF) -> MatGF:
     """Matrix whose columns span the right nullspace of m."""
-    red, piv, rk = rref(m)
-    free = [c for c in range(m.cols) if c not in piv]
-    out = MatGF.zeros(m.ctx, m.cols, len(free))
-    out.a[free, range(len(free))] = m.ctx.token_to_cell(m.ctx.one)
-    out.a[piv] = m.ctx.ax_neg(red.a[:rk][:, free])
+    a = m.a[None].copy()
+    _, piv = _accel.gf_rref(m.ctx, a)
+    return _kernel(m.ctx, a[0], piv[0])
+
+
+def _kernel(ctx: FieldCtx, red: np.ndarray, piv: np.ndarray) -> MatGF:
+    """I on the free coordinates and -red on the pivot ones, from a
+    Gauss-Jordan form red with pivot-column mask piv: the kernel basis when
+    red is the RREF, and that basis with pivot coordinate i scaled by d_i
+    when pivot row i of red is d_i times RREF row i."""
+    free = np.flatnonzero(~piv)
+    out = MatGF.zeros(ctx, len(piv), len(free))
+    out.a[free, range(len(free))] = ctx.token_to_cell(ctx.one)
+    out.a[piv] = ctx.ax_neg(red[: piv.sum()][:, free])
     return out
 
 
@@ -407,10 +416,13 @@ def is_mds(m: MatGF) -> bool:
     if k == 0:
         return True
     if 2 * k > m.rows and k < m.rows:
-        # a code is MDS iff its dual is; the dual side has smaller minors
-        if rank(m) != k:
-            return False
-        return is_mds(nullspace(m.transpose()))
+        # a code is MDS iff its dual is, and the dual side has smaller
+        # minors.  The unnormalised Gauss-Jordan form of m^T gives the dual
+        # with each row scaled by a nonzero pivot, which leaves every
+        # minor's rank as it is, so nothing is inverted.
+        a = np.swapaxes(m.a, 0, 1)[None].copy()
+        rk, piv = _accel.gf_rref(m.ctx, a, normalise=False)
+        return int(rk[0]) == k and is_mds(_kernel(m.ctx, a[0], piv[0]))
     # minors in blocks of about MDS_BLOCK_CELLS coefficients, each block
     # eliminated in lockstep
     block = max(1, MDS_BLOCK_CELLS // (k * k * int(np.prod(m.a.shape[2:]))))

@@ -395,3 +395,90 @@ def test_modp_rref_matches_scalar_reference(p):
         rr, want_piv = _ref_rref(a.tolist(), p)
         assert piv == want_piv
         assert np.array_equal(got.astype(np.int64), np.array(rr, dtype=np.int64).reshape(a.shape))
+
+
+# ---------------------------------------------------------------------------
+# fused multiply-subtract and batched inverses against the references
+# ---------------------------------------------------------------------------
+
+# (p, d, modulus, tower): every poly field above, a GF(3^512) tower, GF(257^3),
+# GF(11^8), and tabled fields with 2-D tables and past TABLE2D_LIMIT (exp/log)
+KERNEL_FIELDS = ([(p, d, poly, False) for p, d, poly in _poly_fields()]
+                 + [(3, 9, None, True), (257, 3, None, False), (11, 8, None, False),
+                    (3, 1, None, False), (2, 4, None, False), (3, 2, None, False),
+                    (3, 7, None, False), (2, 10, None, False)])
+
+
+def _kernel_field(p, d, poly, tower):
+    return tower_build(p, d) if tower else field_build(p, d, poly)
+
+
+def _cell(ctx, coeff):
+    """The cell whose power-basis coefficients all equal coeff."""
+    return ctx.token_to_cell(ctx.from_coeffs([coeff] * ctx.r))
+
+
+@pytest.mark.parametrize("p,d,poly,tower", KERNEL_FIELDS)
+def test_mulsub_and_batched_inverse_match_scalar_ops(p, d, poly, tower):
+    ctx = _kernel_field(p, d, poly, tower)
+    if ctx.kind == "tabled":
+        assert (ctx.tables() is None) == (ctx.q > fields.TABLE2D_LIMIT)
+    rng = np.random.default_rng(p * 1000 + d)
+    a, b, c, dd = (ctx.random_cells(rng, 5) for _ in range(4))
+    top, ones = _cell(ctx, p - 1), _cell(ctx, 1)
+    a[0] = b[0] = c[0] = top
+    dd[0] = ones  # -d is then all p - 1: both products reach their bound
+    a[1] = b[1] = c[1] = dd[1] = top
+    tok = lambda cells: [ctx.cell_to_token(x) for x in cells]
+    want = [ctx.sub(ctx.mul(w, x), ctx.mul(y, z))
+            for w, x, y, z in zip(tok(a), tok(b), tok(c), tok(dd))]
+    assert tok(ctx.ax_mulsub(a, b, c, dd)) == want
+    assert tok(ctx.ax_mulsub(a[:1, None], b, c, dd[None, :1])[0]) == [
+        ctx.sub(ctx.mul(tok(a)[0], x), ctx.mul(y, tok(dd)[0]))
+        for x, y in zip(tok(b), tok(c))]
+    if ctx.kind == "poly":
+        mod = ctx.modulus
+        ref = [(_ref_mulmod(w, x, mod, p) - _ref_mulmod(y, z, mod, p)) % p
+               for w, x, y, z in zip(a, b, c, dd)]
+        assert np.array_equal(ctx.ax_mulsub(a, b, c, dd), np.stack(ref))
+    nz = ctx.random_cells(rng, 2, 3)
+    nz[~ctx.ax_nonzero(nz)] = ctx.token_to_cell(ctx.one)
+    nz[0, 0] = top
+    inv = ctx.ax_inv(nz)
+    assert inv.shape == nz.shape
+    assert tok(inv.reshape((-1,) + inv.shape[2:])) == [
+        ctx.inv(x) for x in tok(nz.reshape((-1,) + nz.shape[2:]))]
+    assert tok(ctx.ax_mul(nz, inv).reshape((-1,) + inv.shape[2:])) == [ctx.one] * 6
+    if ctx.kind == "poly":
+        one = np.eye(1, ctx.r, dtype=np.int64)[0]
+        for x, y in zip(nz.reshape(-1, ctx.r), inv.reshape(-1, ctx.r)):
+            assert np.array_equal(_ref_mulmod(x, y, ctx.modulus, p), one)
+    nz[1, 2] = ctx.token_to_cell(ctx.zero)
+    with pytest.raises(DivisionByZero):
+        ctx.ax_inv(nz)
+    with pytest.raises(DivisionByZero):
+        ctx.inv(ctx.zero)
+
+
+# the largest prime p whose GF(p^2) products stay within FFT_EXACT: the
+# fused sum of two products reaches 2 r (p-1)^2 = 0.99993 * 2^41 there
+NEAR_LIMIT_P, NEXT_PRIME = 741431, 741457
+
+
+def test_mulsub_exact_at_admitted_limit():
+    from mmsplab.errors import TooLarge
+
+    assert 2 * (NEAR_LIMIT_P - 1) ** 2 <= fields.FFT_EXACT < 2 * (NEXT_PRIME - 1) ** 2
+    with pytest.raises(TooLarge):
+        fields._check_size(NEXT_PRIME, 2)
+    p = NEAR_LIMIT_P
+    ctx = field_build(p, 2)
+    assert ctx.kind == "poly"
+    top = np.full(2, p - 1, dtype=np.int64)
+    rng = np.random.default_rng(7)
+    cells = [np.stack([top, top, *ctx.random_cells(rng, 3)]) for _ in range(3)]
+    d = np.stack([np.ones(2, dtype=np.int64), top, *ctx.random_cells(rng, 3)])
+    mod = ctx.modulus
+    want = np.stack([(_ref_mulmod(w, x, mod, p) - _ref_mulmod(y, z, mod, p)) % p
+                     for w, x, y, z in zip(*cells, d)])
+    assert np.array_equal(ctx.ax_mulsub(*cells, d), want)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsplab import _accel
 from mmsplab import linalg as la
 from mmsplab.errors import (
     IndexOutOfRange,
@@ -15,7 +16,7 @@ from mmsplab.errors import (
     RankDeficient,
     TooManyColumns,
 )
-from mmsplab.fields import field_build, tower_build
+from mmsplab.fields import FieldCtx, field_build, tower_build
 
 F3 = field_build(3, 1)
 F5 = field_build(5, 1)
@@ -227,7 +228,7 @@ def test_symp_bilinearity_property(ai, bi):
 # ---------------------------------------------------------------------------
 
 def _minor_rank(m, rows):
-    # RREF with pivot inversions, not the fraction-free pass is_mds runs
+    # the normalised RREF, not the fraction-free forward pass is_mds runs
     return la.rref(la.restrict(m, [i + 1 for i in rows]))[2]
 
 
@@ -285,3 +286,67 @@ def test_gram_orthogonality_matches_pairwise_symp(ctx):
         assert la.is_col_orth(g, f) == _ref_col_orth(g, f)
         seen |= {("self", la.is_self_col_orth(g)), ("cross", la.is_col_orth(f, g))}
     assert len(seen) == 4  # both verdicts of both predicates were checked
+
+
+# ---------------------------------------------------------------------------
+# inverse economy: one batched inverse per RREF, none in the MDS dual
+# ---------------------------------------------------------------------------
+
+def _count_poly_inv(monkeypatch):
+    calls = []
+    real = FieldCtx._poly_inv
+
+    def counted(self, a):
+        calls.append(a.shape)
+        return real(self, a)
+
+    monkeypatch.setattr(FieldCtx, "_poly_inv", counted)
+    return calls
+
+
+def test_rref_inverts_once(monkeypatch):
+    t = tower_build(3, 9)
+    rng = np.random.default_rng(12)
+    m = la.MatGF(t, t.random_cells(rng, 5, 7))
+    m.a[:, 1] = 0
+    m.a[3] = t.ax_add(m.a[0], m.a[2])  # rank 4, pivots 0, 2, 3, 4
+    calls = _count_poly_inv(monkeypatch)
+    red, piv, rk = la.rref(m)
+    assert calls == [(4, t.r)]
+    assert (rk, piv) == (4, [0, 2, 3, 4])
+    assert np.array_equal(red.a[:rk][:, piv], la.MatGF.identity(t, rk).a)
+    assert not red.a[rk:].any()
+    assert la.rank(la.vstack([red, m])) == rk  # the same row space
+
+
+def test_is_mds_dual_makes_no_inverse(monkeypatch):
+    t = tower_build(3, 9)
+    rng = np.random.default_rng(13)
+    m = la.MatGF(t, t.random_cells(rng, 6, 5))  # no identity rows
+    calls = _count_poly_inv(monkeypatch)
+    assert la.is_mds(m) is True
+    m.a[5] = t.ax_add(m.a[0], m.a[1])
+    assert la.is_mds(m) is False
+    assert calls == []
+
+
+@pytest.mark.parametrize("ctx", [field_build(3, 1), field_build(5, 1), field_build(3, 2),
+                                 tower_build(3, 4)], ids=repr)
+def test_is_mds_dual_shortcut_matches_minors(ctx):
+    rng = np.random.default_rng(ctx.q)
+    seen = set()
+    for rows, k in [(3, 2), (4, 3), (5, 3), (6, 4), (7, 5), (7, 6)] * 4:
+        m = la.MatGF(ctx, ctx.random_cells(rng, rows, k))
+        case = rng.integers(4)
+        if case == 1:  # rank-deficient: one column repeats another
+            m.a[:, k - 1] = m.a[:, 0]
+        elif case == 2:  # full rank, with a singular minor through a zero row
+            m.a[rows - 1] = 0
+        elif case == 3:  # an identity block on top, as constructions build
+            m.a[:k] = la.MatGF.identity(ctx, k).a
+        assert 2 * k > rows
+        want = _accel.gf_is_mds(ctx, m.a, k, 1000)
+        assert la.is_mds(m) is want
+        seen.add((case, want))
+    assert {want for _, want in seen} == {True, False}
+    assert {case for case, _ in seen} == {0, 1, 2, 3}
