@@ -1,7 +1,9 @@
 """Finite-field kernels: one inverse-free lockstep elimination over stacks
 of FieldCtx cells (through the ctx.ax_* operations, so for both field
-kinds), whose RREF takes one batched ctx.ax_inv per stack, and the share
-histogram, which reads the operation tables of fields with q <= 512.
+kinds), whose RREF takes one batched ctx.ax_inv per stack, and one coset
+histogram (counts of shift + G u over every u, G u enumerated once, shifts
+in bounded blocks) behind every share and query-column histogram, which
+reads the operation tables of fields with q <= 512.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import numpy as np
 
 from .errors import TooLarge
 
-# largest share histogram (int64 cells, q^x * q^rows) gf_share_hist will
+# largest coset histogram (int64 cells, shifts * q^rows) gf_coset_hist will
 # allocate: 16 Mi cells = 128 MiB
 SHARE_HIST_CELL_CAP = 1 << 24
+# cells per block of shifts in gf_coset_hist, counting both the gathered
+# share codes (shifts * q^cols * rows) and the bincount output (shifts * q^rows)
+_HIST_BLOCK_CELLS = 1 << 16
 
 
 def backend_name() -> str:
@@ -111,32 +116,46 @@ def gf_is_mds(ctx, data: np.ndarray, k: int, block: int) -> bool:
     return True
 
 
-def gf_share_hist(gr: np.ndarray, fr: np.ndarray, t: Tables) -> np.ndarray:
-    """counts[m_index, share_code] over exhaustive randomness enumeration."""
-    q = t.q
-    nb, y = gr.shape
-    x = fr.shape[1]
-    cells = q**x * q**nb
+def _check_cells(cells: int) -> None:
     if cells > SHARE_HIST_CELL_CAP:
         raise TooLarge(f"share histogram of {cells} cells exceeds the cap of "
                        f"{SHARE_HIST_CELL_CAP}")
-    qy, qx, qnb = q**y, q**x, q**nb
-    uall = np.empty((qy, y), dtype=np.int64)
-    tmp = np.arange(qy)
-    for j in range(y):
-        uall[:, j] = tmp % q
-        tmp = tmp // q
-    gu = np.zeros((qy, nb), dtype=np.int64)
-    for j in range(y):
-        gu = t.add[gu, t.mul[gr[None, :, j], uall[:, j, None]]]
-    counts = np.zeros((qx, qnb), dtype=np.int64)
-    powers = q ** np.arange(nb)
-    for midx in range(qx):
-        mdig = [(midx // q**j) % q for j in range(x)]
-        fm = np.zeros(nb, dtype=np.int64)
-        for j in range(x):
-            fm = t.add[fm, t.mul[fr[:, j], mdig[j]]]
-        shares = t.add[gu, fm[None, :]]
-        codes = shares @ powers
-        counts[midx] = np.bincount(codes, minlength=qnb)
+
+
+def gf_span(a: np.ndarray, t: Tables) -> np.ndarray:
+    """Every a u, u over F_q^cols, as the rows of a (q^cols, rows) array: row
+    sum_j u_j q^j is a u.  Built one digit u_j at a time, slowest last."""
+    out = np.zeros((1, a.shape[0]), dtype=np.int64)
+    for j in range(a.shape[1]):
+        out = t.add[t.mul[a[:, j]].T[:, None], out[None]].reshape(
+            t.q * len(out), a.shape[0])
+    return out
+
+
+def gf_coset_hist(gr: np.ndarray, shifts: np.ndarray, t: Tables) -> np.ndarray:
+    """counts[i, code] of the multiset shifts[i] + G u over every u, where a
+    share z has code sum_j z_j q^j.  G u is enumerated once; each block of
+    shifts is one table lookup and one bincount, the rows of block row i
+    offset by i q^rows."""
+    q, rows = t.q, gr.shape[0]
+    qr = q**rows
+    _check_cells(shifts.shape[0] * qr)
+    gu = gf_span(gr, t)
+    powers = q ** np.arange(rows)
+    # the gathered shares and the bincount output both stay within the block
+    step = max(1, _HIST_BLOCK_CELLS // max(gu.size, qr))
+    counts = np.empty((shifts.shape[0], qr), dtype=np.int64)
+    for lo in range(0, shifts.shape[0], step):
+        s = shifts[lo:lo + step]
+        codes = t.add[s[:, None, :], gu[None]] @ powers
+        codes += np.arange(len(s))[:, None] * qr
+        counts[lo:lo + len(s)] = np.bincount(
+            codes.ravel(), minlength=len(s) * qr).reshape(len(s), qr)
     return counts
+
+
+def gf_share_hist(gr: np.ndarray, fr: np.ndarray, t: Tables) -> np.ndarray:
+    """counts[m_index, share_code] of F m + G u over every u, with m_index
+    sum_j m_j q^j."""
+    _check_cells(t.q**fr.shape[1] * t.q**gr.shape[0])
+    return gf_coset_hist(gr, gf_span(fr, t), t)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import qstate as qs
 from .access import AccessStructure, symplectify, symplectify_structure
-from .classical import Transcript, _hist
+from .classical import Transcript, _column_hists
 from .errors import BadIndex, ClassMismatch, NonStandardQuery, TooLarge
 from .linalg import (
     MatGF,
@@ -825,11 +825,8 @@ def _query_marginals_equal(bundle: MmspBundle, sympl_subset: list[int]) -> bool:
     """Exact multiset equality of restricted query columns across k: each
     F column (the selector of the target file) against the zero column
     (every other file), over exhaustive randomness."""
-    g, ctx = bundle.g_stack(), bundle.ctx
-    without = _hist(g, MatGF.zeros(ctx, g.rows, 1), sympl_subset)[1]
-    return all(np.array_equal(_hist(g, MatGF(ctx, bundle.f.a[:, col:col + 1].copy()),
-                                    sympl_subset)[1], without)
-               for col in range(bundle.x))
+    h = _column_hists(bundle.g_stack(), bundle.f, sympl_subset)
+    return bool((h[1:] == h[0]).all())
 
 
 # ---------------------------------------------------------------------------

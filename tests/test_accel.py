@@ -9,10 +9,10 @@ import pytest
 
 from mmsplab import _accel
 from mmsplab.access import make_threshold
-from mmsplab.classical import CssProtocol, css_share
+from mmsplab.classical import CssProtocol, _vec_from_index, css_share
 from mmsplab.errors import TooLarge
 from mmsplab.fields import field_build, tower_build
-from mmsplab.linalg import MatGF, VecGF, min_weight_nonzero
+from mmsplab.linalg import MatGF, min_weight_nonzero
 
 # F_3, GF(4), GF(8), GF(9)
 FIELDS = [field_build(3, 1), field_build(2, 2), field_build(2, 3), field_build(3, 2)]
@@ -99,38 +99,95 @@ def test_mds_paths_agree():
         assert seen == {True, False}
 
 
-def test_hist_paths_agree():
-    """gf_share_hist counts every share code F m + G u over exhaustive u,
-    as css_share computes it one (m, u) pair at a time."""
+# (rows, x, y) of the histogram inputs: y = 2 and x = 2, and no rows at all
+# (the restriction to an empty subset)
+HIST_SHAPES = [(3, 1, 1), (3, 2, 2), (0, 1, 2)]
+
+
+def _hist_ref(ctx, g, f):
+    """counts[m_index, share_code] of F m + G u, one (m, u) pair at a time
+    through css_share."""
+    q, (rows, x), y = ctx.q, f.a.shape, g.cols
+    want = np.zeros((q**x, q**rows), dtype=np.int64)
+    if rows == 0:  # the empty share, q^y times for every m
+        want[:, 0] = q**y
+        return want
+    p = CssProtocol(g=g, f=f, access=make_threshold(rows, rows - 1, rows))
+    for mi, ui in product(range(q**x), range(q**y)):
+        z = css_share(p, _vec_from_index(ctx, mi, x), _vec_from_index(ctx, ui, y))
+        want[mi, int(z.a @ q ** np.arange(rows))] += 1
+    return want
+
+
+def _hist_cases():
     rng = np.random.default_rng(2)
     for ctx in FIELDS:
-        q = ctx.q
-        g = MatGF(ctx, rng.integers(0, q, size=(3, 1)))
-        f = MatGF(ctx, rng.integers(0, q, size=(3, 1)))
-        p = CssProtocol(g=g, f=f, access=make_threshold(2, 1, 3))
-        want = np.zeros((q, q**3), dtype=np.int64)
-        for m, u in product(range(q), repeat=2):
-            z = css_share(p, VecGF(ctx, np.array([m])), VecGF(ctx, np.array([u])))
-            want[m, int(z.a @ q ** np.arange(3))] += 1
-        assert np.array_equal(_accel.gf_share_hist(g.a, f.a, ctx.tables()), want)
+        for rows, x, y in HIST_SHAPES:
+            g = MatGF(ctx, rng.integers(0, ctx.q, size=(rows, y)))
+            f = MatGF(ctx, rng.integers(0, ctx.q, size=(rows, x)))
+            shifts = rng.integers(0, ctx.q, size=(5, rows))
+            shifts[2] = 0
+            yield ctx, g, f, shifts
+
+
+def _hists(ctx, g, f, shifts):
+    t = ctx.tables()
+    return (_accel.gf_share_hist(g.a, f.a, t),
+            _accel.gf_coset_hist(g.a, shifts, t))
+
+
+def test_hist_paths_agree():
+    """gf_share_hist counts every share code F m + G u over exhaustive u, and
+    gf_coset_hist every shifts[i] + G u (F = I, m = shifts[i]), as css_share
+    computes them one (m, u) pair at a time."""
+    for ctx, g, f, shifts in _hist_cases():
+        share, coset = _hists(ctx, g, f, shifts)
+        assert np.array_equal(share, _hist_ref(ctx, g, f))
+        eye = MatGF(ctx, np.eye(len(shifts[0]), dtype=np.int64))
+        ref = _hist_ref(ctx, g, eye)
+        codes = shifts @ ctx.q ** np.arange(shifts.shape[1])
+        assert np.array_equal(coset, ref[codes])
+
+
+def test_hist_blocks_agree(monkeypatch):
+    """One shift per block gives the same counts as the default blocks."""
+    cases = list(_hist_cases())
+    want = [_hists(*case) for case in cases]
+    monkeypatch.setattr(_accel, "_HIST_BLOCK_CELLS", 1)
+    for case, (share, coset) in zip(cases, want):
+        got_share, got_coset = _hists(*case)
+        assert np.array_equal(got_share, share)
+        assert np.array_equal(got_coset, coset)
 
 
 def test_share_hist_cell_cap(monkeypatch):
-    """The histogram is refused from its computed size q^x * q^rows, before
-    anything is allocated; only tiny matrices are used."""
-    t = tables()
+    """Both histograms are refused from their computed size, q^x * q^rows
+    and shifts * q^rows, before G u is enumerated; only tiny matrices are
+    used."""
+    t, cap = tables(), _accel.SHARE_HIST_CELL_CAP
     g = np.zeros((3, 1), dtype=np.int64)
     f = np.zeros((3, 2), dtype=np.int64)  # 3^2 * 3^3 = 243 cells
+    shifts = np.zeros((9, 3), dtype=np.int64)  # 9 * 3^3 = 243 cells
     monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 243)
     assert _accel.gf_share_hist(g, f, t).shape == (9, 27)
+    assert _accel.gf_coset_hist(g, shifts, t).shape == (9, 27)
+
+    def no_span(*_a):
+        raise AssertionError("G u enumerated past the cap")
+    monkeypatch.setattr(_accel, "gf_span", no_span)
     monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 242)
     with pytest.raises(TooLarge):
         _accel.gf_share_hist(g, f, t)
-    monkeypatch.undo()
+    with pytest.raises(TooLarge):
+        _accel.gf_coset_hist(g, shifts, t)
+    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", cap)
     # 3^60 share codes: far past the cap (and past what numpy can allocate)
     with pytest.raises(TooLarge):
         _accel.gf_share_hist(np.zeros((60, 1), dtype=np.int64),
                              np.zeros((60, 1), dtype=np.int64), t)
+    with pytest.raises(TooLarge):
+        _accel.gf_coset_hist(np.zeros((60, 1), dtype=np.int64),
+                             np.zeros((1, 60), dtype=np.int64), t)
 
 
 def test_backend_name():

@@ -2,7 +2,9 @@
 holds what a speed claim needs: for each workload that BENCHMARK.json
 declares, at least 3 runs of the parent and of the change, and their
 median for each end-to-end metric; plus the core count, the numpy
-version, the BLAS thread count, the seeds and the run length.
+version, the BLAS thread count, the seeds and the run length.  Every run
+is correct with no failed item: a record with failed runs cannot back a
+claim.
 
 A record looks like
 
@@ -48,6 +50,8 @@ def test_record_fields(path):
             runs = block["runs"]
             assert len(runs) >= 3, (name, side)
             assert sorted(r["seed"] for r in runs) == sorted(seeds), (name, side)
+            assert all(r["correct"] is True and r["failed"] == 0
+                       for r in runs), (name, side)
             for metric in METRICS:
                 values = [r[metric] for r in runs]
                 assert all(isinstance(v, Real) for v in values), (name, side, metric)

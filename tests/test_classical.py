@@ -1,5 +1,8 @@
 """Classical CSS/CSPIR protocols and exhaustive audits."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -216,3 +219,64 @@ def test_random_cells_tabled_draw_unchanged():
         got = ctx.random_cells(np.random.default_rng(9), 4, 3)
         want = np.random.default_rng(9).integers(0, ctx.q, size=(4, 3))
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+# (p, r) of each field and the (n, r, t) threshold shapes audited over it:
+# x = r - t and y = t up to 2, t = 0 (an empty reject set) once
+AUDIT_SHAPES = {
+    (2, 1): [(3, 2, 1), (4, 3, 1), (4, 4, 2), (5, 3, 2), (3, 2, 0)],
+    (3, 1): [(3, 2, 1), (4, 4, 2), (4, 3, 1), (3, 3, 1), (4, 3, 2)],
+    (2, 2): [(3, 2, 1), (4, 3, 2), (4, 2, 1), (3, 3, 1)],
+    (5, 1): [(3, 2, 1), (4, 3, 2), (4, 2, 1), (5, 3, 2)],
+    (7, 1): [(3, 2, 1), (4, 3, 2), (4, 2, 1)],
+    (2, 3): [(3, 2, 1), (4, 3, 2), (3, 3, 2)],
+    (3, 2): [(3, 2, 1), (4, 2, 1), (3, 3, 2)],
+}
+AUDIT_DIGEST = "1a3ad093c808e8a3c3715071b2645a383a5861d2329b9c5af89594fdf1b69033"
+
+
+def _audit_inputs():
+    """Seeded (G, F, threshold) triples; every third G has a zero row, so
+    correctness, secrecy and user-secrecy all fail somewhere."""
+    rng = np.random.default_rng(13)
+    i = 0
+    for (p, d), shapes in AUDIT_SHAPES.items():
+        ctx = field_build(p, d)
+        for n, r, t in shapes:
+            g = rng.integers(0, ctx.q, size=(n, t))
+            f = rng.integers(0, ctx.q, size=(n, r - t))
+            if i % 3 == 2:
+                g[rng.integers(n)] = 0
+            i += 1
+            yield la.MatGF(ctx, g), la.MatGF(ctx, f), make_threshold(r, t, n)
+
+
+def _nonstandard_spir():
+    """Three files over F_5 with standard queries under random U_Q, except
+    that file 2's query has an off-target column outside Im(G)."""
+    rng = np.random.default_rng(7)
+    g = la.MatGF(F5, rng.integers(0, 5, size=(3, 1)))
+    f = la.MatGF(F5, rng.integers(0, 5, size=(3, 1)))
+    p = cl.SpirProtocol(g=g, f=f, nfiles=3, access=make_threshold(2, 1, 3))
+    u_q = la.MatGF(F5, rng.integers(0, 5, size=(1, 3)))
+    queries = [cl.spir_query(p, k, u_q) for k in (1, 2, 3)]
+    queries[1].a[:, 2] = [1, 2, 4]
+    p.fixed_query = queries
+    return p
+
+
+def test_audit_reports_pinned():
+    """css_audit and spir_audit (2 and 3 files) give the same details and
+    counterexamples, byte for byte, on seeded inputs over GF(2)..GF(9)."""
+    reports = []
+    for g, f, fs in _audit_inputs():
+        reports.append(cl.css_audit(cl.CssProtocol(g=g, f=f, access=fs)).to_json())
+        for nfiles in (2, 3):
+            p = cl.SpirProtocol(g=g, f=f, nfiles=nfiles, access=fs)
+            reports.append(cl.spir_audit(p).to_json())
+    reports.append(cl.spir_audit(_nonstandard_spir()).to_json())
+    kinds = {c["kind"] for r in reports for c in r["counterexamples"]}
+    assert {"correctness", "secrecy", "user-secrecy", "server-secrecy-span"} <= kinds
+    assert all(r["matches_mmsp"] for r in reports[:-1])
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == AUDIT_DIGEST
