@@ -195,12 +195,12 @@ def cmd_simulate(args) -> int:
     else:
         run = qp.run_eass if proto == "eass" else qp.run_cqss
         tr = run(bundle, m, seed, fs, backend=backend)
+    digest = tr.digest()
     return _emit({
         "command": "simulate", "protocol": proto, "seed": seed,
-        "transcript": {"steps": tr.steps, "outcome": tr.outcome,
-                       "digest": tr.digest()},
+        "transcript": {"steps": tr.steps, "outcome": tr.outcome, "digest": digest},
         "ok": True,
-        "summary": [f"{proto} run complete; digest {tr.digest()[:16]}"],
+        "summary": [f"{proto} run complete; digest {digest[:16]}"],
     }, 0)
 
 
@@ -317,11 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: argparse converts string defaults into each
+# namespace and never changes the parser, so repeated main() calls share it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; every package error becomes a JSON report: inputs
     that cannot be read or used and outputs that cannot be written exit 2,
-    a size guard 3, any other error 1."""
-    args = build_parser().parse_args(argv)
+    a size guard 3, any other error 1.  May be called repeatedly in one
+    process."""
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except _BadInput as exc:

@@ -435,9 +435,7 @@ class FieldCtx:
             raise DimensionMismatch(
                 f"{len(coeffs)} coefficients for an element of GF({self.p}^{self.r})")
         v = np.asarray(list(coeffs) + [0] * (self.r - len(coeffs)), dtype=np.int64) % self.p
-        if self.kind == "tabled":
-            return int(v @ self._powers)
-        return self.cell_to_token(v)
+        return self.cell_to_token(self.ax_from_coeffs(v))
 
     def coeffs(self, a) -> tuple[int, ...]:
         if self.kind == "tabled":
@@ -693,6 +691,10 @@ class FieldCtx:
         rows = self._digits_all[a] if self.kind == "tabled" else np.asarray(a)
         return rows @ self._trace_vector() % self.p
 
+    def ax_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Cells of a (..., r) int64 array of coefficients in 0..p-1."""
+        return coeffs @ self._powers if self.kind == "tabled" else coeffs
+
     def cell_to_token(self, cell):
         if self.kind == "tabled":
             return int(cell)
@@ -754,10 +756,12 @@ def field_build(p: int, r: int, poly: Optional[Sequence[int]] = None) -> FieldCt
         modulus = tuple(int(c) % p for c in poly)
         if len(modulus) != r + 1 or modulus[-1] != 1:
             raise ReduciblePolynomial("modulus must be monic of degree r")
-        if r > 1 and not is_irreducible(modulus, p):
-            raise ReduciblePolynomial(f"{list(modulus)} is reducible over F_{p}")
     key = (p, r, modulus, None)
     if key not in _REGISTRY:
+        # a modulus is registered only once proved here or found by
+        # _find_irreducible, so a registered one is not proved again
+        if poly is not None and r > 1 and not is_irreducible(modulus, p):
+            raise ReduciblePolynomial(f"{list(modulus)} is reducible over F_{p}")
         _REGISTRY[key] = FieldCtx(p, r, modulus, None)
     return _REGISTRY[key]
 

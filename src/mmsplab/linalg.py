@@ -575,10 +575,17 @@ def mat_from_json(d: dict) -> MatGF:
     data = d["data"]
     if len(data) != rows * cols:
         raise DimensionMismatch("data length != rows*cols")
-    if any(not 0 <= int(c) < ctx.p for coeffs in data for c in coeffs):
+    flat = [int(c) for coeffs in data for c in coeffs]
+    if any(not 0 <= c < ctx.p for c in flat):
         raise OutOfRange(f"coefficients must lie in 0..{ctx.p - 1}")
     m = MatGF.zeros(ctx, rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            m.a[i, j] = ctx.token_to_cell(ctx.from_coeffs(data[i * cols + j]))
+    cells = [data[k] for k in range(rows * cols)]  # by index: a dict `data` is refused
+    lens = np.array([len(coeffs) for coeffs in cells], dtype=np.int64)
+    if cells and lens.max() > ctx.r:
+        raise DimensionMismatch(
+            f"{lens.max()} coefficients for an element of GF({ctx.p}^{ctx.r})")
+    # one coefficient row per cell, short lists padded with zeros
+    coeffs = np.zeros((len(cells), ctx.r), dtype=np.int64)
+    coeffs[np.arange(ctx.r) < lens[:, None]] = flat
+    m.a[...] = ctx.ax_from_coeffs(coeffs).reshape(m.a.shape)
     return m

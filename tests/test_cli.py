@@ -398,3 +398,41 @@ def test_unwritable_out_exit_2(tmp_path, capsys, argv, kind):
 
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert _error_report(capsys.readouterr().out, argv[0]).startswith(kind + ": ")
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    """main() parses with the parser built at import."""
+    from mmsplab import cli
+
+    def no_build():
+        raise AssertionError("build_parser called by main")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    assert cli.main(["rate", "eass", "2", "1", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rate"] == "2/3"
+
+
+def test_main_reused_in_process_matches_fresh_processes(ex1_files, capsys):
+    """One process runs an argparse error, a simulate with --message, one
+    that leaves --message at its default and a SPIR run; each call's stdout
+    and exit code equal those of a fresh process with the same argv, so no
+    call leaves state in the shared parser for the next one."""
+    from mmsplab import cli
+
+    base = ["simulate", "--bundle", ex1_files[0], "--structure", ex1_files[1]]
+    argvs = [
+        base + ["--protocol", "nosuch", "--seed", "1"],
+        base + ["--protocol", "eass", "--message", "1,2", "--seed", "5"],
+        base + ["--protocol", "eass", "--seed", "5"],  # default "0": one entry of two
+        base + ["--protocol", "easpir", "--files-data", "0,1,2,0", "--k", "2", "--seed", "3"],
+    ]
+    codes = []
+    for argv in argvs:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        out = capsys.readouterr().out
+        rc, want, _ = run_cli(*argv)
+        assert (codes[-1], out) == (rc, want), argv
+    assert codes == [2, 0, 2, 0]

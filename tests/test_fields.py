@@ -482,3 +482,46 @@ def test_mulsub_exact_at_admitted_limit():
     want = np.stack([(_ref_mulmod(w, x, mod, p) - _ref_mulmod(y, z, mod, p)) % p
                      for w, x, y, z in zip(*cells, d)])
     assert np.array_equal(ctx.ax_mulsub(*cells, d), want)
+
+
+# ---------------------------------------------------------------------------
+# moduli read from JSON: proved once, refused every time when reducible
+# ---------------------------------------------------------------------------
+
+def test_registered_modulus_is_not_proved_again(monkeypatch):
+    """Moduli that were proved (x^2 + 2x + 2) or found (the canonical one)
+    load again with the irreducibility test failing."""
+    f9 = field_build(3, 2, [2, 2, 1])
+    canon = field_build(3, 2)
+
+    def no_proof(coeffs, p):
+        raise AssertionError("modulus proved again")
+
+    monkeypatch.setattr(fields, "is_irreducible", no_proof)
+    assert field_build(3, 2, [2, 2, 1]) is f9
+    assert fields.field_from_json(f9.to_json()) is f9
+    assert field_build(3, 2, list(canon.modulus)) is canon
+
+
+def test_reducible_modulus_always_refused(monkeypatch):
+    """(x + 1)^2 is refused before and after the canonical GF(9) is
+    registered."""
+    monkeypatch.setattr(fields, "_REGISTRY", {})
+    for _ in range(2):
+        with pytest.raises(ReduciblePolynomial):
+            field_build(3, 2, [1, 2, 1])
+        field_build(3, 2)
+    assert list(fields._REGISTRY) == [(3, 2, field_build(3, 2).modulus, None)]
+
+
+def test_non_canonical_modulus_proved_once(monkeypatch):
+    """x^2 + x + 2 is irreducible and not the canonical modulus: three
+    loads prove it once."""
+    monkeypatch.setattr(fields, "_REGISTRY", {})
+    calls = []
+    real = fields.is_irreducible
+    monkeypatch.setattr(fields, "is_irreducible", lambda f, p: calls.append(f) or real(f, p))
+    assert (2, 1, 1) != field_build(3, 2).modulus
+    loaded = [fields.field_from_json({"p": 3, "r": 2, "poly": [2, 1, 1]}) for _ in range(3)]
+    assert loaded[0] is loaded[1] is loaded[2]
+    assert calls == [(2, 1, 1)]

@@ -1,5 +1,6 @@
 """GF(q) linear algebra: elimination, symplectic form, MDS, completion."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from mmsplab import _accel
 from mmsplab import linalg as la
 from mmsplab.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     NotSelfOrthogonal,
     OddLength,
+    OutOfRange,
     RankDeficient,
     TooManyColumns,
 )
@@ -350,3 +353,56 @@ def test_is_mds_dual_shortcut_matches_minors(ctx):
         seen.add((case, want))
     assert {want for _, want in seen} == {True, False}
     assert {case for case, _ in seen} == {0, 1, 2, 3}
+
+
+def _cells_one_by_one(ctx, d):
+    """mat_from_json's matrix built cell by cell through from_coeffs."""
+    m = la.MatGF.zeros(ctx, d["rows"], d["cols"])
+    for k, coeffs in enumerate(d["data"]):
+        m.a[divmod(k, d["cols"])] = ctx.token_to_cell(ctx.from_coeffs(coeffs))
+    return m
+
+
+@pytest.mark.parametrize("ctx", [field_build(2, 1), F9, tower_build(3, 3), tower_build(3, 5),
+                                 field_build(257, 3)], ids=repr)
+def test_mat_json_round_trip_every_field_kind(ctx):
+    """Round trips over tabled fields (GF(2), GF(9), the GF(3^8) tower) and
+    poly fields (GF(3^32), GF(257^3)); short coefficient lists are padded
+    with zeros, and a rows x 0 matrix loads with its shape."""
+    rng = np.random.default_rng(7)
+    m = la.MatGF(ctx, ctx.random_cells(rng, 4, 3))
+    d = la.mat_to_json(m)
+    back = la.mat_from_json(d)
+    assert back == m and back.a.dtype == m.a.dtype == np.int64
+    for width in range(ctx.r):
+        short = dict(d, data=[coeffs[:width] for coeffs in d["data"]])
+        assert la.mat_from_json(short) == _cells_one_by_one(ctx, short)
+    mixed = dict(d, data=[coeffs[:k % (ctx.r + 1)] for k, coeffs in enumerate(d["data"])])
+    assert la.mat_from_json(mixed) == _cells_one_by_one(ctx, mixed)
+    empty = la.mat_from_json(dict(d, rows=4, cols=0, data=[]))
+    assert empty.a.shape == la.MatGF.zeros(ctx, 4, 0).a.shape
+
+
+@pytest.mark.parametrize("edit,kind", [
+    (lambda d: d["data"].__setitem__(0, 1), TypeError),
+    (lambda d: d["data"].pop(), DimensionMismatch),
+    (lambda d: d["data"].__setitem__(0, [1, 0, 2]), DimensionMismatch),
+    (lambda d: d["data"].__setitem__(1, [3]), OutOfRange),
+], ids=["bare-int", "short-data", "long-element", "coeff-3"])
+def test_mat_from_json_refusals(tmp_path, capsys, edit, kind):
+    """A bare-integer element, a wrong data length, an element with more
+    than r coefficients and a coefficient outside 0..p-1 are refused by the
+    loader, and exit 2 through the CLI."""
+    from mmsplab import cli, mmsp
+    from mmsplab.access import make_threshold
+
+    g, f = (la.MatGF.from_ints(F9, rows) for rows in ([[1], [2], [4], [5]], [[3], [1], [0], [7]]))
+    bundle = mmsp.make_bundle("ea", la.MatGF.zeros(F9, 4, 0), g, f).to_json()
+    edit(bundle["F"])
+    with pytest.raises(kind):
+        la.mat_from_json(bundle["F"])
+    b, s = tmp_path / "bundle.json", tmp_path / "structure.json"
+    b.write_text(json.dumps(bundle))
+    s.write_text(json.dumps(make_threshold(2, 1, 2).to_json()))
+    assert cli.main(["verify", str(b), str(s)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(kind.__name__ + ": ")
