@@ -693,7 +693,7 @@ class FieldCtx:
 
     def ax_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Cells of a (..., r) int64 array of coefficients in 0..p-1."""
-        return coeffs @ self._powers if self.kind == "tabled" else coeffs
+        return self._encode(coeffs) if self.kind == "tabled" else coeffs
 
     def cell_to_token(self, cell):
         if self.kind == "tabled":

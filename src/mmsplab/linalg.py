@@ -581,9 +581,10 @@ def mat_from_json(d: dict) -> MatGF:
     m = MatGF.zeros(ctx, rows, cols)
     cells = [data[k] for k in range(rows * cols)]  # by index: a dict `data` is refused
     lens = np.array([len(coeffs) for coeffs in cells], dtype=np.int64)
-    if cells and lens.max() > ctx.r:
+    over = lens[lens > ctx.r]
+    if over.size:  # the first long cell in row-major order, as from_coeffs would meet it
         raise DimensionMismatch(
-            f"{lens.max()} coefficients for an element of GF({ctx.p}^{ctx.r})")
+            f"{over[0]} coefficients for an element of GF({ctx.p}^{ctx.r})")
     # one coefficient row per cell, short lists padded with zeros
     coeffs = np.zeros((len(cells), ctx.r), dtype=np.int64)
     coeffs[np.arange(ctx.r) < lens[:, None]] = flat

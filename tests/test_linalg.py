@@ -383,26 +383,37 @@ def test_mat_json_round_trip_every_field_kind(ctx):
     assert empty.a.shape == la.MatGF.zeros(ctx, 4, 0).a.shape
 
 
-@pytest.mark.parametrize("edit,kind", [
-    (lambda d: d["data"].__setitem__(0, 1), TypeError),
-    (lambda d: d["data"].pop(), DimensionMismatch),
-    (lambda d: d["data"].__setitem__(0, [1, 0, 2]), DimensionMismatch),
-    (lambda d: d["data"].__setitem__(1, [3]), OutOfRange),
-], ids=["bare-int", "short-data", "long-element", "coeff-3"])
-def test_mat_from_json_refusals(tmp_path, capsys, edit, kind):
+def _two_long_elements(d):
+    d["data"][1:3] = [[1, 0, 2], [1, 0, 2, 1]]
+
+
+@pytest.mark.parametrize("edit,kind,msg", [
+    (lambda d: d["data"].__setitem__(0, 1), TypeError, None),
+    (lambda d: d["data"].pop(), DimensionMismatch, None),
+    (lambda d: d["data"].__setitem__(0, [1, 0, 2]), DimensionMismatch,
+     "3 coefficients for an element of GF(3^2)"),
+    (_two_long_elements, DimensionMismatch, "3 coefficients for an element of GF(3^2)"),
+    (lambda d: d["data"].__setitem__(1, [3]), OutOfRange, None),
+], ids=["bare-int", "short-data", "long-element", "two-long-elements", "coeff-3"])
+def test_mat_from_json_refusals(tmp_path, capsys, edit, kind, msg):
     """A bare-integer element, a wrong data length, an element with more
     than r coefficients and a coefficient outside 0..p-1 are refused by the
-    loader, and exit 2 through the CLI."""
+    loader, and exit 2 through the CLI. A long element is reported by the
+    length of the first long cell in row-major order, the message the
+    per-cell `from_coeffs` loop gave."""
     from mmsplab import cli, mmsp
     from mmsplab.access import make_threshold
 
     g, f = (la.MatGF.from_ints(F9, rows) for rows in ([[1], [2], [4], [5]], [[3], [1], [0], [7]]))
     bundle = mmsp.make_bundle("ea", la.MatGF.zeros(F9, 4, 0), g, f).to_json()
     edit(bundle["F"])
-    with pytest.raises(kind):
+    with pytest.raises(kind) as err:
         la.mat_from_json(bundle["F"])
     b, s = tmp_path / "bundle.json", tmp_path / "structure.json"
     b.write_text(json.dumps(bundle))
     s.write_text(json.dumps(make_threshold(2, 1, 2).to_json()))
     assert cli.main(["verify", str(b), str(s)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"].startswith(kind.__name__ + ": ")
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(kind.__name__ + ": ")
+    if msg is not None:
+        assert str(err.value) == msg and error == f"{kind.__name__}: {msg}"
