@@ -26,13 +26,10 @@ from .errors import (
 from .linalg import (
     MatGF,
     VecGF,
-    hstack,
     restrict,
     restrict_vec,
-    rref,
-    solve,
 )
-from .mmsp import accepts_one, is_mmsp
+from .mmsp import SpanDecoder, is_mmsp, rejects_one
 
 AUDIT_LIMIT = 10**6
 
@@ -112,13 +109,10 @@ def css_decode(p: CssProtocol, subset: Iterable[int], z: VecGF) -> Optional[VecG
     sub = sorted(set(int(s) for s in subset))
     if not p.access.is_accept(sub):
         raise NotQualified(f"{sub} is not a qualified set")
-    pg, pf = restrict(p.g, sub), restrict(p.f, sub)
+    dec = SpanDecoder(p.g, p.f, sub)
     if len(z) != len(sub):
         raise DimensionMismatch("restricted share length")
-    if not accepts_one(p.g, p.f, sub):
-        return None
-    sol = solve(hstack([pg, pf]), z)
-    return None if sol is None else VecGF(p.ctx, sol.a[p.y:].copy())
+    return dec.decode_one(z.a)
 
 
 def _vec_from_index(ctx, idx: int, length: int) -> VecGF:
@@ -333,10 +327,8 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
         queries = [spir_query(p, k, zero_uq) for k in range(1, p.nfiles + 1)]
     for k in range(1, p.nfiles + 1):
         off = [c for c in range(p.x * p.nfiles) if c // p.x != k - 1]
-        # every off-target query column lies in span(G) iff none of them is
-        # a pivot column of [G | off-target columns]
-        _, piv, _ = rref(hstack([p.g, MatGF(ctx, queries[k - 1].a[:, off])]))
-        ok = all(c < p.g.cols for c in piv)
+        # every off-target query column lies in span(G) on all rows
+        ok = rejects_one(p.g, MatGF(ctx, queries[k - 1].a[:, off]), range(1, p.nbar + 1))
         details.append([f"server-secret-span@k={k}", ok])
         if not ok:
             server_secret = False

@@ -23,7 +23,7 @@ from .access import (AccessStructure, make_explicit, structure_from_json,
                      symplectify_structure, validate)
 from .classical import CssProtocol, SpirProtocol, css_audit, css_run, spir_audit
 from .errors import (BadIndex, DimensionMismatch, IndexOutOfRange, MmsplabError,
-                     OutOfRange, TooLarge)
+                     NotQualified, OutOfRange, TooLarge)
 from .linalg import VecGF
 from .mmsp import MmspBundle, bundle_from_json, mmsp_failure, rate
 from .qstate import _enum_vecs
@@ -52,8 +52,8 @@ def _int_list(text: str) -> list[int]:
 def _load_inputs(args) -> tuple[MmspBundle, AccessStructure]:
     """The bundle and the access structure of a command (one accept set
     when --subset names it); the structure must be on the bundle's parties,
-    with every set inside them, and a SPIR command needs --files >= 1 and
-    --k in 1..--files."""
+    with every set inside them, a SPIR command needs --files >= 1 and
+    --k in 1..--files, and a QQ run needs an accept set to decode on."""
     try:
         with open(args.bundle) as fh:
             bundle = bundle_from_json(json.load(fh))
@@ -76,6 +76,9 @@ def _load_inputs(args) -> tuple[MmspBundle, AccessStructure]:
             raise _BadInput(BadIndex(f"--files {args.files} is below 1"))
         if not 1 <= getattr(args, "k", 1) <= args.files:
             raise _BadInput(BadIndex(f"--k {args.k} outside 1..{args.files}"))
+    if (args.cmd == "simulate" and args.protocol == "qqss"
+            and next(iter(fs.accept_iter()), None) is None):
+        raise _BadInput(NotQualified("a qqss run needs an accept set"))
     return bundle, fs
 
 

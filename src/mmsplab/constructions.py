@@ -28,11 +28,10 @@ from .errors import (
     OutOfRange,
     TowerTooShallow,
 )
-from .fields import FieldCtx, tower_build
+from .fields import DEPTH_CAP, FieldCtx, tower_build
 from .linalg import MatGF, hstack, is_col_orth, is_mds, is_self_col_orth
 from .mmsp import MmspBundle, classify, make_bundle
 
-DEPTH_CAP = 9
 MAX_RETRIES = 16
 
 

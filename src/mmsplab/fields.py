@@ -40,6 +40,7 @@ from .errors import (
 
 TABLE_LIMIT = 1 << 16  # largest q handled by the index/table representation
 TABLE2D_LIMIT = 512    # largest q that gets full 2-D add/mul tables
+DEPTH_CAP = 9  # strict levels of the deepest tower: no field past degree 2^9
 
 
 def _is_prime(n: int) -> bool:
@@ -737,19 +738,22 @@ _REGISTRY: dict[tuple, FieldCtx] = {}
 
 
 def _check_size(p: int, r: int) -> None:
-    """Refuse, before any modulus search, a poly field whose products
-    cannot be computed exactly in float64."""
-    if p**r > TABLE_LIMIT and r * (p - 1) ** 2 > FFT_EXACT:
+    """Refuse, before the primality test and any modulus search, a degree
+    past the deepest tower and a poly field whose products cannot be
+    computed exactly in float64."""
+    if r > 1 << DEPTH_CAP:
+        raise TooLarge(f"GF({p}^{r}) has a degree above {1 << DEPTH_CAP}")
+    if r * (p - 1) ** 2 > FFT_EXACT and p**r > TABLE_LIMIT:
         raise TooLarge(f"GF({p}^{r}) products exceed exact float64 arithmetic")
 
 
 def field_build(p: int, r: int, poly: Optional[Sequence[int]] = None) -> FieldCtx:
     """GF(p^r) with the given monic modulus, or the canonical one if omitted."""
+    _check_size(p, r)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if r < 1:
         raise ReduciblePolynomial("extension degree must be >= 1")
-    _check_size(p, r)
     if poly is None:
         modulus = _find_irreducible(p, r)
     else:
@@ -768,12 +772,12 @@ def field_build(p: int, r: int, poly: Optional[Sequence[int]] = None) -> FieldCt
 
 def tower_build(p: int, depth: int) -> FieldCtx:
     """Ambient field of degree 2^depth over F_p with the full subfield chain."""
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if depth < 1:
         raise TowerTooShallow("tower depth must be >= 1")
     r = 1 << depth
     _check_size(p, r)
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     modulus = _find_irreducible(p, r)
     levels = tuple(1 << j for j in range(depth + 1))
     key = (p, r, modulus, levels)

@@ -290,16 +290,6 @@ def _kernel(ctx: FieldCtx, red: np.ndarray, piv: np.ndarray) -> MatGF:
     return out
 
 
-def mat_inverse(m: MatGF) -> MatGF:
-    if m.rows != m.cols:
-        raise DimensionMismatch("inverse of non-square matrix")
-    aug = hstack([m, MatGF.identity(m.ctx, m.rows)])
-    red, piv, rk = rref(aug)
-    if rk != m.rows:
-        raise RankDeficient("matrix is singular")
-    return MatGF(m.ctx, red.a[:, m.rows:].copy())
-
-
 # ---------------------------------------------------------------------------
 # bilinear and symplectic forms
 # ---------------------------------------------------------------------------
@@ -378,24 +368,35 @@ def is_col_orth(f: MatGF, g: MatGF) -> bool:
 # ---------------------------------------------------------------------------
 
 class QuotientMap:
-    """Coset coordinates on F_q^n modulo the column span of a matrix."""
+    """The row transform T of one elimination of [m | I]: T m is the RREF of
+    m and T is invertible, so the rows of T past m's rank vanish exactly on
+    the column span of m.  Every solve against many right-hand sides, coset
+    coordinates and span-program decoding included, is a product with T."""
 
-    def __init__(self, g: MatGF):
-        # the pivot columns of [G | I]: independent columns of G, extended
-        # greedily by unit vectors to a basis of F_q^n
-        full = hstack([g, MatGF.identity(g.ctx, g.rows)])
-        _, piv, _ = rref(full)
-        self.ctx = g.ctx
-        self.ambient = g.rows
-        self.subspace_rank = sum(c < g.cols for c in piv)
-        self._full_inv = mat_inverse(MatGF(g.ctx, full.a[:, piv]))
+    def __init__(self, m: MatGF):
+        a = np.concatenate([m.a, MatGF.identity(m.ctx, m.rows).a], axis=1)[None]
+        _, piv = _accel.gf_rref(m.ctx, a)
+        self.ctx = m.ctx
+        self.ambient, self.cols = m.rows, m.cols
+        self.pivots = np.flatnonzero(piv[0, :m.cols])  # m's pivot columns
+        self.subspace_rank = len(self.pivots)
+        self.t = MatGF(m.ctx, a[0, :, m.cols:])
+
+    def solve_all(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve m x = z for every row z of cells in zs through one product
+        T Z: the rows of solutions x, free variables zero as in solve, and
+        the mask of the rows z inside the column span of m."""
+        rk = self.subspace_rank
+        tz = (self.t @ MatGF(self.ctx, np.swapaxes(zs, 0, 1))).a
+        xs = self.ctx.cell_zeros(len(zs), self.cols)
+        xs[:, self.pivots] = np.swapaxes(tz[:rk], 0, 1)
+        return xs, ~self.ctx.ax_nonzero(tz[rk:]).any(axis=0)
 
     def coset_coords(self, v: VecGF) -> VecGF:
         """Linear coordinates that vanish exactly on the subspace."""
         if len(v) != self.ambient:
             raise DimensionMismatch("vector length != ambient dimension")
-        full = self._full_inv @ v
-        return VecGF(self.ctx, full.a[self.subspace_rank:].copy())
+        return VecGF(self.ctx, (self.t @ v).a[self.subspace_rank:])
 
 
 def quotient(g: MatGF) -> QuotientMap:

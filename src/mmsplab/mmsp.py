@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice
 from math import ceil
 from typing import Iterable, Optional, Sequence
@@ -31,6 +32,8 @@ from .fields import FieldCtx
 from .linalg import (
     MDS_BLOCK_CELLS,
     MatGF,
+    QuotientMap,
+    VecGF,
     hstack,
     is_col_orth,
     is_mds,
@@ -101,6 +104,39 @@ def a1_a2_agree(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
 def b1_b2_agree(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
     f_piv, unit_piv = _lemma1_pivots(g, f, subset)
     return (not f_piv.any()) == bool(unit_piv.all())
+
+
+class SpanDecoder:
+    """Decoding on a 1-based row set A: the unique m with
+    z = P_A G a + P_A F m, read off the one reduction of [P_A G | P_A F],
+    which is built on first use."""
+
+    def __init__(self, g: MatGF, f: MatGF, subset: Iterable[int]):
+        self.rows = subset_rows(subset, f.rows)
+        self.g, self.f = (MatGF(f.ctx, m.a[self.rows]) for m in (g, f))
+        self.ctx, self.x = f.ctx, f.cols
+
+    @cached_property
+    def _quotient(self) -> QuotientMap:
+        return QuotientMap(hstack([self.g, self.f]))
+
+    @property
+    def ok(self) -> bool:
+        """(A1): every F column of [P_A G | P_A F] is a pivot column."""
+        return int((self._quotient.pivots >= self.g.cols).sum()) == self.x
+
+    def decode_all(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The message cells m of every row z of cells in zs, and the mask
+        of the rows that decode to a unique m."""
+        if not self.ok:
+            return self.ctx.cell_zeros(len(zs), self.x), np.zeros(len(zs), dtype=bool)
+        sols, ok = self._quotient.solve_all(zs)
+        return sols[:, self.g.cols:], ok
+
+    def decode_one(self, z: np.ndarray) -> Optional[VecGF]:
+        """The unique m for one label z of cells, or None."""
+        msgs, ok = self.decode_all(z[None])
+        return VecGF(self.ctx, msgs[0]) if ok[0] else None
 
 
 def mmsp_failure(g: MatGF, f: MatGF, fs: AccessStructure) -> Optional[tuple[str, Subset]]:

@@ -23,7 +23,6 @@ cross-validated against the dense oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,11 +36,10 @@ from .linalg import (
     VecGF,
     hstack,
     restrict,
-    restrict_vec,
     rref,
     symp_gram,
 )
-from .mmsp import MmspBundle, is_mmsp, make_bundle
+from .mmsp import MmspBundle, SpanDecoder, is_mmsp, make_bundle
 from .qstate import (
     Channel,
     DisplacedMeasurement,
@@ -95,64 +93,25 @@ def coset_rep(g: MatGF, zs: np.ndarray) -> list[tuple]:
     return [tuple(g.ctx.cell_to_token(c) for c in z) for z in zs]
 
 
-class DispDecoder:
+class DispDecoder(SpanDecoder):
     """Decode a displacement measured on a symplectified subset back to the
     message coordinates, modulo Im(P (G1|G2))."""
 
     def __init__(self, g1: MatGF, g2: MatGF, f: MatGF, subset: Sequence[int]):
-        ctx = f.ctx
-        n = f.rows // 2
-        self.sub = sorted(int(s) for s in subset)
-        self.sympl = sorted(symplectify(self.sub, n))
-        self.g = restrict(hstack([g1, g2]), self.sympl)
-        self.pg1 = restrict(g1, self.sympl)
-        self.f = restrict(f, self.sympl)
-        self.ctx = ctx
-        self.x = f.cols
-
-    @cached_property
-    def _reduction(self) -> tuple[MatGF, list[int]]:
-        """Row transform T with T [P(G) P(F)] in RREF, and its pivot columns:
-        [P(G) P(F) | I] is reduced once per decoder."""
-        stacked = hstack([self.g, self.f])
-        red, piv, _ = rref(hstack([stacked, MatGF.identity(self.ctx, stacked.rows)]))
-        return (MatGF(self.ctx, red.a[:, stacked.cols:].copy()),
-                [c for c in piv if c < stacked.cols])
-
-    @property
-    def ok(self) -> bool:
-        """(A1): every F column of [P(G) P(F)] is a pivot of the reduction."""
-        return all(c in self._reduction[1] for c in range(self.g.cols, self.g.cols + self.x))
-
-    def decode_all(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve z = P(G) a + P(F) m for every row z of cells in zs through
-        one product T Z: the rows of message cells m, and the mask of the
-        rows that decode to a unique m."""
-        ctx, nz = self.ctx, len(zs)
-        msgs = ctx.cell_zeros(nz, self.g.cols + self.x)
-        if not self.ok:
-            return msgs[:, self.g.cols:], np.zeros(nz, dtype=bool)
-        t, piv = self._reduction
-        tz = (t @ MatGF(ctx, np.swapaxes(zs, 0, 1))).a
-        # rows past the rank vanish on [P(G) P(F)]: z is in its image iff
-        # they vanish on z too
-        ok = ~ctx.ax_nonzero(tz[len(piv):]).any(axis=0)
-        msgs[:, piv] = np.swapaxes(tz[:len(piv)], 0, 1)
-        return msgs[:, self.g.cols:], ok
+        sympl = symplectify(subset, f.rows // 2)
+        super().__init__(hstack([g1, g2]), f, sympl)
+        self.pg1 = restrict(g1, sympl)
 
     def decode(self, z: Sequence[int]) -> Optional[VecGF]:
         """The unique m for one label z of integers, read by from_int."""
-        msgs, ok = self.decode_all(VecGF.from_ints(self.ctx, z).a[None])
-        return VecGF(self.ctx, msgs[0]) if ok[0] else None
+        return self.decode_one(VecGF.from_ints(self.ctx, z).a)
 
     def track(self, x: VecGF) -> tuple[tuple, Optional[VecGF]]:
         """The symplectic track of a full displacement x: the canonical
         coset representative of P x modulo Im(P G1), and the decoded
         message (None when not unique)."""
-        z = restrict_vec(x, self.sympl).a[None]
-        msgs, ok = self.decode_all(z)
-        return (coset_rep(self.pg1, z)[0],
-                VecGF(self.ctx, msgs[0]) if ok[0] else None)
+        z = x.a[self.rows]
+        return coset_rep(self.pg1, z[None])[0], self.decode_one(z)
 
 
 def _displacements(g: MatGF, base: np.ndarray) -> np.ndarray:
@@ -282,8 +241,9 @@ def _decode_sets(bundle: MmspBundle, base: VecGF, rng, access: AccessStructure,
         u2 = ctx.random_cells(rng, bundle.y2)
         x = base + bundle.g2 @ VecGF(ctx, u2)
         for a in access.accept_iter():
-            _, dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)).track(x)
-            outcomes[str(sorted(a))] = None if dec is None else _indices(ctx, dec.a)
+            dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
+            m = dec.decode_one(x.a[dec.rows])
+            outcomes[str(sorted(a))] = None if m is None else _indices(ctx, m.a)
         return _indices(ctx, u2), outcomes
     engine = _bundle_engine(bundle, protocol)
     comps = engine.share_components(_displacements(bundle.g2, base.a))

@@ -56,6 +56,21 @@ def test_css_decode_roundtrip_exhaustive(css_ex1):
             assert dec == m
 
 
+def test_css_decode_one_elimination(css_ex1, monkeypatch):
+    """css_decode reads the verdict and the message off one elimination."""
+    from mmsplab import _accel
+
+    calls = []
+    eliminate = _accel._eliminate
+    monkeypatch.setattr(_accel, "_eliminate",
+                        lambda *a, **k: calls.append(1) or eliminate(*a, **k))
+    sub = symplectify([2, 3], 3)
+    m = la.VecGF.from_ints(F3, [2, 1])
+    z = cl.css_share(css_ex1, m, la.VecGF.from_ints(F3, [1, 1]))
+    assert cl.css_decode(css_ex1, sub, la.restrict_vec(z, sub)) == m
+    assert len(calls) == 1
+
+
 def test_css_decode_not_qualified(css_ex1):
     with pytest.raises(NotQualified):
         cl.css_decode(css_ex1, symplectify([1], 3), la.VecGF.zeros(F3, 2))
@@ -280,3 +295,26 @@ def test_audit_reports_pinned():
     assert all(r["matches_mmsp"] for r in reports[:-1])
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == AUDIT_DIGEST
+
+
+RUN_DIGEST = "5559044b5511c915a071fcb85b2f3723cc2c95306632416265b8ccb30bbe16f4"
+
+
+def test_run_transcripts_pinned(tower_bundles):
+    """Seeded css_run and spir_run transcripts, byte for byte, on the audit
+    inputs over GF(2)..GF(9), where some qualified sets decode to None, and
+    on the two tower bundles."""
+    cases = list(_audit_inputs()) + [(b.g_stack(), b.f, symplectify_structure(fs))
+                                     for b, fs in tower_bundles]
+    digests, outcomes = [], []
+    for g, f, fs in cases:
+        m = la.VecGF.from_ints(f.ctx, [i + 1 for i in range(f.cols)])
+        files = la.VecGF.from_ints(f.ctx, [2 * i + 1 for i in range(2 * f.cols)])
+        for seed in (0, 5):
+            for tr in (cl.css_run(cl.CssProtocol(g=g, f=f, access=fs), m, seed),
+                       cl.spir_run(cl.SpirProtocol(g=g, f=f, nfiles=2, access=fs),
+                                   files, 2, seed)):
+                digests.append(tr.digest())
+                outcomes += tr.outcome.values()
+    assert None in outcomes and any(v is not None for v in outcomes)
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == RUN_DIGEST

@@ -140,6 +140,35 @@ def test_audit_share_histogram_guard_exit_3(tmp_path):
     assert json.loads(out)["error"].startswith("TooLarge")
 
 
+@pytest.mark.parametrize("field", [{"p": 2**61 - 1, "r": 1}, {"p": 3, "r": 100000}])
+def test_verify_huge_field_exit_3(tmp_path, field):
+    """A one-cell bundle over a field past the size guard is refused with
+    exit 3 before any primality test or modulus search."""
+    b, s = tmp_path / BUNDLE, tmp_path / STRUCT
+    b.write_text(json.dumps({"class": "plain", "params": {"n": 1}, "F": {
+        "field": field, "rows": 1, "cols": 1, "data": [[1]]}}))
+    s.write_text(json.dumps({"n": 1, "accept": [[1]], "reject": [[]]}))
+    r = subprocess.run([sys.executable, "-m", "mmsplab.cli", "verify", str(b), str(s)],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 3
+    assert _error_report(r.stdout, "verify").startswith("TooLarge: ")
+
+
+def test_simulate_qqss_without_accept_set_exit_2(tmp_path):
+    """A QQ run decodes on the first accept set; a structure with none is
+    malformed input, reported as JSON, not a StopIteration traceback."""
+    from mmsplab.mmsp import make_bundle
+
+    ex = fx.example1()
+    b, s = tmp_path / BUNDLE, tmp_path / STRUCT
+    b.write_text(json.dumps(make_bundle("qq", ex.g1, None, ex.f, n=3).to_json()))
+    s.write_text(json.dumps({"n": 3, "accept": [], "reject": [[]]}))
+    rc, out, err = run_cli("simulate", "--protocol", "qqss", "--bundle", str(b),
+                           "--structure", str(s), "--seed", "1")
+    assert rc == 2 and "Traceback" not in err
+    assert _error_report(out, "simulate").startswith("NotQualified: ")
+
+
 def _vandermonde_bundle(cls, rows, n):
     """Columns 1, x, x^2, x^3 evaluated at distinct points of GF(23): for
     the (2, 1) threshold, G = 1 and F = x form a plain MMSP on n points, and

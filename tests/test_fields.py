@@ -105,6 +105,37 @@ def test_tower_depth_zero_rejected():
         tower_build(3, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: field_build(2**61 - 1, 1),       # trial division would run ~2^30 steps
+    lambda: field_build(2**61 + 1, 1),       # composite: too large, not NotPrime
+    lambda: field_build(2, 513),             # past the deepest tower's degree
+    lambda: fields.field_from_json({"p": 3, "r": 100000}),
+    lambda: tower_build(3, fields.DEPTH_CAP + 1),
+    lambda: fields.field_from_json({"p": 2, "r": 1024,
+                                    "tower": [2**j for j in range(11)]}),
+], ids=["prime-p", "composite-p", "degree", "json-degree", "tower", "json-tower"])
+def test_huge_fields_refused_before_slow_work(monkeypatch, build):
+    """The size guard runs before the primality test and the modulus
+    search, so a field past it is refused at once."""
+    from mmsplab.errors import TooLarge
+
+    def slow(*args):
+        raise AssertionError("slow work ran before the size guard")
+
+    monkeypatch.setattr(fields, "_is_prime", slow)
+    monkeypatch.setattr(fields, "_find_irreducible", slow)
+    with pytest.raises(TooLarge):
+        build()
+
+
+def test_degree_cap_is_the_deepest_tower():
+    from mmsplab.errors import TooLarge
+
+    fields._check_size(3, 1 << fields.DEPTH_CAP)
+    with pytest.raises(TooLarge):
+        fields._check_size(2, (1 << fields.DEPTH_CAP) + 1)
+
+
 def test_tower_level_monotone_under_ops():
     t = tower_build(3, 2)
     e1, e2 = t.level_gen(1), t.level_gen(2)

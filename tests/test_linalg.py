@@ -1,5 +1,6 @@
 """GF(q) linear algebra: elimination, symplectic form, MDS, completion."""
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -102,6 +103,25 @@ def test_rank_solve_in_span_quotient():
         b = m @ x
         s = la.solve(m, b)
         assert s is not None and (m @ s) == b
+
+
+def test_solve_all_agrees_with_solve():
+    """One quotient solves many right-hand sides as solve does each one:
+    the same solution, free variables zero, and None outside the image."""
+    rng = np.random.default_rng(5)
+    for ctx in (F3, field_build(2, 3), tower_build(3, 4)):
+        for _ in range(6):
+            m = la.MatGF(ctx, ctx.random_cells(rng, 4, 3))
+            m.a[:, 2] = m.a[:, 0]
+            images = m @ la.MatGF(ctx, ctx.random_cells(rng, 3, 3))
+            zs = np.concatenate([ctx.random_cells(rng, 3, 4),
+                                 np.swapaxes(images.a, 0, 1)])
+            xs, ok = la.quotient(m).solve_all(zs)
+            for x, good, z in zip(xs, ok, zs):
+                want = la.solve(m, la.VecGF(ctx, z))
+                assert good == (want is not None)
+                assert not good or np.array_equal(x, want.a)
+            assert ok[3:].all()
 
 
 def test_quotient_trivial_cases():
@@ -417,3 +437,26 @@ def test_mat_from_json_refusals(tmp_path, capsys, edit, kind, msg):
     assert error.startswith(kind.__name__ + ": ")
     if msg is not None:
         assert str(err.value) == msg and error == f"{kind.__name__}: {msg}"
+
+
+COSET_DIGEST = "e798908b5e8709c44fced5ab7529f36f6565a7b4864562966043c9e8a59f47d0"
+
+
+def test_coset_coords_pinned():
+    """Coset coordinates, byte for byte, on seeded (m, v) over F_3, F_7,
+    GF(8), GF(9) and GF(3^16), with m of every rank up to full."""
+    rng = np.random.default_rng(41)
+    out = []
+    for ctx in (F3, field_build(7, 1), field_build(2, 3), field_build(3, 2),
+                tower_build(3, 4)):
+        for _ in range(12):
+            rows, cols = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+            m = la.MatGF(ctx, ctx.random_cells(rng, rows, cols))
+            if cols > 1:
+                m.a[:, -1] = m.a[:, 0]  # a dependent column
+            v = la.VecGF(ctx, ctx.random_cells(rng, rows))
+            qm = la.quotient(m)
+            out.append([qm.subspace_rank, qm.coset_coords(v).tolist(),
+                        qm.coset_coords(m.col(0) if cols else v).tolist()])
+    blob = json.dumps(out).encode()
+    assert hashlib.sha256(blob).hexdigest() == COSET_DIGEST

@@ -89,6 +89,25 @@ def test_disp_decoder_matches_solve(field):
     assert seen[True] and seen[False]
 
 
+def test_symplectic_runs_make_no_coset_rep(ex1, monkeypatch):
+    """A symplectic SS or SPIR run decodes every accept set without the
+    coset representative, which its transcript never logs."""
+    m = VecGF.from_ints(ex1.bundle.ctx, [1, 2])
+    files = np.array([1, 0, 2, 1], dtype=np.int64)
+    want = [qp.run_eass(ex1.bundle, m, 3, ex1.access, backend="symplectic").digest(),
+            qp.run_easpir(ex1.bundle, files, 2, 3, ex1.access, 2,
+                          backend="symplectic").digest()]
+
+    def no_coset_rep(*args, **kwargs):
+        raise AssertionError("coset_rep called")
+
+    monkeypatch.setattr(qp, "coset_rep", no_coset_rep)
+    assert want == [
+        qp.run_eass(ex1.bundle, m, 3, ex1.access, backend="symplectic").digest(),
+        qp.run_easpir(ex1.bundle, files, 2, 3, ex1.access, 2,
+                      backend="symplectic").digest()]
+
+
 def test_eass_audit_needs_no_eigendecomposition(ex1, monkeypatch):
     """The displaced-measurement path of an audit runs without eigh: the
     report is unchanged with numpy.linalg.eigh made to raise."""
