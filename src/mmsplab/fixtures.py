@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .access import AccessStructure, make_explicit, make_threshold
+from . import _accel
+from .access import AccessStructure, make_explicit, make_threshold, symplectify_structure
 from .fields import field_build
-from .linalg import MatGF, is_col_orth, nullspace, rank, symp_gram
-from .mmsp import MmspBundle, is_mmsp, make_bundle
+from .linalg import (MatGF, VecGF, _symp_gram_matrix, beside, hstack, in_span,
+                     nullspace, rank, symp_gram_q)
+from .mmsp import MmspBundle, is_mmsp, make_bundle, mmsp_verdicts, set_block
 
 
 @dataclass
@@ -90,39 +93,54 @@ def all_examples() -> list[Example]:
 def _rand_isotropic(ctx, n: int, y1: int, rng) -> Optional[MatGF]:
     """Random self-column-orthogonal 2n x y1 of full rank, by greedy draws
     inside the running symplectic complement."""
-    from .linalg import mat_from_cols, VecGF, symp_q, in_span
-
-    cols = []
+    kept = MatGF.zeros(ctx, 2 * n, 0)
     for _ in range(200):
         cand = VecGF(ctx, rng.integers(0, ctx.q, size=2 * n).astype(np.int64))
         if cand.is_zero():
             continue
-        if any(symp_q(cand, c) != ctx.zero for c in cols):
+        if ctx.ax_nonzero(symp_gram_q(ctx, cand.a[None, :, None], kept.a[None])).any():
             continue
-        cur = mat_from_cols(cols) if cols else MatGF.zeros(ctx, 2 * n, 0)
-        if cols and in_span(cur, cand):
+        if kept.cols and in_span(kept, cand):
             continue
-        cols.append(cand)
-        if len(cols) == y1:
-            return mat_from_cols(cols)
+        kept = MatGF(ctx, np.concatenate([kept.a, cand.a[:, None]], axis=1))
+        if kept.cols == y1:
+            return kept
     return None
 
 
-def _orth_complement_draw(ctx, g1: MatGF, cols: int, rng) -> MatGF:
-    """Random matrix whose columns are symplectically orthogonal to g1."""
-    from .linalg import mat_from_cols, VecGF
-
-    n2 = g1.rows
+def _orth_basis(g1: MatGF) -> Optional[MatGF]:
+    """Columns spanning the symplectic complement of g1, the null space of
+    (J g1)^T = g1^T M; None when g1 has no columns (the whole space)."""
     if g1.cols == 0:
-        return MatGF(ctx, rng.integers(0, ctx.q, size=(n2, cols)).astype(np.int64))
-    # perp basis: null space of (J g1)^T
-    from .linalg import _symp_gram_matrix
-    j = _symp_gram_matrix(ctx, n2).transpose()
-    rows = MatGF(ctx, np.stack([(j @ g1.col(i)).a for i in range(g1.cols)],
-                               axis=0))
-    basis = nullspace(rows)
-    coeff = rng.integers(0, ctx.q, size=(basis.cols, cols)).astype(np.int64)
-    return basis @ MatGF(ctx, coeff)
+        return None
+    return nullspace(g1.transpose() @ _symp_gram_matrix(g1.ctx, g1.rows))
+
+
+def _draw(ctx, basis: Optional[MatGF], rows: int, cols: int, k: int,
+          rng) -> np.ndarray:
+    """k random rows x cols matrices, a (k, rows, cols) stack of cells, with
+    columns in the span of basis (None: anywhere); the rng is read as k
+    draws of one matrix would read it."""
+    if basis is None:
+        return rng.integers(0, ctx.q, size=(k, rows, cols)).astype(np.int64)
+    coeff = rng.integers(0, ctx.q, size=(k, basis.cols, cols)).astype(np.int64)
+    wide = basis @ MatGF(ctx, np.moveaxis(coeff, 0, 1).reshape(basis.cols, k * cols))
+    return np.moveaxis(wide.a.reshape((rows, k, cols) + wide.a.shape[2:]), 1, 0)
+
+
+def _class_ok(cls: str, g1: MatGF, g: MatGF, fk: np.ndarray) -> np.ndarray:
+    """Which message matrices of a stack fk keep the class invariants the
+    pools need: for qq, F orthogonal to G1 with a nondegenerate Gram matrix
+    (the message frame on the quotient); for cq, [G1 | G2 | F] of full
+    column rank.  One Gram product or one stacked elimination each."""
+    ctx, (k, _, x) = g.ctx, fk.shape[:3]
+    ok = np.ones(k, dtype=bool)
+    if cls == "qq":
+        ok &= ~ctx.ax_trace(symp_gram_q(ctx, fk, g1.a[None])).reshape(k, -1).any(axis=1)
+        ok &= _accel.gf_rank(ctx, ctx.ax_trace(symp_gram_q(ctx, fk, fk)))[0] == x
+    if cls == "cq":
+        ok &= _accel.gf_rank(ctx, beside(g, fk))[0] == g.cols + x
+    return ok
 
 
 def make_pools(kind: str, count: int, seed: int = 2024,
@@ -141,7 +159,6 @@ def make_pools(kind: str, count: int, seed: int = 2024,
         if t < 1:
             continue
         fs = make_threshold(r, t, n)
-        from .access import symplectify_structure
         if kind == "plain":
             nbar = n
             y = t
@@ -166,21 +183,13 @@ def make_pools(kind: str, count: int, seed: int = 2024,
             g2 = (MatGF(ctx, rng.integers(0, ctx.q, size=(2 * n, y2)).astype(np.int64))
                   if y2 else MatGF.zeros(ctx, 2 * n, 0))
             if kind == "qq":
-                x = 2 * xq
-                f = _orth_complement_draw(ctx, g1, x, rng)
-                if not is_col_orth(f, g1):
-                    continue
-                # message frame must be nondegenerate on the quotient
-                if rank(MatGF(ctx, symp_gram(f, f))) != x:
-                    continue
+                fk = _draw(ctx, _orth_basis(g1), 2 * n, 2 * xq, 1, rng)
             else:
-                x = int(rng.integers(1, 3))
-                f = MatGF(ctx, rng.integers(0, ctx.q, size=(2 * n, x)).astype(np.int64))
-            if kind == "cq" and rank(MatGF(ctx, np.concatenate(
-                    [g1.a, g2.a, f.a], axis=1))) != y1 + y2 + x:
+                fk = _draw(ctx, None, 2 * n, int(rng.integers(1, 3)), 1, rng)
+            if not _class_ok(kind, g1, hstack([g1, g2]), fk)[0]:
                 continue
-            bundle = make_bundle(kind, g1, g2, f, n=n, r=r, t=t)
-            verdict = is_mmsp(bundle.g_stack(), f, symplectify_structure(fs))
+            bundle = make_bundle(kind, g1, g2, MatGF(ctx, fk[0]), n=n, r=r, t=t)
+            verdict = is_mmsp(bundle.g_stack(), bundle.f, symplectify_structure(fs))
         if verdict and len(pos) < count:
             pos.append((bundle, fs))
         elif not verdict and len(neg) < count:
@@ -191,35 +200,28 @@ def make_pools(kind: str, count: int, seed: int = 2024,
     return pos, neg
 
 
+MUTATE_REDRAWS = 300
+
+
 def mutate_negative(bundle: MmspBundle, fs: AccessStructure,
                     seed: int) -> Optional[MmspBundle]:
-    """Redraw the message matrix (respecting the class orthogonality
-    invariants) until the span-program verdict flips to false."""
-    from .access import symplectify_structure
-
-    ctx = bundle.ctx
+    """The first of up to MUTATE_REDRAWS redraws of the message matrix
+    (respecting the class orthogonality invariants) whose span-program
+    verdict is false, or None.  Redraws are drawn and judged in blocks that
+    keep each stacked elimination within a set_block of restrictions."""
+    ctx, g = bundle.ctx, bundle.g_stack()
     rng = np.random.default_rng(seed)
-    sfs = symplectify_structure(fs)
-    for _ in range(300):
-        if bundle.cls == "qq":
-            f = _orth_complement_draw(ctx, bundle.g1, bundle.x, rng)
-            if not is_col_orth(f, bundle.g1):
-                continue
-            if rank(MatGF(ctx, symp_gram(f, f))) != bundle.x:
-                continue
-        else:
-            f = MatGF(ctx, rng.integers(0, ctx.q, size=(bundle.f.rows, bundle.x))
-                      .astype(np.int64))
-        cand = make_bundle(bundle.cls, bundle.g1, bundle.g2, f, n=bundle.n,
-                           **bundle.params)
-        if bundle.cls == "cq" and rank(MatGF(ctx, np.concatenate(
-                [cand.g1.a, cand.g2.a, cand.f.a], axis=1))) \
-                != cand.y1 + cand.y2 + cand.x:
-            continue
-        if bundle.cls == "plain":
-            verdict = is_mmsp(cand.g1, cand.f, fs)
-        else:
-            verdict = is_mmsp(cand.g_stack(), cand.f, sfs)
-        if not verdict:
-            return cand
+    target = fs if bundle.cls == "plain" else symplectify_structure(fs)
+    n_sets = sum(1 for _ in chain(target.accept_iter(), target.reject_iter()))
+    block = max(1, set_block(g, bundle.f) // max(1, n_sets))
+    basis = _orth_basis(bundle.g1) if bundle.cls == "qq" else None
+    for lo in range(0, MUTATE_REDRAWS, block):
+        fk = _draw(ctx, basis, bundle.f.rows, bundle.x,
+                   min(block, MUTATE_REDRAWS - lo), rng)
+        keep = np.flatnonzero(_class_ok(bundle.cls, bundle.g1, g, fk))
+        fails = keep[~mmsp_verdicts(g, fk[keep], target)]
+        if fails.size:
+            return make_bundle(bundle.cls, bundle.g1, bundle.g2,
+                               MatGF(ctx, fk[fails[0]].copy()), n=bundle.n,
+                               **bundle.params)
     return None

@@ -206,6 +206,8 @@ def _same_ctx(x, y):
 
 def _fold_add(ctx: FieldCtx, arr: np.ndarray) -> np.ndarray:
     """Sum cells along axis 1 with field addition."""
+    if arr.shape[1] == 0:
+        return np.zeros(arr.shape[:1] + arr.shape[2:], dtype=np.int64)
     acc = arr[:, 0]
     for k in range(1, arr.shape[1]):
         acc = ctx.ax_add(acc, arr[:, k])
@@ -220,6 +222,11 @@ def hstack(mats: Sequence[MatGF]) -> MatGF:
         if m.rows != mats[0].rows:
             raise DimensionMismatch("row counts differ")
     return MatGF(ctx, np.concatenate([m.a for m in mats], axis=1))
+
+
+def beside(g: MatGF, fk: np.ndarray) -> np.ndarray:
+    """[G | F] for every F of a stack fk (K, rows, cols[, r]) of cells."""
+    return np.concatenate([np.broadcast_to(g.a, (len(fk),) + g.a.shape), fk], axis=2)
 
 
 def vstack(mats: Sequence[MatGF]) -> MatGF:
@@ -342,10 +349,18 @@ def restrict_vec(v: VecGF, subset: Iterable[int]) -> VecGF:
     return VecGF(v.ctx, v.a[subset_rows(subset, len(v))].copy())
 
 
+def symp_gram_q(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """F_q-valued symp_q(f_i, g_j) for every column pair of each pair of
+    matrices in two stacks of cells (K, 2n, cols[, r]), which broadcast
+    over K: one Gram product F^T (M G), with M G = [G_z; -G_x]."""
+    n = f.shape[1] // 2
+    mg = np.concatenate([g[:, n:], ctx.ax_neg(g[:, :n])], axis=1)
+    return _fold_add(ctx, ctx.ax_mul(f[:, :, :, None], mg[:, :, None]))
+
+
 def symp_gram(f: MatGF, g: MatGF) -> np.ndarray:
-    """symp(f_i, g_j) for every column pair, from one Gram product F^T M G."""
-    gram = f.transpose() @ (_symp_gram_matrix(f.ctx, f.rows) @ g)
-    return f.ctx.ax_trace(gram.a)
+    """symp(f_i, g_j) for every column pair."""
+    return f.ctx.ax_trace(symp_gram_q(f.ctx, f.a[None], g.a[None])[0])
 
 
 def is_self_col_orth(g: MatGF) -> bool:

@@ -34,6 +34,7 @@ from .linalg import (
     MatGF,
     QuotientMap,
     VecGF,
+    beside,
     hstack,
     is_col_orth,
     is_mds,
@@ -46,17 +47,27 @@ from .linalg import (
 )
 
 
-def _f_pivots(g: MatGF, f: MatGF, sets: Sequence[Iterable[int]]) -> np.ndarray:
-    """For each 1-based row set A, which F columns of [P_A G | P_A F] are pivot
-    columns, from one stack padded with zero rows (which change no pivot)."""
-    if g.rows != f.rows:
+def _f_pivots(g: MatGF, fk: np.ndarray, sets: Sequence[Iterable[int]]) -> np.ndarray:
+    """For each message matrix F of a stack fk (K, rows, x[, r]) of cells and
+    each 1-based row set A, which F columns of [P_A G | P_A F] are pivot
+    columns, (K, S, x), from one stack padded with zero rows (which change
+    no pivot)."""
+    if g.rows != fk.shape[1]:
         raise DimensionMismatch("G and F must share their row count")
-    m = hstack([g, f])
-    rows = [subset_rows(s, m.rows) for s in sets]
+    m = beside(g, fk)
+    rows = [subset_rows(s, g.rows) for s in sets]
     w = max(map(len, rows))
-    idx = np.array([r + [m.rows] * (w - len(r)) for r in rows], dtype=np.int64)
-    padded = np.concatenate([m.a, m.ctx.cell_zeros(1, m.cols)])
-    return _accel.gf_rank(g.ctx, padded[idx.reshape(len(rows), w)])[1][:, g.cols:]
+    idx = np.array([r + [g.rows] * (w - len(r)) for r in rows], dtype=np.int64)
+    padded = np.concatenate([m, g.ctx.cell_zeros(len(fk), 1, m.shape[2])], axis=1)
+    stack = padded[:, idx].reshape((len(fk) * len(rows), w) + m.shape[2:])
+    piv = _accel.gf_rank(g.ctx, stack)[1]
+    return piv.reshape(len(fk), len(rows), -1)[:, :, g.cols:]
+
+
+def _failed(piv: np.ndarray, accept: np.ndarray) -> np.ndarray:
+    """Which restrictions break the MMSP predicates, from their F pivot
+    columns (..., S, x): an accept set missing one, a reject set with one."""
+    return np.where(accept, ~piv.all(axis=-1), piv.any(axis=-1))
 
 
 def _lemma1_pivots(g: MatGF, f: MatGF, subset: Iterable[int]):
@@ -75,13 +86,13 @@ def _lemma1_pivots(g: MatGF, f: MatGF, subset: Iterable[int]):
 def accepts_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
     """Condition (A1): restricted F columns independent modulo Im(P_A G),
     i.e. every F column of [P_A G | P_A F] is a pivot column."""
-    return bool(_f_pivots(g, f, [subset]).all())
+    return bool(_f_pivots(g, f.a[None], [subset]).all())
 
 
 def rejects_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
     """Condition (B1): every restricted F column inside span(P_B G), i.e. no
     F column of [P_B G | P_B F] is a pivot column."""
-    return not _f_pivots(g, f, [subset]).any()
+    return not _f_pivots(g, f.a[None], [subset]).any()
 
 
 def cond_a2(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
@@ -139,18 +150,23 @@ class SpanDecoder:
         return VecGF(self.ctx, msgs[0]) if ok[0] else None
 
 
+def set_block(g: MatGF, f: MatGF) -> int:
+    """How many row restrictions of [G | F] one stacked elimination takes:
+    about MDS_BLOCK_CELLS cells."""
+    cells = f.rows * (g.cols + f.cols) * int(np.prod(f.a.shape[2:]))
+    return max(1, MDS_BLOCK_CELLS // max(1, cells))
+
+
 def mmsp_failure(g: MatGF, f: MatGF, fs: AccessStructure) -> Optional[tuple[str, Subset]]:
     """("acceptance", A) for the first accept set (G, F) does not accept, else
     ("rejection", B) for the first reject set it does not reject, else None;
-    the restrictions are eliminated in stacks of about MDS_BLOCK_CELLS cells."""
-    cells = f.rows * (g.cols + f.cols) * int(np.prod(f.a.shape[2:]))
-    block = max(1, MDS_BLOCK_CELLS // max(1, cells))
+    the restrictions are eliminated in stacks of set_block sets."""
     sets = chain((("acceptance", a) for a in fs.accept_iter()),
                  (("rejection", b) for b in fs.reject_iter()))
+    block = set_block(g, f)
     while chunk := list(islice(sets, block)):
-        piv = _f_pivots(g, f, [s for _, s in chunk])
-        accept = np.array([kind == "acceptance" for kind, _ in chunk])
-        bad = np.where(accept, ~piv.all(axis=1), piv.any(axis=1))
+        piv = _f_pivots(g, f.a[None], [s for _, s in chunk])[0]
+        bad = _failed(piv, np.array([kind == "acceptance" for kind, _ in chunk]))
         if bad.any():
             return chunk[int(bad.argmax())]
     return None
@@ -159,6 +175,17 @@ def mmsp_failure(g: MatGF, f: MatGF, fs: AccessStructure) -> Optional[tuple[str,
 def is_mmsp(g: MatGF, f: MatGF, fs: AccessStructure) -> bool:
     """(G, F) accepts every accept set and rejects every reject set."""
     return mmsp_failure(g, f, fs) is None
+
+
+def mmsp_verdicts(g: MatGF, fk: np.ndarray, fs: AccessStructure) -> np.ndarray:
+    """is_mmsp(G, F) for every F of a stack fk (K, rows, x[, r]) of cells,
+    from one stacked elimination of all K times S restrictions; callers
+    size K so that K S stays within a set_block."""
+    accept, reject = list(fs.accept_iter()), list(fs.reject_iter())
+    if not (accept or reject) or not len(fk):
+        return np.ones(len(fk), dtype=bool)
+    piv = _f_pivots(g, fk, accept + reject)
+    return ~_failed(piv, np.arange(len(accept) + len(reject)) < len(accept)).any(axis=1)
 
 
 def is_threshold_mmsp_via_mds(g: MatGF, f: MatGF, r: int, t: int) -> bool:

@@ -66,8 +66,9 @@ def test_criterion_1_worked_examples():
 
 def _collect_fixtures(kind: str, pos_count: int, seed: int,
                       neg_count: int = None):
-    """pos_count positives and neg_count mutated negatives (pool negatives
-    top up when a bundle admits no insecure message matrix)."""
+    """pos_count positives and neg_count negatives: mutated positives
+    first, topped up with pool negatives for the positives on which
+    mutate_negative's redraws find no negative (it returns None)."""
     if neg_count is None:
         neg_count = pos_count
     pool = max(pos_count, neg_count)
