@@ -460,3 +460,41 @@ def test_coset_coords_pinned():
                         qm.coset_coords(m.col(0) if cols else v).tolist()])
     blob = json.dumps(out).encode()
     assert hashlib.sha256(blob).hexdigest() == COSET_DIGEST
+
+
+DUAL_DIGEST = "5bbcda67a18f22b61c8ffdaa919c17ce0013640182a12a9d6383de3ebcd5cb69"
+
+
+def _isotropic(ctx, n, y1, rng):
+    """A seeded full-rank self-column-orthogonal 2n x y1, each column drawn
+    inside the symplectic complement of the ones before it (the null space
+    of (J g1)^T, J g1 = [g1_z; -g1_x])."""
+    g1 = la.MatGF.zeros(ctx, 2 * n, 0)
+    while g1.cols < y1:
+        if g1.cols:
+            jg = np.concatenate([g1.a[n:], ctx.ax_neg(g1.a[:n])])
+            perp = la.nullspace(la.MatGF(ctx, np.swapaxes(jg, 0, 1).copy()))
+            v = perp @ la.VecGF(ctx, ctx.random_cells(rng, perp.cols))
+        else:
+            v = la.VecGF(ctx, ctx.random_cells(rng, 2 * n))
+        g = la.MatGF(ctx, np.concatenate([g1.a, v.a[:, None]], axis=1))
+        if la.rank(g) == g.cols:
+            g1 = g
+    return g1
+
+
+def test_dual_and_completion_pinned():
+    """(gbar, h1), byte for byte, for seeded isotropic g1 of every width
+    0..n at n = 2, 3 over F_3, F_5, GF(8), GF(9), the GF(81) tower and the
+    GF(3^16) tower."""
+    rng = np.random.default_rng(19)
+    out = []
+    for ctx in (F3, F5, field_build(2, 3), F9, tower_build(3, 2), tower_build(3, 4)):
+        for n in (2, 3):
+            for y1 in range(n + 1):
+                g1 = _isotropic(ctx, n, y1, rng)
+                assert la.is_self_col_orth(g1)
+                gbar, h1 = la.dual_and_completion(g1)
+                out.append([gbar.tolist(), h1.tolist()])
+    blob = json.dumps(out).encode()
+    assert hashlib.sha256(blob).hexdigest() == DUAL_DIGEST
