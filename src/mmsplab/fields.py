@@ -1,17 +1,19 @@
 """Exact arithmetic in GF(p^r), including quadratic extension towers.
 
-Two internal element representations are used, chosen by field size.  Small
-fields (q <= 2^16) carry discrete-log tables and encode an element as the
-integer index whose little-endian base-p digits are its coefficients in the
-power basis.  Large ("poly") fields encode an element as the byte string of
-its coefficient vector (uint8 while p < 256, wider above).  They multiply
-exactly in float64, by an FFT or direct convolution, and reduce the product
-by the sparse tail of the field polynomial: x^d = sum c_k x^k folds each
-coefficient at or above x^d down with one shifted multiply-add per nonzero
-c_k (two rounds for every canonical modulus).  Inverses follow Itoh-Tsujii:
-a Frobenius chain gives a^(-1) as a product of conjugates over the norm.
-Both flavors expose the same scalar API, so the rest of the package treats
-elements as opaque tokens owned by their FieldCtx.
+Two classes hold the two element representations.  FieldCtx works for every
+field: it encodes an element as the byte string of its coefficient vector
+(uint8 while p < 256, wider above), multiplies exactly in float64 by an FFT,
+and reduces the product by the sparse tail of the field polynomial: x^d =
+sum c_k x^k folds each coefficient at or above x^d down with one shifted
+multiply-add per nonzero c_k (two rounds for every canonical modulus).
+Inverses follow Itoh-Tsujii: a Frobenius chain gives a^(-1) as a product of
+conjugates over the norm.  It also owns all that does not depend on the
+representation: the scalar API written over the ax_* cell operations,
+trace, Frobenius, subfield bases, tower generators and JSON.  TabledField,
+built for q <= 2^16, overrides the cell format and arithmetic with
+discrete-log tables: an element is the integer index whose little-endian
+base-p digits are its power-basis coefficients.  The rest of the package
+treats elements as opaque tokens owned by their context.
 
 Towers F_p[e_1, ..., e_K] are realized as the chain of subfields of degree
 2^j inside one ambient field of degree 2^K; a subfield-membership test is a
@@ -298,16 +300,21 @@ def _modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# field context
+# field contexts
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
     """A concrete GF(p^r) with fixed modulus and optional tower structure.
 
-    Do not instantiate directly; use :func:`field_build` or
-    :func:`tower_build`, which memoize so equal parameters give the identical
-    context object (elements from distinct contexts never combine).
+    Build one with :func:`field_build` or :func:`tower_build`, which memoize
+    so equal parameters give the identical context object (elements from
+    distinct contexts never combine), a :class:`TabledField` when q <=
+    TABLE_LIMIT.  Built directly, this class gives any field, small ones
+    included, outside that registry.  Cells are coefficient rows.
     """
+
+    kind = "poly"
+    _tables: Optional[_accel.Tables] = None  # set by small TabledFields only
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...],
                  tower_levels: Optional[tuple[int, ...]]):
@@ -316,12 +323,7 @@ class FieldCtx:
         self.q = p**r
         self.modulus = modulus
         self.tower_levels = tower_levels
-        self.kind = "tabled" if self.q <= TABLE_LIMIT else "poly"
-        self._powers = p ** np.arange(r, dtype=np.int64) if self.kind == "tabled" else None
-        if self.kind == "tabled":
-            self._init_tabled()
-        else:
-            self._init_poly()
+        self._init_cells()
         self._init_frobenius()
         self._trace_vec: Optional[np.ndarray] = None
         self._level_gens: dict[int, object] = {}
@@ -329,72 +331,15 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
-    def _mul_by_x_matrix(self) -> np.ndarray:
-        """r x r matrix of multiplication by x in the power basis (mod p)."""
-        p, r = self.p, self.r
-        mod = np.asarray(self.modulus, dtype=np.int64)
-        m = np.zeros((r, r), dtype=np.int64)
-        for j in range(r - 1):
-            m[j + 1, j] = 1
-        m[:, r - 1] = (-mod[:r]) % p
-        return m
-
-    def _init_tabled(self):
-        p, r, q = self.p, self.r, self.q
-        if r == 1:
-            digits = np.arange(q, dtype=np.int64)[:, None]
-        else:
-            idx = np.arange(q, dtype=np.int64)
-            digits = (idx[:, None] // self._powers[None, :]) % p
-        self._digits_all = digits
-        # multiplicative generator: smallest index whose order is q-1
-        mx = self._mul_by_x_matrix()
-        factors = _prime_factors(q - 1) if q > 2 else []
-        mod = np.asarray(self.modulus, dtype=np.int64)
-        full_order = lambda c: all(
-            not np.array_equal(_ppowmod(digits[c], (q - 1) // ell, mod, p), [1])
-            for ell in factors)
-        self.generator = gen = next((c for c in range(2, q) if full_order(c)), 1)  # q == 2: 1
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        cur = 1
-        gv = digits[gen].astype(np.int64)
-        mg = np.zeros((r, r), dtype=np.int64)
-        # matrix of multiplication by the generator
-        col = gv.copy()
-        for j in range(r):
-            mg[:, j] = col
-            col = (mx @ col) % p
-        vec = digits[1].copy()
-        for k in range(q - 1):
-            cur = int(vec @ self._powers)
-            exp[k] = cur
-            log[cur] = k
-            vec = (mg @ vec) % p
-        self._exp, self._log = exp, log
-        neg = self._encode((-digits) % p)
-        inv = np.zeros(q, dtype=np.int64)
-        inv[exp] = exp[(-(log[exp])) % (q - 1)]
-        self._neg1d, self._inv1d = neg, inv
-        if q <= TABLE2D_LIMIT:
-            add2 = self._encode((digits[:, None, :] + digits[None, :, :]) % p)
-            mul2 = np.zeros((q, q), dtype=np.int64)
-            nzi = np.arange(1, q)
-            la = log[nzi]
-            mul2[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
-            self._tables = _accel.Tables(add=add2, mul=mul2, q=q)
-        else:
-            self._tables = None
-
-    def _init_poly(self):
+    def _init_cells(self):
         p, d = self.p, self.r
         self._prod_bound = d * (p - 1) ** 2  # largest coefficient of a product
         # tokens are coefficient bytes; uint8 whenever it holds every residue
         self._tok = np.uint8 if p <= 1 << 8 else np.uint16 if p <= 1 << 16 else np.uint32
         self._tail = _tail(self.modulus, p)
         self._nfft = 1 << int(np.ceil(np.log2(max(2 * d - 1, 2))))
-        self._zero_bytes = self.cell_to_token(np.zeros(d, dtype=np.int64))
-        self._one_bytes = self.cell_to_token(np.eye(1, d, dtype=np.int64)[0])
+        self.zero = self.cell_to_token(np.zeros(d, dtype=np.int64))
+        self.one = self.cell_to_token(np.eye(1, d, dtype=np.int64)[0])
 
     def _init_frobenius(self):
         p, r = self.p, self.r
@@ -423,14 +368,6 @@ class FieldCtx:
 
     # -- scalar element API ----------------------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self.kind == "tabled" else self._zero_bytes
-
-    @property
-    def one(self):
-        return 1 if self.kind == "tabled" else self._one_bytes
-
     def from_coeffs(self, coeffs: Sequence[int]):
         if len(coeffs) > self.r:
             raise DimensionMismatch(
@@ -439,46 +376,23 @@ class FieldCtx:
         return self.cell_to_token(self.ax_from_coeffs(v))
 
     def coeffs(self, a) -> tuple[int, ...]:
-        if self.kind == "tabled":
-            return tuple(int(x) for x in self._digits_scalar(a))
-        return tuple(self.token_to_cell(a).tolist())
+        return tuple(self.ax_coeffs(self.token_to_cell(a)).tolist())
 
     def from_int(self, k: int):
-        """Element with index k (tabled) or the image of k mod p (poly)."""
-        if self.kind == "tabled":
-            return int(k) % self.q
+        """The image of k mod p (an element index on a TabledField)."""
         return self.from_coeffs([k % self.p])
 
-    def _digits_scalar(self, a: int) -> np.ndarray:
-        return (a // self._powers) % self.p
-
-    def _encode(self, digits: np.ndarray) -> np.ndarray:
-        return (digits % self.p) @ self._powers
-
     def add(self, a, b):
-        if self.kind == "tabled":
-            return int(self._encode(self._digits_scalar(a) + self._digits_scalar(b)))
         return self.cell_to_token(self.ax_add(self.token_to_cell(a), self.token_to_cell(b)))
 
     def neg(self, a):
-        if self.kind == "tabled":
-            return int(self._neg1d[a])
         return self.cell_to_token(self.ax_neg(self.token_to_cell(a)))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.kind == "tabled":
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-        return self.cell_to_token(self._mul_row(self.token_to_cell(a), self.token_to_cell(b)))
-
-    def _mul_row(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two coefficient rows (poly fields)."""
-        full = np.convolve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-        return _reduce(full, self._tail, self.r, self.p, self._prod_bound)
+        return self.cell_to_token(self.ax_mul(self.token_to_cell(a), self.token_to_cell(b)))
 
     def inv(self, a):
         return self.cell_to_token(self.ax_inv(self.token_to_cell(a)))
@@ -520,9 +434,7 @@ class FieldCtx:
         return result
 
     def elements(self) -> Iterator:
-        if self.kind != "tabled":
-            raise TowerTooShallow("cannot enumerate a large field")
-        return iter(range(self.q))
+        raise TowerTooShallow("cannot enumerate a large field")
 
     # -- trace / Frobenius / tower ----------------------------------------------
 
@@ -588,22 +500,15 @@ class FieldCtx:
         if not 1 <= j < len(self.tower_levels):
             raise TowerTooShallow(f"tower has no level {j}")
         if j not in self._level_gens:
-            if self.kind == "tabled":
-                dj = self.tower_levels[j]
-                m = (self.q - 1) // (self.p**dj - 1)
-                e = int(self._exp[m % (self.q - 1)])
-                self._level_gens[j] = e
-            else:
-                basis = self._subfield_basis(j)
-                phi_prev = self._phis[j - 1]
-                e = None
-                for col in basis.T:
-                    if not np.array_equal(phi_prev @ col % self.p, col):
-                        e = self.from_coeffs(col)
-                        break
-                assert e is not None
-                self._level_gens[j] = e
+            self._level_gens[j] = self._new_level_gen(j)
         return self._level_gens[j]
+
+    def _new_level_gen(self, j: int):
+        """The first canonical basis vector of level j outside level j-1."""
+        phi_prev = self._phis[j - 1]
+        col = next(col for col in self._subfield_basis(j).T
+                   if not np.array_equal(phi_prev @ col % self.p, col))
+        return self.from_coeffs(col)
 
     def pick_fresh(self, j: int, variant: int = 0):
         """Deterministic element of tower level exactly j.
@@ -614,7 +519,7 @@ class FieldCtx:
         e = self.level_gen(j)
         if variant == 0:
             return e
-        basis = self._subfield_basis(j - 1) if j >= 1 else self._subfield_basis(0)
+        basis = self._subfield_basis(j - 1)
         ncomb = self.p ** basis.shape[1]
         v = variant % ncomb
         digs = np.array([(v // self.p**i) % self.p for i in range(basis.shape[1])],
@@ -624,35 +529,16 @@ class FieldCtx:
 
     # -- vectorized cell ops (backing arrays used by linalg) --------------------
     #
-    # Tabled fields store a matrix cell as an int64 element index; poly fields
-    # store it as a length-r int64 coefficient row.  The ax_* ops broadcast.
+    # A matrix cell is a length-r int64 coefficient row here and an int64
+    # element index on a TabledField.  The ax_* ops broadcast.
 
     def ax_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "tabled":
-            a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            if self._tables is not None:
-                return self._tables.add[a, b]
-            da = (a[..., None] // self._powers) % self.p
-            db = (b[..., None] // self._powers) % self.p
-            return ((da + db) % self.p) @ self._powers
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
 
     def ax_neg(self, a: np.ndarray) -> np.ndarray:
-        if self.kind == "tabled":
-            return self._neg1d[np.asarray(a, dtype=np.int64)]
         return (-np.asarray(a, dtype=np.int64)) % self.p
 
     def ax_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "tabled":
-            a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            if self._tables is not None:
-                return self._tables.mul[a, b]
-            a, b = np.broadcast_arrays(a, b)
-            out = np.zeros(a.shape, dtype=np.int64)
-            mask = (a != 0) & (b != 0)
-            if mask.any():
-                out[mask] = self._exp[(self._log[a[mask]] + self._log[b[mask]]) % (self.q - 1)]
-            return out
         fa = np.fft.rfft(np.asarray(a, dtype=np.float64), self._nfft, axis=-1)
         fb = np.fft.rfft(np.asarray(b, dtype=np.float64), self._nfft, axis=-1)
         full = np.rint(np.fft.irfft(fa * fb, self._nfft, axis=-1)[..., : 2 * self.r - 1])
@@ -660,13 +546,9 @@ class FieldCtx:
 
     def ax_mulsub(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                   d: np.ndarray) -> np.ndarray:
-        """a b - c d cellwise, with broadcasting.  On poly fields both
-        products are summed in the frequency domain, so one inverse FFT and
-        one reduction serve them (see FFT_EXACT for its exactness)."""
-        if self.kind == "tabled":
-            if (t := self._tables) is not None:
-                return t.add[t.mul[a, b], self._neg1d[t.mul[c, d]]]
-            return self.ax_add(self.ax_mul(a, b), self.ax_neg(self.ax_mul(c, d)))
+        """a b - c d cellwise, with broadcasting.  Both products are summed
+        in the frequency domain, so one inverse FFT and one reduction serve
+        them (see FFT_EXACT for its exactness)."""
         n = self._nfft
         fa, fb, fc, fd = (np.fft.rfft(np.asarray(x, dtype=np.float64), n, axis=-1)
                           for x in (a, b, c, self.ax_neg(d)))
@@ -677,45 +559,36 @@ class FieldCtx:
         """Inverse of every cell; raises DivisionByZero if any is zero."""
         if not self.ax_nonzero(a).all():
             raise DivisionByZero("inverse of zero")
-        if self.kind == "tabled":
-            return self._inv1d[np.asarray(a, dtype=np.int64)]
         return self._poly_inv(np.asarray(a, dtype=np.int64))
 
     def ax_nonzero(self, a: np.ndarray) -> np.ndarray:
         """Boolean mask of nonzero cells (drops the coefficient axis if any)."""
-        if self.kind == "tabled":
-            return np.asarray(a) != 0
         return np.asarray(a).any(axis=-1)
 
     def ax_trace(self, a: np.ndarray) -> np.ndarray:
         """Trace of every cell, as int64 values in [0, p)."""
-        rows = self._digits_all[a] if self.kind == "tabled" else np.asarray(a)
-        return rows @ self._trace_vector() % self.p
+        return self.ax_coeffs(a) @ self._trace_vector() % self.p
+
+    def ax_coeffs(self, a: np.ndarray) -> np.ndarray:
+        """The (..., r) int64 coefficients of cells; inverts ax_from_coeffs."""
+        return np.asarray(a)
 
     def ax_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Cells of a (..., r) int64 array of coefficients in 0..p-1."""
-        return self._encode(coeffs) if self.kind == "tabled" else coeffs
+        return coeffs
 
     def cell_to_token(self, cell):
-        if self.kind == "tabled":
-            return int(cell)
         return np.asarray(cell, dtype=np.int64).astype(self._tok).tobytes()
 
     def token_to_cell(self, token):
-        if self.kind == "tabled":
-            return int(token)
         return np.frombuffer(token, dtype=self._tok).astype(np.int64)
 
     def cell_zeros(self, *shape) -> np.ndarray:
-        if self.kind == "tabled":
-            return np.zeros(shape, dtype=np.int64)
         return np.zeros(shape + (self.r,), dtype=np.int64)
 
     def random_cells(self, rng: np.random.Generator, *shape) -> np.ndarray:
-        """Uniform cells of the given shape: element indices on tabled
-        fields, coefficient rows over F_p on poly fields."""
-        if self.kind == "tabled":
-            return rng.integers(0, self.q, size=shape).astype(np.int64)
+        """Uniform cells of the given shape: coefficient rows over F_p here,
+        element indices on a TabledField."""
         return rng.integers(0, self.p, size=shape + (self.r,)).astype(np.int64)
 
     # -- serialization -----------------------------------------------------------
@@ -727,11 +600,138 @@ class FieldCtx:
         return out
 
     def tables(self) -> Optional[_accel.Tables]:
-        return getattr(self, "_tables", None)
+        return self._tables
 
     def __repr__(self):
         tower = f", tower={list(self.tower_levels)}" if self.tower_levels else ""
         return f"FieldCtx(GF({self.p}^{self.r}){tower})"
+
+
+class TabledField(FieldCtx):
+    """GF(p^r), q <= TABLE_LIMIT, on discrete-log tables (and full 2-D add and
+    multiply tables when q <= TABLE2D_LIMIT): cells and tokens are the
+    indices whose little-endian base-p digits are the coefficients."""
+
+    kind = "tabled"
+
+    def _init_cells(self):
+        p, r, q = self.p, self.r, self.q
+        self.zero, self.one = 0, 1
+        self._powers = p ** np.arange(r, dtype=np.int64)
+        self._digits_all = digits = (np.arange(q, dtype=np.int64)[:, None] // self._powers) % p
+        # multiplicative generator: smallest index whose order is q-1
+        factors = _prime_factors(q - 1) if q > 2 else []
+        mod = np.asarray(self.modulus, dtype=np.int64)
+        full_order = lambda c: all(
+            not np.array_equal(_ppowmod(digits[c], (q - 1) // ell, mod, p), [1])
+            for ell in factors)
+        self.generator = gen = next((c for c in range(2, q) if full_order(c)), 1)  # q == 2: 1
+        # mg: multiplication by the generator, whose column j is g x^j, from
+        # mx: multiplication by x in the power basis
+        mx = np.eye(r, k=-1, dtype=np.int64)
+        mx[:, -1] = (-mod[:r]) % p
+        mg = np.zeros((r, r), dtype=np.int64)
+        col = digits[gen]
+        for j in range(r):
+            mg[:, j] = col
+            col = (mx @ col) % p
+        exp = np.zeros(q - 1, dtype=np.int64)
+        vec = digits[1]
+        for k in range(q - 1):
+            exp[k] = vec @ self._powers
+            vec = (mg @ vec) % p
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp, self._log = exp, log
+        self._neg1d = self._encode((-digits) % p)
+        self._inv1d = np.zeros(q, dtype=np.int64)
+        self._inv1d[exp] = exp[-np.arange(q - 1) % (q - 1)]
+        if q <= TABLE2D_LIMIT:
+            add2 = self._encode((digits[:, None, :] + digits[None, :, :]) % p)
+            mul2 = np.zeros((q, q), dtype=np.int64)
+            la = log[1:]
+            mul2[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
+            self._tables = _accel.Tables(add=add2, mul=mul2, q=q)
+
+    def _encode(self, digits: np.ndarray) -> np.ndarray:
+        return (digits % self.p) @ self._powers
+
+    def from_int(self, k: int):
+        """Element with index k."""
+        return int(k) % self.q
+
+    # scalar add/neg/mul on indices: the reference for the ax_* ops
+    def add(self, a, b):
+        return int(self._encode(self._digits_all[a] + self._digits_all[b]))
+
+    def neg(self, a):
+        return int(self._neg1d[a])
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+
+    def elements(self) -> Iterator:
+        return iter(range(self.q))
+
+    def _new_level_gen(self, j: int):
+        """g^m with m = (q-1)/(p^d_j - 1), a generator of the level-j
+        subfield's multiplicative group."""
+        m = (self.q - 1) // (self.p ** self.tower_levels[j] - 1)
+        return int(self._exp[m % (self.q - 1)])
+
+    def ax_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self._tables is not None:
+            return self._tables.add[a, b]
+        return self._encode(self._digits_all[a] + self._digits_all[b])
+
+    def ax_neg(self, a: np.ndarray) -> np.ndarray:
+        return self._neg1d[np.asarray(a, dtype=np.int64)]
+
+    def ax_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self._tables is not None:
+            return self._tables.mul[a, b]
+        a, b = np.broadcast_arrays(a, b)
+        out = np.zeros(a.shape, dtype=np.int64)
+        mask = (a != 0) & (b != 0)
+        if mask.any():
+            out[mask] = self._exp[(self._log[a[mask]] + self._log[b[mask]]) % (self.q - 1)]
+        return out
+
+    def ax_mulsub(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  d: np.ndarray) -> np.ndarray:
+        if (t := self._tables) is not None:
+            return t.add[t.mul[a, b], self._neg1d[t.mul[c, d]]]
+        return self.ax_add(self.ax_mul(a, b), self.ax_neg(self.ax_mul(c, d)))
+
+    def ax_inv(self, a: np.ndarray) -> np.ndarray:
+        if not self.ax_nonzero(a).all():
+            raise DivisionByZero("inverse of zero")
+        return self._inv1d[np.asarray(a, dtype=np.int64)]
+
+    def ax_nonzero(self, a: np.ndarray) -> np.ndarray:
+        return np.asarray(a) != 0
+
+    def ax_coeffs(self, a: np.ndarray) -> np.ndarray:
+        return self._digits_all[a]
+
+    def ax_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        return self._encode(coeffs)
+
+    def cell_to_token(self, cell):
+        return int(cell)
+
+    def token_to_cell(self, token):
+        return int(token)
+
+    def cell_zeros(self, *shape) -> np.ndarray:
+        return np.zeros(shape, dtype=np.int64)
+
+    def random_cells(self, rng: np.random.Generator, *shape) -> np.ndarray:
+        return rng.integers(0, self.q, size=shape).astype(np.int64)
 
 
 _REGISTRY: dict[tuple, FieldCtx] = {}
@@ -766,7 +766,8 @@ def field_build(p: int, r: int, poly: Optional[Sequence[int]] = None) -> FieldCt
         # _find_irreducible, so a registered one is not proved again
         if poly is not None and r > 1 and not is_irreducible(modulus, p):
             raise ReduciblePolynomial(f"{list(modulus)} is reducible over F_{p}")
-        _REGISTRY[key] = FieldCtx(p, r, modulus, None)
+        cls = TabledField if p**r <= TABLE_LIMIT else FieldCtx
+        _REGISTRY[key] = cls(p, r, modulus, None)
     return _REGISTRY[key]
 
 
@@ -782,7 +783,8 @@ def tower_build(p: int, depth: int) -> FieldCtx:
     levels = tuple(1 << j for j in range(depth + 1))
     key = (p, r, modulus, levels)
     if key not in _REGISTRY:
-        _REGISTRY[key] = FieldCtx(p, r, modulus, levels)
+        cls = TabledField if p**r <= TABLE_LIMIT else FieldCtx
+        _REGISTRY[key] = cls(p, r, modulus, levels)
     return _REGISTRY[key]
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from . import _accel
 from .access import AccessStructure, make_explicit, make_threshold, symplectify_structure
 from .fields import field_build
-from .linalg import (MatGF, VecGF, _symp_gram_matrix, beside, hstack, in_span,
-                     nullspace, rank, symp_gram_q)
+from .linalg import (MatGF, VecGF, beside, hstack, in_span, nullspace, rank,
+                     symp_gram_q, symp_rows)
 from .mmsp import MmspBundle, is_mmsp, make_bundle, mmsp_verdicts, set_block
 
 
@@ -109,11 +109,11 @@ def _rand_isotropic(ctx, n: int, y1: int, rng) -> Optional[MatGF]:
 
 
 def _orth_basis(g1: MatGF) -> Optional[MatGF]:
-    """Columns spanning the symplectic complement of g1, the null space of
-    (J g1)^T = g1^T M; None when g1 has no columns (the whole space)."""
+    """Columns spanning the symplectic complement of g1; None when g1 has no
+    columns (the whole space)."""
     if g1.cols == 0:
         return None
-    return nullspace(g1.transpose() @ _symp_gram_matrix(g1.ctx, g1.rows))
+    return nullspace(symp_rows(g1))
 
 
 def _draw(ctx, basis: Optional[MatGF], rows: int, cols: int, k: int,

@@ -82,7 +82,7 @@ class VecGF:
         return not bool(self.ctx.ax_nonzero(self.a).any())
 
     def tolist(self):
-        return [list(self.ctx.coeffs(self[i])) for i in range(len(self))]
+        return self.ctx.ax_coeffs(self.a).tolist()
 
     def __repr__(self):
         return f"VecGF({self.tolist()})"
@@ -161,8 +161,7 @@ class MatGF:
         return hash((id(self.ctx), self.a.shape, self.a.tobytes()))
 
     def tolist(self):
-        return [[list(self.ctx.coeffs(self.elt(i, j))) for j in range(self.cols)]
-                for i in range(self.rows)]
+        return self.ctx.ax_coeffs(self.a).tolist()
 
     def __repr__(self):
         return f"MatGF({self.rows}x{self.cols} over GF({self.ctx.p}^{self.ctx.r}))"
@@ -349,13 +348,24 @@ def restrict_vec(v: VecGF, subset: Iterable[int]) -> VecGF:
     return VecGF(v.ctx, v.a[subset_rows(subset, len(v))].copy())
 
 
+def symp_j(ctx: FieldCtx, g: np.ndarray) -> np.ndarray:
+    """J G = [G_z; -G_x] for each matrix of a stack (K, 2n, cols[, r]) of
+    cells, so that symp_q(f, g) = f^T (J g)."""
+    n = g.shape[1] // 2
+    return np.concatenate([g[:, n:], ctx.ax_neg(g[:, :n])], axis=1)
+
+
+def symp_rows(g: MatGF) -> MatGF:
+    """(J g)^T, whose row j maps w to symp_q(w, g_j): its null space is the
+    symplectic complement of the columns of g."""
+    return MatGF(g.ctx, symp_j(g.ctx, g.a[None])[0]).transpose()
+
+
 def symp_gram_q(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """F_q-valued symp_q(f_i, g_j) for every column pair of each pair of
     matrices in two stacks of cells (K, 2n, cols[, r]), which broadcast
-    over K: one Gram product F^T (M G), with M G = [G_z; -G_x]."""
-    n = f.shape[1] // 2
-    mg = np.concatenate([g[:, n:], ctx.ax_neg(g[:, :n])], axis=1)
-    return _fold_add(ctx, ctx.ax_mul(f[:, :, :, None], mg[:, :, None]))
+    over K: one Gram product F^T (J G)."""
+    return _fold_add(ctx, ctx.ax_mul(f[:, :, :, None], symp_j(ctx, g)[:, :, None]))
 
 
 def symp_gram(f: MatGF, g: MatGF) -> np.ndarray:
@@ -472,18 +482,6 @@ def min_weight_nonzero(m: MatGF) -> int:
 # symplectic completion
 # ---------------------------------------------------------------------------
 
-def _symp_gram_matrix(ctx: FieldCtx, n2: int) -> MatGF:
-    """M with sigma_q(v, w) = v^T M w, for vectors of length 2n."""
-    n = n2 // 2
-    m = MatGF.zeros(ctx, n2, n2)
-    one = ctx.token_to_cell(ctx.one)
-    neg_one = ctx.token_to_cell(ctx.neg(ctx.one))
-    for i in range(n):
-        m.a[i, n + i] = one
-        m.a[n + i, i] = neg_one
-    return m
-
-
 def dual_and_completion(g1: MatGF) -> tuple[MatGF, MatGF]:
     """Extend a self-column-orthogonal g1 to a Lagrangian basis and build the
     dual block.
@@ -506,32 +504,23 @@ def dual_and_completion(g1: MatGF) -> tuple[MatGF, MatGF]:
         for j in range(i, y1):
             if not _is_zero(ctx, symp_q(g1.col(i), g1.col(j))):
                 raise NotSelfOrthogonal("G1 is not self-column-orthogonal")
-    m_form = _symp_gram_matrix(ctx, n2)
     basis = [g1.col(j) for j in range(y1)]
     # extend to a Lagrangian (maximal isotropic) basis
     while len(basis) < n:
-        if basis:
-            rows = [(m_form @ v).a for v in basis]
-            sysm = MatGF(ctx, np.stack(rows, axis=0))
-            perp = nullspace(sysm)
-        else:
-            perp = MatGF.identity(ctx, n2)
         cur = mat_from_cols(basis) if basis else MatGF.zeros(ctx, n2, 0)
+        perp = nullspace(symp_rows(cur))
         # the first perp column outside span(cur) is the first pivot past cur
         new = [c - cur.cols for c in rref(hstack([cur, perp]))[1] if c >= cur.cols]
         if not new:
             raise NotSelfOrthogonal("could not extend isotropic subspace")
         basis.append(perp.col(new[0]))
     # dual vectors: sigma_q(w_j, u_i) = delta_{ij} for the Lagrangian basis u
-    # (so the F_p-valued pairing satisfies symp(h^j, g^{j'}) = delta); row i
-    # must be (J u_i)^T with J = M^T so that row . w = sigma_q(u_i, w)
-    m_form_t = m_form.transpose()
-    sys_rows = MatGF(ctx, np.stack([(m_form_t @ basis[i]).a for i in range(n)], axis=0))
-    neg_one = ctx.neg(ctx.one)
+    # (so the F_p-valued pairing satisfies symp(h^j, g^{j'}) = delta)
+    sys_rows = symp_rows(mat_from_cols(basis))
     duals = []
     for j in range(y1):
         b = VecGF.zeros(ctx, n)
-        b.a[j] = ctx.token_to_cell(neg_one)  # sigma(u_j, w) = -1 <=> sigma(w, u_j) = 1
+        b.a[j] = ctx.token_to_cell(ctx.one)
         w = solve(sys_rows, b)
         assert w is not None, "symplectic form is nondegenerate"
         duals.append(w)
@@ -580,8 +569,7 @@ def mat_to_json(m: MatGF) -> dict:
         "field": m.ctx.to_json(),
         "rows": m.rows,
         "cols": m.cols,
-        "data": [list(m.ctx.coeffs(m.elt(i, j)))
-                 for i in range(m.rows) for j in range(m.cols)],
+        "data": m.ctx.ax_coeffs(m.a).reshape(-1, m.ctx.r).tolist(),
     }
 
 
