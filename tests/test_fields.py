@@ -1,5 +1,6 @@
 """Field tower arithmetic: construction, trace, levels, both backends."""
 
+import hashlib
 import signal
 from contextlib import contextmanager
 
@@ -556,3 +557,15 @@ def test_non_canonical_modulus_proved_once(monkeypatch):
     loaded = [fields.field_from_json({"p": 3, "r": 2, "poly": [2, 1, 1]}) for _ in range(3)]
     assert loaded[0] is loaded[1] is loaded[2]
     assert calls == [(2, 1, 1)]
+
+
+EXP_DIGEST = "3a10aa862d03351af5df06503eaa3371bf10edaff1ef07f55887db66389d9c8f"
+
+
+def test_exponent_tables_pinned():
+    """The discrete-exponent tables of eight tabled fields, from GF(2^9) up to
+    the largest sizes the tables admit, are pinned byte for byte."""
+    h = hashlib.sha256()
+    for p, r in [(2, 9), (2, 10), (2, 16), (3, 8), (3, 10), (5, 6), (251, 2), (65521, 1)]:
+        h.update(np.ascontiguousarray(field_build(p, r)._exp, dtype="<i8").tobytes())
+    assert h.hexdigest() == EXP_DIGEST
