@@ -80,17 +80,23 @@ class AccessStructure:
         else:
             yield from self._reject
 
+    def _symplectified_holds(self, s: Subset, k: int) -> bool:
+        """Whether s = symplectify(c) for some c in [m] with |c| = k."""
+        m = self.n // 2
+        c = {a for a in s if 1 <= a <= m}
+        return len(c) == k and s == symplectify(c, m)
+
     def is_accept(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
-        if self.kind == "threshold" and not self.symplectified:
-            return len(s) >= self.r
-        return s in self.accept_sets
+        if self.kind == "explicit":
+            return s in self._accept
+        return self._symplectified_holds(s, self.r) if self.symplectified else len(s) >= self.r
 
     def is_reject(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
-        if self.kind == "threshold" and not self.symplectified:
-            return len(s) <= self.t
-        return s in self.reject_sets
+        if self.kind == "explicit":
+            return s in self._reject
+        return self._symplectified_holds(s, self.t) if self.symplectified else len(s) <= self.t
 
     def materialize(self) -> "AccessStructure":
         """Explicit form (thresholds expanded to every member set)."""

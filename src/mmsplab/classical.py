@@ -140,13 +140,14 @@ def _hist(g: MatGF, f: MatGF, subset: Sequence[int]):
     return _accel.gf_share_hist(gr, fr, t)
 
 
-def _column_hists(g: MatGF, f: MatGF, subset: Sequence[int]):
-    """Row 0: the multiset of restricted G u over exhaustive u; row 1 + c:
-    that of restricted F column c + G u.  A query column is one of these:
-    an F column inside its file's block, zero plus G u outside it."""
+def _marginals_equal(g: MatGF, f: MatGF, subset: Sequence[int]) -> bool:
+    """Whether restricted standard query columns have file-independent
+    multisets over every u: column c of block j is F_c + G u under file j and
+    G u otherwise, so each F column's multiset must be the zero column's."""
     t, gr, fr = _tabled_rows(g, f, subset)
     shifts = np.concatenate([np.zeros((1, len(fr)), dtype=np.int64), fr.T])
-    return _accel.gf_coset_hist(gr, shifts, t)
+    h = _accel.gf_coset_hist(gr, shifts, t)
+    return bool((h[1:] == h[0]).all())
 
 
 @dataclass
@@ -246,11 +247,9 @@ def spir_query(p: SpirProtocol, k: int, u_q: MatGF) -> MatGF:
         raise BadIndex(f"file index {k} outside 1..{p.nfiles}")
     if u_q.rows != p.y or u_q.cols != p.x * p.nfiles:
         raise DimensionMismatch("U_Q must be y x (x*nfiles)")
-    q = p.g @ u_q if p.y else MatGF.zeros(p.ctx, p.nbar, p.x * p.nfiles)
+    out = (p.g @ u_q).a
     lo = (k - 1) * p.x
-    block = MatGF(p.ctx, q.a[:, lo: lo + p.x].copy()) + p.f
-    out = q.a.copy()
-    out[:, lo: lo + p.x] = block.a
+    out[:, lo: lo + p.x] = p.ctx.ax_add(out[:, lo: lo + p.x], p.f.a)
     return MatGF(p.ctx, out)
 
 
@@ -310,11 +309,7 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
                     restrict(p.fixed_query[k - 1], sub).a)
                 for k in range(2, p.nfiles + 1))
         elif p.nfiles > 1:
-            # column c of block j is F column c under file j and zero under
-            # every other file, so the marginals agree iff each F column's
-            # multiset is that of the zero column
-            h = _column_hists(p.g, p.f, sub)
-            ok = bool((h[1:] == h[0]).all())
+            ok = _marginals_equal(p.g, p.f, sub)
         details.append([f"user-secret@{sub}", ok])
         if not ok:
             user_secret = False
@@ -323,8 +318,9 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
     server_secret = True
     queries = p.fixed_query
     if queries is None:
-        zero_uq = MatGF.zeros(ctx, p.y, p.x * p.nfiles)
-        queries = [spir_query(p, k, zero_uq) for k in range(1, p.nfiles + 1)]
+        # a seeded U_Q, not U_Q = 0: the checks then test that G u absorbs G U_Q m
+        u_q = MatGF(ctx, ctx.random_cells(np.random.default_rng(20241), p.y, p.x * p.nfiles))
+        queries = [spir_query(p, k, u_q) for k in range(1, p.nfiles + 1)]
     for k in range(1, p.nfiles + 1):
         off = [c for c in range(p.x * p.nfiles) if c // p.x != k - 1]
         # every off-target query column lies in span(G) on all rows

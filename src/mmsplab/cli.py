@@ -33,7 +33,13 @@ REPORT_SCHEMA = 1
 
 def _emit(report: dict, code: int) -> int:
     report = {"schema": REPORT_SCHEMA, **report}
-    print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True, default=str), flush=True)
+    except BrokenPipeError:
+        # stdout closed early (`mmsplab fixtures | head`): exit 2 quietly, with
+        # fd 1 on devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     if os.environ.get("MMSPLAB_QUIET") != "1":
         for line in report.get("summary", []):
             print(line, file=sys.stderr)

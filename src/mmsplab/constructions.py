@@ -15,6 +15,9 @@ every construction output is verified by brute force before it is returned
 rest on, or raise: (G1, G2) and ((G1, G2), F) are A, a column prefix
 (A, C^(s)) or (A, C), so a bundle records those facts by the names of the
 `verify_amt`/`verify_amx` checks its pair and extension passed.
+
+CQ is the EA build at y1 = n (a maximal G1) and a QQ-MDS code the QQ frame
+at t' = n - r, so each pair of builders shares one body.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .fields import DEPTH_CAP, FieldCtx, tower_build
 from .linalg import MatGF, hstack, is_col_orth, is_mds, is_self_col_orth
-from .mmsp import MmspBundle, classify, make_bundle
+from .mmsp import MmspBundle, classify, is_qqmds, make_bundle
 
 MAX_RETRIES = 16
 
@@ -298,23 +301,27 @@ def _verdict(bundle: MmspBundle, r: int, t: int, n: int, proved: list[str]) -> M
     return bundle
 
 
+def _ea_from_amt(cls: str, r: int, t: int, n: int, dims: dict, p: int) -> MmspBundle:
+    """G1 = A (y1 columns), G2 the first y2 columns of C (width 2r - y1) and
+    F the next x; CQ is this build at y1 = n.  Fully verified."""
+    y1, y2, x = dims["y1"], dims["y2"], dims["x"]
+    c = 2 * r - y1
+    ctx = construction_field(p, y1, n, c)
+    pair = build_amt(y1, n, ctx)
+    cm = build_amx(pair, c, ctx).c_mat.a
+    bundle = make_bundle(cls, pair.a_mat, MatGF(ctx, cm[:, :y2].copy()),
+                         MatGF(ctx, cm[:, y2: y2 + x].copy()), n=n, r=r, t=t)
+    # (G1,G2) = (A, C^(y2)), A itself when y2 = 0, and ((G1,G2),F) = (A, C)
+    return _verdict(bundle, r, t, n, [f"(G1,G2) is (2n,{y1 + y2})-MDS",
+                                      f"((G1,G2),F) is (2n,{2 * r})-MDS"])
+
+
 def construct_eammsp(r: int, t: int, n: int, y1: int, p: int = 3) -> MmspBundle:
     """EA bundle: G1 = A, G2 = first 2t-y1 columns of C, F the
     next 2(r-t) columns; fully verified."""
     if not (n >= r > t and 2 * t >= y1 > 0):
         raise OutOfRange(f"need n >= r > t >= y1/2 > 0, got {(r, t, n, y1)}")
-    c = 2 * r - y1
-    ctx = construction_field(p, y1, n, c)
-    pair = build_amt(y1, n, ctx)
-    ext = build_amx(pair, c, ctx)
-    y2 = 2 * t - y1
-    g1 = pair.a_mat
-    g2 = MatGF(ctx, ext.c_mat.a[:, :y2].copy())
-    f = MatGF(ctx, ext.c_mat.a[:, y2: y2 + 2 * (r - t)].copy())
-    bundle = make_bundle("ea", g1, g2, f, n=n, r=r, t=t)
-    # (G1,G2) = (A, C^(y2)), A itself when y2 = 0, and ((G1,G2),F) = (A, C)
-    return _verdict(bundle, r, t, n, [f"(G1,G2) is (2n,{2 * t})-MDS",
-                                      f"((G1,G2),F) is (2n,{2 * r})-MDS"])
+    return _ea_from_amt("ea", r, t, n, eammsp_dims(r, t, n, y1), p)
 
 
 def construct_cqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
@@ -322,19 +329,18 @@ def construct_cqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
     the next 2r - max(2t, n); fully verified."""
     if not (n >= r > t > 0 and 2 * r > n):
         raise OutOfRange(f"need n >= r > t > 0 and r > n/2, got {(r, t, n)}")
-    c = 2 * r - n
-    ctx = construction_field(p, n, n, c)
-    pair = build_amt(n, n, ctx)
-    ext = build_amx(pair, c, ctx)
-    dims = cqmmsp_dims(r, t, n)
-    y2, x = dims["y2"], dims["x"]
-    g1 = pair.a_mat
-    g2 = MatGF(ctx, ext.c_mat.a[:, :y2].copy())
-    f = MatGF(ctx, ext.c_mat.a[:, y2: y2 + x].copy())
-    bundle = make_bundle("cq", g1, g2, f, n=n, r=r, t=t)
-    # (G1,G2) = (A, C^(y2)), A itself when y2 = 0, and ((G1,G2),F) = (A, C)
-    return _verdict(bundle, r, t, n, [f"(G1,G2) is (2n,{n + y2})-MDS",
-                                      f"((G1,G2),F) is (2n,{2 * r})-MDS"])
+    return _ea_from_amt("cq", r, t, n, cqmmsp_dims(r, t, n), p)
+
+
+def _qq_frame(n: int, a: int, c: int, p: int) -> tuple:
+    """(A, C or None, the first 2(n - a) columns of B) over the construction
+    field; for a = 0 (r = n, t' = 0) no stabilizer directions and B = I."""
+    ctx = construction_field(p, a, n, c)
+    if a == 0:
+        return MatGF.zeros(ctx, 2 * n, 0), None, MatGF.identity(ctx, 2 * n)
+    pair = build_amt(a, n, ctx)
+    g2 = build_amx(pair, c, ctx).c_mat if c > 0 else None
+    return pair.a_mat, g2, MatGF(ctx, pair.b_mat.a[:, : 2 * (n - a)].copy())
 
 
 def construct_qqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
@@ -345,42 +351,20 @@ def construct_qqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:
     if 2 * r < n + 1:
         raise OutOfRange(f"(n+1)/2 bound violated: r={r}, n={n}")
     dims = qqmmsp_dims(r, t, n)
-    a, c = dims["y1"], dims["y2"]
-    return _qq_from_amt(r, t, n, a, c, p)
-
-
-def _qq_from_amt(r: int, t: int, n: int, a: int, c: int, p: int) -> MmspBundle:
-    ctx = construction_field(p, a, n, c)
-    if a == 0:
-        # r = n, t' = 0: no stabilizer directions, F = identity pair frame
-        bundle = make_bundle("qq", None, None, MatGF.identity(ctx, 2 * n), n=n, r=r, t=t)
-        return _verdict(bundle, r, t, n, [])
-    pair = build_amt(a, n, ctx)
-    g2 = build_amx(pair, c, ctx).c_mat if c > 0 else None
-    f = MatGF(ctx, pair.b_mat.a[:, : 2 * (n - a)].copy())
-    bundle = make_bundle("qq", pair.a_mat, g2, f, n=n, r=r, t=t)
+    g1, g2, f = _qq_frame(n, dims["y1"], dims["y2"], p)
+    bundle = make_bundle("qq", g1, g2, f, n=n, r=r, t=t)
     # G1 = A is isotropic, F is a column prefix of B and (G1,G2) = (A, C)
     proved = ["G1 self-column-orthogonal", "F column-orthogonal to G1"]
-    if c > 0:
-        proved.append(f"(G1,G2) is (2n,{2 * max(t, n - r)})-MDS")
+    if g2 is not None:
+        proved.append(f"(G1,G2) is (2n,{2 * dims['t_prime']})-MDS")
     return _verdict(bundle, r, t, n, proved)
 
 
 def construct_qqmds(r: int, n: int, p: int = 3) -> tuple[MatGF, MatGF]:
-    """Special case t = n-r of the QQ construction; returns a verified (G1, F)."""
-    from .mmsp import is_qqmds
-
+    """The QQ frame at t' = n-r (no G2); returns a verified (G1, F)."""
     if not (n >= r and 2 * r > n):
         raise OutOfRange(f"need n >= r > n/2, got r={r}, n={n}")
-    a = 2 * (n - r)
-    ctx = construction_field(p, a, n, 0)
-    if a == 0:
-        g1 = MatGF.zeros(ctx, 2 * n, 0)
-        f = MatGF.identity(ctx, 2 * n)
-    else:
-        pair = build_amt(a, n, ctx)
-        g1 = pair.a_mat
-        f = MatGF(ctx, pair.b_mat.a[:, : 2 * (n - a)].copy())
+    g1, _, f = _qq_frame(n, 2 * (n - r), 0, p)
     if not is_qqmds(g1, f):
         raise ConstructionFailedVerification("construct_qqmds failed is_qqmds")
     return g1, f

@@ -323,6 +323,10 @@ class FieldCtx:
         self.q = p**r
         self.modulus = modulus
         self.tower_levels = tower_levels
+        # the coefficient-row product, which TabledField's set-up runs too
+        self._prod_bound = r * (p - 1) ** 2  # largest coefficient of a product
+        self._tail = _tail(modulus, p)
+        self._nfft = 1 << int(np.ceil(np.log2(max(2 * r - 1, 2))))
         self._init_cells()
         self._init_frobenius()
         self._trace_vec: Optional[np.ndarray] = None
@@ -333,11 +337,8 @@ class FieldCtx:
 
     def _init_cells(self):
         p, d = self.p, self.r
-        self._prod_bound = d * (p - 1) ** 2  # largest coefficient of a product
         # tokens are coefficient bytes; uint8 whenever it holds every residue
         self._tok = np.uint8 if p <= 1 << 8 else np.uint16 if p <= 1 << 16 else np.uint32
-        self._tail = _tail(self.modulus, p)
-        self._nfft = 1 << int(np.ceil(np.log2(max(2 * d - 1, 2))))
         self.zero = self.cell_to_token(np.zeros(d, dtype=np.int64))
         self.one = self.cell_to_token(np.eye(1, d, dtype=np.int64)[0])
 
@@ -626,20 +627,13 @@ class TabledField(FieldCtx):
             not np.array_equal(_ppowmod(digits[c], (q - 1) // ell, mod, p), [1])
             for ell in factors)
         self.generator = gen = next((c for c in range(2, q) if full_order(c)), 1)  # q == 2: 1
-        # mg: multiplication by the generator, whose column j is g x^j, from
-        # mx: multiplication by x in the power basis
-        mx = np.eye(r, k=-1, dtype=np.int64)
-        mx[:, -1] = (-mod[:r]) % p
-        mg = np.zeros((r, r), dtype=np.int64)
-        col = digits[gen]
-        for j in range(r):
-            mg[:, j] = col
-            col = (mx @ col) % p
-        exp = np.zeros(q - 1, dtype=np.int64)
-        vec = digits[1]
-        for k in range(q - 1):
-            exp[k] = vec @ self._powers
-            vec = (mg @ vec) % p
+        # g^0..g^(L-1) times g^L are g^L..g^(2L-1): the powers by doubling,
+        # in about log2 q coefficient-row products
+        rows, step = digits[1:2], digits[gen]
+        while len(rows) < q - 1:
+            rows = np.concatenate([rows, FieldCtx.ax_mul(self, rows, step)])
+            step = FieldCtx.ax_mul(self, step, step)
+        exp = rows[: q - 1] @ self._powers
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self._exp, self._log = exp, log

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import qstate as qs
 from .access import AccessStructure, symplectify, symplectify_structure
-from .classical import Transcript, _column_hists
-from .errors import BadIndex, ClassMismatch, NonStandardQuery, TooLarge
+from .classical import SpirProtocol, Transcript, _marginals_equal, spir_query
+from .errors import ClassMismatch, NonStandardQuery, TooLarge
 from .linalg import (
     MatGF,
     VecGF,
@@ -149,6 +149,11 @@ class EaEngine:
         """All displacements F m + G2 u2 over exhaustive u2, one per row."""
         mv = VecGF(self.ctx, np.asarray(m, dtype=np.int64))
         return _displacements(self.g2, (self.f @ mv).a)
+
+    def message_cases(self) -> list:
+        """(m, share mixture of F m + G2 u2) for every message m."""
+        return [(tuple(m.tolist()), self.share_components(self.message_displacements(m)))
+                for m in _enum_vecs(self.q, self.f.cols)]
 
     def share_components(self, disp_list: Iterable[np.ndarray]):
         regs = list(range(self.n))
@@ -395,8 +400,7 @@ def audit_ss(bundle: MmspBundle, access: AccessStructure,
     """Exhaustive audit of the EASS/CQSS (or FEASS via an ea bundle with
     empty G1) protocol against the span-program verdict."""
     engine = _bundle_engine(bundle, protocol)
-    cases = [(tuple(m), engine.share_components(engine.message_displacements(m)))
-             for m in _enum_vecs(engine.q, bundle.x)]
+    cases = engine.message_cases()
     details = []
     correct = True
     for a in access.accept_iter():
@@ -647,16 +651,12 @@ def _apply_on_second(rho_ra: np.ndarray, d_r: int, chan: Channel) -> np.ndarray:
 # SPIR runners and audits
 # ---------------------------------------------------------------------------
 
-def spir_standard_query(bundle: MmspBundle, k: int, nfiles: int,
-                        u_q: np.ndarray) -> MatGF:
-    """Q^(k) = F E_k + (G1|G2) U_Q (2n x x*nfiles) for a U_Q of cells."""
-    if not 1 <= k <= nfiles:
-        raise BadIndex(f"file index {k} outside 1..{nfiles}")
-    ctx, x = bundle.ctx, bundle.x
-    out = (bundle.g_stack() @ MatGF(ctx, np.asarray(u_q, dtype=np.int64))).a
-    lo = (k - 1) * x
-    out[:, lo: lo + x] = ctx.ax_add(out[:, lo: lo + x], bundle.f.a)
-    return MatGF(ctx, out)
+def _spir_protocol(bundle: MmspBundle, access: AccessStructure,
+                   nfiles: int) -> SpirProtocol:
+    """The classical SPIR protocol (G1|G2, F) on the symplectified structure,
+    whose standard query the servers apply."""
+    return SpirProtocol(g=bundle.g_stack(), f=bundle.f,
+                        access=symplectify_structure(access), nfiles=nfiles)
 
 
 def run_easpir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
@@ -683,8 +683,9 @@ def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
               protocol: str) -> Transcript:
     ctx = bundle.ctx
     rng = np.random.default_rng(seed)
-    u_q = ctx.random_cells(rng, bundle.y1 + bundle.y2, bundle.x * nfiles)
-    net = spir_standard_query(bundle, k, nfiles, u_q) @ VecGF.from_ints(ctx, files)
+    proto = _spir_protocol(bundle, access, nfiles)
+    u_q = MatGF(ctx, ctx.random_cells(rng, proto.y, proto.x * nfiles))
+    net = spir_query(proto, k, u_q) @ VecGF.from_ints(ctx, files)
     tr = Transcript(protocol=protocol, seed=seed)
     tr.log("query", k=k)
     _, outcomes = _decode_sets(bundle, net, rng, access, backend, protocol)
@@ -699,10 +700,9 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     the shared randomness, exact user-secrecy marginals, query-randomness
     invariance of the share state, all against the span-program verdict."""
     engine = _bundle_engine(bundle, protocol)
-    ctx, q = bundle.ctx, bundle.ctx.q
-    x, y = bundle.x, bundle.y1 + bundle.y2
+    proto = _spir_protocol(bundle, access, nfiles)
+    ctx, n, x, y = bundle.ctx, bundle.n, bundle.x, bundle.y1 + bundle.y2
     details = []
-    zero_uq = ctx.cell_zeros(y, x * nfiles)
 
     def components(qmat: MatGF, fv: np.ndarray):
         """Share-state mixture for the file vector fv under query qmat."""
@@ -711,82 +711,67 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
 
     # query-randomness invariance: the share state is identical for any U_Q
     rng = np.random.default_rng(20240)
-    everyone = list(range(1, bundle.n + 1))
+    everyone = list(range(1, n + 1))
     files0 = np.array([1] + [0] * (x * nfiles - 1), dtype=np.int64)
     inv_ok = all(engine.secrecy_states_equal(everyone, [
-        components(spir_standard_query(bundle, k, nfiles, u_q), files0)
-        for u_q in [zero_uq] + [ctx.random_cells(rng, y, x * nfiles) for _ in range(2)]])
+        components(spir_query(proto, k, MatGF(ctx, u_q)), files0)
+        for u_q in [ctx.cell_zeros(y, x * nfiles)]
+        + [ctx.random_cells(rng, y, x * nfiles) for _ in range(2)]])
         for k in (1, min(2, nfiles)))
     details.append(["query-randomness-invariance", inv_ok])
 
-    # correctness: exhaustive over the target message and shared randomness;
-    # off-target blocks only add Im(G) displacements, whose irrelevance is
-    # checked exactly by the server-secrecy sweep below
-    def cases():
-        for k in range(1, nfiles + 1):
-            qmat = spir_standard_query(bundle, k, nfiles, zero_uq)
-            for mk in _enum_vecs(q, x):
-                fv = np.zeros(x * nfiles, dtype=np.int64)
-                fv[(k - 1) * x: k * x] = mk
-                yield tuple(int(v) for v in mk), components(qmat, fv)
-
+    # correctness: under U_Q = 0 a query for any file k displaces the shares
+    # by the SS share F m_k + G2 u2, so the SS cases cover every k; the
+    # server-secrecy sweep checks that the other files' Im(G) part is absorbed
+    cases = engine.message_cases()
     correct = inv_ok
     for a in access.accept_iter():
-        ok = _decodes(engine, bundle, sorted(a), cases())
+        ok = _decodes(engine, bundle, sorted(a), cases)
         details.append([f"correct@{sorted(a)}", ok])
         correct &= ok
 
     # user secrecy: restricted query columns have k-independent multisets
     user_ok = True
     for b in access.reject_iter():
-        sub = sorted(symplectify(b, bundle.n))
+        sub = sorted(symplectify(b, n))
         if not sub:
             continue
-        ok = _query_marginals_equal(bundle, sub)
+        ok = _marginals_equal(proto.g, proto.f, sub)
         details.append([f"user-secret@{sorted(b)}", ok])
         user_ok &= ok
 
-    # server secrecy: share state depends only on m_k (exhaustive over u2)
+    # server secrecy: share state depends only on m_k (exhaustive over u2), under
+    # a seeded U_Q whose G1 part the stabilizer and G2 part u2 must absorb
+    u_q = MatGF(ctx, ctx.random_cells(np.random.default_rng(20241), y, x * nfiles))
+    queries = [spir_query(proto, k, u_q) for k in range(1, nfiles + 1)]
+    shares = _displacements(bundle.g2, ctx.cell_zeros(2 * n))
     server_ok = True
-    for k in range(1, nfiles + 1):
-        qmat = spir_standard_query(bundle, k, nfiles, zero_uq)
+    for k, qmat in enumerate(queries, 1):
         groups: dict = {}
         ok = True
         # Q fv over every file vector fv
-        nets = _displacements(qmat, ctx.cell_zeros(2 * bundle.n))
-        shares = _displacements(bundle.g2, ctx.cell_zeros(2 * bundle.n))
+        nets = _displacements(qmat, ctx.cell_zeros(2 * n))
         disps = ctx.ax_add(nets[:, None], shares[None])
         all_reps = coset_rep(bundle.g1, disps.reshape((-1,) + disps.shape[2:]))
-        for i, fv in enumerate(_enum_vecs(q, x * nfiles)):
+        for i, fv in enumerate(_enum_vecs(ctx.q, x * nfiles)):
             reps = tuple(sorted(all_reps[i * len(shares):(i + 1) * len(shares)]))
             mk = tuple(int(v) for v in fv[(k - 1) * x: k * x])
-            if mk in groups:
-                if groups[mk] != reps:
-                    ok = False
-                    break
-            else:
-                groups[mk] = reps
+            if groups.setdefault(mk, reps) != reps:
+                ok = False
+                break
         details.append([f"server-secret@k={k}", ok])
         server_ok &= ok
     # dense spot check of one server-secrecy comparison
     if server_ok and nfiles >= 2 and x * nfiles <= 6:
-        qmat = spir_standard_query(bundle, 1, nfiles, zero_uq)
         fv1 = np.zeros(x * nfiles, dtype=np.int64)
         fv2 = fv1.copy()
         fv2[-1] = 1  # differs only off-target
-        okd = engine.secrecy_states_equal(everyone, [components(qmat, fv) for fv in (fv1, fv2)])
+        okd = engine.secrecy_states_equal(
+            everyone, [components(queries[0], fv) for fv in (fv1, fv2)])
         details.append(["server-secret-dense-spot", okd])
         server_ok &= okd
 
     return _qreport(protocol, bundle, access, correct, user_ok and server_ok, details)
-
-
-def _query_marginals_equal(bundle: MmspBundle, sympl_subset: list[int]) -> bool:
-    """Exact multiset equality of restricted query columns across k: each
-    F column (the selector of the target file) against the zero column
-    (every other file), over exhaustive randomness."""
-    h = _column_hists(bundle.g_stack(), bundle.f, sympl_subset)
-    return bool((h[1:] == h[0]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,30 @@ def test_json_round_trip():
     fe = make_explicit(3, [[1, 2], [2, 3], [1, 2, 3]], [[], [1], [2], [3]])
     fe2 = structure_from_json(fe.to_json())
     assert fe2 == fe
+
+
+def test_symplectified_threshold_membership_needs_no_listing(monkeypatch):
+    """For m <= 4 and every r > t >= 0, is_accept and is_reject of a
+    symplectified threshold agree with its materialized sets on every subset
+    of [2m], with materialize patched to raise."""
+    from itertools import chain, combinations
+
+    from mmsplab.access import AccessStructure
+
+    cases = []
+    for m in range(1, 5):
+        for r in range(1, m + 1):
+            for t in range(r):
+                fs = symplectify_structure(make_threshold(r, t, m))
+                mat = fs.materialize()
+                cases.append((fs, set(mat.accept_sets), set(mat.reject_sets)))
+
+    def refuse(self):
+        raise AssertionError("membership listed the sets")
+
+    monkeypatch.setattr(AccessStructure, "materialize", refuse)
+    for fs, acc, rej in cases:
+        ground = range(1, fs.n + 1)
+        for s in chain.from_iterable(combinations(ground, k) for k in range(fs.n + 1)):
+            s = frozenset(s)
+            assert fs.is_accept(s) == (s in acc) and fs.is_reject(s) == (s in rej)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from mmsplab import _accel
 from mmsplab import classical as cl
 from mmsplab import linalg as la
 from mmsplab.access import make_threshold, symplectify, symplectify_structure
@@ -194,6 +195,22 @@ def test_spir_audit_mutated_cross_check():
         f = la.MatGF(F5, rng.integers(0, 5, size=(3, 1)))
         rep = cl.spir_audit(cl.SpirProtocol(g=g, f=f, nfiles=2, access=fs))
         assert rep.matches_mmsp
+
+
+def test_spir_server_checks_run_under_seeded_query_randomness(monkeypatch):
+    """The server-secrecy checks draw a seeded U_Q, so they test that the
+    randomness G u absorbs G U_Q m: with G dropped from the answer
+    histograms, a distribution check fails on every seeded F_3 input."""
+    protos = [cl.SpirProtocol(g=g, f=f, nfiles=2, access=fs)
+              for g, f, fs in _audit_inputs() if g.ctx.q == 3 and g.cols]
+
+    def dist_checks(p):
+        return [ok for name, ok in cl.spir_audit(p).details if "server-secret-dist" in name]
+
+    assert len(protos) == 5 and all(all(dist_checks(p)) for p in protos)
+    real = _accel.gf_share_hist
+    monkeypatch.setattr(_accel, "gf_share_hist", lambda gr, fr, t: real(gr[:, :0], fr, t))
+    assert not any(all(dist_checks(p)) for p in protos)
 
 
 @pytest.fixture(scope="module")

@@ -80,6 +80,17 @@ def test_construct_out_of_range():
     assert "bound violated" in out
 
 
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe before the report is written (as `|
+    head` does) ends the run with exit 2 and nothing on stderr: no
+    traceback, no "Exception ignored" at interpreter exit."""
+    proc = subprocess.Popen([sys.executable, "-m", "mmsplab.cli", "fixtures"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2 and err == ""
+
+
 def test_construct_large_p():
     # GF(257^32) passes the large-p guard; its modulus search never finished
     r = subprocess.run([sys.executable, "-m", "mmsplab.cli", "construct", "ea",

@@ -10,6 +10,7 @@ from mmsplab import cli
 from mmsplab import qprotocols as qp
 from mmsplab import qstate as qs
 from mmsplab.access import make_threshold, symplectify_structure
+from mmsplab.classical import spir_query
 from mmsplab.errors import BadIndex, ClassInvariantViolated, ClassMismatch, TooLarge
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1, example2, example3
@@ -326,13 +327,45 @@ def test_spir_audits_at_n4_match_classify(kind):
 
 
 def test_spir_query_index_outside_files_refused(ex1):
-    u_q = np.zeros((ex1.bundle.y1 + ex1.bundle.y2, 2 * ex1.bundle.x), dtype=np.int64)
+    u_q = MatGF.zeros(F3, ex1.bundle.y1 + ex1.bundle.y2, 2 * ex1.bundle.x)
     for k in (0, 3):
         with pytest.raises(BadIndex):
-            qp.spir_standard_query(ex1.bundle, k, 2, u_q)
+            spir_query(qp._spir_protocol(ex1.bundle, ex1.access, 2), k, u_q)
     with pytest.raises(BadIndex):
         qp.run_easpir(ex1.bundle, np.zeros(4, dtype=np.int64), 3, seed=0,
                       access=ex1.access, nfiles=2, backend="symplectic")
+
+
+def test_spir_correctness_decodes_the_ss_cases_once(ex1, monkeypatch):
+    """Under U_Q = 0 every file's query displaces the shares by the SS share
+    of its message, so the correctness sweep decodes the SS cases once per
+    accept set: 3 sets x 9 messages, not once more per file."""
+    calls = []
+    real = qp.EaEngine.decoded_distribution
+    monkeypatch.setattr(qp.EaEngine, "decoded_distribution",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    rep = qp.audit_spir(ex1.bundle, ex1.access, nfiles=2)
+    assert rep.secure and rep.matches_classify
+    assert len(calls) == 27
+
+
+def test_spir_server_secrecy_runs_under_seeded_query_randomness(monkeypatch):
+    """The server-secrecy sweep draws a seeded U_Q, so it tests that the
+    stabilizer absorbs G1 U_Q fv: with coset_rep skipping the reduction
+    modulo Im(G1), it fails on every pool positive with y1 >= 1."""
+    from mmsplab import fixtures as fx
+
+    pos = [(b, fs) for b, fs in fx.make_pools("ea", 4, seed=102, n_values=(2,))[0] if b.y1]
+    assert len(pos) == 4
+
+    def server_checks(bundle, fs):
+        rep = qp.audit_spir(bundle, fs, nfiles=2)
+        return [ok for name, ok in rep.details if name.startswith("server-secret")]
+
+    assert all(all(server_checks(b, fs)) for b, fs in pos)
+    monkeypatch.setattr(qp, "coset_rep", lambda g, zs: [
+        tuple(g.ctx.cell_to_token(c) for c in z) for z in zs])
+    assert not any(all(server_checks(b, fs)) for b, fs in pos)
 
 
 @pytest.mark.parametrize("case", wide_ea_pools(), ids=lambda c: c[0])
