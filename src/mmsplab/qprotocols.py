@@ -23,7 +23,7 @@ cross-validated against the dense oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -500,42 +500,51 @@ def qq_channel(bundle: MmspBundle, codec: QqCodec,
                             for x in disps], axis=1) / np.sqrt(len(disps))
     kconj = kraus.conj().T
     return Channel(din=d_msg, dout=d_b,
-                   fn=lambda rho: (kraus.reshape(-1, d_msg) @ rho).reshape(d_b, -1) @ kconj)
+                   fn=lambda rho: (kraus.reshape(-1, d_msg) @ rho)
+                   .reshape(rho.shape[:-2] + (d_b, -1)) @ kconj)
+
+
+def _decoder_factors(bundle: MmspBundle, codec: QqCodec,
+                     subset: Sequence[int]) -> Iterator[np.ndarray]:
+    """The factor psi_x of sigma_x = psi_x psi_x^dag on (R, D[A]), x in C
+    order: the reduce_factor columns of |phi_code> on R (x) D-full displaced
+    by x and each G2 randomization, stacked."""
+    q, n, xq = codec.q, codec.n, codec.xq
+    phi = (codec.v.T / np.sqrt(q**xq)).reshape((q**xq,) + (q,) * n)
+    keep = [0] + sorted(subset)
+    for x in _enum_vecs(q, 2 * xq)[:, ::-1]:
+        yield np.concatenate(
+            [reduce_factor(apply_weyl(phi, q, list(full), list(range(1, n + 1))), keep)
+             for full in _displacements(bundle.g2, (codec.ft @ x) % q)], axis=1)
+
+
+def _support_projector(psi: np.ndarray) -> np.ndarray:
+    """Projector onto the support of psi psi^dag: the left singular vectors
+    with s^2 / sum s^2 > 1e-10, the eigenvalues of the normalized density."""
+    u, s, _ = np.linalg.svd(psi, full_matrices=False)
+    pv = u[:, s**2 > 1e-10 * (s**2).sum()]
+    return pv @ pv.conj().T
 
 
 def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
                     subset: Sequence[int]) -> Optional[Povm]:
     """Canonical dense-coding discriminator on (R, D[A]): the support
     projectors of the channel-displaced entangled states; None when they
-    do not discriminate perfectly."""
-    q, n, xq = codec.q, codec.n, codec.xq
-    d_r = q**xq
-    d_b = q ** len(subset)
-    # |phi_code> on R (x) D-full; sigma_x is the mixture of its displaced
-    # copies on (R, D[A]), formed from their stacked reduce_factor columns
-    phi = (codec.v.T / np.sqrt(d_r)).reshape((d_r,) + (q,) * n)
-    keep = [0] + sorted(subset)
-    # support projectors; require pairwise orthogonality for a sharp decoder
-    projs = []
-    for x in _enum_vecs(q, 2 * xq)[:, ::-1]:  # C order, as the labels below
-        psi = np.concatenate(
-            [reduce_factor(apply_weyl(phi, q, list(full), list(range(1, n + 1))), keep)
-             for full in _displacements(bundle.g2, (codec.ft @ x) % q)], axis=1)
-        rho = psi @ psi.conj().T
-        w, v = np.linalg.eigh(rho / rho.trace().real)
-        pv = v[:, w > 1e-10]
-        projs.append(pv @ pv.conj().T)
-    total = sum(projs)
+    do not discriminate perfectly (pairwise orthogonal supports)."""
+    q, xq = codec.q, codec.xq
+    dim = q ** (xq + len(subset))
+    ops = np.empty((q ** (2 * xq) + 1, dim, dim), dtype=np.complex128)
+    for op, psi in zip(ops[:-1], _decoder_factors(bundle, codec, subset)):
+        op[...] = _support_projector(psi)
+    total = ops[:-1].sum(axis=0)
     if np.linalg.eigvalsh(total).max() > 1 + 1e-8:
         return None
-    labels = [tuple(int(v) for v in np.unravel_index(i, (q,) * (2 * xq)))
-              for i in range(q ** (2 * xq))]
-    comp = np.eye(d_r * d_b) - total
-    ops = projs
-    if np.linalg.norm(comp) > 1e-10 * d_r * d_b:
-        ops = projs + [comp]
-        labels = labels + [None]
-    return Povm(labels=labels, ops=np.stack(ops, axis=0))
+    labels = [tuple(int(v) for v in x) for x in _enum_vecs(q, 2 * xq)[:, ::-1]]
+    # the last slot takes the complement, kept when it is not zero
+    ops[-1] = np.eye(dim) - total
+    if np.linalg.norm(ops[-1]) > 1e-10 * dim:
+        return Povm(labels=labels + [None], ops=ops)
+    return Povm(labels=labels, ops=ops[:-1])
 
 
 def qq_decoded_channel(bundle: MmspBundle, codec: QqCodec,
@@ -629,22 +638,11 @@ def dense_coding_information_check(chan: Channel, q: int, n_prime: int) -> tuple
         fx = apply_weyl(phi.reshape((d,) + (q,) * n_prime), q, list(x),
                         list(range(1, 1 + n_prime))).reshape(d, d)
         rho_ra = np.einsum("ra,sb->rasb", fx, fx.conj()).reshape(d * d, d * d)
-        tau = _apply_on_second(rho_ra, d, chan)
+        tau = qs.apply_on_second(rho_ra, d, chan)
         taus.append(tau)
     avg = sum(taus) / len(taus)
     i_dense = vn_entropy(avg) - sum(vn_entropy(t) for t in taus) / len(taus)
     return float(i_dense), float(i_chan)
-
-
-def _apply_on_second(rho_ra: np.ndarray, d_r: int, chan: Channel) -> np.ndarray:
-    """(id (x) Lambda) acting on an (R, A) density with A = channel input."""
-    d_a, d_o = chan.din, chan.dout
-    t = rho_ra.reshape(d_r, d_a, d_r, d_a)
-    out = np.zeros((d_r, d_o, d_r, d_o), dtype=np.complex128)
-    for r in range(d_r):
-        for rp in range(d_r):
-            out[r, :, rp, :] = chan(t[r, :, rp, :])
-    return out.reshape(d_r * d_o, d_r * d_o)
 
 
 # ---------------------------------------------------------------------------

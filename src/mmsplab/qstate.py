@@ -25,7 +25,9 @@ measured mixture are both held as amplitude factors (sigma = psi psi^dag),
 and the probabilities of all z come from one batched overlap matrix between
 the two factors, whose shifted diagonals (the X part) are transformed by one
 DFT (the Z part).  No eigendecomposition is needed, which keeps the full-set
-decoders at n = 3 fast.
+decoders at n = 3 fast; the QQ decoder likewise takes its support projectors
+from a thin SVD of each factor.  A Channel maps a stack (..., d, d) of inputs
+in one call, so its Choi matrix is one application to all d^2 units |i><j|.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .linalg import MatGF, is_self_col_orth, rank
 DENSE_DIM_LIMIT = 1 << 14
 POVM_TOL = 1e-10
 EIG_CUTOFF = 1e-12
+CHANNEL_BLOCK_CELLS = 1 << 22  # complex entries per POVM block in gamma_bar
 
 
 def _omega_powers(q: int) -> np.ndarray:
@@ -457,7 +460,8 @@ def mutual_info_dims(rho: np.ndarray, da: int, db: int) -> float:
 
 @dataclass
 class Channel:
-    """A TP-CP map as a matrix function with explicit dimensions."""
+    """A TP-CP map as a matrix function with explicit dimensions; fn maps a
+    stack (..., din, din) of inputs to the stack (..., dout, dout)."""
 
     din: int
     dout: int
@@ -467,16 +471,19 @@ class Channel:
         return self.fn(rho)
 
     def choi(self) -> np.ndarray:
-        """(1/din) sum_{ij} |i><j| (x) L(|i><j|)."""
-        d = self.din
-        c = np.zeros((d * self.dout, d * self.dout), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=np.complex128)
-                e[i, j] = 1.0
-                c[i * self.dout:(i + 1) * self.dout,
-                  j * self.dout:(j + 1) * self.dout] = self.fn(e)
-        return c / d
+        """(1/din) sum_{ij} |i><j| (x) L(|i><j|): apply_on_second of the
+        unnormalized maximally entangled sum_{ij} |ii><jj|."""
+        e = np.eye(self.din, dtype=np.complex128).reshape(-1)
+        return apply_on_second(np.outer(e, e), self.din, self) / self.din
+
+
+def apply_on_second(rho_ra: np.ndarray, d_r: int, chan: Channel) -> np.ndarray:
+    """(id (x) Lambda) acting on an (R, A) density with A = channel input,
+    as one application of Lambda to the stack of (r, r') blocks."""
+    d_a, d_o = chan.din, chan.dout
+    blocks = rho_ra.reshape(d_r, d_a, d_r, d_a).transpose(0, 2, 1, 3)
+    out = chan(blocks.reshape(d_r * d_r, d_a, d_a)).reshape(d_r, d_r, d_o, d_o)
+    return out.transpose(0, 2, 1, 3).reshape(d_r * d_o, d_r * d_o)
 
 
 def identity_channel(d: int) -> Channel:
@@ -484,8 +491,8 @@ def identity_channel(d: int) -> Channel:
 
 
 def depolarizing_channel(d: int) -> Channel:
-    return Channel(din=d, dout=d,
-                   fn=lambda rho: np.trace(rho) * np.eye(d) / d)
+    return Channel(din=d, dout=d, fn=lambda rho: np.trace(
+        rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d)
 
 
 def compose(after: Channel, before: Channel) -> Channel:
@@ -522,32 +529,25 @@ def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int,
     identity test.
     """
     d_a = q**n_out
-    phi = np.eye(d_a, dtype=np.complex128) / np.sqrt(d_a)  # phi[r, a]
-    corrections = {}
-    for label in povm.labels:
-        if label is not None and label not in corrections:
-            if label_side == "R":
-                corr = [(-int(v)) % q for v in label[:n_out]] \
-                    + [int(v) % q for v in label[n_out:]]
-            else:
-                corr = [int(v) % q for v in label]
-            corrections[label] = weyl_matrix(q, n_out, corr)
-
-    # the contraction order depends only on the shapes: search it once here
-    # rather than once per POVM element on every application
-    spec = "ra,sc,bd,sdrb->ac"
-    path, _ = np.einsum_path(spec, phi, phi, np.empty((d_b, d_b)),
-                             povm.ops[0].reshape(d_a, d_b, d_a, d_b), optimize=True)
+    sign = -1 if label_side == "R" else 1
+    u = np.stack([np.eye(d_a) if label is None else weyl_matrix(
+        q, n_out, [sign * int(v) for v in label[:n_out]] + list(label[n_out:]))
+        for label in povm.labels])
+    uh = u.conj().transpose(0, 2, 1)
+    # every POVM element in one contraction against phi[r, a] on (R, A), its
+    # order searched once here; the contraction copies the elements, so
+    # blocks of at most CHANNEL_BLOCK_CELLS entries bound that copy
+    phi = np.eye(d_a, dtype=np.complex128) / np.sqrt(d_a)
+    pi = povm.ops.reshape(-1, d_a, d_b, d_a, d_b)
+    step = max(1, CHANNEL_BLOCK_CELLS // (d_a * d_b) ** 2)
+    spec = "ra,sc,...bd,ksdrb->...kac"
+    path, _ = np.einsum_path(spec, phi, phi, np.empty((d_b, d_b)), pi[:step], optimize=True)
 
     def fn(rho_b: np.ndarray) -> np.ndarray:
-        out = np.zeros((d_a, d_a), dtype=np.complex128)
-        for label, op in zip(povm.labels, povm.ops):
-            pi = op.reshape(d_a, d_b, d_a, d_b)
-            m = np.einsum(spec, phi, phi.conj(), rho_b, pi, optimize=path)
-            if label is not None:
-                u = corrections[label]
-                m = u @ m @ u.conj().T
-            out += m
+        out = 0
+        for lo in range(0, len(pi), step):
+            m = np.einsum(spec, phi, phi.conj(), rho_b, pi[lo:lo + step], optimize=path)
+            out = out + (u[lo:lo + step] @ m @ uh[lo:lo + step]).sum(axis=-3)
         return out
 
     return Channel(din=d_b, dout=d_a, fn=fn)

@@ -518,3 +518,163 @@ def test_fe_runs_refuse_odd_row_count(backend):
     m = VecGF.from_ints(ctx, [1])
     with pytest.raises(ClassInvariantViolated):
         qp.run_feass(g, f, m, 0, make_threshold(1, 0, 1), backend=backend)
+
+
+# ---------------------------------------------------------------------------
+# the QQ dense oracle on factors and input stacks, against per-element loops
+# ---------------------------------------------------------------------------
+
+def _eigh_support_projector(psi):
+    """Reference: the support projector of psi psi^dag from eigh of the
+    normalized density, eigenvalues above 1e-10 kept."""
+    rho = psi @ psi.conj().T
+    w, v = np.linalg.eigh(rho / rho.trace().real)
+    pv = v[:, w > 1e-10]
+    return pv @ pv.conj().T
+
+
+def _choi_loop(chan):
+    """Reference: the Choi matrix from one channel call per unit |i><j|."""
+    d, do = chan.din, chan.dout
+    c = np.zeros((d * do, d * do), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[i, j] = 1.0
+            c[i * do:(i + 1) * do, j * do:(j + 1) * do] = chan(e)
+    return c / d
+
+
+def _apply_on_second_loop(rho_ra, d_r, chan):
+    """Reference: (id (x) Lambda) from one channel call per (r, r') block."""
+    d_a, d_o = chan.din, chan.dout
+    t = rho_ra.reshape(d_r, d_a, d_r, d_a)
+    out = np.zeros((d_r, d_o, d_r, d_o), dtype=np.complex128)
+    for r in range(d_r):
+        for rp in range(d_r):
+            out[r, :, rp, :] = chan(t[r, :, rp, :])
+    return out.reshape(d_r * d_o, d_r * d_o)
+
+
+def _qq_cases():
+    """Example 1 as a QQ bundle, then seeded n = 2 and n = 3 QQ pools,
+    two positives and two negatives each."""
+    from mmsplab import fixtures as fx
+
+    ex1 = example1()
+    cases = [(make_bundle("qq", ex1.g1, None, ex1.f, n=3), ex1.access)]
+    for n in (2, 3):
+        pos, neg = fx.make_pools("qq", 2, seed=104, n_values=(n,))
+        assert len(pos) == len(neg) == 2
+        cases += pos + neg
+    return cases
+
+
+def _subsets(access):
+    return [sorted(s) for s in list(access.accept_iter()) + list(access.reject_iter()) if s]
+
+
+def test_decoder_support_projectors_match_eigh():
+    """The SVD support projector of every decoder factor is the eigh
+    projector within 1e-10, on every nonempty accept and reject set; where
+    the eigh projectors are sharp, qq_decoder_povm returns them in order."""
+    for bundle, fs in _qq_cases():
+        codec = qp.QqCodec(bundle)
+        for subset in _subsets(fs):
+            ref = [_eigh_support_projector(psi)
+                   for psi in qp._decoder_factors(bundle, codec, subset)]
+            for psi, want in zip(qp._decoder_factors(bundle, codec, subset), ref):
+                assert np.abs(qp._support_projector(psi) - want).max() < 1e-10
+            povm = qp.qq_decoder_povm(bundle, codec, subset)
+            sharp = np.linalg.eigvalsh(sum(ref)).max() <= 1 + 1e-8
+            assert (povm is not None) == sharp
+            if sharp:
+                assert np.abs(povm.ops[:len(ref)] - np.stack(ref)).max() < 1e-10
+
+
+def test_decoder_support_projectors_match_eigh_at_x4():
+    """The x = 4 negative of the seeded n = 4 QQ pool: its (R, D[A]) space
+    has dimension 729, so eigh runs on four of the 81 factors only."""
+    from mmsplab import fixtures as fx
+
+    bundle, fs = fx.make_pools("qq", 1, seed=2, n_values=(4,), p=3)[1][0]
+    assert bundle.x == 4
+    codec = qp.QqCodec(bundle)
+    subset = sorted(next(iter(fs.accept_iter())))
+    picked = [psi for i, psi in enumerate(qp._decoder_factors(bundle, codec, subset))
+              if i % 27 == 0 or i == 80]
+    assert len(picked) == 4
+    for psi in picked:
+        assert psi.shape[0] == 729
+        assert np.abs(qp._support_projector(psi) - _eigh_support_projector(psi)).max() < 1e-10
+
+
+CHANNELS = ["identity", "depolarizing", "compose", "bell-R", "qq[1]", "qq[2, 3]",
+            "decoded[1, 2]", "decoded[2, 3]", "pool-decoded"]
+
+
+@pytest.fixture(scope="module")
+def channels():
+    """The channels the package builds: identity, depolarizing, a composition, the
+    QQ restriction channels and the teleport-decoded channels."""
+    from mmsplab import fixtures as fx
+
+    ex1 = example1()
+    bqq = make_bundle("qq", ex1.g1, None, ex1.f, n=3)
+    codec = qp.QqCodec(bqq)
+    out = {"identity": qs.identity_channel(3), "depolarizing": qs.depolarizing_channel(3),
+           "compose": qs.compose(qs.depolarizing_channel(3), qs.identity_channel(3)),
+           "bell-R": qs.gamma_bar(3, 1, qs.bell_basis_povm(3, 1), d_b=3)}
+    for subset in ([1], [2, 3]):
+        out[f"qq{subset}"] = qp.qq_channel(bqq, codec, subset)
+    for subset in ([1, 2], [2, 3]):
+        out[f"decoded{subset}"] = qp.qq_decoded_channel(bqq, codec, subset)
+    bundle, fs = fx.make_pools("qq", 1, seed=104, n_values=(3,))[0][0]
+    a = sorted(next(iter(fs.accept_iter())))
+    out["pool-decoded"] = qp.qq_decoded_channel(bundle, qp.QqCodec(bundle), a)
+    assert sorted(out) == sorted(CHANNELS) and all(c is not None for c in out.values())
+    return out
+
+
+@pytest.mark.parametrize("name", CHANNELS)
+def test_stacked_channel_matches_per_slice(channels, name):
+    """Each channel maps a (k, d, d) stack slice by slice; choi() and
+    apply_on_second, one call on a stack each, agree with the per-unit and
+    per-block loops within 1e-12."""
+    chan = channels[name]
+    rng = np.random.default_rng(21)
+    d = chan.din
+    stack = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    got = chan(stack)
+    assert got.shape == (4, chan.dout, chan.dout)
+    for s, g in zip(stack, got):
+        assert np.abs(g - chan(s)).max() < 1e-12
+    assert np.abs(chan.choi() - _choi_loop(chan)).max() < 1e-12
+    f = rng.normal(size=(3 * d, 2)) + 1j * rng.normal(size=(3 * d, 2))
+    rho_ra = f @ f.conj().T / np.trace(f @ f.conj().T)
+    want = _apply_on_second_loop(rho_ra, 3, chan)
+    assert np.abs(qs.apply_on_second(rho_ra, 3, chan) - want).max() < 1e-12
+
+
+def test_gamma_bar_blocks_agree(monkeypatch):
+    """The teleport decoder contracted one POVM element per block equals
+    the one-block contraction."""
+    ex1 = example1()
+    bqq = make_bundle("qq", ex1.g1, None, ex1.f, n=3)
+    codec = qp.QqCodec(bqq)
+    whole = qp.qq_decoded_channel(bqq, codec, [1, 2]).choi()
+    monkeypatch.setattr(qs, "CHANNEL_BLOCK_CELLS", 1)
+    blocked = qp.qq_decoded_channel(bqq, codec, [1, 2]).choi()
+    assert np.abs(blocked - whole).max() < 1e-12
+
+
+def test_qq_audits_at_n4_match_classify():
+    """The seeded n = 4 QQ pool: the negative has x = 4, a 729-dimensional
+    decoder space with 81 support projectors; the positive has x = 2."""
+    from mmsplab import fixtures as fx
+
+    pos, neg = fx.make_pools("qq", 1, seed=2, n_values=(4,), p=3)
+    assert neg[0][0].x == 4
+    for (bundle, fs), want in ((pos[0], True), (neg[0], False)):
+        rep = qp.audit_qqss(bundle, fs)
+        assert bool(rep.secure) is want and rep.matches_classify

@@ -96,7 +96,7 @@ def compute_wide_digests() -> dict:
 
 GOLDEN = {
     'ex1-qq/audit_qqss': 'a267b36ada16c1a1fb0c4cf6b5593681199b2e83d7599d2f7eddade0bed625d5',
-    'ex1-qq/qqss/[1, 2]': 'bceee796afabc5c3caa4821151496f1e53c793adea5937706e478cbeb335598d',
+    'ex1-qq/qqss/[1, 2]': '2c899b751222d3298e9f4a6acf2c2179dbabaf836f0260a1881a2036a7ea0384',
     'ex1-qq/qqss/[2, 3]': 'd7963b3e7bb9726ee830e19b1864cf83a459c7e53f5ef181fbb2dc59e45924ad',
     'ex1/audit_spir': '535f8ad929fbd19967e2819cb5b43b9500e4685d0fc75372c1b23099708bd23a',
     'ex1/audit_ss': 'e9d299b2709956c7ca137650fc59db9659ab886b9cebbe5ccc4300f8ef1d878d',
