@@ -589,7 +589,7 @@ def audit_qqss(bundle: MmspBundle, access: AccessStructure) -> QAuditReport:
             correct = False
             continue
         fid = choi_fidelity_identity(chan)
-        ok = fid >= 1 - TRACE_TOL
+        ok = bool(fid >= 1 - TRACE_TOL)
         details.append([f"correct@{sorted(a)} fid={fid:.12f}", ok])
         correct &= ok
     # secrecy: reduced state on D[B] independent of the input state; exact
@@ -605,7 +605,7 @@ def audit_qqss(bundle: MmspBundle, access: AccessStructure) -> QAuditReport:
         sigma = np.einsum("ibid->bd",
                           choi.reshape(d, lam.dout, d, lam.dout))
         target = np.kron(np.eye(d) / d, sigma)
-        ok = np.linalg.norm(choi - target) < TRACE_TOL
+        ok = bool(np.linalg.norm(choi - target) < TRACE_TOL)
         details.append([f"secret@{sorted(b)}", ok])
         secret &= ok
     return _qreport("qqss", bundle, access, correct, secret, details)

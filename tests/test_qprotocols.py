@@ -678,3 +678,21 @@ def test_qq_audits_at_n4_match_classify():
     for (bundle, fs), want in ((pos[0], True), (neg[0], False)):
         rep = qp.audit_qqss(bundle, fs)
         assert bool(rep.secure) is want and rep.matches_classify
+
+
+def test_qq_audit_verdicts_are_bools():
+    """audit_qqss verdicts are Python bools, so `is` comparisons and the JSON
+    report see true and false: secure on example 1 as a QQ bundle, insecure
+    on the x = 4 negative of the seeded n = 4 QQ pool."""
+    from mmsplab import fixtures as fx
+
+    ex1 = example1()
+    neg = fx.make_pools("qq", 1, seed=2, n_values=(4,), p=3)[1][0]
+    assert neg[0].x == 4
+    for (bundle, fs), want in (((make_bundle("qq", ex1.g1, None, ex1.f, n=3), ex1.access), True),
+                               (neg, False)):
+        rep = qp.audit_qqss(bundle, fs)
+        assert rep.secure is want and rep.matches_classify is True
+        js = rep.to_json()
+        assert all(type(js[k]) is bool for k in ("correct", "secret", "secure", "matches_classify"))
+        assert all(type(ok) is bool for _, ok in js["details"])

@@ -95,7 +95,7 @@ def compute_wide_digests() -> dict:
 
 
 GOLDEN = {
-    'ex1-qq/audit_qqss': 'a267b36ada16c1a1fb0c4cf6b5593681199b2e83d7599d2f7eddade0bed625d5',
+    'ex1-qq/audit_qqss': 'a7d364a144ef7c0f480550009b5a85f21c849702bf25315d0cc1ea863360d786',
     'ex1-qq/qqss/[1, 2]': '2c899b751222d3298e9f4a6acf2c2179dbabaf836f0260a1881a2036a7ea0384',
     'ex1-qq/qqss/[2, 3]': 'd7963b3e7bb9726ee830e19b1864cf83a459c7e53f5ef181fbb2dc59e45924ad',
     'ex1/audit_spir': '535f8ad929fbd19967e2819cb5b43b9500e4685d0fc75372c1b23099708bd23a',
