@@ -518,33 +518,28 @@ def _decoder_factors(bundle: MmspBundle, codec: QqCodec,
              for full in _displacements(bundle.g2, (codec.ft @ x) % q)], axis=1)
 
 
-def _support_projector(psi: np.ndarray) -> np.ndarray:
-    """Projector onto the support of psi psi^dag: the left singular vectors
-    with s^2 / sum s^2 > 1e-10, the eigenvalues of the normalized density."""
+def _support_factor(psi: np.ndarray) -> np.ndarray:
+    """Orthonormal basis F of the support of psi psi^dag (projector F F^dag):
+    the left singular vectors with s^2 / sum s^2 > 1e-10."""
     u, s, _ = np.linalg.svd(psi, full_matrices=False)
-    pv = u[:, s**2 > 1e-10 * (s**2).sum()]
-    return pv @ pv.conj().T
+    return u[:, s**2 > 1e-10 * (s**2).sum()]
 
 
 def qq_decoder_povm(bundle: MmspBundle, codec: QqCodec,
                     subset: Sequence[int]) -> Optional[Povm]:
     """Canonical dense-coding discriminator on (R, D[A]): the support
-    projectors of the channel-displaced entangled states; None when they
-    do not discriminate perfectly (pairwise orthogonal supports)."""
+    factors of the channel-displaced entangled states, completed implicitly
+    when they span less than the space; None when they do not discriminate
+    perfectly (a squared singular value of the stacked factors > 1 + 1e-8)."""
     q, xq = codec.q, codec.xq
-    dim = q ** (xq + len(subset))
-    ops = np.empty((q ** (2 * xq) + 1, dim, dim), dtype=np.complex128)
-    for op, psi in zip(ops[:-1], _decoder_factors(bundle, codec, subset)):
-        op[...] = _support_projector(psi)
-    total = ops[:-1].sum(axis=0)
-    if np.linalg.eigvalsh(total).max() > 1 + 1e-8:
+    factors = [_support_factor(psi) for psi in _decoder_factors(bundle, codec, subset)]
+    stacked = np.hstack(factors)
+    if np.linalg.norm(stacked, 2) ** 2 > 1 + 1e-8:
         return None
     labels = [tuple(int(v) for v in x) for x in _enum_vecs(q, 2 * xq)[:, ::-1]]
-    # the last slot takes the complement, kept when it is not zero
-    ops[-1] = np.eye(dim) - total
-    if np.linalg.norm(ops[-1]) > 1e-10 * dim:
-        return Povm(labels=labels + [None], ops=ops)
-    return Povm(labels=labels, ops=ops[:-1])
+    if stacked.shape[1] < stacked.shape[0]:
+        labels.append(None)
+    return Povm(labels=labels, factors=factors)
 
 
 def qq_decoded_channel(bundle: MmspBundle, codec: QqCodec,

@@ -25,9 +25,11 @@ measured mixture are both held as amplitude factors (sigma = psi psi^dag),
 and the probabilities of all z come from one batched overlap matrix between
 the two factors, whose shifted diagonals (the X part) are transformed by one
 DFT (the Z part).  No eigendecomposition is needed, which keeps the full-set
-decoders at n = 3 fast; the QQ decoder likewise takes its support projectors
-from a thin SVD of each factor.  A Channel maps a stack (..., d, d) of inputs
-in one call, so its Choi matrix is one application to all d^2 units |i><j|.
+decoders at n = 3 fast.  POVMs are factors too: the QQ decoder's elements are
+thin-SVD support factors, the completion is implicit, and gamma_bar reads the
+factors as Kraus terms, so no dense POVM and no block size remain.  A Channel
+maps a stack (..., d, d) of inputs in one call, so its Choi matrix is one
+application to all d^2 units |i><j|.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .linalg import MatGF, is_self_col_orth, rank
 DENSE_DIM_LIMIT = 1 << 14
 POVM_TOL = 1e-10
 EIG_CUTOFF = 1e-12
-CHANNEL_BLOCK_CELLS = 1 << 22  # complex entries per POVM block in gamma_bar
 
 
 def _omega_powers(q: int) -> np.ndarray:
@@ -378,19 +379,24 @@ def displaced_measurement_for(g1: MatGF, subset: Sequence[int]) -> DisplacedMeas
 
 @dataclass
 class Povm:
-    """Labeled positive operators summing to the identity within 1e-10."""
+    """Labeled positive operators held as factors, no element formed: element
+    k is F_k F_k^dag with factors[k] = F_k of shape (d, r_k).  A trailing None
+    label (no factor) is the implicit completion I - sum_k F_k F_k^dag;
+    without it the elements must sum to the identity within 1e-10 d."""
 
     labels: list
-    ops: np.ndarray  # (k, d, d)
+    factors: list
 
     def __post_init__(self):
-        total = self.ops.sum(axis=0)
-        d = total.shape[0]
-        if np.linalg.norm(total - np.eye(d)) > POVM_TOL * d:
-            raise IncompletePovm("POVM elements do not sum to the identity")
+        if self.labels[-1] is not None:
+            f = np.hstack(self.factors)
+            if np.linalg.norm(f @ f.conj().T - np.eye(len(f))) > POVM_TOL * len(f):
+                raise IncompletePovm("POVM elements do not sum to the identity")
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        p = np.einsum("kij,ji->k", self.ops, rho).real
+        p = [np.einsum("ir,ij,jr->", f.conj(), rho, f).real for f in self.factors]
+        if self.labels[-1] is None:
+            p.append(np.trace(rho).real - sum(p))
         return np.clip(p, 0.0, None)
 
 
@@ -407,14 +413,10 @@ def bell_basis_povm(q: int, n: int) -> Povm:
     """The rank-one family {(W(z) (x) I)|phi><phi|(...)^dag} on 2n registers
     arranged as (D..., E...); exactly complete."""
     d = q**n
-    phi = np.eye(d, dtype=np.complex128).reshape((q,) * n + (q,) * n)
-    phi = phi / np.sqrt(d)
-    ops, labels = [], []
-    for z in _enum_vecs(q, 2 * n):
-        vec = apply_weyl(phi, q, z, list(range(n))).reshape(-1)
-        ops.append(np.outer(vec, vec.conj()))
-        labels.append(tuple(z.tolist()))
-    return Povm(labels=labels, ops=np.stack(ops, axis=0))
+    phi = np.eye(d, dtype=np.complex128).reshape((q,) * 2 * n) / np.sqrt(d)
+    zs = _enum_vecs(q, 2 * n)
+    return Povm(labels=[tuple(z.tolist()) for z in zs],
+                factors=[apply_weyl(phi, q, z, list(range(n))).reshape(-1, 1) for z in zs])
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +529,26 @@ def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int,
     W(-a, b); "A" (channel-input displacements, as in perfect dense coding)
     corrects with W(a, b).  Both choices are pinned by the teleportation
     identity test.
+
+    Each column of F_k, read as a d_a x d_b matrix A_j, is the Kraus term
+    U_k conj(A_j) / sqrt(d_a); the completion adds tr(rho) I / d_a - sum_j
+    conj(A_j) rho A_j^T / d_a.  All terms sum once into a (d_a^2, d_b^2)
+    matrix on row-major vec(rho); no POVM element is formed, no block size.
     """
     d_a = q**n_out
     sign = -1 if label_side == "R" else 1
-    u = np.stack([np.eye(d_a) if label is None else weyl_matrix(
-        q, n_out, [sign * int(v) for v in label[:n_out]] + list(label[n_out:]))
-        for label in povm.labels])
-    uh = u.conj().transpose(0, 2, 1)
-    # every POVM element in one contraction against phi[r, a] on (R, A), its
-    # order searched once here; the contraction copies the elements, so
-    # blocks of at most CHANNEL_BLOCK_CELLS entries bound that copy
-    phi = np.eye(d_a, dtype=np.complex128) / np.sqrt(d_a)
-    pi = povm.ops.reshape(-1, d_a, d_b, d_a, d_b)
-    step = max(1, CHANNEL_BLOCK_CELLS // (d_a * d_b) ** 2)
-    spec = "ra,sc,...bd,ksdrb->...kac"
-    path, _ = np.einsum_path(spec, phi, phi, np.empty((d_b, d_b)), pi[:step], optimize=True)
 
-    def fn(rho_b: np.ndarray) -> np.ndarray:
-        out = 0
-        for lo in range(0, len(pi), step):
-            m = np.einsum(spec, phi, phi.conj(), rho_b, pi[lo:lo + step], optimize=path)
-            out = out + (u[lo:lo + step] @ m @ uh[lo:lo + step]).sum(axis=-3)
-        return out
+    def transfer(kraus: np.ndarray) -> np.ndarray:  # sum_j K_j (.) K_j^dag
+        x = kraus.transpose(1, 2, 0).reshape(d_a * d_b, -1)
+        g = (x @ x.conj().T).reshape(d_a, d_b, d_a, d_b)
+        return g.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
 
-    return Channel(din=d_b, dout=d_a, fn=fn)
+    kraus = [f.T.conj().reshape(-1, d_a, d_b) / np.sqrt(d_a) for f in povm.factors]
+    corrected = [weyl_matrix(q, n_out, [sign * int(v) for v in label[:n_out]]
+                             + list(label[n_out:])) @ k
+                 for label, k in zip(povm.labels, kraus)]
+    t = transfer(np.concatenate(corrected))
+    if povm.labels[-1] is None:
+        t += np.outer(np.eye(d_a), np.eye(d_b)) / d_a - transfer(np.concatenate(kraus))
+    return Channel(din=d_b, dout=d_a, fn=lambda rho: (
+        rho.reshape(rho.shape[:-2] + (-1,)) @ t.T).reshape(rho.shape[:-2] + (d_a, d_a)))

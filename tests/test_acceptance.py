@@ -139,10 +139,13 @@ def test_criterion_2_security_equivalence():
         ok &= rep.matches_classify
     checked["cqspir"] = len(spir_cases) + len(extra_pos) + len(extra_neg)
 
-    # QQSS over the qq pool (example 1 as a QQ bundle joins the positives)
+    # QQSS over the qq pool (example 1 as a QQ bundle joins the positives,
+    # and the seeded n = 4 pair, whose negative has x = 4, joins both)
     pos, neg = _collect_fixtures("qq", count - 1, seed=104, neg_count=count)
     bqq = mmsp.make_bundle("qq", ex1.g1, None, ex1.f, n=3)
-    pos = pos + [(bqq, ex1.access)]
+    pos4, neg4 = fx.make_pools("qq", 1, seed=2, n_values=(4,), p=3)
+    assert neg4[0][0].x == 4
+    pos, neg = pos + [(bqq, ex1.access)] + pos4, neg + neg4
     for bundle, fs in pos + neg:
         rep = qp.audit_qqss(bundle, fs)
         ok &= rep.matches_classify

@@ -521,7 +521,7 @@ def test_fe_runs_refuse_odd_row_count(backend):
 
 
 # ---------------------------------------------------------------------------
-# the QQ dense oracle on factors and input stacks, against per-element loops
+# the QQ dense oracle on factors and input stacks, against dense references
 # ---------------------------------------------------------------------------
 
 def _eigh_support_projector(psi):
@@ -531,6 +531,44 @@ def _eigh_support_projector(psi):
     w, v = np.linalg.eigh(rho / rho.trace().real)
     pv = v[:, w > 1e-10]
     return pv @ pv.conj().T
+
+
+def _rank_one_projector(psi):
+    """Reference: the support projector of a one-column factor, exact."""
+    assert psi.shape[1] == 1
+    return psi @ psi.conj().T / np.vdot(psi, psi).real
+
+
+def _dense_decoder(bundle, subset, projector):
+    """Reference: the teleport decoder on the dense path, one POVM element
+    formed at a time: each support projector from projector(psi), the
+    complement I - sum P_k written out when its norm exceeds 1e-10 dim, and
+    the contraction against phi[r, a] on (R, A) per element, corrected with
+    W(a, b) (label_side "A").  Returns the channel on D[A]."""
+    codec = qp.QqCodec(bundle)
+    q, xq = codec.q, codec.xq
+    d_a, d_b = q**xq, q ** len(subset)
+    labels = [tuple(int(v) for v in x) for x in qs._enum_vecs(q, 2 * xq)[:, ::-1]]
+    phi = np.eye(d_a, dtype=np.complex128) / np.sqrt(d_a)
+
+    def contract(label, op, rho_b):
+        u = np.eye(d_a) if label is None else qs.weyl_matrix(q, xq, list(label))
+        m = np.einsum("ra,sc,...bd,sdrb->...ac", phi, phi.conj(), rho_b,
+                      op.reshape(d_a, d_b, d_a, d_b), optimize=True)
+        return u @ m @ u.conj().T
+
+    def fn(rho_b):
+        out, total = 0, 0
+        for label, psi in zip(labels, qp._decoder_factors(bundle, codec, subset)):
+            op = projector(psi)
+            total = total + op
+            out = out + contract(label, op, rho_b)
+        comp = np.eye(d_a * d_b) - total
+        if np.linalg.norm(comp) > 1e-10 * d_a * d_b:
+            out = out + contract(None, comp, rho_b)
+        return out
+
+    return qs.Channel(din=d_b, dout=d_a, fn=fn)
 
 
 def _choi_loop(chan):
@@ -575,21 +613,27 @@ def _subsets(access):
 
 
 def test_decoder_support_projectors_match_eigh():
-    """The SVD support projector of every decoder factor is the eigh
+    """F F^dag of the SVD support factor of every decoder factor is the eigh
     projector within 1e-10, on every nonempty accept and reject set; where
-    the eigh projectors are sharp, qq_decoder_povm returns them in order."""
+    the eigh projectors are sharp, qq_decoder_povm returns their factors in
+    order, with the None completion exactly when I - sum P_k is not zero."""
     for bundle, fs in _qq_cases():
         codec = qp.QqCodec(bundle)
         for subset in _subsets(fs):
             ref = [_eigh_support_projector(psi)
                    for psi in qp._decoder_factors(bundle, codec, subset)]
             for psi, want in zip(qp._decoder_factors(bundle, codec, subset), ref):
-                assert np.abs(qp._support_projector(psi) - want).max() < 1e-10
+                f = qp._support_factor(psi)
+                assert np.abs(f @ f.conj().T - want).max() < 1e-10
             povm = qp.qq_decoder_povm(bundle, codec, subset)
             sharp = np.linalg.eigvalsh(sum(ref)).max() <= 1 + 1e-8
             assert (povm is not None) == sharp
             if sharp:
-                assert np.abs(povm.ops[:len(ref)] - np.stack(ref)).max() < 1e-10
+                got = np.stack([f @ f.conj().T for f in povm.factors])
+                assert np.abs(got - np.stack(ref)).max() < 1e-10
+                dim = ref[0].shape[0]
+                comp = np.linalg.norm(np.eye(dim) - sum(ref)) > 1e-10 * dim
+                assert (povm.labels[-1] is None) == comp
 
 
 def test_decoder_support_projectors_match_eigh_at_x4():
@@ -606,7 +650,42 @@ def test_decoder_support_projectors_match_eigh_at_x4():
     assert len(picked) == 4
     for psi in picked:
         assert psi.shape[0] == 729
-        assert np.abs(qp._support_projector(psi) - _eigh_support_projector(psi)).max() < 1e-10
+        f = qp._support_factor(psi)
+        assert np.abs(f @ f.conj().T - _eigh_support_projector(psi)).max() < 1e-10
+
+
+def test_factor_decoder_matches_dense_reference():
+    """On every accept set where the decoder is sharp, the factor decoder
+    matches the dense reference within 1e-12: the decoded channel's Choi
+    matrix, and the decoder alone on random states, which also reach the
+    completion.  The reference takes eigh projectors on the small QQ cases;
+    on the x = 4 negative, whose 81 factors are single columns, exact
+    rank-one projectors (eigh of all 81 729 x 729 densities would take
+    about 40 s)."""
+    from mmsplab import fixtures as fx
+
+    x4 = fx.make_pools("qq", 1, seed=2, n_values=(4,), p=3)[1][0]
+    assert x4[0].x == 4
+    cases = [(c, _eigh_support_projector) for c in _qq_cases()] + [(x4, _rank_one_projector)]
+    rng = np.random.default_rng(22)
+    checked = []
+    for (bundle, fs), projector in cases:
+        codec = qp.QqCodec(bundle)
+        for a in map(sorted, fs.accept_iter()):
+            povm = qp.qq_decoder_povm(bundle, codec, a)
+            if povm is None:
+                continue
+            ref = _dense_decoder(bundle, a, projector)
+            lam = qp.qq_channel(bundle, codec, a)
+            chan = qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout, label_side="A")
+            got = qs.compose(chan, lam).choi()
+            assert np.abs(got - qs.compose(ref, lam).choi()).max() < 1e-12
+            # states off the decoder's supports reach the completion
+            f = rng.normal(size=(2, lam.dout, 3)) + 1j * rng.normal(size=(2, lam.dout, 3))
+            rho = f @ f.conj().transpose(0, 2, 1)
+            assert np.abs(chan(rho) - ref(rho)).max() < 1e-12
+            checked.append((bundle.x, povm.labels[-1] is None))
+    assert len(checked) > 10 and (4, True) in checked and (2, False) in checked
 
 
 CHANNELS = ["identity", "depolarizing", "compose", "bell-R", "qq[1]", "qq[2, 3]",
@@ -654,30 +733,6 @@ def test_stacked_channel_matches_per_slice(channels, name):
     rho_ra = f @ f.conj().T / np.trace(f @ f.conj().T)
     want = _apply_on_second_loop(rho_ra, 3, chan)
     assert np.abs(qs.apply_on_second(rho_ra, 3, chan) - want).max() < 1e-12
-
-
-def test_gamma_bar_blocks_agree(monkeypatch):
-    """The teleport decoder contracted one POVM element per block equals
-    the one-block contraction."""
-    ex1 = example1()
-    bqq = make_bundle("qq", ex1.g1, None, ex1.f, n=3)
-    codec = qp.QqCodec(bqq)
-    whole = qp.qq_decoded_channel(bqq, codec, [1, 2]).choi()
-    monkeypatch.setattr(qs, "CHANNEL_BLOCK_CELLS", 1)
-    blocked = qp.qq_decoded_channel(bqq, codec, [1, 2]).choi()
-    assert np.abs(blocked - whole).max() < 1e-12
-
-
-def test_qq_audits_at_n4_match_classify():
-    """The seeded n = 4 QQ pool: the negative has x = 4, a 729-dimensional
-    decoder space with 81 support projectors; the positive has x = 2."""
-    from mmsplab import fixtures as fx
-
-    pos, neg = fx.make_pools("qq", 1, seed=2, n_values=(4,), p=3)
-    assert neg[0][0].x == 4
-    for (bundle, fs), want in ((pos[0], True), (neg[0], False)):
-        rep = qp.audit_qqss(bundle, fs)
-        assert bool(rep.secure) is want and rep.matches_classify
 
 
 def test_qq_audit_verdicts_are_bools():

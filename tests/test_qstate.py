@@ -265,16 +265,13 @@ def test_teleportation_identity_and_negative_control():
     assert abs(qs.choi_fidelity_identity(ch) - 1) < 1e-9
     rng = np.random.default_rng(5)
     d = Q * Q
-    mats = []
-    for _ in range(6):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        mats.append(a @ a.conj().T)
-    tot = sum(mats)
+    amats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(6)]
+    tot = sum(a @ a.conj().T for a in amats)
     w, v = np.linalg.eigh(tot)
     isq = (v * w**-0.5) @ v.conj().T
-    ops = np.stack([isq @ m @ isq for m in mats])
+    # elements isq a a^dag isq, summing to the identity, as factors isq a
     labels = [(i % 3, i // 3) for i in range(6)]
-    povm = qs.Povm(labels=labels, ops=ops)
+    povm = qs.Povm(labels=labels, factors=[isq @ a for a in amats])
     ch2 = qs.gamma_bar(Q, 1, povm, d_b=Q)
     assert qs.choi_fidelity_identity(ch2) < 0.9
 

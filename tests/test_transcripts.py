@@ -97,7 +97,7 @@ def compute_wide_digests() -> dict:
 GOLDEN = {
     'ex1-qq/audit_qqss': 'a7d364a144ef7c0f480550009b5a85f21c849702bf25315d0cc1ea863360d786',
     'ex1-qq/qqss/[1, 2]': '2c899b751222d3298e9f4a6acf2c2179dbabaf836f0260a1881a2036a7ea0384',
-    'ex1-qq/qqss/[2, 3]': 'd7963b3e7bb9726ee830e19b1864cf83a459c7e53f5ef181fbb2dc59e45924ad',
+    'ex1-qq/qqss/[2, 3]': 'dd6282617e038dea0eaa2e08ce75861d1de6b9c74326b6643028a7ff7c1ee4f8',
     'ex1/audit_spir': '535f8ad929fbd19967e2819cb5b43b9500e4685d0fc75372c1b23099708bd23a',
     'ex1/audit_ss': 'e9d299b2709956c7ca137650fc59db9659ab886b9cebbe5ccc4300f8ef1d878d',
     'ex1/easpir/dense/0': 'c6523dac33573637b6dbc86f0117d994dbbc23c142603fd4f6a8f33b829fa4c7',
