@@ -253,17 +253,6 @@ def spir_query(p: SpirProtocol, k: int, u_q: MatGF) -> MatGF:
     return MatGF(p.ctx, out)
 
 
-def spir_answer(p: SpirProtocol, j: int, q_row: VecGF, files: VecGF, r_j):
-    """D_j = Q_j . M + R_j (one server's scalar answer)."""
-    if len(q_row) != p.x * p.nfiles or len(files) != p.x * p.nfiles:
-        raise DimensionMismatch("query row / file vector lengths")
-    ctx = p.ctx
-    acc = r_j
-    for i in range(len(files)):
-        acc = ctx.add(acc, ctx.mul(q_row[i], files[i]))
-    return acc
-
-
 def spir_run(p: SpirProtocol, files: VecGF, k: int, seed: int) -> Transcript:
     """One seeded retrieval of file k, decoded on every qualified set."""
     rng = np.random.default_rng(seed)

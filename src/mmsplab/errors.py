@@ -116,6 +116,3 @@ class IncompletePovm(MmsplabError):
 class BadRegisters(MmsplabError):
     pass
 
-
-class NotAState(MmsplabError):
-    pass

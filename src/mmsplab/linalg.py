@@ -138,14 +138,8 @@ class MatGF:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def elt(self, i: int, j: int):
-        return self.ctx.cell_to_token(self.a[i, j])
-
     def col(self, j: int) -> VecGF:
         return VecGF(self.ctx, self.a[:, j].copy())
-
-    def row(self, i: int) -> VecGF:
-        return VecGF(self.ctx, self.a[i].copy())
 
     def copy(self) -> "MatGF":
         return MatGF(self.ctx, self.a.copy())
@@ -226,11 +220,6 @@ def hstack(mats: Sequence[MatGF]) -> MatGF:
 def beside(g: MatGF, fk: np.ndarray) -> np.ndarray:
     """[G | F] for every F of a stack fk (K, rows, cols[, r]) of cells."""
     return np.concatenate([np.broadcast_to(g.a, (len(fk),) + g.a.shape), fk], axis=2)
-
-
-def vstack(mats: Sequence[MatGF]) -> MatGF:
-    ctx = mats[0].ctx
-    return MatGF(ctx, np.concatenate([m.a for m in mats], axis=0))
 
 
 def mat_from_cols(cols: Sequence[VecGF]) -> MatGF:
@@ -422,10 +411,6 @@ class QuotientMap:
         if len(v) != self.ambient:
             raise DimensionMismatch("vector length != ambient dimension")
         return VecGF(self.ctx, (self.t @ v).a[self.subspace_rank:])
-
-
-def quotient(g: MatGF) -> QuotientMap:
-    return QuotientMap(g)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ linearly independent modulo the column span of G restricted to A; it rejects
 B when the restricted F columns fall inside the restricted span of G.  The
 two equivalent formulations (F columns vs unit-block columns of a transposed
 stack, each read off the pivot columns of one elimination) are both
-implemented; their agreement is exposed as an operation for the audit CLI.
+implemented; a1_a2_agree and b1_b2_agree compare them on one subset, as the
+tests and the benchmark's verify-classical items do.  No CLI command runs
+them.
 """
 
 from __future__ import annotations

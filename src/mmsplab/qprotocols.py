@@ -550,8 +550,7 @@ def qq_decoded_channel(bundle: MmspBundle, codec: QqCodec,
     povm = qq_decoder_povm(bundle, codec, subset)
     if povm is None:
         return None
-    return qs.compose(qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout,
-                                   label_side="A"), lam)
+    return qs.compose(qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout), lam)
 
 
 def run_qqss(bundle: MmspBundle, rho_in: np.ndarray, seed: int,

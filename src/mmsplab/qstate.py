@@ -1,12 +1,14 @@
 """Exact dense-state oracle for odd prime local dimension q.
 
-Implements generalized Pauli (Weyl) displacement operators, stabilizer
-states and entangled code resources built from self-column-orthogonal
-matrices over F_q, displaced-basis measurements, reductions, channels,
-and entropic metrics.  States carry shape (q,)*m amplitude arrays; register
-order for protocol states is [D_1..D_n, E_1..E_n].  A mixed state is held
-as its amplitude factors, [(w, psi), ...] for sum_i w_i psi_i psi_i^dag,
-with each psi from reduce_factor.
+Holds only what the protocols and audits run: Weyl displacements applied to
+amplitude arrays, the stabilizer projectors and entangled code resources of
+self-column-orthogonal matrices over F_q, reductions, displaced-basis
+measurements, the factored POVM of the teleportation-style QQ decoder,
+channels, and the von Neumann entropies of the dense-coding information
+check.  States carry shape (q,)*m amplitude arrays; register order for
+protocol states is [D_1..D_n, E_1..E_n].  A mixed state is held as its
+amplitude factors, [(w, psi), ...] for sum_i w_i psi_i psi_i^dag, with each
+psi from reduce_factor.
 
 Group phases use the symmetric alignment SW(a,b) = w^(ab/2) X(a) Z(b)
 (2^{-1} taken mod p), under which SW(v)SW(w) = w^(-symp(v,w)/2) SW(v+w);
@@ -15,9 +17,10 @@ projectors need no per-generator phase hunting.  Protocol statistics are
 invariant under the alignment choice (runs conjugate by plain Weyls).
 
 Every stabilizer object comes from one group average, stabilizer_projector:
-a stabilizer state is its first nonzero column, and the resource
-|Phi[y, G1]> = sum_x |x,y> (x) conj|x,y> is the vectorized projector P_y onto
-the y-eigenspace of G1's group, so G1 is never completed to a Lagrangian.
+a stabilizer state is its first nonzero column (joint_eigenvector), and the
+resource |Phi[y, G1]> = sum_x |x,y> (x) conj|x,y> is the vectorized
+projector P_y onto the y-eigenspace of G1's group, so G1 is never completed
+to a Lagrangian.
 
 Displaced-basis measurements {W(z) sigma W(z)^dag} are evaluated without
 materializing the operator family or any density matrix: sigma and the
@@ -27,9 +30,10 @@ the two factors, whose shifted diagonals (the X part) are transformed by one
 DFT (the Z part).  No eigendecomposition is needed, which keeps the full-set
 decoders at n = 3 fast.  POVMs are factors too: the QQ decoder's elements are
 thin-SVD support factors, the completion is implicit, and gamma_bar reads the
-factors as Kraus terms, so no dense POVM and no block size remain.  A Channel
-maps a stack (..., d, d) of inputs in one call, so its Choi matrix is one
-application to all d^2 units |i><j|.
+factors as Kraus terms with the one dense-coding correction W(a, b), so no
+dense POVM and no block size remain.  A Channel maps a stack (..., d, d) of
+inputs in one call, so its Choi matrix is one application to all d^2 units
+|i><j|.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .errors import (
     BadRegisters,
     IncompletePovm,
     NonPrimeLocalDim,
-    NotAState,
     NotMaximalIsotropic,
     NoFixedVector,
 )
@@ -59,46 +62,9 @@ def _omega_powers(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-@dataclass
-class DenseState:
-    """Pure state on m registers of local dimension q (unit norm)."""
-
-    q: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.q ** self.nregs > DENSE_DIM_LIMIT:
-            raise NotAState(f"dense states capped at dimension {DENSE_DIM_LIMIT}")
-        nrm = np.linalg.norm(self.amps)
-        if abs(nrm - 1.0) > 1e-9:
-            raise NotAState(f"state norm {nrm} != 1")
-
-    @property
-    def nregs(self) -> int:
-        return self.amps.ndim
-
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    def vector(self) -> np.ndarray:
-        return self.amps.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # Weyl operators
 # ---------------------------------------------------------------------------
-
-def weyl(q: int, a: int, b: int) -> np.ndarray:
-    """The q x q matrix W(a,b) = X(a) Z(b) = sum_j w^(bj) |j+a><j|."""
-    if not _is_prime(q):
-        raise NonPrimeLocalDim(f"dense oracle needs prime local dimension, got {q}")
-    om = _omega_powers(q)
-    m = np.zeros((q, q), dtype=np.complex128)
-    for j in range(q):
-        m[(j + a) % q, j] = om[(b * j) % q]
-    return m
-
 
 def apply_weyl(amps: np.ndarray, q: int, disp: Sequence[int],
                regs: Sequence[int]) -> np.ndarray:
@@ -226,26 +192,6 @@ def frame_for(g1: MatGF) -> StabFrame:
     if key not in _FRAMES:
         _FRAMES[key] = StabFrame(g1)
     return _FRAMES[key]
-
-
-def stabilizer_state(g1: MatGF) -> DenseState:
-    """Joint fixed vector of the aligned Weyl family of a maximal isotropic
-    G1 (2n x n, full rank); verified against every generator."""
-    fr = frame_for(g1)
-    if fr.y1 != fr.n:
-        raise NotMaximalIsotropic(f"need n={fr.n} columns, got {fr.y1}")
-    v = joint_eigenvector(fr.q, fr.n, fr._lag_int, [0] * fr.n)
-    for j in range(fr.n):
-        w = apply_sw(v, fr.q, fr._lag_int[:, j], list(range(fr.n)))
-        if np.linalg.norm(w - v) > 1e-10:
-            raise NoFixedVector(f"generator {j} does not fix the state")
-    return DenseState(q=fr.q, amps=v)
-
-
-def ea_resource(g1: MatGF, y: Sequence[int]) -> DenseState:
-    """|Phi[y, G1]> as a 2n-register state (dealer tensor conjugate user)."""
-    fr = frame_for(g1)
-    return DenseState(q=fr.q, amps=fr.resource(y))
 
 
 # ---------------------------------------------------------------------------
@@ -393,31 +339,6 @@ class Povm:
             if np.linalg.norm(f @ f.conj().T - np.eye(len(f))) > POVM_TOL * len(f):
                 raise IncompletePovm("POVM elements do not sum to the identity")
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        p = [np.einsum("ir,ij,jr->", f.conj(), rho, f).real for f in self.factors]
-        if self.labels[-1] is None:
-            p.append(np.trace(rho).real - sum(p))
-        return np.clip(p, 0.0, None)
-
-
-def measure(rho: np.ndarray, povm: Povm, seed: int):
-    """Sample one outcome; returns (label, full Born distribution)."""
-    probs = povm.probabilities(rho)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    idx = int(rng.choice(len(probs), p=probs))
-    return povm.labels[idx], probs
-
-
-def bell_basis_povm(q: int, n: int) -> Povm:
-    """The rank-one family {(W(z) (x) I)|phi><phi|(...)^dag} on 2n registers
-    arranged as (D..., E...); exactly complete."""
-    d = q**n
-    phi = np.eye(d, dtype=np.complex128).reshape((q,) * 2 * n) / np.sqrt(d)
-    zs = _enum_vecs(q, 2 * n)
-    return Povm(labels=[tuple(z.tolist()) for z in zs],
-                factors=[apply_weyl(phi, q, z, list(range(n))).reshape(-1, 1) for z in zs])
-
 
 # ---------------------------------------------------------------------------
 # entropic metrics
@@ -428,24 +349,6 @@ def vn_entropy(rho: np.ndarray) -> float:
     w = np.linalg.eigvalsh(rho)
     w = w[w > EIG_CUTOFF]
     return float(-(w * np.log2(w)).sum())
-
-
-def rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """D(rho || sigma) in bits; +inf when supp(rho) escapes supp(sigma)."""
-    ws, vs = np.linalg.eigh(sigma)
-    kernel = vs[:, ws <= EIG_CUTOFF]
-    if kernel.shape[1]:
-        leak = np.linalg.norm(kernel.conj().T @ rho @ kernel)
-        if leak > 1e-10:
-            return float("inf")
-    wr, vr = np.linalg.eigh(rho)
-    log_sigma = (vs * np.log2(np.clip(ws, EIG_CUTOFF, None))) @ vs.conj().T
-    ent = 0.0
-    for lam, vec in zip(wr, vr.T):
-        if lam > EIG_CUTOFF:
-            ent += lam * np.log2(lam)
-            ent -= lam * float((vec.conj() @ log_sigma @ vec).real)
-    return float(ent)
 
 
 def mutual_info_dims(rho: np.ndarray, da: int, db: int) -> float:
@@ -516,19 +419,15 @@ def choi_fidelity_identity(chan: Channel) -> float:
     return float((phi.conj() @ c @ phi).real)
 
 
-def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int,
-              label_side: str = "R") -> Channel:
+def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int) -> Channel:
     """Teleportation-style decoder: measure the POVM on (R, B) against a
     fresh maximally entangled (R, A) pair and apply the label's correction
     unitary on A.
 
-    Labels are displacement tuples in F_q^(2 n_out); a None label (the
-    completion element) receives no correction.  label_side records which
-    half of the discriminated entangled family carried the displacement:
-    "R" (Bell basis built by displacing the reference half) corrects with
-    W(-a, b); "A" (channel-input displacements, as in perfect dense coding)
-    corrects with W(a, b).  Both choices are pinned by the teleportation
-    identity test.
+    Labels are displacement tuples (a | b) in F_q^(2 n_out) of the perfect
+    dense-coding family, whose displacements act on the channel-input half
+    B; the correction is W(a, b).  A None label (the completion element)
+    receives no correction.
 
     Each column of F_k, read as a d_a x d_b matrix A_j, is the Kraus term
     U_k conj(A_j) / sqrt(d_a); the completion adds tr(rho) I / d_a - sum_j
@@ -536,7 +435,6 @@ def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int,
     matrix on row-major vec(rho); no POVM element is formed, no block size.
     """
     d_a = q**n_out
-    sign = -1 if label_side == "R" else 1
 
     def transfer(kraus: np.ndarray) -> np.ndarray:  # sum_j K_j (.) K_j^dag
         x = kraus.transpose(1, 2, 0).reshape(d_a * d_b, -1)
@@ -544,8 +442,7 @@ def gamma_bar(q: int, n_out: int, povm: Povm, d_b: int,
         return g.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
 
     kraus = [f.T.conj().reshape(-1, d_a, d_b) / np.sqrt(d_a) for f in povm.factors]
-    corrected = [weyl_matrix(q, n_out, [sign * int(v) for v in label[:n_out]]
-                             + list(label[n_out:])) @ k
+    corrected = [weyl_matrix(q, n_out, label) @ k
                  for label, k in zip(povm.labels, kraus)]
     t = transfer(np.concatenate(corrected))
     if povm.labels[-1] is None:

@@ -22,3 +22,19 @@ def wide_ea_pools() -> list:
         pos, neg = make_pools("ea", 1, seed=seed, n_values=(2,), p=p)
         out += [(f"gf{p}-pos", *pos[0]), (f"gf{p}-neg", *neg[0])]
     return out
+
+
+def bell_povm(q: int, n: int):
+    """The perfect dense-coding measurement on 2n registers (R..., B...):
+    the rank-one family {(I (x) W(z))|phi><phi|(...)^dag} over z in
+    F_q^(2n), displaced on the channel-input half B, as the QQ decoder
+    labels it; exactly complete."""
+    import numpy as np
+
+    from mmsplab import qstate as qs
+
+    phi = np.eye(q**n, dtype=np.complex128).reshape((q,) * 2 * n) / np.sqrt(q**n)
+    zs = qs._enum_vecs(q, 2 * n)
+    return qs.Povm(labels=[tuple(z.tolist()) for z in zs],
+                   factors=[qs.apply_weyl(phi, q, z, list(range(n, 2 * n))).reshape(-1, 1)
+                            for z in zs])

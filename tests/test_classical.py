@@ -136,10 +136,6 @@ def test_spir_query_forms(spir5):
 
 
 def test_spir_answer_reduces_to_share(spir5):
-    # zero files, zero randomness
-    zero = cl.spir_answer(spir5, 1,
-                          la.VecGF.zeros(F5, 2), la.VecGF.zeros(F5, 2), F5.zero)
-    assert zero == F5.zero
     # f = 1: the answer vector is exactly a CSS share of the single file
     p1 = cl.SpirProtocol(g=spir5.g, f=spir5.f, nfiles=1,
                          access=spir5.access)

@@ -66,7 +66,7 @@ def test_symp_odd_length():
 def test_restrict_paper_matrix():
     g1, f = g1_f()
     r = la.restrict(la.hstack([g1, f]), [1, 2, 4, 5])
-    got = [[F3.coeffs(r.elt(i, j))[0] for j in range(4)] for i in range(4)]
+    got = F3.ax_coeffs(r.a)[..., 0].tolist()
     assert got == [[1, 0, 2, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 0, 2]]
     assert la.rank(r) == 4
 
@@ -97,7 +97,7 @@ def test_rank_solve_in_span_quotient():
     for _ in range(25):
         m = la.MatGF(F3, rng.integers(0, 3, size=(4, 2)))
         v = la.VecGF(F3, rng.integers(0, 3, size=4))
-        qm = la.quotient(m)
+        qm = la.QuotientMap(m)
         assert la.in_span(m, v) == qm.coset_coords(v).is_zero()
         x = la.VecGF(F3, rng.integers(0, 3, size=2))
         b = m @ x
@@ -116,7 +116,7 @@ def test_solve_all_agrees_with_solve():
             images = m @ la.MatGF(ctx, ctx.random_cells(rng, 3, 3))
             zs = np.concatenate([ctx.random_cells(rng, 3, 4),
                                  np.swapaxes(images.a, 0, 1)])
-            xs, ok = la.quotient(m).solve_all(zs)
+            xs, ok = la.QuotientMap(m).solve_all(zs)
             for x, good, z in zip(xs, ok, zs):
                 want = la.solve(m, la.VecGF(ctx, z))
                 assert good == (want is not None)
@@ -126,11 +126,11 @@ def test_solve_all_agrees_with_solve():
 
 def test_quotient_trivial_cases():
     sq = la.MatGF.from_ints(F3, [[1, 0], [1, 1]])
-    qm = la.quotient(sq)
+    qm = la.QuotientMap(sq)
     v = la.VecGF.from_ints(F3, [2, 1])
     assert qm.coset_coords(v).is_zero()
     zero = la.MatGF.zeros(F3, 3, 2)
-    qmz = la.quotient(zero)
+    qmz = la.QuotientMap(zero)
     w = la.VecGF.from_ints(F3, [1, 0, 2])
     assert len(qmz.coset_coords(w)) == 3
     assert not qmz.coset_coords(w).is_zero()
@@ -297,8 +297,8 @@ def test_gram_orthogonality_matches_pairwise_symp(ctx):
         x = la.MatGF(ctx, ctx.random_cells(rng, n, 3))
         y = la.MatGF(ctx, ctx.random_cells(rng, n, 2))
         # columns (x; lam x) pair to zero with each other and with (y; lam y)
-        g = la.vstack([x, la.MatGF(ctx, ctx.ax_mul(lam, x.a))])
-        f = la.vstack([y, la.MatGF(ctx, ctx.ax_mul(lam, y.a))])
+        g = la.MatGF(ctx, np.concatenate([x.a, ctx.ax_mul(lam, x.a)]))
+        f = la.MatGF(ctx, np.concatenate([y.a, ctx.ax_mul(lam, y.a)]))
         if trial % 3 == 1:  # break one entry
             g.a[n + 1, 2] = ctx.ax_add(g.a[n + 1, 2], ctx.random_cells(rng))
         if trial % 3 == 2:
@@ -339,7 +339,7 @@ def test_rref_inverts_once(monkeypatch):
     assert (rk, piv) == (4, [0, 2, 3, 4])
     assert np.array_equal(red.a[:rk][:, piv], la.MatGF.identity(t, rk).a)
     assert not red.a[rk:].any()
-    assert la.rank(la.vstack([red, m])) == rk  # the same row space
+    assert la.rank(la.MatGF(t, np.concatenate([red.a, m.a]))) == rk  # the same row space
 
 
 def test_is_mds_dual_makes_no_inverse(monkeypatch):
@@ -455,7 +455,7 @@ def test_coset_coords_pinned():
             if cols > 1:
                 m.a[:, -1] = m.a[:, 0]  # a dependent column
             v = la.VecGF(ctx, ctx.random_cells(rng, rows))
-            qm = la.quotient(m)
+            qm = la.QuotientMap(m)
             out.append([qm.subspace_rank, qm.coset_coords(v).tolist(),
                         qm.coset_coords(m.col(0) if cols else v).tolist()])
     blob = json.dumps(out).encode()

@@ -11,7 +11,7 @@ from mmsplab.access import make_explicit, make_threshold, symplectify, symplecti
 from mmsplab.errors import ClassInvariantViolated, DimensionMismatch, OutOfRange, TooLarge
 from mmsplab.fields import field_build, tower_build
 from mmsplab.fixtures import example1, example2, example3
-from mmsplab.linalg import MatGF, hstack, rank, restrict, vstack
+from mmsplab.linalg import MatGF, hstack, rank, restrict
 
 F3 = field_build(3, 1)
 
@@ -241,7 +241,7 @@ def test_lemma1_predicates_match_rank_definitions(ctx):
             for sub in combinations(range(1, 6), k):
                 pg, pf = restrict(g, sub), restrict(f, sub)
                 m = hstack([pg, pf])
-                both, alone, with_e = rank(m), rank(pg), rank(vstack([m, e]))
+                both, alone, with_e = rank(m), rank(pg), rank(MatGF(ctx, np.concatenate([m.a, e.a])))
                 assert mmsp.accepts_one(g, f, sub) == (both == alone + 2)
                 assert mmsp.rejects_one(g, f, sub) == (both == alone)
                 assert mmsp.cond_a2(g, f, sub) == (with_e == both)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import wide_ea_pools
+from conftest import bell_povm, wide_ea_pools
 from mmsplab import cli
 from mmsplab import qprotocols as qp
 from mmsplab import qstate as qs
@@ -544,7 +544,7 @@ def _dense_decoder(bundle, subset, projector):
     formed at a time: each support projector from projector(psi), the
     complement I - sum P_k written out when its norm exceeds 1e-10 dim, and
     the contraction against phi[r, a] on (R, A) per element, corrected with
-    W(a, b) (label_side "A").  Returns the channel on D[A]."""
+    W(a, b).  Returns the channel on D[A]."""
     codec = qp.QqCodec(bundle)
     q, xq = codec.q, codec.xq
     d_a, d_b = q**xq, q ** len(subset)
@@ -677,7 +677,7 @@ def test_factor_decoder_matches_dense_reference():
                 continue
             ref = _dense_decoder(bundle, a, projector)
             lam = qp.qq_channel(bundle, codec, a)
-            chan = qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout, label_side="A")
+            chan = qs.gamma_bar(codec.q, codec.xq, povm, d_b=lam.dout)
             got = qs.compose(chan, lam).choi()
             assert np.abs(got - qs.compose(ref, lam).choi()).max() < 1e-12
             # states off the decoder's supports reach the completion
@@ -703,7 +703,7 @@ def channels():
     codec = qp.QqCodec(bqq)
     out = {"identity": qs.identity_channel(3), "depolarizing": qs.depolarizing_channel(3),
            "compose": qs.compose(qs.depolarizing_channel(3), qs.identity_channel(3)),
-           "bell-R": qs.gamma_bar(3, 1, qs.bell_basis_povm(3, 1), d_b=3)}
+           "bell-R": qs.gamma_bar(3, 1, bell_povm(3, 1), d_b=3)}
     for subset in ([1], [2, 3]):
         out[f"qq{subset}"] = qp.qq_channel(bqq, codec, subset)
     for subset in ([1, 2], [2, 3]):
