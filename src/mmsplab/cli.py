@@ -205,12 +205,14 @@ def cmd_simulate(args) -> int:
         run = qp.run_eass if proto == "eass" else qp.run_cqss
         tr = run(bundle, m, seed, fs, backend=backend)
     digest = tr.digest()
+    ok = proto != "qqss" or tr.outcome == "recovered"
     return _emit({
         "command": "simulate", "protocol": proto, "seed": seed,
         "transcript": {"steps": tr.steps, "outcome": tr.outcome, "digest": digest},
-        "ok": True,
-        "summary": [f"{proto} run complete; digest {digest[:16]}"],
-    }, 0)
+        "ok": ok,
+        "summary": [f"{proto} run {'complete' if ok else 'did not recover its input'}; "
+                    f"digest {digest[:16]}"],
+    }, 0 if ok else 1)
 
 
 def cmd_crosscheck(args) -> int:

@@ -5,18 +5,19 @@ programs, and the closed-form protocol rates.
 A pair (G, F) accepts a subset A when the columns of F restricted to A stay
 linearly independent modulo the column span of G restricted to A; it rejects
 B when the restricted F columns fall inside the restricted span of G.  The
-two equivalent formulations (F columns vs unit-block columns of a transposed
-stack, each read off the pivot columns of one elimination) are both
-implemented; a1_a2_agree and b1_b2_agree compare them on one subset, as the
-tests and the benchmark's verify-classical items do.  No CLI command runs
-them.
+two equivalent formulations (the pivot F columns of [P_A G | P_A F] vs the
+rank the unit block E adds to its row space) are both implemented.
+a1_a2_agree and b1_b2_agree compare them on one subset, as the tests and the
+benchmark's verify-classical items do, and both read one reduction, kept for
+the last (G, F, subset) with G and F keyed on their content, so the pair
+costs one elimination.  No CLI command runs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from math import ceil
 from typing import Iterable, Optional, Sequence
@@ -44,7 +45,6 @@ from .linalg import (
     mat_from_json,
     mat_to_json,
     rank,
-    restrict,
     subset_rows,
 )
 
@@ -72,17 +72,27 @@ def _failed(piv: np.ndarray, accept: np.ndarray) -> np.ndarray:
     return np.where(accept, ~piv.all(axis=-1), piv.any(axis=-1))
 
 
-def _lemma1_pivots(g: MatGF, f: MatGF, subset: Iterable[int]):
-    """Pivot F columns of [P_A G | P_A F] and pivot unit-block columns of
-    [(P_A G | P_A F)^T | E^T] (E: rows e_{y+1} .. e_{y+x}), one zero-padded stack."""
-    m = restrict(hstack([g, f]), subset).a
+def _lemma1_pivots(g: MatGF, f: MatGF, subset: Iterable[int]) -> tuple[int, int]:
+    """How many F columns of M = [P_A G | P_A F] are pivot columns, and how
+    much rank the unit rows E (e_{y+1} .. e_{y+x}) add to M, from the
+    reduction of the last (G, F, subset)."""
+    if g.ctx is not f.ctx or g.rows != f.rows:
+        raise DimensionMismatch("G and F must share their field and row count")
+    return _lemma1_reduction(g, f, tuple(subset_rows(subset, g.rows)))
+
+
+@lru_cache(maxsize=1)
+def _lemma1_reduction(g: MatGF, f: MatGF, rows: tuple) -> tuple[int, int]:
+    """M over x zero rows and M over E, eliminated in one stack; MatGF
+    hashes and compares by content, so an in-place edit of G or F misses
+    the memo."""
+    m = np.concatenate([g.a[list(rows)], f.a[list(rows)]], axis=1)
     w, y, x = m.shape[0], g.cols, f.cols
-    stack = g.ctx.cell_zeros(2, max(w, y + x), max(y + x, w + x))
-    stack[0, :w, :y + x] = m
-    stack[1, :y + x, :w] = np.swapaxes(m, 0, 1)
-    stack[1, y + np.arange(x), w + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
-    piv = _accel.gf_rank(g.ctx, stack)[1]
-    return piv[0, y:y + x], piv[1, w:w + x]
+    stack = g.ctx.cell_zeros(2, w + x, y + x)
+    stack[:, :w] = m
+    stack[1, w + np.arange(x), y + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
+    ranks, piv = _accel.gf_rank(g.ctx, stack)
+    return int(piv[0, y:].sum()), int(ranks[1] - ranks[0])
 
 
 def accepts_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
@@ -99,24 +109,24 @@ def rejects_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
 
 def cond_a2(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
     """Condition (A2): row space of (P_A G, P_A F) contains the unit block E,
-    i.e. no unit-block column of [(P_A G | P_A F)^T | E^T] is a pivot."""
-    return not _lemma1_pivots(g, f, subset)[1].any()
+    i.e. stacking E under [P_A G | P_A F] adds no rank."""
+    return _lemma1_pivots(g, f, subset)[1] == 0
 
 
 def cond_b2(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
     """Condition (B2): row space meets the unit block only in zero, i.e.
-    every unit-block column of [(P_A G | P_A F)^T | E^T] is a pivot."""
-    return bool(_lemma1_pivots(g, f, subset)[1].all())
+    stacking E under [P_A G | P_A F] adds rank x."""
+    return _lemma1_pivots(g, f, subset)[1] == f.cols
 
 
 def a1_a2_agree(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    f_piv, unit_piv = _lemma1_pivots(g, f, subset)
-    return bool(f_piv.all()) == (not unit_piv.any())
+    f_piv, e_rank = _lemma1_pivots(g, f, subset)
+    return (f_piv == f.cols) == (e_rank == 0)
 
 
 def b1_b2_agree(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:
-    f_piv, unit_piv = _lemma1_pivots(g, f, subset)
-    return (not f_piv.any()) == bool(unit_piv.all())
+    f_piv, e_rank = _lemma1_pivots(g, f, subset)
+    return (f_piv == 0) == (e_rank == f.cols)
 
 
 class SpanDecoder:

@@ -556,16 +556,19 @@ def qq_decoded_channel(bundle: MmspBundle, codec: QqCodec,
 def run_qqss(bundle: MmspBundle, rho_in: np.ndarray, seed: int,
              subset: Sequence[int]):
     """Encode, randomize, restrict to the subset, and decode with the
-    teleportation channel; returns (Transcript, recovered density)."""
+    teleportation channel; returns (Transcript, recovered density).  The
+    outcome is "recovered" when the fidelity with the pure input rho_in is
+    at least 1 - TRACE_TOL, else "not recovered"."""
     chan = qq_decoded_channel(bundle, QqCodec(bundle), subset)
-    tr = Transcript(protocol="qqss", seed=seed)
+    tr = Transcript(protocol="qqss", seed=seed, outcome="not recovered")
     tr.log("encode", subset=sorted(subset), sharp=chan is not None)
     if chan is None:
         return tr, None
     recovered = chan(rho_in)
-    tr.log("decode", fidelity_with_input=float(
-        np.real(np.trace(recovered @ rho_in))))
-    tr.outcome = "recovered"
+    fid = float(np.real(np.trace(recovered @ rho_in)))
+    tr.log("decode", fidelity_with_input=fid)
+    if fid >= 1 - TRACE_TOL:
+        tr.outcome = "recovered"
     return tr, recovered
 
 

@@ -391,15 +391,6 @@ def apply_on_second(rho_ra: np.ndarray, d_r: int, chan: Channel) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(d_r * d_o, d_r * d_o)
 
 
-def identity_channel(d: int) -> Channel:
-    return Channel(din=d, dout=d, fn=lambda rho: rho.copy())
-
-
-def depolarizing_channel(d: int) -> Channel:
-    return Channel(din=d, dout=d, fn=lambda rho: np.trace(
-        rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d)
-
-
 def compose(after: Channel, before: Channel) -> Channel:
     if after.din != before.dout:
         raise BadRegisters("channel dimensions do not compose")

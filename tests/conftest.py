@@ -38,3 +38,21 @@ def bell_povm(q: int, n: int):
     return qs.Povm(labels=[tuple(z.tolist()) for z in zs],
                    factors=[qs.apply_weyl(phi, q, z, list(range(n, 2 * n))).reshape(-1, 1)
                             for z in zs])
+
+
+def identity_channel(d: int):
+    """The identity channel on a d-level register, a reference for the
+    channel-stack and dense-coding checks."""
+    from mmsplab import qstate as qs
+
+    return qs.Channel(din=d, dout=d, fn=lambda rho: rho.copy())
+
+
+def depolarizing_channel(d: int):
+    """The completely depolarizing channel rho -> tr(rho) I/d."""
+    import numpy as np
+
+    from mmsplab import qstate as qs
+
+    return qs.Channel(din=d, dout=d, fn=lambda rho: np.trace(
+        rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d)

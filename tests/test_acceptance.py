@@ -12,13 +12,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import depolarizing_channel, identity_channel
 from mmsplab import classical as cl
 from mmsplab import constructions as con
 from mmsplab import fixtures as fx
 from mmsplab import linalg as la
 from mmsplab import mmsp
 from mmsplab import qprotocols as qp
-from mmsplab import qstate as qs
 from mmsplab.access import make_threshold, symplectify, symplectify_structure
 from mmsplab.fields import field_build, tower_build
 from mmsplab.linalg import MatGF, VecGF
@@ -281,9 +281,9 @@ def test_criterion_5_dense_coding_teleportation():
         nprime = int(round(np.log(chan.din) / np.log(3)))
         i_dense, i_chan = qp.dense_coding_information_check(chan, 3, nprime)
         ok &= abs(i_dense - i_chan) <= 1e-6
-    idc = qp.dense_coding_information_check(qs.identity_channel(3), 3, 1)
+    idc = qp.dense_coding_information_check(identity_channel(3), 3, 1)
     ok &= abs(idc[0] - idc[1]) <= 1e-6 and abs(idc[0] - 2 * np.log2(3)) < 1e-9
-    dep = qp.dense_coding_information_check(qs.depolarizing_channel(3), 3, 1)
+    dep = qp.dense_coding_information_check(depolarizing_channel(3), 3, 1)
     ok &= abs(dep[0]) < 1e-9 and abs(dep[1]) < 1e-9
     _report(5, "teleport-decoder identity + dense-coding information equality",
             ok, time.time() - t0, 120.0)

@@ -61,15 +61,54 @@ def test_lemma1_agreement_on_example1_all_subsets():
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (3, 2)])
 def test_lemma1_agreement_random(p, r):
+    """Both agree-functions hold, called in either order, and equal the
+    verdicts composed from the single predicates on the same subset."""
     ctx = field_build(p, r, [2, 2, 1] if (p, r) == (3, 2) else None)
     rng = np.random.default_rng(17)
+    seen = set()
     for _ in range(15):
         g = MatGF(ctx, rng.integers(0, ctx.q, size=(6, 2)).astype(np.int64))
         f = MatGF(ctx, rng.integers(0, ctx.q, size=(6, 2)).astype(np.int64))
         for k in range(0, 7, 2):
-            for sub in combinations(range(1, 7), k):
-                assert mmsp.a1_a2_agree(g, f, sub)
-                assert mmsp.b1_b2_agree(g, f, sub)
+            for i, sub in enumerate(combinations(range(1, 7), k)):
+                pair = (mmsp.a1_a2_agree, mmsp.b1_b2_agree)[::1 if i % 2 else -1]
+                got = {fn: fn(g, f, sub) for fn in pair}
+                a1, a2 = mmsp.accepts_one(g, f, sub), mmsp.cond_a2(g, f, sub)
+                b1, b2 = mmsp.rejects_one(g, f, sub), mmsp.cond_b2(g, f, sub)
+                assert got == {mmsp.a1_a2_agree: a1 == a2, mmsp.b1_b2_agree: b1 == b2}
+                assert a1 == a2 and b1 == b2
+                seen.add((a1, b1))
+    assert {(True, False), (False, True)} <= seen
+
+
+def test_lemma1_pair_runs_one_elimination_per_subset(monkeypatch):
+    """a1_a2_agree and b1_b2_agree on one subset read one reduction: a full
+    sweep of example 1 eliminates once per subset, 64 times, not 128."""
+    ex = example1()
+    calls = []
+    gf_rank = mmsp._accel.gf_rank
+    monkeypatch.setattr(mmsp._accel, "gf_rank",
+                        lambda ctx, a: calls.append(ctx) or gf_rank(ctx, a))
+    mmsp._lemma1_reduction.cache_clear()
+    subsets = [sub for k in range(7) for sub in combinations(range(1, 7), k)]
+    for sub in subsets:
+        assert mmsp.a1_a2_agree(ex.g1, ex.f, sub)
+        assert mmsp.b1_b2_agree(ex.g1, ex.f, sub)
+    assert len(subsets) == len(calls) == 64
+
+
+def test_lemma1_memo_reads_content_not_identity():
+    """Editing G in place between the pair's two calls makes the second call
+    answer for the edited matrix, never from the first call's reduction."""
+    ex = example1()
+    g, f = MatGF(ex.g1.ctx, ex.g1.a.copy()), ex.f
+    sub = symplectify([3], 3)
+    assert mmsp.a1_a2_agree(g, f, sub) and mmsp.rejects_one(g, f, sub)
+    assert mmsp._lemma1_pivots(g, f, sub) == (0, f.cols)
+    g.a[:] = F3.cell_zeros(*g.a.shape)
+    assert mmsp.b1_b2_agree(g, f, sub)
+    assert mmsp.cond_b2(g, f, sub) == mmsp.rejects_one(g, f, sub) is False
+    assert mmsp.cond_b2(ex.g1, f, sub) and mmsp.rejects_one(ex.g1, f, sub)
 
 
 def test_accept_reject_never_both():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bell_povm, wide_ea_pools
+from conftest import bell_povm, depolarizing_channel, identity_channel, wide_ea_pools
 from mmsplab import cli
 from mmsplab import qprotocols as qp
 from mmsplab import qstate as qs
@@ -202,6 +202,32 @@ def test_qqss_run_and_audit(ex1):
     assert rep.secure and rep.matches_classify
 
 
+def test_qqss_not_recovered_when_decoding_is_broken(ex1, monkeypatch, tmp_path, capsys):
+    """A decoded channel that does not return its input makes run_qqss
+    report "not recovered" and `simulate --protocol qqss` report ok false
+    with exit 1; the intact run recovers with exit 0."""
+    bqq = make_bundle("qq", ex1.g1, None, ex1.f, n=3)
+    paths = tmp_path / "b.json", tmp_path / "s.json"
+    paths[0].write_text(json.dumps(bqq.to_json()))
+    paths[1].write_text(json.dumps(ex1.access.to_json()))
+    argv = ["simulate", "--protocol", "qqss", "--bundle", str(paths[0]),
+            "--structure", str(paths[1]), "--subset", "1,2", "--seed", "0"]
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[0, 0] = 1.0
+    assert qp.run_qqss(bqq, rho, seed=0, subset=[1, 2])[0].outcome == "recovered"
+    assert cli.main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"] is True
+
+    decoded = qp.qq_decoded_channel
+    monkeypatch.setattr(qp, "qq_decoded_channel", lambda *args: qs.compose(
+        depolarizing_channel(3), decoded(*args)))
+    tr, _ = qp.run_qqss(bqq, rho, seed=0, subset=[1, 2])
+    assert abs(tr.steps[-1]["fidelity_with_input"] - 1 / 3) < 1e-9
+    assert tr.outcome == "not recovered"
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["transcript"]["outcome"] == "not recovered"
+
+
 def test_qqss_identity_code_degenerate():
     # n = x' with empty G1: encode/decode is trivially the identity
     g1 = MatGF.zeros(F3, 2, 0)
@@ -231,10 +257,10 @@ def test_teleport_identity_and_information_equality(ex1):
     bqq = make_bundle("qq", ex1.g1, None, ex1.f, n=3)
     fids = qp.teleport_decoder_fidelities(bqq, ex1.access)
     assert all(f >= 1 - 1e-9 for f in fids)
-    idc = qp.dense_coding_information_check(qs.identity_channel(3), 3, 1)
+    idc = qp.dense_coding_information_check(identity_channel(3), 3, 1)
     assert abs(idc[0] - 2 * np.log2(3)) < 1e-9
     assert abs(idc[1] - 2 * np.log2(3)) < 1e-9
-    dep = qp.dense_coding_information_check(qs.depolarizing_channel(3), 3, 1)
+    dep = qp.dense_coding_information_check(depolarizing_channel(3), 3, 1)
     assert abs(dep[0]) < 1e-9 and abs(dep[1]) < 1e-9
     codec = qp.QqCodec(bqq)
     lam = qp.qq_channel(bqq, codec, [1])
@@ -701,8 +727,8 @@ def channels():
     ex1 = example1()
     bqq = make_bundle("qq", ex1.g1, None, ex1.f, n=3)
     codec = qp.QqCodec(bqq)
-    out = {"identity": qs.identity_channel(3), "depolarizing": qs.depolarizing_channel(3),
-           "compose": qs.compose(qs.depolarizing_channel(3), qs.identity_channel(3)),
+    out = {"identity": identity_channel(3), "depolarizing": depolarizing_channel(3),
+           "compose": qs.compose(depolarizing_channel(3), identity_channel(3)),
            "bell-R": qs.gamma_bar(3, 1, bell_povm(3, 1), d_b=3)}
     for subset in ([1], [2, 3]):
         out[f"qq{subset}"] = qp.qq_channel(bqq, codec, subset)
