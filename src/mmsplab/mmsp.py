@@ -8,9 +8,11 @@ B when the restricted F columns fall inside the restricted span of G.  The
 two equivalent formulations (the pivot F columns of [P_A G | P_A F] vs the
 rank the unit block E adds to its row space) are both implemented.
 a1_a2_agree and b1_b2_agree compare them on one subset, as the tests and the
-benchmark's verify-classical items do, and both read one reduction, kept for
-the last (G, F, subset) with G and F keyed on their content, so the pair
-costs one elimination.  No CLI command runs them.
+benchmark's verify-classical items do.  Both read one table of the last
+(G, F), keyed on their content, that holds the two counts for every row
+subset and is filled a block of subsets per stacked elimination, so a sweep
+over every subset of n <= 6 rows costs one elimination.  No CLI command runs
+them.
 """
 
 from __future__ import annotations
@@ -74,25 +76,45 @@ def _failed(piv: np.ndarray, accept: np.ndarray) -> np.ndarray:
 
 def _lemma1_pivots(g: MatGF, f: MatGF, subset: Iterable[int]) -> tuple[int, int]:
     """How many F columns of M = [P_A G | P_A F] are pivot columns, and how
-    much rank the unit rows E (e_{y+1} .. e_{y+x}) add to M, from the
-    reduction of the last (G, F, subset)."""
+    much rank the unit rows E (e_{y+1} .. e_{y+x}) add to M, read from the
+    table of the last (G, F)."""
     if g.ctx is not f.ctx or g.rows != f.rows:
         raise DimensionMismatch("G and F must share their field and row count")
-    return _lemma1_reduction(g, f, tuple(subset_rows(subset, g.rows)))
+    mask = sum(1 << r for r in subset_rows(subset, g.rows))
+    k, blocks = _lemma1_table(g, f)
+    if (hi := mask >> k) not in blocks:
+        blocks[hi] = _lemma1_block(g, f, k, hi)
+    f_piv, e_rank = blocks[hi]
+    lo = mask & ((1 << k) - 1)
+    return int(f_piv[lo]), int(e_rank[lo])
 
 
 @lru_cache(maxsize=1)
-def _lemma1_reduction(g: MatGF, f: MatGF, rows: tuple) -> tuple[int, int]:
-    """M over x zero rows and M over E, eliminated in one stack; MatGF
-    hashes and compares by content, so an in-place edit of G or F misses
-    the memo."""
-    m = np.concatenate([g.a[list(rows)], f.a[list(rows)]], axis=1)
-    w, y, x = m.shape[0], g.cols, f.cols
-    stack = g.ctx.cell_zeros(2, w + x, y + x)
-    stack[:, :w] = m
-    stack[1, w + np.arange(x), y + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
-    ranks, piv = _accel.gf_rank(g.ctx, stack)
-    return int(piv[0, y:].sum()), int(ranks[1] - ranks[0])
+def _lemma1_table(g: MatGF, f: MatGF) -> tuple[int, dict]:
+    """The two counts of every row subset of (G, F), keyed by its row
+    bitmask and held in blocks of 2^k masks, 2^k the largest power of two
+    within set_block(G, F): mask >> k names the block, the low k bits the
+    entry.  MatGF hashes and compares by content, so an in-place edit of G
+    or F misses the memo."""
+    return min(g.rows, set_block(g, f).bit_length() - 1), {}
+
+
+def _lemma1_block(g: MatGF, f: MatGF, k: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of the 2^k row sets A with mask >> k == hi, from one
+    stacked elimination of M over x zero rows and of M over E for every A,
+    with the rows outside A zeroed (zero rows change no rank).  Both stacks
+    are eliminated: e_rank read off the F pivots would make the agreement
+    checks hold by construction."""
+    m = np.concatenate([g.a, f.a], axis=1)
+    (n, w), y, x, size = m.shape[:2], g.cols, f.cols, 1 << k
+    high = np.array([hi >> j & 1 for j in range(n - k)], dtype=np.int64)
+    keep = np.hstack([np.arange(size)[:, None] >> np.arange(k) & 1,
+                      np.tile(high, (size, 1))])
+    stack = g.ctx.cell_zeros(2, size, n + x, w)
+    stack[:, :, :n] = m * keep.reshape(keep.shape + (1,) * (m.ndim - 1))
+    stack[1, :, n + np.arange(x), y + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
+    ranks, piv = _accel.gf_rank(g.ctx, stack.reshape((2 * size,) + stack.shape[2:]))
+    return piv[:size, y:].sum(axis=1), ranks[size:] - ranks[:size]
 
 
 def accepts_one(g: MatGF, f: MatGF, subset: Iterable[int]) -> bool:

@@ -12,7 +12,7 @@ from mmsplab.access import (
     symplectify_structure,
     validate,
 )
-from mmsplab.errors import BadThreshold
+from mmsplab.errors import BadIndex, BadThreshold
 
 
 def test_threshold_basics():
@@ -92,6 +92,31 @@ def test_json_round_trip():
     fe = make_explicit(3, [[1, 2], [2, 3], [1, 2, 3]], [[], [1], [2], [3]])
     fe2 = structure_from_json(fe.to_json())
     assert fe2 == fe
+
+
+EX1_JSON = {"n": 3, "accept": [[1, 2], [2, 3], [1, 2, 3]], "reject": [[], [1], [2], [3]]}
+THRESHOLD_JSON = {"n": 3, "accept": {"threshold": 2}, "reject": {"threshold": 1}}
+
+
+@pytest.mark.parametrize("bad", [
+    dict(EX1_JSON, accept=[[1, 2.5], [2, 3], [1, 2, 3]]),
+    dict(EX1_JSON, accept=[[1, "2"], [2, 3], [1, 2, 3]]),
+    dict(EX1_JSON, accept=[[1, 2], [True, 3], [1, 2, 3]]),
+    dict(EX1_JSON, reject=[[], [1.0], [2], [3]]),
+    dict(EX1_JSON, n=3.7),
+    dict(EX1_JSON, n="3"),
+    dict(THRESHOLD_JSON, accept={"threshold": 2.5}),
+    dict(THRESHOLD_JSON, reject={"threshold": False}),
+], ids=["party-2.5", "party-str", "party-true", "party-1.0", "n-3.7", "n-str",
+        "threshold-2.5", "threshold-false"])
+def test_structure_json_refuses_non_integers(bad):
+    """A party, n or threshold that JSON reads as anything but an integer is
+    refused, not rounded or coerced: accept set [1, 2.5] once read as {1, 2}."""
+    with pytest.raises(BadIndex, match="is not an integer"):
+        structure_from_json(bad)
+    assert structure_from_json(EX1_JSON) == make_explicit(
+        3, EX1_JSON["accept"], EX1_JSON["reject"])
+    assert structure_from_json(THRESHOLD_JSON) == make_threshold(2, 1, 3)
 
 
 def test_symplectified_threshold_membership_needs_no_listing(monkeypatch):

@@ -244,6 +244,18 @@ def test_structure_on_other_parties_refused(tmp_path, ex1_files):
         assert _error_report(out, args[0]).startswith("DimensionMismatch")
 
 
+def test_non_integer_party_refused_before_any_check(tmp_path, ex1_files):
+    """Example 1's structure with party 2 written as 2.5 exits 2 with one
+    JSON error report; read as {1, 2} it passed verify with "mmsp: ok"."""
+    bpath, _ = ex1_files
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps({"n": 3, "accept": [[1, 2.5], [2, 3], [1, 2, 3]],
+                                "reject": [[], [1], [2], [3]]}))
+    rc, out, _ = run_cli("verify", bpath, str(frac))
+    assert rc == 2
+    assert _error_report(out, "verify") == "BadIndex: party 2.5 is not an integer"
+
+
 def test_errors_are_json_reports(tmp_path, ex1_files):
     """Each failure exits with its documented code and one JSON report,
     never a traceback."""

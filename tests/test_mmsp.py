@@ -11,7 +11,7 @@ from mmsplab.access import make_explicit, make_threshold, symplectify, symplecti
 from mmsplab.errors import ClassInvariantViolated, DimensionMismatch, OutOfRange, TooLarge
 from mmsplab.fields import field_build, tower_build
 from mmsplab.fixtures import example1, example2, example3
-from mmsplab.linalg import MatGF, hstack, rank, restrict
+from mmsplab.linalg import MatGF, hstack, rank, restrict, subset_rows
 
 F3 = field_build(3, 1)
 
@@ -81,20 +81,80 @@ def test_lemma1_agreement_random(p, r):
     assert {(True, False), (False, True)} <= seen
 
 
-def test_lemma1_pair_runs_one_elimination_per_subset(monkeypatch):
-    """a1_a2_agree and b1_b2_agree on one subset read one reduction: a full
-    sweep of example 1 eliminates once per subset, 64 times, not 128."""
+def test_lemma1_sweep_runs_one_elimination(monkeypatch):
+    """a1_a2_agree and b1_b2_agree read one table of (G, F): example 1 has 6
+    rows, so all 64 subsets fit in one set_block and a full sweep of the pair
+    eliminates once."""
     ex = example1()
     calls = []
     gf_rank = mmsp._accel.gf_rank
     monkeypatch.setattr(mmsp._accel, "gf_rank",
                         lambda ctx, a: calls.append(ctx) or gf_rank(ctx, a))
-    mmsp._lemma1_reduction.cache_clear()
+    mmsp._lemma1_table.cache_clear()
     subsets = [sub for k in range(7) for sub in combinations(range(1, 7), k)]
     for sub in subsets:
         assert mmsp.a1_a2_agree(ex.g1, ex.f, sub)
         assert mmsp.b1_b2_agree(ex.g1, ex.f, sub)
-    assert len(subsets) == len(calls) == 64
+    assert len(subsets) == 64 and len(calls) == 1
+
+
+def test_lemma1_agreement_reads_both_eliminations(monkeypatch, request):
+    """The (A2)/(B2) count has its own elimination: a kernel that counts one
+    rank too many for the stacks with E under them breaks the agreement on
+    an accept set, which a count read off the F pivots would never show."""
+    ex = example1()
+    gf_rank = mmsp._accel.gf_rank
+
+    def e_rank_off_by_one(ctx, a):
+        ranks, piv = gf_rank(ctx, a)
+        half = len(ranks) // 2
+        return np.concatenate([ranks[:half], ranks[half:] + 1]), piv
+    monkeypatch.setattr(mmsp._accel, "gf_rank", e_rank_off_by_one)
+    request.addfinalizer(mmsp._lemma1_table.cache_clear)
+    mmsp._lemma1_table.cache_clear()
+    sub = symplectify([1, 2], 3)
+    assert mmsp.accepts_one(ex.g1, ex.f, sub) and not mmsp.a1_a2_agree(ex.g1, ex.f, sub)
+
+
+def _lemma1_reference(g, f, sub):
+    """The two Lemma-1 counts of one subset from its own elimination of M
+    over x zero rows and M over E."""
+    rows = subset_rows(sub, g.rows)
+    m = np.concatenate([g.a[rows], f.a[rows]], axis=1)
+    w, y, x = m.shape[0], g.cols, f.cols
+    stack = g.ctx.cell_zeros(2, w + x, y + x)
+    stack[:, :w] = m
+    stack[1, w + np.arange(x), y + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
+    ranks, piv = mmsp._accel.gf_rank(g.ctx, stack)
+    return int(piv[0, y:].sum()), int(ranks[1] - ranks[0])
+
+
+@pytest.mark.parametrize("p,r,rows,y,x", [
+    (2, 1, 6, 2, 2), (3, 1, 6, 2, 2), (5, 1, 6, 1, 2), (3, 2, 6, 3, 2),
+    (3, 1, 12, 2, 2),    # 4,096 subsets over several blocks
+    (3, 512, 5, 4, 3),   # the GF(3^512) tower: one subset per block
+])
+def test_lemma1_table_matches_single_subset_reductions(p, r, rows, y, x):
+    """The table's counts equal a reduction of each subset on its own, for
+    every subset, whether the sweep asks in order or in reverse."""
+    ctx = tower_build(3, 9) if r == 512 else field_build(p, r)
+    rng = np.random.default_rng(rows * 100 + y)
+    g = MatGF(ctx, ctx.random_cells(rng, rows, y))
+    f = MatGF(ctx, ctx.random_cells(rng, rows, x))
+    g.a[0] = ctx.cell_zeros(y)  # row 1 apart from the rest, so a wrong mask shows
+    f.a[:, -1] = g.a[:, 0]  # one F column inside span(G)
+    subsets = [s for k in range(rows + 1) for s in combinations(range(1, rows + 1), k)]
+    want = [_lemma1_reference(g, f, s) for s in subsets]
+    assert {w[0] > 0 for w in want} == {True, False}
+    for order in (1, -1):
+        mmsp._lemma1_table.cache_clear()
+        got = [mmsp._lemma1_pivots(g, f, s) for s in subsets[::order]]
+        assert got[::order] == want
+        blocks = len(mmsp._lemma1_table(g, f)[1])
+        if rows == 12:
+            assert blocks > 1
+        else:
+            assert blocks == (len(subsets) if r == 512 else 1)
 
 
 def test_lemma1_memo_reads_content_not_identity():
