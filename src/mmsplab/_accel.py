@@ -1,6 +1,8 @@
 """Finite-field kernels: one inverse-free lockstep elimination over stacks
 of FieldCtx cells (through the ctx.ax_* operations, so for both field
-kinds), whose RREF takes one batched ctx.ax_inv per stack, and one coset
+kinds), whose RREF takes one batched ctx.ax_inv per stack; an MDS check on
+it that eliminates either every k-row minor or the square submatrices of
+the systematic form [D | Q], whichever updates fewer cells; and one coset
 histogram (counts of shift + G u over every u, G u enumerated once, shifts
 in bounded blocks) behind every share and query-column histogram, which
 reads the operation tables of fields with q <= 512.
@@ -8,7 +10,8 @@ reads the operation tables of fields with q <= 512.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, islice, product
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -105,15 +108,45 @@ def gf_rank(ctx, a: np.ndarray):
     return _eliminate(ctx, a, False)
 
 
-def gf_is_mds(ctx, data: np.ndarray, k: int, block: int) -> bool:
-    """True iff every k-row submatrix of data (rows, k[, r]) has rank k; the
-    minors are eliminated block at a time."""
-    minors = combinations(range(data.shape[0]), k)
-    while chunk := list(islice(minors, block)):
-        ranks, _ = _eliminate(ctx, data[np.array(chunk)], False)
-        if (ranks < k).any():
+def _all_nonsingular(ctx, a: np.ndarray, subs, j: int, block: int) -> bool:
+    """True iff a[rows][:, cols] has rank j for every (rows, cols) pair of
+    index tuples in subs, eliminated in lockstep stacks of about block cells
+    up to the first stack that holds a singular one."""
+    subs = iter(subs)
+    while chunk := list(islice(subs, max(1, block // (j * j)))):
+        ix = np.array(chunk)  # (stack, rows/cols, j)
+        ranks, _ = _eliminate(ctx, a[ix[:, 0, :, None], ix[:, 1, None, :]], False)
+        if (ranks < j).any():
             return False
     return True
+
+
+def gf_is_mds(ctx, data: np.ndarray, k: int, block: int) -> bool:
+    """True iff every k-row submatrix of data (n, k[, r]) has rank k.
+
+    Runs the path whose eliminations update fewer cells: every k-row minor,
+    or the systematic form [D | Q] (D diagonal) that one unnormalised
+    Gauss-Jordan pass over data^T gives when the top k rows are independent;
+    then the k-row minors are invertible iff every square submatrix of Q is
+    (MacWilliams-Sloane ch. 11 thm 8), checked one size j at a time."""
+    def cells(j):  # updated by the forward pass over one nonsingular j x j
+        return (j - 1) * j * (2 * j - 1) // 6
+
+    n = data.shape[0]
+    levels = range(2, min(k, n - k) + 1)
+    if comb(n, k) * cells(k) <= k * k * n + sum(
+            comb(k, j) * comb(n - k, j) * cells(j) for j in levels):
+        minors = ((rows, tuple(range(k))) for rows in combinations(range(n), k))
+        return _all_nonsingular(ctx, data, minors, k, block)
+    a = np.swapaxes(data, 0, 1)[None].copy()
+    gf_rref(ctx, a, normalise=False)
+    q = a[0, :, k:]
+    # 2 <= k < n here, so dependent top k rows leave Q a zero row, or a
+    # pivot column that is zero off its pivot row
+    return bool(ctx.ax_nonzero(q).all()) and all(
+        _all_nonsingular(ctx, q, product(combinations(range(k), j),
+                                         combinations(range(n - k), j)), j, block)
+        for j in levels)
 
 
 def _check_cells(cells: int) -> None:

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import FrozenSet, Iterable, Iterator
 
-from .errors import BadIndex, BadThreshold, TooLarge
+from .errors import BadThreshold, TooLarge, json_int
 
 Subset = FrozenSet[int]
 
@@ -202,20 +202,11 @@ def symplectify_structure(fs: AccessStructure) -> AccessStructure:
     return AccessStructure(2 * fs.n, acc, rej, symplectified=True)
 
 
-def _json_int(v, what: str) -> int:
-    """v when JSON read it as an integer; 2.5, "2" and true are refused
-    rather than rounded or coerced (bool is an int subclass, so the type
-    is compared exactly)."""
-    if type(v) is not int:
-        raise BadIndex(f"{what} {v!r} is not an integer")
-    return v
-
-
 def structure_from_json(d: dict) -> AccessStructure:
-    n = _json_int(d["n"], "n")
+    n = json_int(d["n"], "n")
     acc, rej = d["accept"], d["reject"]
     if isinstance(acc, dict) or isinstance(rej, dict):
-        return make_threshold(_json_int(acc["threshold"], "threshold"),
-                              _json_int(rej["threshold"], "threshold"), n)
-    acc, rej = ([[_json_int(x, "party") for x in s] for s in sets] for sets in (acc, rej))
+        return make_threshold(json_int(acc["threshold"], "threshold"),
+                              json_int(rej["threshold"], "threshold"), n)
+    acc, rej = ([[json_int(x, "party") for x in s] for s in sets] for sets in (acc, rej))
     return make_explicit(n, acc, rej)

@@ -87,6 +87,15 @@ class BadIndex(MmsplabError):
     pass
 
 
+def json_int(v, what: str) -> int:
+    """v when JSON read it as an integer; 2.5, "2" and true are refused
+    rather than rounded or coerced (bool is an int subclass, so the type
+    is compared exactly)."""
+    if type(v) is not int:
+        raise BadIndex(f"{what} {v!r} is not an integer")
+    return v
+
+
 class ClassMismatch(MmsplabError):
     pass
 

@@ -35,9 +35,11 @@ from .errors import (
     DivisionByZero,
     NoTower,
     NotPrime,
+    OutOfRange,
     ReduciblePolynomial,
     TooLarge,
     TowerTooShallow,
+    json_int,
 )
 
 TABLE_LIMIT = 1 << 16  # largest q handled by the index/table representation
@@ -783,17 +785,21 @@ def tower_build(p: int, depth: int) -> FieldCtx:
 
 
 def field_from_json(d: dict) -> FieldCtx:
-    p, r = int(d["p"]), int(d["r"])
+    p, r = json_int(d["p"], "p"), json_int(d["r"], "r")
     poly = d.get("poly")
+    if poly is not None:
+        poly = [json_int(c, "modulus coefficient") for c in poly]
+        if any(not 0 <= c < p for c in poly):
+            raise OutOfRange(f"modulus coefficients must lie in 0..{p - 1}")
     tower = d.get("tower")
     if tower:
-        depth = len(tower) - 1
-        ctx = tower_build(p, depth)
-        if list(ctx.tower_levels) != [int(t) for t in tower]:
+        tower = [json_int(t, "tower degree") for t in tower]
+        ctx = tower_build(p, len(tower) - 1)
+        if list(ctx.tower_levels) != tower:
             raise ReduciblePolynomial("tower degrees must be 1,2,4,...,2^K")
         if r != ctx.r:
-            raise DimensionMismatch(f"r={r} but tower {list(tower)} has degree {ctx.r}")
-        if poly is not None and tuple(int(c) % p for c in poly) != ctx.modulus:
+            raise DimensionMismatch(f"r={r} but tower {tower} has degree {ctx.r}")
+        if poly is not None and tuple(poly) != ctx.modulus:
             raise ReduciblePolynomial(f"a tower of degree {ctx.r} has the modulus "
                                       f"{list(ctx.modulus)}, not {list(poly)}")
         return ctx

@@ -22,6 +22,7 @@ from .errors import (
     RankDeficient,
     TooLarge,
     TooManyColumns,
+    json_int,
 )
 from .fields import FieldCtx, field_from_json
 
@@ -267,21 +268,14 @@ def in_span(m: MatGF, v: VecGF) -> bool:
 
 
 def nullspace(m: MatGF) -> MatGF:
-    """Matrix whose columns span the right nullspace of m."""
+    """Matrix whose columns span the right nullspace of m: I on the free
+    coordinates and minus the RREF on the pivot ones."""
     a = m.a[None].copy()
-    _, piv = _accel.gf_rref(m.ctx, a)
-    return _kernel(m.ctx, a[0], piv[0])
-
-
-def _kernel(ctx: FieldCtx, red: np.ndarray, piv: np.ndarray) -> MatGF:
-    """I on the free coordinates and -red on the pivot ones, from a
-    Gauss-Jordan form red with pivot-column mask piv: the kernel basis when
-    red is the RREF, and that basis with pivot coordinate i scaled by d_i
-    when pivot row i of red is d_i times RREF row i."""
+    _, (piv,) = _accel.gf_rref(m.ctx, a)
     free = np.flatnonzero(~piv)
-    out = MatGF.zeros(ctx, len(piv), len(free))
-    out.a[free, range(len(free))] = ctx.token_to_cell(ctx.one)
-    out.a[piv] = ctx.ax_neg(red[: piv.sum()][:, free])
+    out = MatGF.zeros(m.ctx, m.cols, len(free))
+    out.a[free, range(len(free))] = m.ctx.token_to_cell(m.ctx.one)
+    out.a[piv] = m.ctx.ax_neg(a[0, : piv.sum()][:, free])
     return out
 
 
@@ -414,7 +408,7 @@ class QuotientMap:
 
 
 # ---------------------------------------------------------------------------
-# MDS verification (brute force over row subsets)
+# MDS verification (k-row minors, or square submatrices of a systematic form)
 # ---------------------------------------------------------------------------
 
 def is_mds(m: MatGF) -> bool:
@@ -426,18 +420,8 @@ def is_mds(m: MatGF) -> bool:
         raise TooLarge(f"MDS brute force capped at {MDS_MAX_ROWS} rows")
     if k == 0:
         return True
-    if 2 * k > m.rows and k < m.rows:
-        # a code is MDS iff its dual is, and the dual side has smaller
-        # minors.  The unnormalised Gauss-Jordan form of m^T gives the dual
-        # with each row scaled by a nonzero pivot, which leaves every
-        # minor's rank as it is, so nothing is inverted.
-        a = np.swapaxes(m.a, 0, 1)[None].copy()
-        rk, piv = _accel.gf_rref(m.ctx, a, normalise=False)
-        return int(rk[0]) == k and is_mds(_kernel(m.ctx, a[0], piv[0]))
-    # minors in blocks of about MDS_BLOCK_CELLS coefficients, each block
-    # eliminated in lockstep
-    block = max(1, MDS_BLOCK_CELLS // (k * k * int(np.prod(m.a.shape[2:]))))
-    return _accel.gf_is_mds(m.ctx, m.a, k, block)
+    # stacks of about MDS_BLOCK_CELLS coefficients
+    return _accel.gf_is_mds(m.ctx, m.a, k, MDS_BLOCK_CELLS // int(np.prod(m.a.shape[2:])))
 
 
 def min_weight_nonzero(m: MatGF) -> int:
@@ -560,11 +544,11 @@ def mat_to_json(m: MatGF) -> dict:
 
 def mat_from_json(d: dict) -> MatGF:
     ctx = field_from_json(d["field"])
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows, cols = json_int(d["rows"], "rows"), json_int(d["cols"], "cols")
     data = d["data"]
     if len(data) != rows * cols:
         raise DimensionMismatch("data length != rows*cols")
-    flat = [int(c) for coeffs in data for c in coeffs]
+    flat = [json_int(c, "coefficient") for coeffs in data for c in coeffs]
     if any(not 0 <= c < ctx.p for c in flat):
         raise OutOfRange(f"coefficients must lie in 0..{ctx.p - 1}")
     m = MatGF.zeros(ctx, rows, cols)

@@ -32,6 +32,7 @@ from .errors import (
     ClassInvariantViolated,
     DimensionMismatch,
     OutOfRange,
+    json_int,
 )
 from .fields import FieldCtx
 from .linalg import (
@@ -288,7 +289,7 @@ def bundle_from_json(d: dict) -> MmspBundle:
     n = params.pop("n", None)
     g1, g2 = (mat_from_json(d[key]) if key in d else None for key in ("G1", "G2"))
     bundle = make_bundle(d["class"], g1, g2, mat_from_json(d["F"]),
-                         n=None if n is None else int(n))
+                         n=None if n is None else json_int(n, "n"))
     bundle.params.update(params)  # free-form keys, so not passed as keywords
     return bundle
 

@@ -84,7 +84,8 @@ def test_rref_paths_agree():
 
 def test_mds_paths_agree():
     """gf_is_mds holds exactly when the column code meets the Singleton
-    bound, by brute-force codeword enumeration, for every block size."""
+    bound, by brute-force codeword enumeration, for every block size: 4, 16
+    and 24 cells are stacks of 1, 4 and all 6 of the 2 x 2 minors."""
     rng = np.random.default_rng(1)
     # rows (1, a) for three distinct a, and (0, 1): MDS over every field
     doubly_extended = np.array([[1, 0], [1, 1], [1, 2], [0, 1]])
@@ -93,7 +94,7 @@ def test_mds_paths_agree():
         for a in [doubly_extended] + [rng.integers(0, ctx.q, size=(4, 2))
                                       for _ in range(25)]:
             want = min_weight_nonzero(MatGF(ctx, a)) == 4 - 2 + 1
-            for block in (1, 4, 6):
+            for block in (4, 16, 24):
                 assert _accel.gf_is_mds(ctx, a, 2, block) == want
             seen.add(want)
         assert seen == {True, False}

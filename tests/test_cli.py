@@ -392,6 +392,21 @@ def _f_entry(coeffs):
     return _ex1_edit(edit)
 
 
+def _f_set(key, value):
+    def edit(d):
+        d["F"][key] = value
+        return d
+    return _ex1_edit(edit)
+
+
+def _tower_degree_str(d):
+    from mmsplab.fields import tower_build
+
+    field = tower_build(3, 2).to_json()
+    field["tower"][1] = str(field["tower"][1])
+    return _fields_set(d, field)
+
+
 def _short_g1(d):
     d["G1"]["rows"] -= 1
     d["G1"]["data"] = d["G1"]["data"][:d["G1"]["rows"] * d["G1"]["cols"]]
@@ -415,7 +430,16 @@ def _short_g1(d):
     (_ex1_edit(lambda d: dict(d, params={"n": 2})), 2, "ClassInvariantViolated"),
     (_ex1_edit(lambda d: dict(d, **{"class": "plain"}, params={"n": 5})), 5,
      "ClassInvariantViolated"),
-], ids=["tower-r", "tower-poly", "long-element", "coeff-5", "coeff-neg", "class", "g1-rows", "ea-rows", "plain-rows"])
+    # values JSON does not read as integers, which were coerced by int()
+    (_f_set("rows", "6"), 3, "BadIndex"),
+    (_f_entry([1.7]), 3, "BadIndex"),
+    (_f_entry([True]), 3, "BadIndex"),
+    (_ex1_edit(lambda d: _fields_set(d, dict(d["F"]["field"], p=3.0))), 3, "BadIndex"),
+    (_ex1_edit(_tower_degree_str), 3, "BadIndex"),
+    (_ex1_edit(lambda d: dict(d, params={"n": "3"})), 3, "BadIndex"),
+], ids=["tower-r", "tower-poly", "long-element", "coeff-5", "coeff-neg", "class", "g1-rows",
+        "ea-rows", "plain-rows", "rows-str", "coeff-1.7", "coeff-true", "p-float",
+        "tower-degree-str", "n-str"])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_inconsistent_bundle_json_exit_2(tmp_path, capsys, make, parties, kind, command):
     """Each bundle loaded as something else, ran to a DimensionMismatch

@@ -172,7 +172,8 @@ def _vandermonde(ctx, n, k):
 
 
 def test_is_mds_agrees(ctx):
-    """Both sides of is_mds's dual shortcut (2k > n > k), on MDS
+    """Both paths of is_mds (k-row minors for k <= 2 or k = n, the
+    systematic form's square submatrices between), on MDS
     Vandermonde matrices, on copies with one entry zeroed and on random
     matrices."""
     rng = np.random.default_rng(5)

@@ -172,7 +172,7 @@ def test_is_mds_matches_min_weight_oracle():
         assert brute == oracle
 
 
-def test_is_mds_poly_backend_dual_shortcut():
+def test_is_mds_poly_backend_matches_prime_field():
     t = tower_build(3, 4)  # GF(3^16): poly backend
     assert t.kind == "poly"
     rng = np.random.default_rng(5)
@@ -260,26 +260,43 @@ def _ref_is_mds(m):
                for rows in combinations(range(m.rows), m.cols))
 
 
+def _is_mds_path(monkeypatch, m):
+    """(is_mds(m), the path that ran): the systematic form is the one
+    gf_rref call; eliminating every k-row minor makes none."""
+    calls = []
+    real = _accel.gf_rref
+    monkeypatch.setattr(_accel, "gf_rref", lambda *a, **k: calls.append(1) or real(*a, **k))
+    verdict = la.is_mds(m)
+    monkeypatch.setattr(_accel, "gf_rref", real)
+    return verdict, "systematic" if calls else "minors"
+
+
 @pytest.mark.parametrize("block_minors", [1, 5, 7, 17, 34, 35, 1000])
 def test_is_mds_lockstep_one_singular_minor(monkeypatch, block_minors):
-    # 7 x 3 has 35 minors; the only singular one, rows {5, 6, 7}, comes
-    # last in order: a block ends on it (5, 7, 35), starts on it (17, 34)
-    # or holds all of them (1000).  The identity on top puts zeros where
-    # minors must pick different pivot rows.
+    # Each stack holds block_minors 2 x 2 matrices.  9 x 2 eliminates its 36
+    # k-row minors; 7 x 3 eliminates the 18 2 x 2 submatrices of Q in its
+    # systematic form.  Either way the one singular matrix comes last, and
+    # the blocks split the stack with it alone in the last block (1; 5, 7,
+    # 35 for 9 x 2; 17 for 7 x 3) or after others there (17, 34 for 9 x 2;
+    # 5, 7 for 7 x 3), or one block holds all of them.  The identity on top
+    # puts zeros where minors must pick different pivot rows.
     t = tower_build(3, 4)
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = la.MatGF(t, t.random_cells(rng, 7, 3))
-        m.a[:3] = la.MatGF.identity(t, 3).a
-        if _ref_is_mds(m):
-            break
-    m.a[6] = t.ax_add(m.a[4], m.a[5])
-    singular = [rows for rows in combinations(range(7), 3) if _minor_rank(m, rows) < 3]
-    assert singular == [(4, 5, 6)]
-    monkeypatch.setattr(la, "MDS_BLOCK_CELLS", block_minors * 9 * t.r)
-    assert la.is_mds(m) is False
-    m.a[6] = t.ax_add(m.a[6], m.a[0])  # now every minor is invertible
-    assert la.is_mds(m) is _ref_is_mds(m) is True
+    monkeypatch.setattr(la, "MDS_BLOCK_CELLS", block_minors * 4 * t.r)
+    for rows, k, singular, path in [(9, 2, (7, 8), "minors"), (7, 3, (0, 5, 6), "systematic")]:
+        for _ in range(20):
+            m = la.MatGF(t, t.random_cells(rng, rows, k))
+            m.a[:k] = la.MatGF.identity(t, k).a
+            if _ref_is_mds(m):
+                break
+        # the last rows agree on columns k-2, k-1: for 7 x 3 that is Q's last
+        # 2 x 2 submatrix, Q rows {1, 2} and columns {2, 3}
+        m.a[-1, k - 2:] = m.a[-2, k - 2:]
+        assert [s for s in combinations(range(rows), k)
+                if _minor_rank(m, s) < k] == [singular]
+        assert _is_mds_path(monkeypatch, m) == (False, path)
+        m.a[-1] = t.ax_add(m.a[-1], m.a[k - 2])  # now every minor is invertible
+        assert _is_mds_path(monkeypatch, m) == (_ref_is_mds(m), path) == (True, path)
 
 
 def _ref_col_orth(f, g):
@@ -353,26 +370,71 @@ def test_is_mds_dual_makes_no_inverse(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("ctx", [field_build(3, 1), field_build(5, 1), field_build(3, 2),
-                                 tower_build(3, 4)], ids=repr)
-def test_is_mds_dual_shortcut_matches_minors(ctx):
+# (rows, k, the path is_mds takes): it eliminates the k-row minors for
+# k <= 2, k = rows and small C(rows, k), where they update fewer cells
+MDS_SHAPES = [(3, 2, "minors"), (4, 3, "minors"), (5, 1, "minors"), (6, 2, "minors"),
+              (5, 5, "minors"), (5, 4, "minors"), (5, 3, "systematic"),
+              (6, 3, "systematic"), (6, 4, "systematic"), (7, 5, "systematic"),
+              (7, 6, "systematic"), (8, 4, "systematic")]
+
+
+@pytest.mark.parametrize("ctx", [field_build(2, 1), field_build(3, 1), field_build(5, 1),
+                                 field_build(2, 2), field_build(3, 2), tower_build(3, 4)],
+                         ids=repr)
+def test_is_mds_matches_minor_reference(ctx, monkeypatch):
     rng = np.random.default_rng(ctx.q)
     seen = set()
-    for rows, k in [(3, 2), (4, 3), (5, 3), (6, 4), (7, 5), (7, 6)] * 4:
+    for rows, k, path in MDS_SHAPES * 3:
         m = la.MatGF(ctx, ctx.random_cells(rng, rows, k))
-        case = rng.integers(4)
+        case = rng.integers(5)
         if case == 1:  # rank-deficient: one column repeats another
             m.a[:, k - 1] = m.a[:, 0]
         elif case == 2:  # full rank, with a singular minor through a zero row
             m.a[rows - 1] = 0
         elif case == 3:  # an identity block on top, as constructions build
             m.a[:k] = la.MatGF.identity(ctx, k).a
-        assert 2 * k > rows
-        want = _accel.gf_is_mds(ctx, m.a, k, 1000)
-        assert la.is_mds(m) is want
-        seen.add((case, want))
-    assert {want for _, want in seen} == {True, False}
-    assert {case for case, _ in seen} == {0, 1, 2, 3}
+        elif case == 4 and k < rows:  # the top k rows dependent
+            m.a[k - 1] = 0 if k == 1 else m.a[0]
+        want = _ref_is_mds(m)
+        assert _is_mds_path(monkeypatch, m) == (want, path), (rows, k, case)
+        seen.add((case, want, path))
+    assert {want for _, want, _ in seen} == {True, False}
+    assert {case for case, _, _ in seen} == set(range(5))
+    assert {path for _, want, path in seen if not want} == {"minors", "systematic"}
+
+
+@pytest.mark.parametrize("ctx", [field_build(3, 2), tower_build(3, 4)],
+                         ids=lambda c: f"GF({c.p}^{c.r})")
+@pytest.mark.parametrize("case", ["q-2x2", "q-3x3", "q-zero-entry", "top-rows-dependent"])
+def test_is_mds_systematic_form_cases(ctx, case, monkeypatch):
+    """6 x 3 is [I; B] T for random B and invertible T, so Q is B^T with its
+    rows scaled by D.  The only singular 3-row minor is edited into one
+    square submatrix of Q: 2 x 2, 3 x 3 = min(k, n - k), or one zero entry;
+    or row 2 is made row 0 + row 1, so the rank is 3 but the pivots of the
+    Gauss-Jordan pass are not the first 3 columns."""
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        b = ctx.random_cells(rng, 3, 3)
+        if case == "q-2x2":  # rows 3 and 4 agree on columns 0 and 1
+            b[1, :2] = b[0, :2]
+            singular = [(2, 3, 4)]
+        elif case == "q-3x3":
+            b[2] = ctx.ax_add(b[0], b[1])
+            singular = [(3, 4, 5)]
+        elif case == "q-zero-entry":
+            b[1, 2] = 0
+            singular = [(0, 1, 4)]
+        m = la.MatGF(ctx, np.concatenate([la.MatGF.identity(ctx, 3).a, b]))
+        m = m @ la.MatGF(ctx, ctx.random_cells(rng, 3, 3))
+        if case == "top-rows-dependent":
+            m.a[2] = ctx.ax_add(m.a[0], m.a[1])
+            if la.rank(m) == 3:
+                break
+        elif [s for s in combinations(range(6), 3) if _minor_rank(m, s) < 3] == singular:
+            break
+    else:
+        pytest.fail("no draw met the case")
+    assert _is_mds_path(monkeypatch, m) == (False, "systematic")
 
 
 def _cells_one_by_one(ctx, d):
