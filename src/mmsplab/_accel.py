@@ -2,10 +2,11 @@
 of FieldCtx cells (through the ctx.ax_* operations, so for both field
 kinds), whose RREF takes one batched ctx.ax_inv per stack; an MDS check on
 it that eliminates either every k-row minor or the square submatrices of
-the systematic form [D | Q], whichever updates fewer cells; and one coset
-histogram (counts of shift + G u over every u, G u enumerated once, shifts
-in bounded blocks) behind every share and query-column histogram, which
-reads the operation tables of fields with q <= 512.
+the systematic form [D | Q], whichever updates fewer cells; and one subset
+kernel behind every share and query-column histogram: the counts of
+shift + G u over every u, restricted to each of a list of row subsets, with
+G u enumerated once on all rows and the subsets of one size counted by one
+bincount per block, which reads the operation tables of fields with q <= 512.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 
 from .errors import TooLarge
 
-# largest coset histogram (int64 cells, shifts * q^rows) gf_coset_hist will
-# allocate: 16 Mi cells = 128 MiB
+# largest coset histogram (int64 cells, shifts * q^|subset|) gf_coset_hist
+# will allocate, 16 Mi cells = 128 MiB; it holds at most two caps' worth at once
 SHARE_HIST_CELL_CAP = 1 << 24
-# cells per block of shifts in gf_coset_hist, counting both the gathered
-# share codes (shifts * q^cols * rows) and the bincount output (shifts * q^rows)
+# cells per block of (shift, subset) pairs in gf_coset_hist, counting both the
+# gathered share codes (pairs * q^cols * |subset|) and the bincount output
+# (pairs * q^|subset|)
 _HIST_BLOCK_CELLS = 1 << 16
 
 
@@ -165,30 +167,52 @@ def gf_span(a: np.ndarray, t: Tables) -> np.ndarray:
     return out
 
 
-def gf_coset_hist(gr: np.ndarray, shifts: np.ndarray, t: Tables) -> np.ndarray:
-    """counts[i, code] of the multiset shifts[i] + G u over every u, where a
-    share z has code sum_j z_j q^j.  G u is enumerated once; each block of
-    shifts is one table lookup and one bincount, the rows of block row i
-    offset by i q^rows."""
-    q, rows = t.q, gr.shape[0]
-    qr = q**rows
-    _check_cells(shifts.shape[0] * qr)
-    gu = gf_span(gr, t)
-    powers = q ** np.arange(rows)
+def gf_coset_hist(gr: np.ndarray, shifts: np.ndarray, subsets, t: Tables):
+    """counts[i, code] of the multiset shifts[i] + G u over every u, restricted
+    to each list of 0-based rows in subsets, yielded in their order; a share z
+    has code sum_j z_j q^j.  Every subset's size is checked before G u is
+    enumerated, once, on all rows.  Subsets are counted in runs of those whose
+    counts start within one cap's worth (so a run holds at most two caps),
+    and each size in a run takes one _size_hists call."""
+    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
+    sizes = np.array([len(s) for s in subsets], dtype=np.int64)
+    for k in sizes:
+        _check_cells(len(shifts) * t.q**int(k))
+    gu = gf_span(gr, t).T  # row j: (G u)_j over every u
+    cells = len(shifts) * t.q**sizes
+    run = (np.cumsum(cells) - cells) // SHARE_HIST_CELL_CAP
+    for r in np.unique(run):
+        out = {}
+        for k in np.unique(sizes[run == r]):
+            idx = np.nonzero((run == r) & (sizes == k))[0]
+            rows = np.array([subsets[i] for i in idx]).reshape(len(idx), k)
+            out.update(zip(idx, _size_hists(gu, shifts, rows, t).swapaxes(0, 1)))
+        yield from (out[i] for i in sorted(out))
+
+
+def _size_hists(gu, shifts, rows, t):
+    """counts (shifts, S, q^k) for S row subsets rows (S, k) of one size k,
+    G u given by rows gu (rows, q^cols); pair i = (shift i // S, subset i % S)
+    has its codes offset by i q^k, so a block of pairs is one table lookup
+    and one bincount."""
+    (nsub, k), qk = rows.shape, t.q**rows.shape[1]
+    pairs = len(shifts) * nsub
+    powers = t.q ** np.arange(k)
     # the gathered shares and the bincount output both stay within the block
-    step = max(1, _HIST_BLOCK_CELLS // max(gu.size, qr))
-    counts = np.empty((shifts.shape[0], qr), dtype=np.int64)
-    for lo in range(0, shifts.shape[0], step):
-        s = shifts[lo:lo + step]
-        codes = t.add[s[:, None, :], gu[None]] @ powers
-        codes += np.arange(len(s))[:, None] * qr
-        counts[lo:lo + len(s)] = np.bincount(
-            codes.ravel(), minlength=len(s) * qr).reshape(len(s), qr)
-    return counts
+    step = max(1, _HIST_BLOCK_CELLS // max(max(k, 1) * gu.shape[1], qk))
+    counts = np.empty((pairs, qk), dtype=np.int64)
+    for lo in range(0, pairs, step):
+        pair = np.arange(lo, min(lo + step, pairs))
+        r = rows[pair % nsub]
+        codes = powers @ t.add[shifts[(pair // nsub)[:, None], r][:, :, None], gu[r]]
+        codes += np.arange(len(pair))[:, None] * qk
+        counts[lo:lo + len(pair)] = np.bincount(
+            codes.ravel(), minlength=len(pair) * qk).reshape(len(pair), qk)
+    return counts.reshape(len(shifts), nsub, qk)
 
 
 def gf_share_hist(gr: np.ndarray, fr: np.ndarray, t: Tables) -> np.ndarray:
     """counts[m_index, share_code] of F m + G u over every u, with m_index
-    sum_j m_j q^j."""
+    sum_j m_j q^j: the coset histogram of all rows under the shifts F m."""
     _check_cells(t.q**fr.shape[1] * t.q**gr.shape[0])
-    return gf_coset_hist(gr, gf_span(fr, t), t)
+    return next(gf_coset_hist(gr, gf_span(fr, t), [range(gr.shape[0])], t))

@@ -2,7 +2,9 @@
 
 Audits enumerate the dealer/server randomness exhaustively (never sampling),
 compare share and query distributions as exact multisets, and cross-check
-every verdict against the span-program predicates.  Feasibility is guarded
+every verdict against the span-program predicates.  Each sweep counts the
+multisets of all its sets with one call of the subset kernel
+(_accel.gf_coset_hist), which enumerates G u once.  Feasibility is guarded
 by q^(x+y) <= 10^6.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .linalg import (
     VecGF,
     restrict,
     restrict_vec,
+    subset_rows,
 )
 from .mmsp import SpanDecoder, is_mmsp, rejects_one
 
@@ -123,31 +126,24 @@ def _vec_from_index(ctx, idx: int, length: int) -> VecGF:
     return v
 
 
-def _tabled_rows(g: MatGF, f: MatGF, subset: Sequence[int]):
-    """(tables, G rows, F rows) on the subset, for the histogram kernels."""
+def _hists(g: MatGF, f: MatGF, sets: list, query: bool = False):
+    """counts[i, code] of s_i + G u over every u on each 1-based row set, in
+    order, from one kernel call: s_i is F m for every message m, or with
+    query=True one of the columns 0, F_1, ..., F_x of a standard query."""
     t = g.ctx.tables()
     if t is None:
         raise TooLarge("audits need a small tabled field")
-    sub = sorted(subset)
-    gr = restrict(g, sub).a if sub else np.zeros((0, g.cols), dtype=np.int64)
-    fr = restrict(f, sub).a if sub else np.zeros((0, f.cols), dtype=np.int64)
-    return t, gr, fr
+    shifts = (np.concatenate([np.zeros((1, f.rows), dtype=np.int64), f.a.T]) if query
+              else _accel.gf_span(f.a, t))
+    return _accel.gf_coset_hist(g.a, shifts, [subset_rows(s, g.rows) for s in sets], t)
 
 
-def _hist(g: MatGF, f: MatGF, subset: Sequence[int]):
-    """counts[m_index, share_code] over exhaustive randomness, restricted."""
-    t, gr, fr = _tabled_rows(g, f, subset)
-    return _accel.gf_share_hist(gr, fr, t)
-
-
-def _marginals_equal(g: MatGF, f: MatGF, subset: Sequence[int]) -> bool:
-    """Whether restricted standard query columns have file-independent
-    multisets over every u: column c of block j is F_c + G u under file j and
-    G u otherwise, so each F column's multiset must be the zero column's."""
-    t, gr, fr = _tabled_rows(g, f, subset)
-    shifts = np.concatenate([np.zeros((1, len(fr)), dtype=np.int64), fr.T])
-    h = _accel.gf_coset_hist(gr, shifts, t)
-    return bool((h[1:] == h[0]).all())
+def _marginals_equal(g: MatGF, f: MatGF, sets: list) -> list[bool]:
+    """For each 1-based row set, whether the restricted standard query
+    columns have file-independent multisets over every u: column c of block j
+    is F_c + G u under file j and G u otherwise, so each F column's multiset
+    must be the zero column's."""
+    return [bool((h[1:] == h[0]).all()) for h in _hists(g, f, sets, query=True)]
 
 
 @dataclass
@@ -186,27 +182,28 @@ def css_audit(p: CssProtocol) -> AuditReport:
     if ctx.q ** (p.x + p.y) > AUDIT_LIMIT:
         raise TooLarge("audit needs q^(x+y) <= 1e6")
     details, cex = [], []
+    accept, reject = ([sorted(s) for s in sets]
+                      for sets in (p.access.accept_iter(), p.access.reject_iter()))
+    hists = _hists(p.g, p.f, accept + reject)
     correct = True
-    for a in p.access.accept_iter():
-        counts = _hist(p.g, p.f, sorted(a))
+    for a, counts in zip(accept, hists):
         # correctness: no share code reachable from two different messages
         clash = (counts > 0).sum(axis=0) > 1
         ok = not bool(clash.any())
-        details.append([f"correct@{sorted(a)}", ok])
+        details.append([f"correct@{a}", ok])
         if not ok:
             code = int(np.nonzero(clash)[0][0])
             ms = [int(m) for m in np.nonzero(counts[:, code])[0][:2]]
-            cex.append({"set": sorted(a), "kind": "correctness",
+            cex.append({"set": a, "kind": "correctness",
                         "messages": ms, "share_code": code})
             correct = False
     secret = True
-    for b in p.access.reject_iter():
-        counts = _hist(p.g, p.f, sorted(b))
+    for b, counts in zip(reject, hists):
         ok = bool((counts == counts[0]).all())
-        details.append([f"secret@{sorted(b)}", ok])
+        details.append([f"secret@{b}", ok])
         if not ok:
             bad = int(np.nonzero((counts != counts[0]).any(axis=1))[0][0])
-            cex.append({"set": sorted(b), "kind": "secrecy", "message": bad})
+            cex.append({"set": b, "kind": "secrecy", "message": bad})
             secret = False
     verdict = correct and secret
     mmsp_verdict = is_mmsp(p.g, p.f, p.access)
@@ -275,33 +272,27 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
         raise TooLarge("audit needs q^(x+y) and q^(x*f) <= 1e6")
     details, cex = [], []
     # correctness: answers are a CSS share of m_k with effective randomness
+    accept = [sorted(a) for a in p.access.accept_iter()]
     correct = True
-    for a in p.access.accept_iter():
-        counts = _hist(p.g, p.f, sorted(a))
+    for a, counts in zip(accept, _hists(p.g, p.f, accept)):
         ok = not bool(((counts > 0).sum(axis=0) > 1).any())
-        details.append([f"correct@{sorted(a)}", ok])
+        details.append([f"correct@{a}", ok])
         if not ok:
             correct = False
-            cex.append({"set": sorted(a), "kind": "correctness"})
+            cex.append({"set": a, "kind": "correctness"})
     # user secrecy: restricted query columns have k-independent distributions
-    user_secret = True
-    for b in p.access.reject_iter():
-        sub = sorted(b)
-        if not sub:
-            details.append(["user-secret@[]", True])
-            continue
-        ok = True
-        if p.fixed_query is not None:
-            ok = all(
-                np.array_equal(
-                    restrict(p.fixed_query[0], sub).a,
-                    restrict(p.fixed_query[k - 1], sub).a)
-                for k in range(2, p.nfiles + 1))
-        elif p.nfiles > 1:
-            ok = _marginals_equal(p.g, p.f, sub)
+    # (on the empty set every check holds)
+    reject = [sorted(b) for b in p.access.reject_iter()]
+    if p.fixed_query is not None:
+        user = [all(np.array_equal(restrict(p.fixed_query[0], sub).a,
+                                   restrict(p.fixed_query[k - 1], sub).a)
+                    for k in range(2, p.nfiles + 1)) for sub in reject]
+    else:
+        user = _marginals_equal(p.g, p.f, reject) if p.nfiles > 1 else [True] * len(reject)
+    user_secret = all(user)
+    for sub, ok in zip(reject, user):
         details.append([f"user-secret@{sub}", ok])
         if not ok:
-            user_secret = False
             cex.append({"set": sub, "kind": "user-secrecy"})
     # server secrecy, structural (span condition on off-target blocks)
     server_secret = True

@@ -195,7 +195,16 @@ def set_block(g: MatGF, f: MatGF) -> int:
 def mmsp_failure(g: MatGF, f: MatGF, fs: AccessStructure) -> Optional[tuple[str, Subset]]:
     """("acceptance", A) for the first accept set (G, F) does not accept, else
     ("rejection", B) for the first reject set it does not reject, else None;
-    the restrictions are eliminated in stacks of set_block sets."""
+    the restrictions are eliminated in stacks of set_block sets.  The last
+    verdict is memoised on the content of G, F and the structure, so an
+    in-place edit of G or F misses the memo."""
+    sets = (fs.r, fs.t) if fs.kind == "threshold" else (fs.accept_sets, fs.reject_sets)
+    return _mmsp_failure(g, f, (fs.n, *sets, fs.symplectified))
+
+
+@lru_cache(maxsize=1)
+def _mmsp_failure(g: MatGF, f: MatGF, key: tuple) -> Optional[tuple[str, Subset]]:
+    fs = AccessStructure(*key[:3], symplectified=key[3])  # key: what rebuilds it
     sets = chain((("acceptance", a) for a in fs.accept_iter()),
                  (("rejection", b) for b in fs.reject_iter()))
     block = set_block(g, f)

@@ -726,14 +726,10 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         correct &= ok
 
     # user secrecy: restricted query columns have k-independent multisets
-    user_ok = True
-    for b in access.reject_iter():
-        sub = sorted(symplectify(b, n))
-        if not sub:
-            continue
-        ok = _marginals_equal(proto.g, proto.f, sub)
-        details.append([f"user-secret@{sorted(b)}", ok])
-        user_ok &= ok
+    reject = [sorted(b) for b in access.reject_iter() if b]
+    user = _marginals_equal(proto.g, proto.f, [symplectify(b, n) for b in reject])
+    details += [[f"user-secret@{b}", ok] for b, ok in zip(reject, user)]
+    user_ok = all(user)
 
     # server secrecy: share state depends only on m_k (exhaustive over u2), under
     # a seeded U_Q whose G1 part the stabilizer and G2 part u2 must absorb

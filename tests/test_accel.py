@@ -120,6 +120,11 @@ def _hist_ref(ctx, g, f):
     return want
 
 
+# 0-based row subsets of the 3-row inputs: sizes interleaved, so the results
+# must come back in the order given, not grouped by size; the empty subset
+SUBSETS = {3: [[0, 2], [1], [0, 1, 2], [], [2], [1, 2]], 0: [[], []]}
+
+
 def _hist_cases():
     rng = np.random.default_rng(2)
     for ctx in FIELDS:
@@ -132,46 +137,84 @@ def _hist_cases():
 
 
 def _hists(ctx, g, f, shifts):
-    t = ctx.tables()
-    return (_accel.gf_share_hist(g.a, f.a, t),
-            _accel.gf_coset_hist(g.a, shifts, t))
+    """The share histogram of all rows, then the subset kernel's share and
+    coset histograms on every subset of SUBSETS."""
+    t, subsets = ctx.tables(), SUBSETS[g.rows]
+    return ([_accel.gf_share_hist(g.a, f.a, t)]
+            + list(_accel.gf_coset_hist(g.a, _accel.gf_span(f.a, t), subsets, t))
+            + list(_accel.gf_coset_hist(g.a, shifts, subsets, t)))
+
+
+def _on_rows(ctx, counts, rows, sub):
+    """Counts over the share codes of the rows in sub, summed from counts over
+    the codes of all rows."""
+    q = ctx.q
+    digits = np.arange(q**rows)[:, None] // q ** np.arange(rows) % q
+    return counts @ np.eye(q ** len(sub), dtype=np.int64)[digits[:, sub] @ q ** np.arange(len(sub))]
 
 
 def test_hist_paths_agree():
-    """gf_share_hist counts every share code F m + G u over exhaustive u, and
-    gf_coset_hist every shifts[i] + G u (F = I, m = shifts[i]), as css_share
-    computes them one (m, u) pair at a time."""
+    """gf_share_hist counts every share code F m + G u over exhaustive u; the
+    subset kernel counts F m + G u, and every shifts[i] + G u (F = I,
+    m = shifts[i]), on each subset of rows; all as css_share computes them
+    one (m, u) pair at a time."""
     for ctx, g, f, shifts in _hist_cases():
-        share, coset = _hists(ctx, g, f, shifts)
-        assert np.array_equal(share, _hist_ref(ctx, g, f))
-        eye = MatGF(ctx, np.eye(len(shifts[0]), dtype=np.int64))
-        ref = _hist_ref(ctx, g, eye)
-        codes = shifts @ ctx.q ** np.arange(shifts.shape[1])
-        assert np.array_equal(coset, ref[codes])
+        got = _hists(ctx, g, f, shifts)
+        subsets, rows = SUBSETS[g.rows], g.rows
+        share = _hist_ref(ctx, g, f)
+        eye = MatGF(ctx, np.eye(rows, dtype=np.int64))
+        coset = _hist_ref(ctx, g, eye)[shifts @ ctx.q ** np.arange(rows)]
+        want = ([share] + [_on_rows(ctx, share, rows, sub) for sub in subsets]
+                + [_on_rows(ctx, coset, rows, sub) for sub in subsets])
+        assert len(got) == len(want) == 1 + 2 * len(subsets)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_hist_blocks_agree(monkeypatch):
-    """One shift per block gives the same counts as the default blocks."""
+    """One (shift, subset) pair per block gives the same counts as the
+    default blocks."""
     cases = list(_hist_cases())
     want = [_hists(*case) for case in cases]
     monkeypatch.setattr(_accel, "_HIST_BLOCK_CELLS", 1)
-    for case, (share, coset) in zip(cases, want):
-        got_share, got_coset = _hists(*case)
-        assert np.array_equal(got_share, share)
-        assert np.array_equal(got_coset, coset)
+    for case, hists in zip(cases, want):
+        for got, h in zip(_hists(*case), hists, strict=True):
+            assert np.array_equal(got, h)
+
+
+def test_hist_runs_agree(monkeypatch):
+    """The subsets of one size are counted together, one size at a time (one
+    call for gf_share_hist, then 4 sizes in each of the two list calls); with
+    the cap at the largest
+    subset's counts the coset call splits into two runs, of 3 sizes each,
+    and every count stays the same."""
+    ctx, g, f, shifts = next(c for c in _hist_cases() if c[1].rows == 3)
+    calls = []
+    size_hists = _accel._size_hists
+    monkeypatch.setattr(_accel, "_size_hists",
+                        lambda gu, sh, rows, t: calls.append(len(sh)) or size_hists(gu, sh, rows, t))
+    want = _hists(ctx, g, f, shifts)
+    assert calls == [ctx.q] * 5 + [5] * 4
+    calls.clear()
+    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", len(shifts) * ctx.q**3)
+    for got, h in zip(_hists(ctx, g, f, shifts), want, strict=True):
+        assert np.array_equal(got, h)
+    assert calls == [ctx.q] * 5 + [5] * 6
 
 
 def test_share_hist_cell_cap(monkeypatch):
-    """Both histograms are refused from their computed size, q^x * q^rows
-    and shifts * q^rows, before G u is enumerated; only tiny matrices are
-    used."""
+    """The histograms are refused from their computed size, q^x * q^rows and
+    shifts * q^|subset| for every subset in the list, before G u is
+    enumerated; only tiny matrices are used."""
     t, cap = tables(), _accel.SHARE_HIST_CELL_CAP
     g = np.zeros((3, 1), dtype=np.int64)
     f = np.zeros((3, 2), dtype=np.int64)  # 3^2 * 3^3 = 243 cells
     shifts = np.zeros((9, 3), dtype=np.int64)  # 9 * 3^3 = 243 cells
+    subsets = [[0], [1, 2], [], [0, 1, 2]]  # the largest comes last
     monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 243)
     assert _accel.gf_share_hist(g, f, t).shape == (9, 27)
-    assert _accel.gf_coset_hist(g, shifts, t).shape == (9, 27)
+    assert [h.shape for h in _accel.gf_coset_hist(g, shifts, subsets, t)] == [
+        (9, 3), (9, 9), (9, 1), (9, 27)]
 
     def no_span(*_a):
         raise AssertionError("G u enumerated past the cap")
@@ -180,15 +223,15 @@ def test_share_hist_cell_cap(monkeypatch):
     with pytest.raises(TooLarge):
         _accel.gf_share_hist(g, f, t)
     with pytest.raises(TooLarge):
-        _accel.gf_coset_hist(g, shifts, t)
+        next(_accel.gf_coset_hist(g, shifts, subsets, t))
     monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", cap)
     # 3^60 share codes: far past the cap (and past what numpy can allocate)
     with pytest.raises(TooLarge):
         _accel.gf_share_hist(np.zeros((60, 1), dtype=np.int64),
                              np.zeros((60, 1), dtype=np.int64), t)
     with pytest.raises(TooLarge):
-        _accel.gf_coset_hist(np.zeros((60, 1), dtype=np.int64),
-                             np.zeros((1, 60), dtype=np.int64), t)
+        next(_accel.gf_coset_hist(np.zeros((60, 1), dtype=np.int64),
+                                  np.zeros((1, 60), dtype=np.int64), [[0], range(60)], t))
 
 
 def test_backend_name():

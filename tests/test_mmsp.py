@@ -171,6 +171,48 @@ def test_lemma1_memo_reads_content_not_identity():
     assert mmsp.cond_b2(ex.g1, f, sub) and mmsp.rejects_one(ex.g1, f, sub)
 
 
+def test_mmsp_memo_reads_content_not_identity():
+    """The verdict memo keys on the content of G, F and the structure: an
+    in-place edit of G or of F, and the same (G, F) under another threshold,
+    are decided afresh, each as the per-subset rank loop decides it."""
+    ex = example1()
+    g, f = (MatGF(m.ctx, m.a.copy()) for m in (ex.g1, ex.f))
+    fs = symplectify_structure(ex.access)
+    assert mmsp.mmsp_failure(g, f, fs) is None
+    g.a[:] = F3.cell_zeros(*g.a.shape)
+    assert mmsp.mmsp_failure(g, f, fs) == _two_rank_failure(g, f, fs) is not None
+    g.a[:] = ex.g1.a
+    assert mmsp.is_mmsp(g, f, fs)
+    f.a[:] = F3.cell_zeros(*f.a.shape)
+    assert mmsp.mmsp_failure(g, f, fs) == _two_rank_failure(g, f, fs) is not None
+    for r, t, want in [(2, 1, None), (3, 2, "rejection"), (1, 0, "acceptance")]:
+        fs = symplectify_structure(make_threshold(r, t, 3))
+        failure = mmsp.mmsp_failure(ex.g1, ex.f, fs)
+        assert failure == _two_rank_failure(ex.g1, ex.f, fs)
+        assert (failure and failure[0]) == want
+
+
+def test_audits_share_one_mmsp_sweep(monkeypatch):
+    """is_mmsp, css_audit and spir_audit on one (G, F, structure) decide the
+    span-program verdict once: example 1's 7 symplectified sets fit one
+    stacked elimination, and the only other eliminations are the SPIR
+    audit's two server-secrecy span checks, one per file."""
+    from mmsplab import classical as cl
+
+    ex = example1()
+    g, f, fs = ex.g1, ex.f, symplectify_structure(ex.access)
+    mmsp.is_mmsp(g, f, symplectify_structure(make_threshold(2, 1, 3)))  # another verdict
+    calls = []
+    gf_rank = mmsp._accel.gf_rank
+    monkeypatch.setattr(mmsp._accel, "gf_rank",
+                        lambda ctx, a: calls.append(len(a)) or gf_rank(ctx, a))
+    assert mmsp.is_mmsp(g, f, fs)
+    assert calls == [7]
+    assert cl.css_audit(cl.CssProtocol(g=g, f=f, access=fs)).matches_mmsp
+    assert cl.spir_audit(cl.SpirProtocol(g=g, f=f, nfiles=2, access=fs)).matches_mmsp
+    assert calls == [7, 1, 1]
+
+
 def test_accept_reject_never_both():
     rng = np.random.default_rng(23)
     for _ in range(40):
@@ -318,6 +360,7 @@ def test_stacked_mmsp_matches_per_subset_ranks(ctx, monkeypatch):
                 for block_sets in (1, 3, 10 ** 6):
                     cells = rows * (y + x) * int(np.prod(g.a.shape[2:]))
                     monkeypatch.setattr(mmsp, "MDS_BLOCK_CELLS", block_sets * cells)
+                    mmsp._mmsp_failure.cache_clear()  # decide afresh at this block
                     assert mmsp.mmsp_failure(g, f, fs) == want
                     assert mmsp.is_mmsp(g, f, fs) == (want is None)
                 seen.add(want[0] if want else None)
