@@ -182,28 +182,22 @@ def cmd_audit(args) -> int:
 def cmd_simulate(args) -> int:
     bundle, fs = _load_inputs(args)
     proto, seed, backend = args.protocol, args.seed, args.backend
-    g, f = bundle.g_stack(), bundle.f
     if proto.endswith("spir"):
         files = _entries(bundle, args.files_data, bundle.x * args.files, "--files-data")
     elif proto != "qqss":
         m = VecGF.from_ints(bundle.ctx, _entries(bundle, args.message, bundle.x, "--message"))
     if proto == "css":
-        tr = css_run(CssProtocol(g=g, f=f, access=_target(bundle, fs)), m, seed)
+        tr = css_run(CssProtocol(g=bundle.g_stack(), f=bundle.f, access=_target(bundle, fs)),
+                     m, seed)
     elif proto == "qqss":
         d = bundle.ctx.q ** (bundle.x // 2)
         rho = np.zeros((d, d), dtype=complex)
         rho[0, 0] = 1.0
         tr, _ = qp.run_qqss(bundle, rho, seed, sorted(next(iter(fs.accept_iter()))))
-    elif proto == "feass":
-        tr = qp.run_feass(g, f, m, seed, fs, backend=backend)
-    elif proto == "feaspir":
-        tr = qp.run_feaspir(g, f, files, args.k, seed, fs, args.files, backend=backend)
-    elif proto in ("easpir", "cqspir"):
-        run = qp.run_easpir if proto == "easpir" else qp.run_cqspir
-        tr = run(bundle, files, args.k, seed, fs, args.files, backend=backend)
+    elif proto.endswith("spir"):
+        tr = qp.run_spir(bundle, files, args.k, seed, fs, args.files, proto, backend)
     else:
-        run = qp.run_eass if proto == "eass" else qp.run_cqss
-        tr = run(bundle, m, seed, fs, backend=backend)
+        tr = qp.run_ss(bundle, m, seed, fs, proto, backend)
     digest = tr.digest()
     ok = proto != "qqss" or tr.outcome == "recovered"
     return _emit({

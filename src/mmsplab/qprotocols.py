@@ -1,11 +1,13 @@
 """Quantum protocol runners and exhaustive desk-scale security audits.
 
-One entanglement-pair engine drives FEASS, EASS, CQSS and the SPIR family:
-the initial resource is |Phi[0, G1]> (an empty G1 gives the fully entangled
-state; y1 = n gives the product stabilizer state, which is the CQ setting),
-the dealer or the servers displace the D registers by a classical
-phase-space vector, and the decoder is the displaced-basis measurement on
-(D[A], E[A]) followed by classical span-program decoding of the outcome.
+Two runners, run_ss and run_spir, take the flavor as an argument, as the
+audits do, and one entanglement-pair engine drives FEASS, EASS, CQSS and the
+SPIR family: the initial resource is |Phi[0, G1]> (y1 = n gives the product
+stabilizer state, which is the CQ setting), the dealer or the servers
+displace the D registers by a classical phase-space vector, and the decoder
+is the displaced-basis measurement on (D[A], E[A]) followed by classical
+span-program decoding of the outcome.  The FE flavors run and audit any
+bundle of 2n rows as (G1|G2, F) with G1 emptied: the fully entangled state.
 
 The QQ protocols encode the message space into the code subspace along a
 symplectically normalized frame extracted from F and decode with the
@@ -216,24 +218,34 @@ class EaEngine:
         return all(mixture_distance(states[0], s) < TRACE_TOL for s in states[1:])
 
 
-def _check_class(bundle: MmspBundle, kind: str) -> None:
-    expect = {"eass": "ea", "cqss": "cq", "easpir": "ea", "cqspir": "cq"}.get(kind)
-    if expect and bundle.cls != expect:
-        raise ClassMismatch(f"{kind} needs a {expect} bundle, got {bundle.cls}")
+def _flavor_bundle(bundle: MmspBundle, protocol: str) -> MmspBundle:
+    """The bundle a flavor runs on: the fully entangled flavors (fe*) run
+    (G1|G2, F) with G1 emptied, on any bundle of 2n rows; the others run the
+    bundle as given, which must be of their class."""
+    if protocol.startswith("fe"):
+        if bundle.cls == "plain":
+            raise ClassMismatch(f"{protocol} needs an ea, cq or qq bundle, got plain")
+        return make_bundle("ea", None, bundle.g_stack(), bundle.f)
+    expect = protocol[:2]
+    if bundle.cls != expect:
+        raise ClassMismatch(f"{protocol} needs {'an' if expect == 'ea' else 'a'} "
+                            f"{expect} bundle, got {bundle.cls}")
+    return bundle
 
 
-def _bundle_engine(bundle: MmspBundle, kind: str) -> EaEngine:
-    _check_class(bundle, kind)
-    return EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
-
-
-def _fe_bundle(g: MatGF, f: MatGF) -> MmspBundle:
-    """The fully entangled bundle: G1 empty, all of G randomized."""
-    return make_bundle("ea", None, g, f)
+def decoded_distributions(bundle: MmspBundle, base: VecGF,
+                          access: AccessStructure) -> dict:
+    """The exact decoded distribution of the share displacement base + G2 u2
+    (u2 exhaustive) on every accept set, keyed by the set."""
+    engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
+    comps = engine.share_components(_displacements(bundle.g2, base.a))
+    return {str(sorted(a)): engine.decoded_distribution(
+        sorted(a), comps, DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
+        for a in access.accept_iter()}
 
 
 def _decode_sets(bundle: MmspBundle, base: VecGF, rng, access: AccessStructure,
-                 backend: str, protocol: str) -> tuple[Optional[list], dict]:
+                 backend: str) -> tuple[Optional[list], dict]:
     """Decode the share displacement base + G2 u2 on every accept set.
 
     On the symplectic track one u2 is drawn from rng and returned (as
@@ -242,7 +254,6 @@ def _decode_sets(bundle: MmspBundle, base: VecGF, rng, access: AccessStructure,
     ctx = bundle.ctx
     outcomes = {}
     if backend == "symplectic":
-        _check_class(bundle, protocol)
         u2 = ctx.random_cells(rng, bundle.y2)
         x = base + bundle.g2 @ VecGF(ctx, u2)
         for a in access.accept_iter():
@@ -250,15 +261,11 @@ def _decode_sets(bundle: MmspBundle, base: VecGF, rng, access: AccessStructure,
             m = dec.decode_one(x.a[dec.rows])
             outcomes[str(sorted(a))] = None if m is None else _indices(ctx, m.a)
         return _indices(ctx, u2), outcomes
-    engine = _bundle_engine(bundle, protocol)
-    comps = engine.share_components(_displacements(bundle.g2, base.a))
-    for a in access.accept_iter():
-        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-        dist = engine.decoded_distribution(sorted(a), comps, dec)
+    for key, dist in decoded_distributions(bundle, base, access).items():
         labels = sorted(dist, key=lambda k: (k is None, k))
         pvals = np.array([dist[k] for k in labels])
         pick = labels[int(rng.choice(len(labels), p=pvals / pvals.sum()))]
-        outcomes[str(sorted(a))] = list(pick) if pick is not None else None
+        outcomes[key] = list(pick) if pick is not None else None
     return None, outcomes
 
 
@@ -282,27 +289,13 @@ def symp_track(bundle: MmspBundle, m: np.ndarray, u2: np.ndarray,
 # secret-sharing runners
 # ---------------------------------------------------------------------------
 
-def run_feass(g: MatGF, f: MatGF, m: VecGF, seed: int,
-              access: AccessStructure, backend: str = "dense") -> Transcript:
-    """Fully entangled protocol with (G, F): G1 empty, all of G randomized."""
-    return _run_ss(_fe_bundle(g, f), m, seed, access, backend, protocol="feass")
-
-
-def run_eass(bundle: MmspBundle, m: VecGF, seed: int,
-             access: AccessStructure, backend: str = "dense") -> Transcript:
-    return _run_ss(bundle, m, seed, access, backend, protocol="eass")
-
-
-def run_cqss(bundle: MmspBundle, m: VecGF, seed: int,
-             access: AccessStructure, backend: str = "dense") -> Transcript:
-    return _run_ss(bundle, m, seed, access, backend, protocol="cqss")
-
-
-def _run_ss(bundle: MmspBundle, m: VecGF, seed: int, access: AccessStructure,
-            backend: str, protocol: str) -> Transcript:
+def run_ss(bundle: MmspBundle, m: VecGF, seed: int, access: AccessStructure,
+           protocol: str = "eass", backend: str = "dense") -> Transcript:
+    """One seeded FEASS, EASS or CQSS run of message m on every accept set."""
+    bundle = _flavor_bundle(bundle, protocol)
     tr = Transcript(protocol=protocol, seed=seed)
     u2, outcomes = _decode_sets(bundle, bundle.f @ m, np.random.default_rng(seed),
-                                access, backend, protocol)
+                                access, backend)
     if u2 is None:
         tr.log("decode", outcomes=outcomes)
     else:
@@ -327,27 +320,12 @@ def run_modified_eass(bundle: MmspBundle, m: VecGF, seed: int,
         base = engine.frame.resource(list(y))
         for x in disps:
             comps.append((wy, apply_weyl(base, q, list(x), list(range(n)))))
-    empty = MatGF.zeros(bundle.ctx, 2 * n, 0)
-    feass = EaEngine(g1=empty, g2=bundle.g2, f=bundle.f)
+    feass = EaEngine(g1=MatGF.zeros(bundle.ctx, 2 * n, 0), g2=bundle.g2, f=bundle.f)
     tr = Transcript(protocol="modified-eass", seed=seed)
-    outcomes = {}
-    for a in access.accept_iter():
-        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-        outcomes[str(sorted(a))] = feass.decoded_distribution(sorted(a), comps, dec)
-    tr.outcome = outcomes
+    tr.outcome = {str(sorted(a)): feass.decoded_distribution(
+        sorted(a), comps, DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
+        for a in access.accept_iter()}
     return tr
-
-
-def eass_decoded_distributions(bundle: MmspBundle, m: VecGF,
-                               access: AccessStructure) -> dict:
-    """Exact decoded distribution of the standard run, per accept set."""
-    engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
-    comps = engine.share_components(engine.message_displacements(m.a))
-    out = {}
-    for a in access.accept_iter():
-        dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a))
-        out[str(sorted(a))] = engine.decoded_distribution(sorted(a), comps, dec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +375,11 @@ def _qreport(protocol: str, bundle: MmspBundle, access: AccessStructure,
 
 def audit_ss(bundle: MmspBundle, access: AccessStructure,
              protocol: str = "eass") -> QAuditReport:
-    """Exhaustive audit of the EASS/CQSS (or FEASS via an ea bundle with
-    empty G1) protocol against the span-program verdict."""
-    engine = _bundle_engine(bundle, protocol)
+    """Exhaustive audit of the FEASS, EASS or CQSS protocol against the
+    span-program verdict; FEASS audits (G1|G2, F) with G1 emptied, the
+    protocol run_ss runs."""
+    bundle = _flavor_bundle(bundle, protocol)
+    engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
     cases = engine.message_cases()
     details = []
     correct = True
@@ -654,28 +634,11 @@ def _spir_protocol(bundle: MmspBundle, access: AccessStructure,
                         access=symplectify_structure(access), nfiles=nfiles)
 
 
-def run_easpir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
-               access: AccessStructure, nfiles: int,
-               backend: str = "dense") -> Transcript:
-    return _run_spir(bundle, files, k, seed, access, nfiles, backend, "easpir")
-
-
-def run_cqspir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
-               access: AccessStructure, nfiles: int,
-               backend: str = "dense") -> Transcript:
-    return _run_spir(bundle, files, k, seed, access, nfiles, backend, "cqspir")
-
-
-def run_feaspir(g: MatGF, f: MatGF, files: np.ndarray, k: int, seed: int,
-                access: AccessStructure, nfiles: int,
-                backend: str = "dense") -> Transcript:
-    return _run_spir(_fe_bundle(g, f), files, k, seed, access, nfiles, backend,
-                     "feaspir")
-
-
-def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
-              access: AccessStructure, nfiles: int, backend: str,
-              protocol: str) -> Transcript:
+def run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
+             access: AccessStructure, nfiles: int, protocol: str = "easpir",
+             backend: str = "dense") -> Transcript:
+    """One seeded FEASPIR, EASPIR or CQSPIR run retrieving file k of files."""
+    bundle = _flavor_bundle(bundle, protocol)
     ctx = bundle.ctx
     rng = np.random.default_rng(seed)
     proto = _spir_protocol(bundle, access, nfiles)
@@ -683,7 +646,7 @@ def _run_spir(bundle: MmspBundle, files: np.ndarray, k: int, seed: int,
     net = spir_query(proto, k, u_q) @ VecGF.from_ints(ctx, files)
     tr = Transcript(protocol=protocol, seed=seed)
     tr.log("query", k=k)
-    _, outcomes = _decode_sets(bundle, net, rng, access, backend, protocol)
+    _, outcomes = _decode_sets(bundle, net, rng, access, backend)
     tr.log("decode", outcomes=outcomes)
     tr.outcome = outcomes
     return tr
@@ -694,7 +657,8 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     """Quantum SPIR audit: exhaustive correctness and server secrecy over
     the shared randomness, exact user-secrecy marginals, query-randomness
     invariance of the share state, all against the span-program verdict."""
-    engine = _bundle_engine(bundle, protocol)
+    bundle = _flavor_bundle(bundle, protocol)
+    engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
     proto = _spir_protocol(bundle, access, nfiles)
     ctx, n, x, y = bundle.ctx, bundle.n, bundle.x, bundle.y1 + bundle.y2
     details = []
@@ -786,7 +750,8 @@ def flow5_equivalence(bundle: MmspBundle, nfiles: int,
     """Converted-protocol transcript distributions (exhaustive over the
     query randomness image and dealer randomness) equal the direct EASS
     distributions, per message and accept set."""
-    engine = _bundle_engine(bundle, "eass" if bundle.cls == "ea" else "cqss")
+    _flavor_bundle(bundle, "eass" if bundle.cls == "ea" else "cqss")
+    engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
     ctx, q, x = bundle.ctx, engine.q, bundle.x
     decoders = [(sorted(a), DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
                 for a in access.accept_iter()]

@@ -32,22 +32,109 @@ def ex2():
 
 def test_eass_run_both_backends(ex1):
     m = VecGF.from_ints(F3, [1, 2])
-    tr = qp.run_eass(ex1.bundle, m, seed=3, access=ex1.access)
+    tr = qp.run_ss(ex1.bundle, m, seed=3, access=ex1.access)
     assert all(v == [1, 2] for v in tr.outcome.values())
-    tr2 = qp.run_eass(ex1.bundle, m, seed=3, access=ex1.access,
-                      backend="symplectic")
+    tr2 = qp.run_ss(ex1.bundle, m, seed=3, access=ex1.access,
+                    backend="symplectic")
     assert tr2.outcome == tr.outcome
 
 
-def test_run_class_mismatch(ex1):
+CLASS_REFUSALS = [(flavor, example, call)
+                  for flavor, example in (("eass", "ex2"), ("easpir", "ex2"),
+                                          ("cqss", "ex1"), ("cqspir", "ex1"))
+                  for call in ("dense", "symplectic", "audit")]
+CLASS_REFUSALS += [("flow5", "ex1qq", "equivalence"), ("modified-eass", "ex1qq", "run")]
+
+
+@pytest.mark.parametrize("flavor,example,call", CLASS_REFUSALS,
+                         ids=["-".join(c) for c in CLASS_REFUSALS])
+def test_run_class_mismatch(flavor, example, call, ex1, ex2):
+    """A flavor refuses a bundle of another class in its runner on either
+    backend and in its audit; the conversion check and the modified EASS
+    refuse a QQ bundle."""
+    bundle, access = {"ex1": (ex1.bundle, ex1.access), "ex2": (ex2.bundle, ex2.access),
+                      "ex1qq": (make_bundle("qq", ex1.g1, None, ex1.f, n=3),
+                                ex1.access)}[example]
+    m = VecGF.zeros(bundle.ctx, bundle.x)
+    files = np.zeros(2 * bundle.x, dtype=np.int64)
     with pytest.raises(ClassMismatch):
-        qp.run_cqss(ex1.bundle, VecGF.zeros(F3, 2), 0, ex1.access)
+        if flavor == "flow5":
+            qp.flow5_equivalence(bundle, 2, access)
+        elif flavor == "modified-eass":
+            qp.run_modified_eass(bundle, m, 0, access)
+        elif call == "audit" and flavor.endswith("spir"):
+            qp.audit_spir(bundle, access, 2, protocol=flavor)
+        elif call == "audit":
+            qp.audit_ss(bundle, access, protocol=flavor)
+        elif flavor.endswith("spir"):
+            qp.run_spir(bundle, files, 1, 0, access, 2, protocol=flavor, backend=call)
+        else:
+            qp.run_ss(bundle, m, 0, access, protocol=flavor, backend=call)
 
 
 def test_feass_runner(ex1):
     m = VecGF.from_ints(F3, [0, 1])
-    tr = qp.run_feass(ex1.g1, ex1.f, m, seed=5, access=ex1.access)
+    tr = qp.run_ss(make_bundle("ea", ex1.g1, None, ex1.f), m, seed=5, access=ex1.access,
+                   protocol="feass")
     assert all(v == [0, 1] for v in tr.outcome.values())
+
+
+def _write_inputs(tmp_path, bundle, access) -> list[str]:
+    paths = [tmp_path / "b.json", tmp_path / "s.json"]
+    for path, obj in zip(paths, (bundle.to_json(), access.to_json())):
+        path.write_text(json.dumps(obj))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("flavor", ["feass", "feaspir"])
+def test_fe_audit_runs_the_fully_entangled_protocol(flavor, ex1, tmp_path, capsys,
+                                                    monkeypatch):
+    """`audit feass` / `audit feaspir` on example 1 audit (G1|G2, F) with G1
+    emptied, as `simulate` runs it, not the bundle's G1 of 2 columns."""
+    fe = make_bundle("ea", None, ex1.bundle.g_stack(), ex1.f)
+    rep = (qp.audit_spir(fe, ex1.access, 2, protocol=flavor) if flavor.endswith("spir")
+           else qp.audit_ss(fe, ex1.access, protocol=flavor))
+    want = json.loads(json.dumps(rep.to_json()))
+    seen = []
+
+    class Spy(qp.EaEngine):
+        def __init__(self, g1, g2, f):
+            seen.append(g1.cols)
+            super().__init__(g1, g2, f)
+
+    monkeypatch.setattr(qp, "EaEngine", Spy)
+    assert cli.main(["audit", flavor, *_write_inputs(tmp_path, ex1.bundle, ex1.access)]) == 0
+    assert seen and set(seen) == {0}
+    assert json.loads(capsys.readouterr().out)["report"] == want
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("cls", ["plain", "ea", "cq", "qq"])
+def test_fe_runs_any_2n_row_bundle_and_refuses_plain(cls, command, ex1, ex2, tmp_path,
+                                                     capsys):
+    """The FE flavors run an ea, cq or qq bundle with G1 emptied; a plain
+    bundle, whose rows are no register pairs, is refused up front with
+    ClassMismatch (exit 1), not deep inside with IndexOutOfRange."""
+    if cls == "plain":
+        bundle = make_bundle("plain", ex1.bundle.g_stack(), None, ex1.f)
+        access = make_threshold(4, 2, 6)
+    elif cls == "qq":
+        bundle, access = make_bundle("qq", ex1.g1, None, ex1.f, n=3), ex1.access
+    else:
+        bundle, access = (ex1.bundle, ex1.access) if cls == "ea" else (ex2.bundle, ex2.access)
+    paths = _write_inputs(tmp_path, bundle, access)
+    if command == "audit":
+        argv = ["audit", "feass", *paths]
+    else:
+        argv = ["simulate", "--protocol", "feass", "--bundle", paths[0],
+                "--structure", paths[1], "--message", "1,2", "--seed", "1"]
+    code = cli.main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    if cls != "plain":
+        assert code == 0 and rep["ok"]
+        return
+    assert code == 1 and rep["ok"] is False
+    assert rep["error"].startswith("ClassMismatch: ") and "feass" in rep["error"]
 
 
 def test_eass_audit_example1(ex1):
@@ -95,18 +182,18 @@ def test_symplectic_runs_make_no_coset_rep(ex1, monkeypatch):
     coset representative, which its transcript never logs."""
     m = VecGF.from_ints(ex1.bundle.ctx, [1, 2])
     files = np.array([1, 0, 2, 1], dtype=np.int64)
-    want = [qp.run_eass(ex1.bundle, m, 3, ex1.access, backend="symplectic").digest(),
-            qp.run_easpir(ex1.bundle, files, 2, 3, ex1.access, 2,
-                          backend="symplectic").digest()]
+    want = [qp.run_ss(ex1.bundle, m, 3, ex1.access, backend="symplectic").digest(),
+            qp.run_spir(ex1.bundle, files, 2, 3, ex1.access, 2,
+                        backend="symplectic").digest()]
 
     def no_coset_rep(*args, **kwargs):
         raise AssertionError("coset_rep called")
 
     monkeypatch.setattr(qp, "coset_rep", no_coset_rep)
     assert want == [
-        qp.run_eass(ex1.bundle, m, 3, ex1.access, backend="symplectic").digest(),
-        qp.run_easpir(ex1.bundle, files, 2, 3, ex1.access, 2,
-                      backend="symplectic").digest()]
+        qp.run_ss(ex1.bundle, m, 3, ex1.access, backend="symplectic").digest(),
+        qp.run_spir(ex1.bundle, files, 2, 3, ex1.access, 2,
+                    backend="symplectic").digest()]
 
 
 def test_eass_audit_needs_no_eigendecomposition(ex1, monkeypatch):
@@ -137,7 +224,7 @@ def test_modified_eass_matches_eass(ex1):
     for mi in (0, 4, 7):
         m = VecGF.from_ints(F3, [mi % 3, mi // 3])
         mod = qp.run_modified_eass(ex1.bundle, m, seed=0, access=ex1.access)
-        direct = qp.eass_decoded_distributions(ex1.bundle, m, ex1.access)
+        direct = qp.decoded_distributions(ex1.bundle, ex1.f @ m, ex1.access)
         for key in direct:
             d1, d2 = mod.outcome[key], direct[key]
             ks = set(d1) | set(d2)
@@ -149,7 +236,7 @@ def test_modified_eass_y1_zero_is_feass(ex1):
     bundle = make_bundle("ea", empty, ex1.g1, ex1.f, n=3)
     m = VecGF.from_ints(F3, [1, 0])
     mod = qp.run_modified_eass(bundle, m, seed=0, access=ex1.access)
-    direct = qp.eass_decoded_distributions(bundle, m, ex1.access)
+    direct = qp.decoded_distributions(bundle, bundle.f @ m, ex1.access)
     for key in direct:
         d1, d2 = mod.outcome[key], direct[key]
         ks = set(d1) | set(d2)
@@ -271,12 +358,12 @@ def test_teleport_identity_and_information_equality(ex1):
 def test_easpir_run_and_audit(ex1):
     files = np.array([1, 2, 0, 2], dtype=np.int64)
     for k in (1, 2):
-        tr = qp.run_easpir(ex1.bundle, files, k, seed=11, access=ex1.access,
-                           nfiles=2)
+        tr = qp.run_spir(ex1.bundle, files, k, seed=11, access=ex1.access,
+                         nfiles=2)
         want = [int(v) for v in files[(k - 1) * 2: k * 2]]
         assert all(v == want for v in tr.outcome.values())
-        tr2 = qp.run_easpir(ex1.bundle, files, k, seed=11, access=ex1.access,
-                            nfiles=2, backend="symplectic")
+        tr2 = qp.run_spir(ex1.bundle, files, k, seed=11, access=ex1.access,
+                          nfiles=2, backend="symplectic")
         assert all(v == want for v in tr2.outcome.values())
     rep = qp.audit_spir(ex1.bundle, ex1.access, nfiles=2, protocol="easpir")
     assert rep.secure and rep.matches_classify
@@ -358,8 +445,8 @@ def test_spir_query_index_outside_files_refused(ex1):
         with pytest.raises(BadIndex):
             spir_query(qp._spir_protocol(ex1.bundle, ex1.access, 2), k, u_q)
     with pytest.raises(BadIndex):
-        qp.run_easpir(ex1.bundle, np.zeros(4, dtype=np.int64), 3, seed=0,
-                      access=ex1.access, nfiles=2, backend="symplectic")
+        qp.run_spir(ex1.bundle, np.zeros(4, dtype=np.int64), 3, seed=0,
+                    access=ex1.access, nfiles=2, backend="symplectic")
 
 
 def test_spir_correctness_decodes_the_ss_cases_once(ex1, monkeypatch):
@@ -403,10 +490,7 @@ def test_dense_audit_and_crosscheck_beyond_f3(case, tmp_path, capsys):
     rep = qp.audit_ss(bundle, fs, protocol="eass")
     assert rep.secure == is_mmsp(bundle.g_stack(), bundle.f, symplectify_structure(fs))
     assert rep.matches_classify
-    paths = [tmp_path / "b.json", tmp_path / "s.json"]
-    for path, obj in zip(paths, (bundle.to_json(), fs.to_json())):
-        path.write_text(json.dumps(obj))
-    assert cli.main(["crosscheck", *map(str, paths)]) == 0
+    assert cli.main(["crosscheck", *_write_inputs(tmp_path, bundle, fs)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["cases"] == bundle.ctx.q ** (bundle.x + bundle.y2) and not out["mismatches"]
 
@@ -418,7 +502,7 @@ def test_single_server_degenerate_spir():
     fs = make_threshold(1, 0, 1)
     bundle = make_bundle("ea", g1, None, f, n=1)
     files = np.array([2, 1], dtype=np.int64)
-    tr = qp.run_easpir(bundle, files, 2, seed=0, access=fs, nfiles=2)
+    tr = qp.run_spir(bundle, files, 2, seed=0, access=fs, nfiles=2)
     assert all(v == [1] for v in tr.outcome.values())
 
 
@@ -466,13 +550,13 @@ def test_symplectic_runs_on_tower_bundles(tower32):
     want = [2 + 1 * 3, 9]
     files = np.array([1, 2, 0, 2], dtype=np.int64)
     for seed in range(3):
-        runs = [qp.run_eass(ea, m, seed, fs, backend="symplectic"),
-                qp.run_feass(ea.g_stack(), ea.f, m, seed, fs, backend="symplectic"),
-                qp.run_cqss(cq, m, seed, fs, backend="symplectic")]
+        runs = [qp.run_ss(ea, m, seed, fs, "eass", "symplectic"),
+                qp.run_ss(ea, m, seed, fs, "feass", "symplectic"),
+                qp.run_ss(cq, m, seed, fs, "cqss", "symplectic")]
         for tr in runs:
             assert tr.outcome and all(v == want for v in tr.outcome.values())
         for k in (1, 2):
-            tr = qp.run_easpir(ea, files, k, seed, fs, nfiles=2, backend="symplectic")
+            tr = qp.run_spir(ea, files, k, seed, fs, nfiles=2, backend="symplectic")
             assert tr.outcome and all(v == files[2 * k - 2: 2 * k].tolist()
                                       for v in tr.outcome.values())
 
@@ -484,11 +568,11 @@ def test_symplectic_feaspir_prime_power():
     rng = np.random.default_rng(8)
     g = MatGF(gf9, rng.integers(0, 9, size=(4, 2)))
     f = MatGF(gf9, rng.integers(0, 9, size=(4, 1)))
-    fs = make_threshold(2, 1, 2)
+    fe, fs = make_bundle("ea", None, g, f), make_threshold(2, 1, 2)
     for seed in range(30):
         files = rng.integers(0, 9, size=2)
         k = 1 + seed % 2
-        tr = qp.run_feaspir(g, f, files, k, seed, fs, nfiles=2, backend="symplectic")
+        tr = qp.run_spir(fe, files, k, seed, fs, 2, "feaspir", "symplectic")
         assert tr.outcome and all(v == [int(files[k - 1])] for v in tr.outcome.values())
 
 
@@ -538,12 +622,14 @@ def test_symp_track_matches_css_decode(field, tower32):
 def test_fe_runs_refuse_odd_row_count(backend):
     """(G, F) on 3 rows is no EA pair of n registers: the symplectic FEASS
     run used to return a transcript for n = 1 and the dense one raised
-    NotMaximalIsotropic; both refuse it as a malformed bundle."""
+    NotMaximalIsotropic; the bundle an FEASS run needs is refused as
+    malformed before any run."""
     ctx = field_build(3, 1)
     g, f = MatGF.from_ints(ctx, [[1], [2], [1]]), MatGF.from_ints(ctx, [[1], [2], [0]])
     m = VecGF.from_ints(ctx, [1])
     with pytest.raises(ClassInvariantViolated):
-        qp.run_feass(g, f, m, 0, make_threshold(1, 0, 1), backend=backend)
+        qp.run_ss(make_bundle("ea", None, g, f), m, 0, make_threshold(1, 0, 1),
+                  protocol="feass", backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,12 @@ def _runs(name, bundle, fs, flavours, backends):
     ctx, x = bundle.ctx, bundle.x
     m = VecGF.from_ints(ctx, [(i + 1) % 3 for i in range(x)])
     files = np.array([(2 * i + 1) % 3 for i in range(x * NFILES)], dtype=np.int64)
-    g, f = bundle.g_stack(), bundle.f
-    runners = {
-        "eass": lambda s, b: qp.run_eass(bundle, m, s, fs, backend=b),
-        "cqss": lambda s, b: qp.run_cqss(bundle, m, s, fs, backend=b),
-        "feass": lambda s, b: qp.run_feass(g, f, m, s, fs, backend=b),
-        "easpir": lambda s, b: qp.run_easpir(bundle, files, 2, s, fs, NFILES, backend=b),
-        "cqspir": lambda s, b: qp.run_cqspir(bundle, files, 2, s, fs, NFILES, backend=b),
-        "feaspir": lambda s, b: qp.run_feaspir(g, f, files, 2, s, fs, NFILES, backend=b),
-    }
-    return {f"{name}/{proto}/{backend}/{seed}": runners[proto](seed, backend).digest()
+
+    def run(proto, seed, backend):
+        if proto.endswith("spir"):
+            return qp.run_spir(bundle, files, 2, seed, fs, NFILES, proto, backend)
+        return qp.run_ss(bundle, m, seed, fs, proto, backend)
+    return {f"{name}/{proto}/{backend}/{seed}": run(proto, seed, backend).digest()
             for proto in flavours for backend in backends for seed in SEEDS}
 
 
