@@ -16,16 +16,17 @@ teleportation-style channel built from the dense-coding measurement.
 Audits enumerate protocol randomness exhaustively, compare reduced states
 at trace distance 1e-9, and cross-check every verdict against the
 span-program classification.  Secrecy states are held as amplitude factors
-and compared by mixture_distance; the QQ channel is one precomputed Kraus
-tensor, one block per G2 randomization.  A symplectic-track backend propagates
-displacements classically (any q, prime powers included) and is
-cross-validated against the dense oracle.
+and compared by distances_from, which factors the reference state once per
+set; the QQ channel is one precomputed Kraus tensor, one block per G2
+randomization.  A symplectic-track backend propagates displacements
+classically (any q, prime powers included) and is cross-validated against
+the dense oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .mmsp import MmspBundle, SpanDecoder, is_mmsp, make_bundle
 from .qstate import (
     Channel,
     DisplacedMeasurement,
+    EIG_CUTOFF,
     Povm,
     _enum_vecs,
     apply_sw,
@@ -65,19 +67,36 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
+def distances_from(ref: list) -> Callable[[list], float]:
+    """The trace distance from the mixture ref, given as [(w, A), ...] for
+    sum_i w_i A_i A_i^dag, as a function of another such mixture.  One thin
+    SVD of ref's stack [sqrt(w_i) A_i] gives its support: eigenvectors U and
+    eigenvalues lam above EIG_CUTOFF.  Another stack is B = U C + Y with
+    Y = Q' R' orthogonal to U, and in the basis [U | Q'] the difference is
+    diag(lam, 0) - X X^dag with X = [C; R'], no wider than both stacks.
+    Dropping R' and the cut eigenvalues moves the distance by at most
+    cut/2 + |C| |Y| + |Y|^2 / 2 (Frobenius norms); below EIG_CUTOFF, X = C."""
+    u, s, _ = np.linalg.svd(np.concatenate([np.sqrt(w) * f for w, f in ref], axis=1),
+                            full_matrices=False)
+    keep = s**2 > EIG_CUTOFF
+    u, lam, cut = u[:, keep], s[keep] ** 2, (s[~keep] ** 2).sum()
+
+    def distance(mix: list) -> float:
+        b = np.concatenate([np.sqrt(w) * f for w, f in mix], axis=1)
+        x = u.conj().T @ b
+        y = b - u @ x
+        ny = np.linalg.norm(y)
+        if cut / 2 + np.linalg.norm(x) * ny + ny**2 / 2 >= EIG_CUTOFF:
+            x = np.vstack([x, np.linalg.qr(y, mode="r")])
+        m = -(x @ x.conj().T)
+        m[:len(lam), :len(lam)] += np.diag(lam)
+        return float(0.5 * np.abs(np.linalg.eigvalsh(m)).sum())
+    return distance
+
+
 def mixture_distance(a: list, b: list) -> float:
-    """Trace distance between two mixtures given as [(w, factor), ...], each
-    sum_i w_i A_i A_i^dag.  With W = [sqrt(w) A_i | sqrt(w') B_j] and
-    D = diag(+1.., -1..), the difference is W D W^dag; when W has fewer
-    columns than rows, R D R^dag for W = QR has the same nonzero
-    eigenvalues and is the narrower matrix."""
-    cols = [np.sqrt(wt) * f for wt, f in a + b]
-    signs = np.repeat([1.0] * len(a) + [-1.0] * len(b), [f.shape[1] for f in cols])
-    w = np.concatenate(cols, axis=1)
-    if w.shape[1] < w.shape[0]:
-        w = np.linalg.qr(w, mode="r")
-    ev = np.linalg.eigvalsh((w * signs) @ w.conj().T)
-    return float(0.5 * np.abs(ev).sum())
+    """Trace distance between two mixtures (see distances_from)."""
+    return distances_from(a)(b)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +204,9 @@ class EaEngine:
         probs = self.outcome_distribution(subset, components)
         dm = self.dm_for(sorted(subset))
         hit = np.nonzero(~(probs < 1e-12))[0]
-        labels = [dm.label(idx) for idx in hit if idx < dm.nout]
-        keys = keys_of(np.array(labels, dtype=np.int64).reshape(len(labels), -1))
-        keys += [None] * (len(hit) - len(labels))  # the complement tail
+        inner = hit[hit < dm.nout]
+        keys = keys_of(np.stack(np.unravel_index(inner, (dm.q,) * (2 * dm.n_act)), axis=-1))
+        keys += [None] * (len(hit) - len(inner))  # the complement tail
         out: dict = {}
         for key, idx in zip(keys, hit):
             out[key] = out.get(key, 0.0) + float(probs[idx])
@@ -208,14 +227,15 @@ class EaEngine:
 
     def secrecy_state(self, subset: Sequence[int], components) -> list:
         """The reduced state on D[B] (x) E-full of the given mixture, as its
-        [(w, factor), ...] pairs (see mixture_distance)."""
+        [(w, factor), ...] pairs (see distances_from)."""
         keep = [s - 1 for s in sorted(subset)] + list(range(self.n, 2 * self.n))
         return [(w, reduce_factor(amps, keep)) for w, amps in components]
 
     def secrecy_states_equal(self, subset: Sequence[int], mixtures) -> bool:
         """Whether every mixture leaves the same state on D[B] (x) E-full."""
-        states = [self.secrecy_state(subset, comps) for comps in mixtures]
-        return all(mixture_distance(states[0], s) < TRACE_TOL for s in states[1:])
+        states = (self.secrecy_state(subset, comps) for comps in mixtures)
+        distance = distances_from(next(states))
+        return all(distance(s) < TRACE_TOL for s in states)
 
 
 def _flavor_bundle(bundle: MmspBundle, protocol: str) -> MmspBundle:

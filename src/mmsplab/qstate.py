@@ -20,20 +20,22 @@ Every stabilizer object comes from one group average, stabilizer_projector:
 a stabilizer state is its first nonzero column (joint_eigenvector), and the
 resource |Phi[y, G1]> = sum_x |x,y> (x) conj|x,y> is the vectorized
 projector P_y onto the y-eigenspace of G1's group, so G1 is never completed
-to a Lagrangian.
+to a Lagrangian.  W(a, b) is monomial, its one nonzero in column k sitting
+at row k + a, so the average is one scatter of the (row, value) table of
+all group elements, and weyl_matrix reads the same table.
 
 Displaced-basis measurements {W(z) sigma W(z)^dag} are evaluated without
 materializing the operator family or any density matrix: sigma and the
 measured mixture are both held as amplitude factors (sigma = psi psi^dag),
 and the probabilities of all z come from one batched overlap matrix between
 the two factors, whose shifted diagonals (the X part) are transformed by one
-DFT (the Z part).  No eigendecomposition is needed, which keeps the full-set
-decoders at n = 3 fast.  POVMs are factors too: the QQ decoder's elements are
-thin-SVD support factors, the completion is implicit, and gamma_bar reads the
-factors as Kraus terms with the one dense-coding correction W(a, b), so no
-dense POVM and no block size remain.  A Channel maps a stack (..., d, d) of
-inputs in one call, so its Choi matrix is one application to all d^2 units
-|i><j|.
+product with the character table w^(-b.k) (the Z part).  No
+eigendecomposition is needed, which keeps the full-set decoders at n = 3
+fast.  POVMs are factors too: the QQ decoder's elements are thin-SVD support
+factors, the completion is implicit, and gamma_bar reads the factors as
+Kraus terms with the one dense-coding correction W(a, b), so no dense POVM
+and no block size remain.  A Channel maps a stack (..., d, d) of inputs in
+one call, so its Choi matrix is one application to all d^2 units |i><j|.
 """
 
 from __future__ import annotations
@@ -96,12 +98,28 @@ def apply_sw(amps: np.ndarray, q: int, disp: Sequence[int],
     return aligned_phase(q, disp) * apply_weyl(amps, q, disp, regs)
 
 
+def _weyl_columns(q: int, n: int, disps: np.ndarray) -> tuple:
+    """Row index k + a and value prod_i w^(b_i k_i) (taken over b_i != 0 in
+    register order, as apply_weyl multiplies) of the one nonzero in column k
+    of W(a, b), for each row (a | b) of disps: two (len(disps), q^n) arrays."""
+    om = _omega_powers(q)
+    kvec = np.indices((q,) * n).reshape(n, -1)
+    a, b = disps[:, :n, None], disps[:, n:]
+    rows = np.ravel_multi_index(tuple(np.moveaxis((kvec + a) % q, 1, 0)), (q,) * n)
+    vals = np.ones(rows.shape, dtype=np.complex128)
+    for i in range(n):
+        hit = b[:, i] != 0
+        vals[hit] = vals[hit] * om[b[hit, i, None] * kvec[i] % q]
+    return rows, vals
+
+
 def weyl_matrix(q: int, n: int, disp: Sequence[int]) -> np.ndarray:
     """Dense q^n x q^n matrix of the n-register displacement operator."""
     d = q**n
-    eye = np.eye(d, dtype=np.complex128).reshape((q,) * n + (d,))
-    out = apply_weyl(eye, q, disp, list(range(n)))
-    return out.reshape(d, d)
+    (rows,), (vals,) = _weyl_columns(q, n, np.asarray(disp, dtype=np.int64)[None] % q)
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[rows, np.arange(d)] = vals
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +143,16 @@ def stabilizer_projector(q: int, n: int, gens: np.ndarray,
     whose span SW is an exact representation.
     """
     om = _omega_powers(q)
-    phase_vec = np.asarray(phases, dtype=np.int64)
-    acc = np.zeros((q**n, q**n), dtype=np.complex128)
-    for c in _enum_vecs(q, gens.shape[1]):
-        disp = (gens @ c) % q
-        ph = om[int(c @ phase_vec) % q].conjugate()
-        acc = acc + ph * (aligned_phase(q, disp) * weyl_matrix(q, n, disp))
-    return acc
+    d = q**n
+    cs = _enum_vecs(q, gens.shape[1])
+    disps = cs @ gens.T % q
+    rows, vals = _weyl_columns(q, n, disps)
+    aligned = om[pow(2, -1, q) * (disps[:, :n] * disps[:, n:]).sum(axis=1) % q]
+    group = om[cs @ np.asarray(phases, dtype=np.int64) % q].conjugate()
+    # one scatter in c order: each cell sums its terms in enumeration order
+    acc = np.zeros(d * d, dtype=np.complex128)
+    np.add.at(acc, rows * d + np.arange(d), group[:, None] * (aligned[:, None] * vals))
+    return acc.reshape(d, d)
 
 
 def joint_eigenvector(q: int, n: int, gens: np.ndarray,
@@ -228,7 +249,8 @@ class DisplacedMeasurement:
     by an amplitude factor psi with sigma = psi psi^dag (see reduce_factor).
     The thin SVD of psi keeps sigma's support as weighted singular vectors;
     Born probabilities of a mixture of factors are then one batched overlap
-    matrix, a gather of its shifted diagonals and one DFT, never
+    matrix, a gather of its shifted diagonals and one character-table
+    product (the DFT over the displaced registers), never
     materializing the q^(2 n_act) operators.  The family is normalized so the
     elements sum to the projector onto their joint support; states outside
     the support feed a complement outcome labeled None.
@@ -257,6 +279,8 @@ class DisplacedMeasurement:
         # _shift[a, k] = flat index of k + a (componentwise mod q)
         self._shift = np.ravel_multi_index(
             (kvec[:, :, None] + kvec[:, None, :]) % q, (q,) * n_act)
+        # the character table _dft[b, k] = w^(-b.k), the DFT over the k axes
+        self._dft = _omega_powers(q)[-(kvec.T @ kvec) % q]
         self.nout = q ** (2 * n_act)
         # the family sums to lam times the projector onto its joint support;
         # calibrate lam against sigma's own top eigenvector, which lies in
@@ -284,7 +308,7 @@ class DisplacedMeasurement:
         nphi = self._nphi
         # <W(a,b) phi_i | psi_p> = sum_k w^{-b.k} sum_r conj(phi_i[k,r])
         #   psi_p[k+a, r]: overlaps M[i,k,k',p], gathered at k' = k + a, then
-        # a DFT over k (numpy's fft sign convention) gives the b axis
+        # one product with the character table over k gives the b axis
         acc = np.zeros(q ** (2 * n), dtype=np.float64)
         step = max(1, self.BLOCK_CELLS // (nphi * k * k))
         for lo in range(0, cols.shape[1], step):
@@ -292,9 +316,7 @@ class DisplacedMeasurement:
             npsi = psi.shape[-1]
             m = (self._phi_rows @ psi.transpose(1, 0, 2).reshape(rest, -1)) \
                 .reshape(nphi, k, k, npsi)
-            c = m[:, np.arange(k), self._shift, :]  # (I, a, k, P)
-            c = c.reshape((nphi,) + (q,) * (2 * n) + (npsi,))
-            g = np.fft.fftn(c, axes=tuple(range(1 + n, 1 + 2 * n)))
+            g = self._dft @ m[:, np.arange(k), self._shift, :]  # (I, a, b, P)
             acc += (g.real**2 + g.imag**2).sum(axis=(0, -1)).reshape(-1)
         probs = acc / self._lam
         tail = max(0.0, 1.0 - probs.sum())

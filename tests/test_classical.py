@@ -183,6 +183,33 @@ def test_spir_audit_nonstandard_query_flagged(spir5):
     assert not rep.secure
 
 
+def test_spir_span_check_fails_on_fixed_query_leaving_span_g():
+    """A standard query's off-target columns lie in span(G), so the span
+    check holds for it; a fixed query for file 2 with an off-target column
+    outside span(G) makes server-secret-span@k=2 read False and is reported
+    as a server-secrecy-span counterexample.  With t = 0 the only reject set
+    is empty, so user secrecy holds and the span check is the one to fail
+    (a stub that always passes leaves the distribution sweep to report)."""
+    g = la.MatGF.from_ints(F5, [[1], [2], [3]])
+    f = la.MatGF.from_ints(F5, [[1], [4], [2]])
+    access = make_threshold(2, 0, 3)
+    std = cl.SpirProtocol(g=g, f=f, nfiles=3, access=access)
+    rep = cl.spir_audit(std)
+    assert rep.secure and rep.matches_mmsp
+    u_q = la.MatGF.from_ints(F5, [[2, 0, 3]])
+    queries = [cl.spir_query(std, k, u_q) for k in (1, 2, 3)]
+    leave = queries[1].a.copy()
+    leave[:, 2] = [1, 0, 0]  # file 3's column of file 2's query, not in span(G)
+    queries[1] = la.MatGF(F5, leave)
+    bad = cl.SpirProtocol(g=g, f=f, nfiles=3, access=access, fixed_query=queries)
+    rep = cl.spir_audit(bad)
+    details = dict((name, ok) for name, ok in rep.details)
+    assert [details[f"server-secret-span@k={k}"] for k in (1, 2, 3)] == [True, False, True]
+    assert all(ok for name, ok in rep.details if name.startswith(("correct@", "user-secret@")))
+    assert rep.counterexamples == [{"k": 2, "kind": "server-secrecy-span"}]
+    assert rep.correct and not rep.secret
+
+
 def test_spir_audit_mutated_cross_check():
     rng = np.random.default_rng(13)
     fs = make_threshold(2, 1, 3)

@@ -9,7 +9,7 @@ from mmsplab import qstate as qs
 from mmsplab.errors import NonPrimeLocalDim, NotMaximalIsotropic
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1, example2
-from mmsplab.linalg import MatGF
+from mmsplab.linalg import MatGF, is_self_col_orth
 
 F3 = field_build(3, 1)
 Q = 3
@@ -228,6 +228,107 @@ def test_displaced_measurement_brute_force_born_rule(case, block_cells,
     got = dm.probabilities(pieces)
     assert np.abs(got - np.array(want)).max() < 1e-12
     assert (want[-1] > 1e-3) == has_tail
+
+
+def _weyl_by_rolls(q, n, disp):
+    """W(a, b) built as weyl_matrix built it before the monomial table:
+    apply_weyl (phase, then np.roll per register) on the identity."""
+    d = q**n
+    eye = np.eye(d, dtype=np.complex128).reshape((q,) * n + (d,))
+    return qs.apply_weyl(eye, q, disp, list(range(n))).reshape(d, d)
+
+
+def _group_sum_reference(q, n, gens, phases):
+    """The group sum as one accumulated term per element, in c order."""
+    om = np.exp(2j * np.pi * np.arange(q) / q)
+    acc = np.zeros((q**n, q**n), dtype=np.complex128)
+    for c in qs._enum_vecs(q, gens.shape[1]):
+        disp = (gens @ c) % q
+        ph = om[int(c @ np.asarray(phases)) % q].conjugate()
+        acc = acc + ph * (qs.aligned_phase(q, disp) * _weyl_by_rolls(q, n, disp))
+    return acc
+
+
+def _isotropic_gens(q, n, k, rng):
+    """k independent isotropic columns: a random basis of the Lagrangian
+    span of [I; S] for a random symmetric S, each register then turned by
+    the symplectic swap (a, b) -> (-b, a) at random."""
+    s = rng.integers(0, q, size=(n, n))
+    lag = np.vstack([np.eye(n, dtype=np.int64), (s + s.T) % q])
+    while True:
+        mix = rng.integers(0, q, size=(n, n))
+        if round(np.linalg.det(mix)) % q:
+            break
+    g = lag @ mix % q
+    for i in np.flatnonzero(rng.integers(0, 2, size=n)):
+        g[[i, n + i]] = (-g[n + i]) % q, g[i].copy()
+    return g[:, :k]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_stabilizer_projector_matches_group_sum_bytes(q):
+    """The scatter of monomial entries is the accumulated group sum byte
+    for byte (same products, same order per cell), for every n <= 3 the
+    dense oracle admits and k = 0..n; weyl_matrix equals the rolled
+    identity entry for entry."""
+    rng = np.random.default_rng(q)
+    for n in range(1, 4):
+        if q ** (2 * n) > qs.DENSE_DIM_LIMIT:
+            continue
+        for k in range(n + 1):
+            gens = _isotropic_gens(q, n, k, rng)
+            assert is_self_col_orth(MatGF.from_ints(field_build(q, 1), gens.tolist()))
+            phases = rng.integers(0, q, size=k)
+            got = qs.stabilizer_projector(q, n, gens, phases)
+            assert got.tobytes() == _group_sum_reference(q, n, gens, phases).tobytes()
+        for _ in range(3):
+            disp = rng.integers(0, q, size=2 * n)
+            assert np.array_equal(qs.weyl_matrix(q, n, disp), _weyl_by_rolls(q, n, disp))
+
+
+def _probabilities_by_fftn(dm, components):
+    """Born distribution with the DFT over the k axes taken by np.fft.fftn,
+    blocked as DisplacedMeasurement.probabilities blocks it."""
+    q, n = dm.q, dm.n_act
+    k, rest, nphi = q**n, dm.rest, dm._nphi
+    cols = np.concatenate([np.sqrt(w) * np.asarray(f).reshape(dm.d, -1)
+                           for w, f in components], axis=1)
+    acc = np.zeros(q ** (2 * n))
+    step = max(1, dm.BLOCK_CELLS // (nphi * k * k))
+    for lo in range(0, cols.shape[1], step):
+        psi = cols[:, lo:lo + step].reshape(k, rest, -1)
+        npsi = psi.shape[-1]
+        m = (dm._phi_rows @ psi.transpose(1, 0, 2).reshape(rest, -1)) \
+            .reshape(nphi, k, k, npsi)
+        c = m[:, np.arange(k), dm._shift, :].reshape((nphi,) + (q,) * (2 * n) + (npsi,))
+        g = np.fft.fftn(c, axes=tuple(range(1 + n, 1 + 2 * n)))
+        acc += (np.abs(g) ** 2).sum(axis=(0, -1)).reshape(-1)
+    probs = acc / dm._lam
+    return np.concatenate([probs, [max(0.0, 1.0 - probs.sum())]])
+
+
+@pytest.mark.parametrize("blocks", ["one", "two columns", "one column"])
+@pytest.mark.parametrize("sub", [[2], [1, 3], [1, 2, 3]], ids=lambda s: f"n_act={len(s)}")
+def test_probabilities_character_table_matches_fftn(sub, blocks, monkeypatch):
+    """On example 1's decoder measurements at n_act = 1, 2, 3 (rest
+    q^n_act > 1), the character-table product gives the fftn distribution
+    within 1e-12, in one block and split into several."""
+    g1 = example1().g1
+    keep = [s - 1 for s in sub] + [3 + s - 1 for s in sub]
+    dm = qs.displaced_measurement_for(g1, sub)
+    k = Q ** len(sub)
+    cells = {"one": qs.DisplacedMeasurement.BLOCK_CELLS,
+             "two columns": 2 * dm._nphi * k * k, "one column": 1}[blocks]
+    monkeypatch.setattr(qs.DisplacedMeasurement, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(len(sub))
+    d = dm.d
+    pieces = [(0.5, qs.reduce_factor(qs.frame_for(g1).resource([0] * g1.cols), keep))]
+    for cols in (1, 4, 2):
+        f = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
+        pieces.append((float(rng.uniform(0.2, 2.0)) / np.linalg.norm(f) ** 2, f))
+    want = _probabilities_by_fftn(dm, pieces)
+    assert np.abs(dm.probabilities(pieces) - want).max() < 1e-12
+    assert dm.rest > 1 and want[:-1].max() > 1e-3
 
 
 def test_reduce_factor_mixed_register_sizes():
