@@ -3,15 +3,16 @@ of FieldCtx cells (through the ctx.ax_* operations, so for both field
 kinds), whose RREF takes one batched ctx.ax_inv per stack; an MDS check on
 it that eliminates either every k-row minor or the square submatrices of
 the systematic form [D | Q], whichever updates fewer cells; and one subset
-kernel behind every share and query-column histogram: the counts of
+kernel behind every share and query-column multiset: the sorted codes of
 shift + G u over every u, restricted to each of a list of row subsets, with
-G u enumerated once on all rows and the subsets of one size counted by one
-bincount per block, which reads the operation tables of fields with q <= 512.
+G u enumerated once on all rows and consecutive subsets of one size stacked
+and coded one row at a time, through the operation tables of fields with
+q <= 512.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 from math import comb
 from typing import NamedTuple
 
@@ -19,13 +20,10 @@ import numpy as np
 
 from .errors import TooLarge
 
-# largest coset histogram (int64 cells, shifts * q^|subset|) gf_coset_hist
-# will allocate, 16 Mi cells = 128 MiB; it holds at most two caps' worth at once
-SHARE_HIST_CELL_CAP = 1 << 24
-# cells per block of (shift, subset) pairs in gf_coset_hist, counting both the
-# gathered share codes (pairs * q^cols * |subset|) and the bincount output
-# (pairs * q^|subset|)
-_HIST_BLOCK_CELLS = 1 << 16
+# most sorted share codes (int64 cells, shifts * q^cols) gf_coset_codes keeps
+# for one subset, 16 Mi cells = 128 MiB; a stack of subsets holds at most this
+# many, plus one table lookup of the same size
+SHARE_CODE_CELL_CAP = 1 << 24
 
 
 def backend_name() -> str:
@@ -151,10 +149,14 @@ def gf_is_mds(ctx, data: np.ndarray, k: int, block: int) -> bool:
         for j in levels)
 
 
-def _check_cells(cells: int) -> None:
-    if cells > SHARE_HIST_CELL_CAP:
-        raise TooLarge(f"share histogram of {cells} cells exceeds the cap of "
-                       f"{SHARE_HIST_CELL_CAP}")
+def _check_codes(nshifts: int, cols: int, size: int, q: int) -> None:
+    """Refuse sorted codes (nshifts, q^cols) per set, or a share code over
+    size rows that would not fit int64."""
+    if q**size > 1 << 63:
+        raise TooLarge(f"share codes over {size} rows of GF({q}) overflow int64")
+    if nshifts * q**cols > SHARE_CODE_CELL_CAP:
+        raise TooLarge(f"sorted share codes of {nshifts * q**cols} cells per set "
+                       f"exceed the cap of {SHARE_CODE_CELL_CAP}")
 
 
 def gf_span(a: np.ndarray, t: Tables) -> np.ndarray:
@@ -167,52 +169,31 @@ def gf_span(a: np.ndarray, t: Tables) -> np.ndarray:
     return out
 
 
-def gf_coset_hist(gr: np.ndarray, shifts: np.ndarray, subsets, t: Tables):
-    """counts[i, code] of the multiset shifts[i] + G u over every u, restricted
-    to each list of 0-based rows in subsets, yielded in their order; a share z
-    has code sum_j z_j q^j.  Every subset's size is checked before G u is
-    enumerated, once, on all rows.  Subsets are counted in runs of those whose
-    counts start within one cap's worth (so a run holds at most two caps),
-    and each size in a run takes one _size_hists call."""
+def gf_coset_codes(gr: np.ndarray, shifts: np.ndarray, subsets, t: Tables):
+    """codes[i] (shifts, q^cols): the codes of shifts[i] + G u over every u,
+    sorted, restricted to each list of 0-based rows in subsets, yielded in
+    their order; a share z has code sum_j z_j q^j, so two multisets are equal
+    iff their rows are.  Both guards run before G u is enumerated, once, on
+    all rows.  Consecutive subsets of one size are stacked, up to one cap's
+    worth of codes, and their codes built one digit at a time."""
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
-    sizes = np.array([len(s) for s in subsets], dtype=np.int64)
-    for k in sizes:
-        _check_cells(len(shifts) * t.q**int(k))
+    _check_codes(len(shifts), gr.shape[1], max(map(len, subsets), default=0), t.q)
     gu = gf_span(gr, t).T  # row j: (G u)_j over every u
-    cells = len(shifts) * t.q**sizes
-    run = (np.cumsum(cells) - cells) // SHARE_HIST_CELL_CAP
-    for r in np.unique(run):
-        out = {}
-        for k in np.unique(sizes[run == r]):
-            idx = np.nonzero((run == r) & (sizes == k))[0]
-            rows = np.array([subsets[i] for i in idx]).reshape(len(idx), k)
-            out.update(zip(idx, _size_hists(gu, shifts, rows, t).swapaxes(0, 1)))
-        yield from (out[i] for i in sorted(out))
-
-
-def _size_hists(gu, shifts, rows, t):
-    """counts (shifts, S, q^k) for S row subsets rows (S, k) of one size k,
-    G u given by rows gu (rows, q^cols); pair i = (shift i // S, subset i % S)
-    has its codes offset by i q^k, so a block of pairs is one table lookup
-    and one bincount."""
-    (nsub, k), qk = rows.shape, t.q**rows.shape[1]
-    pairs = len(shifts) * nsub
-    powers = t.q ** np.arange(k)
-    # the gathered shares and the bincount output both stay within the block
-    step = max(1, _HIST_BLOCK_CELLS // max(max(k, 1) * gu.shape[1], qk))
-    counts = np.empty((pairs, qk), dtype=np.int64)
-    for lo in range(0, pairs, step):
-        pair = np.arange(lo, min(lo + step, pairs))
-        r = rows[pair % nsub]
-        codes = powers @ t.add[shifts[(pair // nsub)[:, None], r][:, :, None], gu[r]]
-        codes += np.arange(len(pair))[:, None] * qk
-        counts[lo:lo + len(pair)] = np.bincount(
-            codes.ravel(), minlength=len(pair) * qk).reshape(len(pair), qk)
-    return counts.reshape(len(shifts), nsub, qk)
+    step = max(1, SHARE_CODE_CELL_CAP // (len(shifts) * gu.shape[1]))
+    for _, run in groupby(subsets, len):
+        run = list(run)
+        for lo in range(0, len(run), step):
+            rows = np.array(run[lo:lo + step]).T  # (size, stack)
+            codes = np.zeros((rows.shape[1], len(shifts), gu.shape[1]), dtype=np.int64)
+            for r in rows[::-1]:  # Horner, highest digit first
+                codes *= t.q
+                codes += t.add[shifts[:, r].T[:, :, None], gu[r][:, None]]
+            codes.sort(axis=-1)
+            yield from codes
 
 
 def gf_share_hist(gr: np.ndarray, fr: np.ndarray, t: Tables) -> np.ndarray:
-    """counts[m_index, share_code] of F m + G u over every u, with m_index
-    sum_j m_j q^j: the coset histogram of all rows under the shifts F m."""
-    _check_cells(t.q**fr.shape[1] * t.q**gr.shape[0])
-    return next(gf_coset_hist(gr, gf_span(fr, t), [range(gr.shape[0])], t))
+    """codes[m_index] of F m + G u over every u, sorted, with m_index
+    sum_j m_j q^j: the coset codes of all rows under the shifts F m."""
+    _check_codes(t.q**fr.shape[1], gr.shape[1], gr.shape[0], t.q)
+    return next(gf_coset_codes(gr, gf_span(fr, t), [range(gr.shape[0])], t))

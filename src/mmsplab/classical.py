@@ -2,10 +2,11 @@
 
 Audits enumerate the dealer/server randomness exhaustively (never sampling),
 compare share and query distributions as exact multisets, and cross-check
-every verdict against the span-program predicates.  Each sweep counts the
-multisets of all its sets with one call of the subset kernel
-(_accel.gf_coset_hist), which enumerates G u once.  Feasibility is guarded
-by q^(x+y) <= 10^6.
+every verdict against the span-program predicates.  Each sweep lists the
+multisets of all its sets as sorted share codes with one call of the subset
+kernel (_accel.gf_coset_codes), which enumerates G u once; two multisets are
+equal iff their sorted codes are.  Feasibility is guarded by q^(x+y) <= 10^6
+(and q^(x*f+y) <= 10^6 for the SPIR server sweep), checked before any sweep.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def _vec_from_index(ctx, idx: int, length: int) -> VecGF:
     return v
 
 
-def _hists(g: MatGF, f: MatGF, sets: list, query: bool = False):
-    """counts[i, code] of s_i + G u over every u on each 1-based row set, in
+def _codes(g: MatGF, f: MatGF, sets: list, query: bool = False):
+    """Sorted codes[i] of s_i + G u over every u on each 1-based row set, in
     order, from one kernel call: s_i is F m for every message m, or with
     query=True one of the columns 0, F_1, ..., F_x of a standard query."""
     t = g.ctx.tables()
@@ -135,7 +136,7 @@ def _hists(g: MatGF, f: MatGF, sets: list, query: bool = False):
         raise TooLarge("audits need a small tabled field")
     shifts = (np.concatenate([np.zeros((1, f.rows), dtype=np.int64), f.a.T]) if query
               else _accel.gf_span(f.a, t))
-    return _accel.gf_coset_hist(g.a, shifts, [subset_rows(s, g.rows) for s in sets], t)
+    return _accel.gf_coset_codes(g.a, shifts, [subset_rows(s, g.rows) for s in sets], t)
 
 
 def _marginals_equal(g: MatGF, f: MatGF, sets: list) -> list[bool]:
@@ -143,7 +144,22 @@ def _marginals_equal(g: MatGF, f: MatGF, sets: list) -> list[bool]:
     columns have file-independent multisets over every u: column c of block j
     is F_c + G u under file j and G u otherwise, so each F column's multiset
     must be the zero column's."""
-    return [bool((h[1:] == h[0]).all()) for h in _hists(g, f, sets, query=True)]
+    return [bool((c[1:] == c[0]).all()) for c in _codes(g, f, sets, query=True)]
+
+
+def _clash(codes: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """(code, m, m') for the smallest share code that two messages m < m'
+    reach, m and m' the first two that do; None when no code is shared.
+    Each message's shares form a coset of the image of G on the set, so two
+    messages share a code iff their cosets, and so their smallest codes, are
+    equal."""
+    order = np.argsort(codes[:, 0], kind="stable")
+    least = codes[order, 0]
+    dup = np.flatnonzero(least[1:] == least[:-1])
+    if dup.size == 0:
+        return None
+    i = dup[0]
+    return int(least[i]), int(order[i]), int(order[i + 1])
 
 
 @dataclass
@@ -184,26 +200,23 @@ def css_audit(p: CssProtocol) -> AuditReport:
     details, cex = [], []
     accept, reject = ([sorted(s) for s in sets]
                       for sets in (p.access.accept_iter(), p.access.reject_iter()))
-    hists = _hists(p.g, p.f, accept + reject)
+    codes = _codes(p.g, p.f, accept + reject)
     correct = True
-    for a, counts in zip(accept, hists):
+    for a, c in zip(accept, codes):
         # correctness: no share code reachable from two different messages
-        clash = (counts > 0).sum(axis=0) > 1
-        ok = not bool(clash.any())
-        details.append([f"correct@{a}", ok])
-        if not ok:
-            code = int(np.nonzero(clash)[0][0])
-            ms = [int(m) for m in np.nonzero(counts[:, code])[0][:2]]
+        clash = _clash(c)
+        details.append([f"correct@{a}", clash is None])
+        if clash is not None:
+            code, *ms = clash
             cex.append({"set": a, "kind": "correctness",
                         "messages": ms, "share_code": code})
             correct = False
     secret = True
-    for b, counts in zip(reject, hists):
-        ok = bool((counts == counts[0]).all())
-        details.append([f"secret@{b}", ok])
-        if not ok:
-            bad = int(np.nonzero((counts != counts[0]).any(axis=1))[0][0])
-            cex.append({"set": b, "kind": "secrecy", "message": bad})
+    for b, c in zip(reject, codes):
+        bad = np.flatnonzero((c != c[0]).any(axis=1))
+        details.append([f"secret@{b}", bad.size == 0])
+        if bad.size:
+            cex.append({"set": b, "kind": "secrecy", "message": int(bad[0])})
             secret = False
     verdict = correct and secret
     mmsp_verdict = is_mmsp(p.g, p.f, p.access)
@@ -270,12 +283,14 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
     ctx = p.ctx
     if ctx.q ** (p.x + p.y) > AUDIT_LIMIT or ctx.q ** (p.x * p.nfiles) > AUDIT_LIMIT:
         raise TooLarge("audit needs q^(x+y) and q^(x*f) <= 1e6")
+    if ctx.q ** (p.x * p.nfiles + p.y) > AUDIT_LIMIT:
+        raise TooLarge("server-secrecy sweep needs q^(x*f+y) <= 1e6")
     details, cex = [], []
     # correctness: answers are a CSS share of m_k with effective randomness
     accept = [sorted(a) for a in p.access.accept_iter()]
     correct = True
-    for a, counts in zip(accept, _hists(p.g, p.f, accept)):
-        ok = not bool(((counts > 0).sum(axis=0) > 1).any())
+    for a, c in zip(accept, _codes(p.g, p.f, accept)):
+        ok = _clash(c) is None
         details.append([f"correct@{a}", ok])
         if not ok:
             correct = False
@@ -311,15 +326,13 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
             cex.append({"k": k, "kind": "server-secrecy-span"})
     # server secrecy, empirical: answer distribution depends only on m_k
     if server_secret:
-        if ctx.q ** (p.x * p.nfiles + p.y) > AUDIT_LIMIT:
-            raise TooLarge("server-secrecy sweep needs q^(x*f+y) <= 1e6")
         t = ctx.tables()
         for k in range(1, p.nfiles + 1):
-            # distribution of Q m + G u over exhaustive u, axes (files after
+            # sorted codes of Q m + G u over exhaustive u, axes (files after
             # k, m_k, files before k, code): every m_k row is its first one
-            hist = _accel.gf_share_hist(p.g.a, queries[k - 1].a, t).reshape(
-                -1, ctx.q ** p.x, ctx.q ** ((k - 1) * p.x), ctx.q ** p.nbar)
-            ok = bool((hist == hist[:1, :, :1]).all())
+            codes = _accel.gf_share_hist(p.g.a, queries[k - 1].a, t)
+            codes = codes.reshape(-1, ctx.q ** p.x, ctx.q ** ((k - 1) * p.x), codes.shape[-1])
+            ok = bool((codes == codes[:1, :, :1]).all())
             details.append([f"server-secret-dist@k={k}", ok])
             if not ok:
                 server_secret = False

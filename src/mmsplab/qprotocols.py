@@ -94,11 +94,6 @@ def distances_from(ref: list) -> Callable[[list], float]:
     return distance
 
 
-def mixture_distance(a: list, b: list) -> float:
-    """Trace distance between two mixtures (see distances_from)."""
-    return distances_from(a)(b)
-
-
 # ---------------------------------------------------------------------------
 # classical displacement decoding (shared by both backends)
 # ---------------------------------------------------------------------------

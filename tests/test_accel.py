@@ -100,7 +100,7 @@ def test_mds_paths_agree():
         assert seen == {True, False}
 
 
-# (rows, x, y) of the histogram inputs: y = 2 and x = 2, and no rows at all
+# (rows, x, y) of the kernel inputs: y = 2 and x = 2, and no rows at all
 # (the restriction to an empty subset)
 HIST_SHAPES = [(3, 1, 1), (3, 2, 2), (0, 1, 2)]
 
@@ -120,9 +120,16 @@ def _hist_ref(ctx, g, f):
     return want
 
 
+def _sorted_codes(counts):
+    """Each row of counts[i, code] as its codes listed count times, ascending."""
+    return np.stack([np.repeat(np.arange(counts.shape[1]), row) for row in counts])
+
+
 # 0-based row subsets of the 3-row inputs: sizes interleaved, so the results
-# must come back in the order given, not grouped by size; the empty subset
-SUBSETS = {3: [[0, 2], [1], [0, 1, 2], [], [2], [1, 2]], 0: [[], []]}
+# must come back in the order given, not grouped by size, with runs of two
+# consecutive subsets of one size (2, then 1), which are stacked; the empty
+# subset
+SUBSETS = {3: [[0, 2], [0, 1], [1], [0, 1, 2], [], [2], [0], [1, 2]], 0: [[], []]}
 
 
 def _hist_cases():
@@ -136,13 +143,14 @@ def _hist_cases():
             yield ctx, g, f, shifts
 
 
-def _hists(ctx, g, f, shifts):
-    """The share histogram of all rows, then the subset kernel's share and
-    coset histograms on every subset of SUBSETS."""
-    t, subsets = ctx.tables(), SUBSETS[g.rows]
+def _codes(ctx, g, f, shifts, subsets=None):
+    """The sorted share codes of all rows, then the subset kernel's share and
+    coset codes on every subset of SUBSETS (or of subsets)."""
+    t = ctx.tables()
+    subsets = SUBSETS[g.rows] if subsets is None else subsets
     return ([_accel.gf_share_hist(g.a, f.a, t)]
-            + list(_accel.gf_coset_hist(g.a, _accel.gf_span(f.a, t), subsets, t))
-            + list(_accel.gf_coset_hist(g.a, shifts, subsets, t)))
+            + list(_accel.gf_coset_codes(g.a, _accel.gf_span(f.a, t), subsets, t))
+            + list(_accel.gf_coset_codes(g.a, shifts, subsets, t)))
 
 
 def _on_rows(ctx, counts, rows, sub):
@@ -154,12 +162,12 @@ def _on_rows(ctx, counts, rows, sub):
 
 
 def test_hist_paths_agree():
-    """gf_share_hist counts every share code F m + G u over exhaustive u; the
-    subset kernel counts F m + G u, and every shifts[i] + G u (F = I,
-    m = shifts[i]), on each subset of rows; all as css_share computes them
-    one (m, u) pair at a time."""
+    """gf_share_hist lists every share code F m + G u over exhaustive u,
+    sorted; the subset kernel lists F m + G u, and every shifts[i] + G u
+    (F = I, m = shifts[i]), on each subset of rows; all as css_share computes
+    them one (m, u) pair at a time, on every field of FIELDS."""
     for ctx, g, f, shifts in _hist_cases():
-        got = _hists(ctx, g, f, shifts)
+        got = _codes(ctx, g, f, shifts)
         subsets, rows = SUBSETS[g.rows], g.rows
         share = _hist_ref(ctx, g, f)
         eye = MatGF(ctx, np.eye(rows, dtype=np.int64))
@@ -168,70 +176,72 @@ def test_hist_paths_agree():
                 + [_on_rows(ctx, coset, rows, sub) for sub in subsets])
         assert len(got) == len(want) == 1 + 2 * len(subsets)
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            assert a.dtype == np.int64
+            assert np.array_equal(a, _sorted_codes(b))
 
 
 def test_hist_blocks_agree(monkeypatch):
-    """One (shift, subset) pair per block gives the same counts as the
-    default blocks."""
+    """With the cap at one or two subsets' codes of the widest call, the
+    stacks of consecutive subsets of one size split, and every code stays
+    the same."""
     cases = list(_hist_cases())
-    want = [_hists(*case) for case in cases]
-    monkeypatch.setattr(_accel, "_HIST_BLOCK_CELLS", 1)
-    for case, hists in zip(cases, want):
-        for got, h in zip(_hists(*case), hists, strict=True):
-            assert np.array_equal(got, h)
+    want = [_codes(*case) for case in cases]
+    for per in (1, 2):
+        for case, codes in zip(cases, want):
+            ctx, g, f, shifts = case
+            cap = max(ctx.q**f.cols, len(shifts)) * ctx.q**g.cols * per
+            monkeypatch.setattr(_accel, "SHARE_CODE_CELL_CAP", cap)
+            for got, c in zip(_codes(*case), codes, strict=True):
+                assert np.array_equal(got, c)
 
 
-def test_hist_runs_agree(monkeypatch):
-    """The subsets of one size are counted together, one size at a time (one
-    call for gf_share_hist, then 4 sizes in each of the two list calls); with
-    the cap at the largest
-    subset's counts the coset call splits into two runs, of 3 sizes each,
-    and every count stays the same."""
-    ctx, g, f, shifts = next(c for c in _hist_cases() if c[1].rows == 3)
-    calls = []
-    size_hists = _accel._size_hists
-    monkeypatch.setattr(_accel, "_size_hists",
-                        lambda gu, sh, rows, t: calls.append(len(sh)) or size_hists(gu, sh, rows, t))
-    want = _hists(ctx, g, f, shifts)
-    assert calls == [ctx.q] * 5 + [5] * 4
-    calls.clear()
-    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", len(shifts) * ctx.q**3)
-    for got, h in zip(_hists(ctx, g, f, shifts), want, strict=True):
-        assert np.array_equal(got, h)
-    assert calls == [ctx.q] * 5 + [5] * 6
+def test_hist_runs_agree():
+    """One call on the whole list, whose runs of consecutive subsets of one
+    size are stacked, gives each subset the codes of a call on that subset
+    alone."""
+    for ctx, g, f, shifts in _hist_cases():
+        alone = [_codes(ctx, g, f, shifts, [sub]) for sub in SUBSETS[g.rows]]
+        got = _codes(ctx, g, f, shifts)
+        n = len(alone)
+        for i, one in enumerate(alone):
+            assert np.array_equal(got[1 + i], one[1])
+            assert np.array_equal(got[1 + n + i], one[2])
 
 
 def test_share_hist_cell_cap(monkeypatch):
-    """The histograms are refused from their computed size, q^x * q^rows and
-    shifts * q^|subset| for every subset in the list, before G u is
-    enumerated; only tiny matrices are used."""
-    t, cap = tables(), _accel.SHARE_HIST_CELL_CAP
+    """The sorted codes are refused before G u is enumerated: past the cap
+    on one subset's codes, shifts * q^cols, or with a share code past int64,
+    q^|subset| > 2^63; only tiny matrices are used."""
+    t, cap = tables(), _accel.SHARE_CODE_CELL_CAP
     g = np.zeros((3, 1), dtype=np.int64)
-    f = np.zeros((3, 2), dtype=np.int64)  # 3^2 * 3^3 = 243 cells
-    shifts = np.zeros((9, 3), dtype=np.int64)  # 9 * 3^3 = 243 cells
-    subsets = [[0], [1, 2], [], [0, 1, 2]]  # the largest comes last
-    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 243)
-    assert _accel.gf_share_hist(g, f, t).shape == (9, 27)
-    assert [h.shape for h in _accel.gf_coset_hist(g, shifts, subsets, t)] == [
-        (9, 3), (9, 9), (9, 1), (9, 27)]
+    f = np.zeros((3, 2), dtype=np.int64)  # 3^2 * 3^1 = 27 cells
+    shifts = np.zeros((9, 3), dtype=np.int64)  # 9 * 3^1 = 27 cells
+    subsets = [[0], [1, 2], [], [0, 1, 2]]
+    monkeypatch.setattr(_accel, "SHARE_CODE_CELL_CAP", 27)
+    assert _accel.gf_share_hist(g, f, t).shape == (9, 3)
+    assert [c.shape for c in _accel.gf_coset_codes(g, shifts, subsets, t)] == [(9, 3)] * 4
+    # 2^63 - 1, the largest share code, is the all-ones share on 63 rows of GF(2)
+    t2, ones = field_build(2, 1).tables(), np.ones((63, 1), dtype=np.int64)
+    assert _accel.gf_share_hist(ones[:, :0], ones, t2)[1].tolist() == [(1 << 63) - 1]
 
     def no_span(*_a):
-        raise AssertionError("G u enumerated past the cap")
+        raise AssertionError("G u enumerated past a guard")
     monkeypatch.setattr(_accel, "gf_span", no_span)
-    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", 242)
+    monkeypatch.setattr(_accel, "SHARE_CODE_CELL_CAP", 26)
     with pytest.raises(TooLarge):
         _accel.gf_share_hist(g, f, t)
     with pytest.raises(TooLarge):
-        next(_accel.gf_coset_hist(g, shifts, subsets, t))
-    monkeypatch.setattr(_accel, "SHARE_HIST_CELL_CAP", cap)
-    # 3^60 share codes: far past the cap (and past what numpy can allocate)
-    with pytest.raises(TooLarge):
-        _accel.gf_share_hist(np.zeros((60, 1), dtype=np.int64),
-                             np.zeros((60, 1), dtype=np.int64), t)
-    with pytest.raises(TooLarge):
-        next(_accel.gf_coset_hist(np.zeros((60, 1), dtype=np.int64),
-                                  np.zeros((1, 60), dtype=np.int64), [[0], range(60)], t))
+        next(_accel.gf_coset_codes(g, shifts, subsets, t))
+    monkeypatch.setattr(_accel, "SHARE_CODE_CELL_CAP", cap)
+    # 2^64 and 3^40 share codes: past int64, though 2 * 2 and 3 * 3 cells
+    for tab, rows in ((t2, 64), (t, 40)):
+        with pytest.raises(TooLarge):
+            _accel.gf_share_hist(np.zeros((rows, 1), dtype=np.int64),
+                                 np.zeros((rows, 1), dtype=np.int64), tab)
+        with pytest.raises(TooLarge):
+            next(_accel.gf_coset_codes(np.zeros((rows, 1), dtype=np.int64),
+                                       np.zeros((1, rows), dtype=np.int64),
+                                       [[0], range(rows)], tab))
 
 
 def test_backend_name():

@@ -105,6 +105,24 @@ def test_css_audit_size_guard():
         cl.css_audit(cl.CssProtocol(g=g, f=f, access=make_threshold(12, 1, 12)))
 
 
+def test_spir_audit_refuses_server_sweep_before_any_sweep(monkeypatch):
+    """Over GF(9) with x = 2, y = 3 and two files, q^(x+y) = 9^5 and
+    q^(x*f) = 9^4 pass the audit guard but the server-secrecy sweep's
+    q^(x*f+y) = 9^7 does not: the audit is refused before the correctness
+    sweep enumerates G u."""
+    gf9 = field_build(3, 2)
+    rng = np.random.default_rng(3)
+    p = cl.SpirProtocol(g=la.MatGF(gf9, rng.integers(0, 9, size=(5, 3))),
+                        f=la.MatGF(gf9, rng.integers(0, 9, size=(5, 2))),
+                        nfiles=2, access=make_threshold(5, 3, 5))
+
+    def no_span(*_a):
+        raise AssertionError("a sweep ran before the size guard")
+    monkeypatch.setattr(_accel, "gf_span", no_span)
+    with pytest.raises(TooLarge, match="q\\^\\(x\\*f\\+y\\)"):
+        cl.spir_audit(p)
+
+
 def test_transcript_replay(css_ex1):
     m = la.VecGF.from_ints(F3, [2, 1])
     t1 = cl.css_run(css_ex1, m, seed=9)

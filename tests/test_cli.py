@@ -131,24 +131,40 @@ def test_fixtures_regenerate_bit_exact():
         json.dumps(ex1.bundle.to_json()))
 
 
-def test_audit_share_histogram_guard_exit_3(tmp_path):
-    """A CSS audit whose share histogram (q^x * q^|A| = 3^61 cells on the
-    one 60-server accept set) is past the cap exits 3 without allocating."""
+def _ones_audit_files(tmp_path, n, t):
+    """A plain bundle with G = F = ones(n x 1) over F_3, and the (n, t, n)
+    threshold."""
     from mmsplab.access import make_threshold
     from mmsplab.fields import field_build
     from mmsplab.linalg import MatGF
     from mmsplab.mmsp import make_bundle
 
-    ctx = field_build(3, 1)
-    ones = MatGF.from_ints(ctx, [[1]] * 60)
-    bundle = make_bundle("plain", ones, None, ones, n=60)
-    b = tmp_path / BUNDLE
-    s = tmp_path / STRUCT
-    b.write_text(json.dumps(bundle.to_json()))
-    s.write_text(json.dumps(make_threshold(60, 59, 60).to_json()))
-    rc, out, _ = run_cli("audit", "css", str(b), str(s))
+    ones = MatGF.from_ints(field_build(3, 1), [[1]] * n)
+    b, s = tmp_path / BUNDLE, tmp_path / STRUCT
+    b.write_text(json.dumps(make_bundle("plain", ones, None, ones, n=n).to_json()))
+    s.write_text(json.dumps(make_threshold(n, t, n).to_json()))
+    return str(b), str(s)
+
+
+def test_audit_share_code_guard_exit_3(tmp_path):
+    """A CSS audit whose share codes on the one 60-server accept set (3^60
+    of them) do not fit int64 exits 3 without allocating."""
+    rc, out, _ = run_cli("audit", "css", *_ones_audit_files(tmp_path, 60, 59))
     assert rc == 3
     assert json.loads(out)["error"].startswith("TooLarge")
+
+
+@pytest.mark.parametrize("proto", ["css", "cspir"])
+def test_audit_twenty_servers_runs(tmp_path, proto):
+    """On 20 servers the audits hold 3 sorted codes per message, not a
+    histogram over 3^20 codes: with G = F = ones, u absorbs m on the one
+    accept set, so the audit fails correctness (exit 1), as the span-program
+    verdict does."""
+    rc, out, _ = run_cli("audit", proto, *_ones_audit_files(tmp_path, 20, 1))
+    rep = json.loads(out)["report"]
+    assert rc == 1
+    assert rep["matches_mmsp"] is True and rep["correct"] is False
+    assert rep["counterexamples"][0]["kind"] == "correctness"
 
 
 @pytest.mark.parametrize("field", [{"p": 2**61 - 1, "r": 1}, {"p": 3, "r": 100000}])

@@ -399,12 +399,12 @@ def test_mixture_distance_matches_dense(cols, narrow):
     assert (2 * sum(cols) < d) == narrow
     want = qp.trace_distance(dense(a), dense(b))
     assert want > 0.1
-    assert abs(qp.mixture_distance(a, b) - want) < 1e-12
+    assert abs(qp.distances_from(a)(b) - want) < 1e-12
     # the same state with its first piece split in two at other weights
     w0, f0 = a[0]
     split = [(w0 / 4, 2 * f0[:, :1]), (w0, f0[:, 1:])] + a[1:]
     assert qp.trace_distance(dense(a), dense(split)) < 1e-12
-    assert qp.mixture_distance(a, split) < 1e-12
+    assert qp.distances_from(a)(split) < 1e-12
 
 
 def test_spir_secrecy_eigvalsh_width_is_factor_span(monkeypatch):
