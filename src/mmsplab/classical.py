@@ -5,8 +5,9 @@ compare share and query distributions as exact multisets, and cross-check
 every verdict against the span-program predicates.  Each sweep lists the
 multisets of all its sets as sorted share codes with one call of the subset
 kernel (_accel.gf_coset_codes), which enumerates G u once; two multisets are
-equal iff their sorted codes are.  Feasibility is guarded by q^(x+y) <= 10^6
-(and q^(x*f+y) <= 10^6 for the SPIR server sweep), checked before any sweep.
+equal iff their sorted codes are.  The quantum SPIR audit runs the same
+server-secrecy sweep.  Feasibility is guarded by q^(x+y) <= 10^6 (and
+q^(x*f+y) <= 10^6 for the SPIR server sweep), checked before any sweep.
 """
 
 from __future__ import annotations
@@ -117,14 +118,6 @@ def css_decode(p: CssProtocol, subset: Iterable[int], z: VecGF) -> Optional[VecG
     if len(z) != len(sub):
         raise DimensionMismatch("restricted share length")
     return dec.decode_one(z.a)
-
-
-def _vec_from_index(ctx, idx: int, length: int) -> VecGF:
-    v = VecGF.zeros(ctx, length)
-    for i in range(length):
-        v.a[i] = idx % ctx.q
-        idx //= ctx.q
-    return v
 
 
 def _codes(g: MatGF, f: MatGF, sets: list, query: bool = False):
@@ -277,6 +270,27 @@ def spir_run(p: SpirProtocol, files: VecGF, k: int, seed: int) -> Transcript:
     return _decode_and_log(p, answers, tr)
 
 
+def _seeded_queries(p: SpirProtocol) -> list[MatGF]:
+    """The standard queries Q^(1) .. Q^(f) under one seeded U_Q, not U_Q = 0:
+    a server-secrecy sweep over them tests that G u absorbs G U_Q fv."""
+    u_q = p.ctx.random_cells(np.random.default_rng(20241), p.y, p.x * p.nfiles)
+    return [spir_query(p, k, MatGF(p.ctx, u_q)) for k in range(1, p.nfiles + 1)]
+
+
+def _answers_secret(p: SpirProtocol, queries: list[MatGF]) -> list[bool]:
+    """For each file k, whether the answers Q^(k) fv + G u over every u have
+    one multiset for all file vectors fv with one m_k."""
+    t, q = p.ctx.tables(), p.ctx.q
+    out = []
+    for k, qmat in enumerate(queries, 1):
+        # sorted codes of Q fv + G u over exhaustive u, axes (files after
+        # k, m_k, files before k, code): every m_k row is its first one
+        codes = _accel.gf_share_hist(p.g.a, qmat.a, t)
+        codes = codes.reshape(-1, q ** p.x, q ** ((k - 1) * p.x), codes.shape[-1])
+        out.append(bool((codes == codes[:1, :, :1]).all()))
+    return out
+
+
 def spir_audit(p: SpirProtocol) -> AuditReport:
     """Correctness, user secrecy (exact query marginals), and server secrecy
     (structural span condition + exhaustive answer distributions)."""
@@ -311,11 +325,7 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
             cex.append({"set": sub, "kind": "user-secrecy"})
     # server secrecy, structural (span condition on off-target blocks)
     server_secret = True
-    queries = p.fixed_query
-    if queries is None:
-        # a seeded U_Q, not U_Q = 0: the checks then test that G u absorbs G U_Q m
-        u_q = MatGF(ctx, ctx.random_cells(np.random.default_rng(20241), p.y, p.x * p.nfiles))
-        queries = [spir_query(p, k, u_q) for k in range(1, p.nfiles + 1)]
+    queries = p.fixed_query if p.fixed_query is not None else _seeded_queries(p)
     for k in range(1, p.nfiles + 1):
         off = [c for c in range(p.x * p.nfiles) if c // p.x != k - 1]
         # every off-target query column lies in span(G) on all rows
@@ -326,13 +336,7 @@ def spir_audit(p: SpirProtocol) -> AuditReport:
             cex.append({"k": k, "kind": "server-secrecy-span"})
     # server secrecy, empirical: answer distribution depends only on m_k
     if server_secret:
-        t = ctx.tables()
-        for k in range(1, p.nfiles + 1):
-            # sorted codes of Q m + G u over exhaustive u, axes (files after
-            # k, m_k, files before k, code): every m_k row is its first one
-            codes = _accel.gf_share_hist(p.g.a, queries[k - 1].a, t)
-            codes = codes.reshape(-1, ctx.q ** p.x, ctx.q ** ((k - 1) * p.x), codes.shape[-1])
-            ok = bool((codes == codes[:1, :, :1]).all())
+        for k, ok in enumerate(_answers_secret(p, queries), 1):
             details.append([f"server-secret-dist@k={k}", ok])
             if not ok:
                 server_secret = False

@@ -26,7 +26,7 @@ from .errors import (BadIndex, DimensionMismatch, IndexOutOfRange, MmsplabError,
                      NotQualified, OutOfRange, TooLarge)
 from .linalg import VecGF
 from .mmsp import MmspBundle, bundle_from_json, mmsp_failure, rate
-from .qstate import _enum_vecs
+from .qstate import _enum_vecs, check_dense
 
 REPORT_SCHEMA = 1
 
@@ -190,6 +190,7 @@ def cmd_simulate(args) -> int:
         tr = css_run(CssProtocol(g=bundle.g_stack(), f=bundle.f, access=_target(bundle, fs)),
                      m, seed)
     elif proto == "qqss":
+        check_dense(bundle.ctx, bundle.n)  # before the q^x' x q^x' input
         d = bundle.ctx.q ** (bundle.x // 2)
         rho = np.zeros((d, d), dtype=complex)
         rho[0, 0] = 1.0
@@ -218,13 +219,13 @@ def cmd_crosscheck(args) -> int:
     mismatches = []
     total = 0
     for m in _enum_vecs(q, bundle.x):
-        comps = engine.share_components(engine.message_displacements(m))
-        fm = bundle.f @ VecGF(ctx, m)
+        disps = engine.message_displacements(m)  # F m + G2 u2, u2 in _enum_vecs order
+        comps = engine.share_components(disps)
         for sub, dec in decoders:
             dist = engine.coset_distribution(sub, comps, dec)
-            for u2 in _enum_vecs(q, bundle.y2):
+            for u2, x in zip(_enum_vecs(q, bundle.y2), disps):
                 total += 1
-                rep, _ = dec.track(fm + bundle.g2 @ VecGF(ctx, u2))
+                rep, _ = dec.track(VecGF(ctx, x))
                 if bundle.y2 == 0 and abs(dist.get(rep, 0.0) - 1.0) > 1e-9:
                     mismatches.append({"m": m.tolist(), "set": sub})
                 elif bundle.y2 and dist.get(rep, 0.0) <= 0:

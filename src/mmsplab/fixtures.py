@@ -25,7 +25,7 @@ import numpy as np
 from . import _accel
 from .access import AccessStructure, make_explicit, make_threshold, symplectify_structure
 from .fields import field_build
-from .linalg import MatGF, VecGF, beside, hstack, in_span, nullspace, symp_gram_q, symp_rows
+from .linalg import MatGF, VecGF, beside, hstack, nullspace, rank, symp_gram_q, symp_rows
 from .mmsp import MmspBundle, is_mmsp, make_bundle, mmsp_verdicts, set_block
 
 
@@ -99,9 +99,10 @@ def _rand_isotropic(ctx, n: int, y1: int, rng) -> Optional[MatGF]:
             continue
         if ctx.ax_nonzero(symp_gram_q(ctx, cand.a[None, :, None], kept.a[None])).any():
             continue
-        if kept.cols and in_span(kept, cand):
+        grown = MatGF(ctx, np.concatenate([kept.a, cand.a[:, None]], axis=1))
+        if rank(grown) == kept.cols:  # cand lies in the span of kept
             continue
-        kept = MatGF(ctx, np.concatenate([kept.a, cand.a[:, None]], axis=1))
+        kept = grown
         if kept.cols == y1:
             return kept
     return None

@@ -262,11 +262,6 @@ def solve(m: MatGF, b: VecGF) -> Optional[VecGF]:
     return x
 
 
-def in_span(m: MatGF, v: VecGF) -> bool:
-    """True iff v lies in the column span of m."""
-    return solve(m, v) is not None
-
-
 def nullspace(m: MatGF) -> MatGF:
     """Matrix whose columns span the right nullspace of m: I on the free
     coordinates and minus the RREF on the pivot ones."""

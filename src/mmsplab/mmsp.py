@@ -6,13 +6,14 @@ A pair (G, F) accepts a subset A when the columns of F restricted to A stay
 linearly independent modulo the column span of G restricted to A; it rejects
 B when the restricted F columns fall inside the restricted span of G.  The
 two equivalent formulations (the pivot F columns of [P_A G | P_A F] vs the
-rank the unit block E adds to its row space) are both implemented.
-a1_a2_agree and b1_b2_agree compare them on one subset, as the tests and the
-benchmark's verify-classical items do.  Both read one table of the last
-(G, F), keyed on their content, that holds the two counts for every row
-subset and is filled a block of subsets per stacked elimination, so a sweep
-over every subset of n <= 6 rows costs one elimination.  No CLI command runs
-them.
+rank the unit block E adds to its row space) are both implemented, on stacks
+from one restriction kernel, _restricted, which gathers the rows of each set
+with one index standing for a zero row.  a1_a2_agree and b1_b2_agree compare
+them on one subset, as the tests and the benchmark's verify-classical items
+do.  Both read one table of the last (G, F), keyed on their content, that
+holds the two counts for every row subset and is filled a block of subsets
+per stacked elimination, so a sweep over every subset of n <= 6 rows costs
+one elimination.  No CLI command runs them.
 """
 
 from __future__ import annotations
@@ -52,20 +53,26 @@ from .linalg import (
 )
 
 
-def _f_pivots(g: MatGF, fk: np.ndarray, sets: Sequence[Iterable[int]]) -> np.ndarray:
-    """For each message matrix F of a stack fk (K, rows, x[, r]) of cells and
-    each 1-based row set A, which F columns of [P_A G | P_A F] are pivot
-    columns, (K, S, x), from one stack padded with zero rows (which change
-    no pivot)."""
+def _restricted(g: MatGF, fk: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The restrictions [P_S G | P_S F], (K, S, w, y + x[, r]), of [G | F]
+    for every F of a stack fk (K, rows, x[, r]) of cells and every row S of
+    idx (S, w) of 0-based rows, where index g.rows names a zero row (which
+    changes no rank): the one restriction kernel of every MMSP predicate."""
     if g.rows != fk.shape[1]:
         raise DimensionMismatch("G and F must share their row count")
     m = beside(g, fk)
+    return np.concatenate([m, g.ctx.cell_zeros(len(fk), 1, m.shape[2])], axis=1)[:, idx]
+
+
+def _f_pivots(g: MatGF, fk: np.ndarray, sets: Sequence[Iterable[int]]) -> np.ndarray:
+    """For each message matrix F of a stack fk (K, rows, x[, r]) of cells and
+    each 1-based row set A, which F columns of [P_A G | P_A F] are pivot
+    columns, (K, S, x), from one stack padded with zero rows."""
     rows = [subset_rows(s, g.rows) for s in sets]
     w = max(map(len, rows))
-    idx = np.array([r + [g.rows] * (w - len(r)) for r in rows], dtype=np.int64)
-    padded = np.concatenate([m, g.ctx.cell_zeros(len(fk), 1, m.shape[2])], axis=1)
-    stack = padded[:, idx].reshape((len(fk) * len(rows), w) + m.shape[2:])
-    piv = _accel.gf_rank(g.ctx, stack)[1]
+    stack = _restricted(g, fk, np.array([r + [g.rows] * (w - len(r)) for r in rows],
+                                        dtype=np.int64))
+    piv = _accel.gf_rank(g.ctx, stack.reshape((len(fk) * len(rows),) + stack.shape[2:]))[1]
     return piv.reshape(len(fk), len(rows), -1)[:, :, g.cols:]
 
 
@@ -103,16 +110,15 @@ def _lemma1_table(g: MatGF, f: MatGF) -> tuple[int, dict]:
 def _lemma1_block(g: MatGF, f: MatGF, k: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The counts of the 2^k row sets A with mask >> k == hi, from one
     stacked elimination of M over x zero rows and of M over E for every A,
-    with the rows outside A zeroed (zero rows change no rank).  Both stacks
-    are eliminated: e_rank read off the F pivots would make the agreement
-    checks hold by construction."""
-    m = np.concatenate([g.a, f.a], axis=1)
-    (n, w), y, x, size = m.shape[:2], g.cols, f.cols, 1 << k
+    with the rows outside A zeroed.  Both stacks are eliminated: e_rank
+    read off the F pivots would make the agreement checks hold by
+    construction."""
+    (n, y), x, size = g.a.shape[:2], f.cols, 1 << k
     high = np.array([hi >> j & 1 for j in range(n - k)], dtype=np.int64)
     keep = np.hstack([np.arange(size)[:, None] >> np.arange(k) & 1,
                       np.tile(high, (size, 1))])
-    stack = g.ctx.cell_zeros(2, size, n + x, w)
-    stack[:, :, :n] = m * keep.reshape(keep.shape + (1,) * (m.ndim - 1))
+    stack = g.ctx.cell_zeros(2, size, n + x, y + x)
+    stack[:, :, :n] = _restricted(g, f.a[None], np.where(keep, np.arange(n), n))[0]
     stack[1, :, n + np.arange(x), y + np.arange(x)] = g.ctx.token_to_cell(g.ctx.one)
     ranks, piv = _accel.gf_rank(g.ctx, stack.reshape((2 * size,) + stack.shape[2:]))
     return piv[:size, y:].sum(axis=1), ranks[size:] - ranks[:size]

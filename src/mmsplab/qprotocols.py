@@ -15,12 +15,14 @@ teleportation-style channel built from the dense-coding measurement.
 
 Audits enumerate protocol randomness exhaustively, compare reduced states
 at trace distance 1e-9, and cross-check every verdict against the
-span-program classification.  Secrecy states are held as amplitude factors
-and compared by distances_from, which factors the reference state once per
-set; the QQ channel is one precomputed Kraus tensor, one block per G2
-randomization.  A symplectic-track backend propagates displacements
-classically (any q, prime powers included) and is cross-validated against
-the dense oracle.
+span-program classification; SPIR server secrecy is the classical sweep on
+(G1|G2, F), as displacements in distinct Im(G1) cosets leave orthogonal
+states.  Every dense path runs behind qstate.check_dense.  Secrecy states
+are held as amplitude factors and compared by distances_from, which factors
+the reference state once per set; the QQ channel is one precomputed Kraus
+tensor, one block per G2 randomization.  A symplectic-track backend
+propagates displacements classically (any q, prime powers included) and is
+cross-validated against the dense oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import numpy as np
 
 from . import qstate as qs
 from .access import AccessStructure, symplectify, symplectify_structure
-from .classical import SpirProtocol, Transcript, _marginals_equal, spir_query
+from ._accel import gf_span
+from .classical import (SpirProtocol, Transcript, _answers_secret, _marginals_equal,
+                        _seeded_queries, spir_query)
 from .errors import ClassMismatch, NonStandardQuery, TooLarge
 from .linalg import (
     MatGF,
@@ -131,10 +135,9 @@ class DispDecoder(SpanDecoder):
 
 
 def _displacements(g: MatGF, base: np.ndarray) -> np.ndarray:
-    """base + G u over every u in _enum_vecs order, one row of cells each."""
-    ctx = g.ctx
-    offsets = g @ MatGF(ctx, _enum_vecs(ctx.q, g.cols).T)
-    return ctx.ax_add(np.asarray(base)[None], np.swapaxes(offsets.a, 0, 1))
+    """base + G u over every u in _enum_vecs order, one row of cells each;
+    callers run behind the dense gate, so the field is tabled."""
+    return g.ctx.ax_add(np.asarray(base)[None], gf_span(g.a, g.ctx.tables()))
 
 
 def _indices(ctx, cells: np.ndarray) -> list[int]:
@@ -154,8 +157,7 @@ class EaEngine:
         ctx = f.ctx
         self.ctx, self.q = ctx, ctx.q
         self.n = f.rows // 2
-        if self.q ** (2 * self.n) > qs.DENSE_DIM_LIMIT:
-            raise TooLarge("dense backend refuses q^(2n) beyond 2^14")
+        qs.check_dense(ctx, self.n)
         self.g1, self.g2, self.f = g1, g2, f
         self.frame = frame_for(g1)
         self.base = self.frame.resource([0] * g1.cols)
@@ -460,6 +462,7 @@ class QqCodec:
         if bundle.cls != "qq":
             raise ClassMismatch("QQ codec needs a qq bundle")
         ctx = bundle.ctx
+        qs.check_dense(ctx, bundle.n)
         self.bundle = bundle
         self.q, self.n = ctx.q, bundle.n
         self.xq = bundle.x // 2
@@ -468,13 +471,11 @@ class QqCodec:
         self.ft = (bundle.f.a @ s) % self.q
         gens = np.concatenate([bundle.g1.a, self.ft[:, self.xq:]], axis=1)
         xi0 = joint_eigenvector(self.q, self.n, gens, [0] * gens.shape[1])
-        cols = []
-        # C order: the first coordinate is the most significant digit
-        for x in _enum_vecs(self.q, self.xq)[:, ::-1]:
-            disp = (self.ft[:, : self.xq] @ x) % self.q
-            cols.append(apply_sw(xi0, self.q, list(disp),
-                                 list(range(self.n))).reshape(-1))
-        self.v = np.stack(cols, axis=1)  # (q^n, q^xq)
+        # Ft_X x over every x in C order (the first coordinate the most
+        # significant digit): the span of Ft_X's columns in reverse order
+        disps = gf_span(self.ft[:, :self.xq][:, ::-1], ctx.tables())
+        self.v = np.stack([apply_sw(xi0, self.q, list(d), list(range(self.n))).reshape(-1)
+                           for d in disps], axis=1)  # (q^n, q^xq)
 
 
 def qq_channel(bundle: MmspBundle, codec: QqCodec,
@@ -507,10 +508,10 @@ def _decoder_factors(bundle: MmspBundle, codec: QqCodec,
     q, n, xq = codec.q, codec.n, codec.xq
     phi = (codec.v.T / np.sqrt(q**xq)).reshape((q**xq,) + (q,) * n)
     keep = [0] + sorted(subset)
-    for x in _enum_vecs(q, 2 * xq)[:, ::-1]:
+    for base in gf_span(codec.ft[:, ::-1], bundle.ctx.tables()):  # Ft x, x in C order
         yield np.concatenate(
             [reduce_factor(apply_weyl(phi, q, list(full), list(range(1, n + 1))), keep)
-             for full in _displacements(bundle.g2, (codec.ft @ x) % q)], axis=1)
+             for full in _displacements(bundle.g2, base)], axis=1)
 
 
 def _support_factor(psi: np.ndarray) -> np.ndarray:
@@ -710,27 +711,12 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     details += [[f"user-secret@{b}", ok] for b, ok in zip(reject, user)]
     user_ok = all(user)
 
-    # server secrecy: share state depends only on m_k (exhaustive over u2), under
-    # a seeded U_Q whose G1 part the stabilizer and G2 part u2 must absorb
-    u_q = MatGF(ctx, ctx.random_cells(np.random.default_rng(20241), y, x * nfiles))
-    queries = [spir_query(proto, k, u_q) for k in range(1, nfiles + 1)]
-    shares = _displacements(bundle.g2, ctx.cell_zeros(2 * n))
-    server_ok = True
-    for k, qmat in enumerate(queries, 1):
-        groups: dict = {}
-        ok = True
-        # Q fv over every file vector fv
-        nets = _displacements(qmat, ctx.cell_zeros(2 * n))
-        disps = ctx.ax_add(nets[:, None], shares[None])
-        all_reps = coset_rep(bundle.g1, disps.reshape((-1,) + disps.shape[2:]))
-        for i, fv in enumerate(_enum_vecs(ctx.q, x * nfiles)):
-            reps = tuple(sorted(all_reps[i * len(shares):(i + 1) * len(shares)]))
-            mk = tuple(int(v) for v in fv[(k - 1) * x: k * x])
-            if groups.setdefault(mk, reps) != reps:
-                ok = False
-                break
-        details.append([f"server-secret@k={k}", ok])
-        server_ok &= ok
+    # server secrecy: the stabilizer and u2 absorb G U_Q fv exactly when G u
+    # does in the classical protocol on (G1|G2, F) (see the module docstring)
+    queries = _seeded_queries(proto)
+    server = _answers_secret(proto, queries)
+    details += [[f"server-secret@k={k}", ok] for k, ok in enumerate(server, 1)]
+    server_ok = all(server)
     # dense spot check of one server-secrecy comparison
     if server_ok and nfiles >= 2 and x * nfiles <= 6:
         fv1 = np.zeros(x * nfiles, dtype=np.int64)

@@ -51,6 +51,7 @@ from .errors import (
     NonPrimeLocalDim,
     NotMaximalIsotropic,
     NoFixedVector,
+    TooLarge,
 )
 from .fields import _is_prime
 from .linalg import MatGF, is_self_col_orth, rank
@@ -58,6 +59,16 @@ from .linalg import MatGF, is_self_col_orth, rank
 DENSE_DIM_LIMIT = 1 << 14
 POVM_TOL = 1e-10
 EIG_CUTOFF = 1e-12
+
+
+def check_dense(ctx, n: int) -> None:
+    """Refuse the dense oracle on n register pairs before it allocates:
+    TooLarge when q^(2n) exceeds DENSE_DIM_LIMIT, NonPrimeLocalDim unless q
+    is an odd prime (r = 1), where 2^-1 and the operation tables exist."""
+    if ctx.q ** (2 * n) > DENSE_DIM_LIMIT:
+        raise TooLarge("dense backend refuses q^(2n) beyond 2^14")
+    if ctx.r != 1 or not _is_prime(ctx.q) or ctx.q == 2:
+        raise NonPrimeLocalDim("dense oracle needs odd prime q with r = 1")
 
 
 def _omega_powers(q: int) -> np.ndarray:
@@ -179,16 +190,14 @@ class StabFrame:
     """
 
     def __init__(self, g1: MatGF):
-        ctx = g1.ctx
-        if ctx.r != 1 or not _is_prime(ctx.q) or ctx.q == 2:
-            raise NonPrimeLocalDim("dense oracle needs odd prime q with r = 1")
+        check_dense(g1.ctx, g1.rows // 2)
         if g1.rows % 2:
             raise NotMaximalIsotropic("expected 2n rows")
         if g1.cols and rank(g1) != g1.cols:
             raise NotMaximalIsotropic("G1 has dependent columns")
         if not is_self_col_orth(g1):
             raise NotMaximalIsotropic("G1 is not self-column-orthogonal")
-        self.q = ctx.q
+        self.q = g1.ctx.q
         self.n = g1.rows // 2
         self.y1 = g1.cols
         self._lag_int = g1.a.astype(np.int64)
@@ -322,11 +331,6 @@ class DisplacedMeasurement:
         tail = max(0.0, 1.0 - probs.sum())
         return np.concatenate([probs, [tail]])
 
-    def label(self, idx: int):
-        if idx == self.nout:
-            return None
-        q, n = self.q, self.n_act
-        return tuple(int(v) for v in np.unravel_index(idx, (q,) * (2 * n)))
 
 def displaced_measurement_for(g1: MatGF, subset: Sequence[int]) -> DisplacedMeasurement:
     """The decoder measurement on (D[A], E[A]): base sigma is the reduction

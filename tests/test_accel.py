@@ -9,10 +9,11 @@ import pytest
 
 from mmsplab import _accel
 from mmsplab.access import make_threshold
-from mmsplab.classical import CssProtocol, _vec_from_index, css_share
+from mmsplab.classical import CssProtocol, css_share
 from mmsplab.errors import TooLarge
 from mmsplab.fields import field_build, tower_build
-from mmsplab.linalg import MatGF, min_weight_nonzero
+from mmsplab.linalg import MatGF, VecGF, min_weight_nonzero
+from mmsplab.qstate import _enum_vecs
 
 # F_3, GF(4), GF(8), GF(9)
 FIELDS = [field_build(3, 1), field_build(2, 2), field_build(2, 3), field_build(3, 2)]
@@ -114,8 +115,8 @@ def _hist_ref(ctx, g, f):
         want[:, 0] = q**y
         return want
     p = CssProtocol(g=g, f=f, access=make_threshold(rows, rows - 1, rows))
-    for mi, ui in product(range(q**x), range(q**y)):
-        z = css_share(p, _vec_from_index(ctx, mi, x), _vec_from_index(ctx, ui, y))
+    for (mi, mv), uv in product(enumerate(_enum_vecs(q, x)), _enum_vecs(q, y)):
+        z = css_share(p, VecGF(ctx, mv), VecGF(ctx, uv))
         want[mi, int(z.a @ q ** np.arange(rows))] += 1
     return want
 

@@ -13,6 +13,7 @@ from mmsplab.access import make_threshold, symplectify, symplectify_structure
 from mmsplab.errors import BadIndex, DimensionMismatch, NotQualified, TooLarge
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1
+from mmsplab.qstate import _enum_vecs
 
 F3 = field_build(3, 1)
 F5 = field_build(5, 1)
@@ -48,10 +49,9 @@ def test_css_share_linearity(css_ex1):
 
 def test_css_decode_roundtrip_exhaustive(css_ex1):
     sub = symplectify([2, 3], 3)
-    for mi in range(9):
-        for ui in range(9):
-            m = cl._vec_from_index(F3, mi, 2)
-            u = cl._vec_from_index(F3, ui, 2)
+    for mv in _enum_vecs(3, 2):
+        for uv in _enum_vecs(3, 2):
+            m, u = la.VecGF(F3, mv), la.VecGF(F3, uv)
             z = cl.css_share(css_ex1, m, u)
             dec = cl.css_decode(css_ex1, sub, la.restrict_vec(z, sub))
             assert dec == m
@@ -167,8 +167,8 @@ def test_spir_answer_reduces_to_share(spir5):
 
 def test_spir_run_exhaustive(spir5):
     for k in (1, 2):
-        for fidx in range(25):
-            files = cl._vec_from_index(F5, fidx, 2)
+        for fidx, fv in enumerate(_enum_vecs(5, 2)):
+            files = la.VecGF(F5, fv)
             tr = cl.spir_run(spir5, files, k, seed=fidx + 100 * k)
             want = [[int(files.a[k - 1])]]
             assert all(got == want for got in tr.outcome.values())

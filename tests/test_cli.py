@@ -310,6 +310,24 @@ def test_errors_are_json_reports(tmp_path, ex1_files):
         assert _error_report(out, args[0]).startswith(kind + ": ")
 
 
+def test_qq_tower_bundle_refused_before_allocating(tmp_path):
+    """The QQ bundle that construct builds over the GF(3^16) tower is
+    refused by the dense gate (exit 3, TooLarge): the audit used to end in
+    a ValueError traceback, and the run built its q^x' x q^x' input state
+    (26 PiB) before the gate."""
+    bpath, spath = tmp_path / BUNDLE, tmp_path / STRUCT
+    assert run_cli("construct", "qq", "2", "1", "3", "--out", str(bpath))[0] == 0
+    spath.write_text(json.dumps({"n": 3, "accept": {"threshold": 2},
+                                 "reject": {"threshold": 1}}))
+    for args in (("audit", "qqss", str(bpath), str(spath)),
+                 ("simulate", "--protocol", "qqss", "--seed", "0",
+                  "--bundle", str(bpath), "--structure", str(spath))):
+        rc, out, err = run_cli(*args)
+        assert rc == 3, args
+        assert "Traceback" not in err
+        assert _error_report(out, args[0]).startswith("TooLarge: ")
+
+
 @pytest.mark.parametrize("flag", ["--message", "--files-data", "--subset"])
 def test_simulate_non_integer_list_exits_2(ex1_files, flag):
     rc, _, err = run_cli("simulate", "--protocol", "eass", "--bundle", ex1_files[0],

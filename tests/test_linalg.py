@@ -98,7 +98,7 @@ def test_rank_solve_in_span_quotient():
         m = la.MatGF(F3, rng.integers(0, 3, size=(4, 2)))
         v = la.VecGF(F3, rng.integers(0, 3, size=4))
         qm = la.QuotientMap(m)
-        assert la.in_span(m, v) == qm.coset_coords(v).is_zero()
+        assert (la.solve(m, v) is not None) == qm.coset_coords(v).is_zero()
         x = la.VecGF(F3, rng.integers(0, 3, size=2))
         b = m @ x
         s = la.solve(m, b)

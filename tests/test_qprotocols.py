@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import bell_povm, depolarizing_channel, identity_channel, wide_ea_pools
+from mmsplab import classical as cl
 from mmsplab import cli
 from mmsplab import qprotocols as qp
 from mmsplab import qstate as qs
 from mmsplab.access import make_threshold, symplectify_structure
 from mmsplab.classical import spir_query
-from mmsplab.errors import BadIndex, ClassInvariantViolated, ClassMismatch, TooLarge
+from mmsplab.errors import (BadIndex, ClassInvariantViolated, ClassMismatch, NonPrimeLocalDim,
+                            TooLarge)
 from mmsplab.fields import field_build
 from mmsplab.fixtures import example1, example2, example3
 from mmsplab.linalg import MatGF, VecGF
@@ -462,23 +464,23 @@ def test_spir_correctness_decodes_the_ss_cases_once(ex1, monkeypatch):
     assert len(calls) == 27
 
 
-def test_spir_server_secrecy_runs_under_seeded_query_randomness(monkeypatch):
-    """The server-secrecy sweep draws a seeded U_Q, so it tests that the
-    stabilizer absorbs G1 U_Q fv: with coset_rep skipping the reduction
-    modulo Im(G1), it fails on every pool positive with y1 >= 1."""
+def test_spir_server_secrecy_runs_under_seeded_query_randomness():
+    """The server-secrecy sweep runs under a seeded U_Q, so it tests that
+    the stabilizer absorbs G1 U_Q fv: the shared sweep over (G1|G2) passes
+    on every pool positive with y1 >= 1, and the same sweep with G2 alone,
+    which leaves G1 U_Q fv unabsorbed, fails on each of them."""
     from mmsplab import fixtures as fx
 
     pos = [(b, fs) for b, fs in fx.make_pools("ea", 4, seed=102, n_values=(2,))[0] if b.y1]
     assert len(pos) == 4
-
-    def server_checks(bundle, fs):
+    for bundle, fs in pos:
         rep = qp.audit_spir(bundle, fs, nfiles=2)
-        return [ok for name, ok in rep.details if name.startswith("server-secret")]
-
-    assert all(all(server_checks(b, fs)) for b, fs in pos)
-    monkeypatch.setattr(qp, "coset_rep", lambda g, zs: [
-        tuple(g.ctx.cell_to_token(c) for c in z) for z in zs])
-    assert not any(all(server_checks(b, fs)) for b, fs in pos)
+        assert all(ok for name, ok in rep.details if name.startswith("server-secret"))
+        proto = qp._spir_protocol(bundle, fs, 2)
+        queries = cl._seeded_queries(proto)
+        assert all(cl._answers_secret(proto, queries))
+        g2_only = cl.SpirProtocol(g=bundle.g2, f=bundle.f, access=proto.access, nfiles=2)
+        assert not all(cl._answers_secret(g2_only, queries))
 
 
 @pytest.mark.parametrize("case", wide_ea_pools(), ids=lambda c: c[0])
@@ -493,6 +495,20 @@ def test_dense_audit_and_crosscheck_beyond_f3(case, tmp_path, capsys):
     assert cli.main(["crosscheck", *_write_inputs(tmp_path, bundle, fs)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["cases"] == bundle.ctx.q ** (bundle.x + bundle.y2) and not out["mismatches"]
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (2, 1)])
+def test_qq_dense_path_refuses_other_fields(p, r):
+    """The QQ dense path refuses GF(9) and F_2 with NonPrimeLocalDim, as the
+    EA engine does: the dense Weyl operators compute mod q, which is not
+    GF(9)'s arithmetic, so an audit of a valid bundle over it returned a
+    wrong verdict, and F_2 has no 2^-1 for the aligned phases."""
+    ctx = field_build(p, r)
+    g1 = MatGF.from_ints(ctx, [[1], [0], [0], [0]])
+    f = MatGF.from_ints(ctx, [[0, 0], [1, 0], [0, 0], [0, 1]])
+    bundle = make_bundle("qq", g1, None, f, n=2)
+    with pytest.raises(NonPrimeLocalDim):
+        qp.audit_qqss(bundle, make_threshold(1, 0, 2))
 
 
 def test_single_server_degenerate_spir():

@@ -161,7 +161,7 @@ def test_displaced_measurement_point_mass():
         probs = dm.probabilities([(1.0, amps)])
         top = int(probs.argmax())
         assert probs[top] > 1 - 1e-9
-        assert dm.label(top) == tuple(int(v) % Q for v in x)
+        assert np.unravel_index(top, (Q,) * (2 * n)) == tuple(int(v) % Q for v in x)
 
 
 def test_displaced_measurement_uniform_mixture():
@@ -413,11 +413,9 @@ def test_alignment_covariance():
     probs = dm2.probabilities(pieces)
     shifted = {}
     for idx, p in enumerate(probs):
-        if p < 1e-12:
+        if p < 1e-12 or idx == dm2.nout:  # the complement tail
             continue
-        label = dm2.label(idx) if idx < dm2.nout else None
-        if label is None:
-            continue
+        label = [int(v) for v in np.unravel_index(idx, (Q,) * (2 * dm2.n_act))]
         mm = dec.decode(label)  # shifts of base and measurement cancel
         key = tuple(int(v) for v in mm.a) if mm is not None else None
         shifted[key] = shifted.get(key, 0.0) + float(p)
