@@ -31,7 +31,6 @@ from .linalg import (
     MatGF,
     VecGF,
     restrict,
-    restrict_vec,
     subset_rows,
 )
 from .mmsp import SpanDecoder, is_mmsp, rejects_one
@@ -79,6 +78,12 @@ class SpirProtocol(CssProtocol):
     # optional non-standard query override: per file index k, an explicit
     # nbar x (x * nfiles) query matrix (used by audits as a negative control)
     fixed_query: Optional[list[MatGF]] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        shapes = [(self.nbar, self.x * self.nfiles)] * self.nfiles
+        if self.fixed_query is not None and [(q.rows, q.cols) for q in self.fixed_query] != shapes:
+            raise DimensionMismatch("fixed_query must be nfiles matrices of nbar x (x*nfiles)")
 
 
 @dataclass
@@ -233,7 +238,7 @@ def _decode_and_log(p: CssProtocol, z: VecGF, tr: Transcript) -> Transcript:
     outcomes."""
     outcomes = {}
     for a in p.access.accept_iter():
-        dec = css_decode(p, a, restrict_vec(z, a))
+        dec = css_decode(p, a, restrict(z, a))
         outcomes[str(sorted(a))] = dec.tolist() if dec is not None else None
     tr.log("decode", outcomes=outcomes)
     tr.outcome = outcomes
@@ -244,16 +249,20 @@ def _decode_and_log(p: CssProtocol, z: VecGF, tr: Transcript) -> Transcript:
 # CSPIR operations
 # ---------------------------------------------------------------------------
 
-def spir_query(p: SpirProtocol, k: int, u_q: MatGF) -> MatGF:
-    """Standard form Q^(k) = F E_k + G U_Q."""
+def _file_index(p: SpirProtocol, k: int) -> int:
     if not 1 <= k <= p.nfiles:
         raise BadIndex(f"file index {k} outside 1..{p.nfiles}")
+    return k
+
+
+def spir_query(p: SpirProtocol, k: int, u_q: MatGF) -> MatGF:
+    """Standard form Q^(k) = F E_k + G U_Q."""
+    _file_index(p, k)
     if u_q.rows != p.y or u_q.cols != p.x * p.nfiles:
         raise DimensionMismatch("U_Q must be y x (x*nfiles)")
-    out = (p.g @ u_q).a
-    lo = (k - 1) * p.x
-    out[:, lo: lo + p.x] = p.ctx.ax_add(out[:, lo: lo + p.x], p.f.a)
-    return MatGF(p.ctx, out)
+    gu, lo = (p.g @ u_q).a, (k - 1) * p.x
+    return MatGF(p.ctx, np.concatenate(
+        [gu[:, :lo], p.ctx.ax_add(gu[:, lo: lo + p.x], p.f.a), gu[:, lo + p.x:]], axis=1))
 
 
 def spir_run(p: SpirProtocol, files: VecGF, k: int, seed: int) -> Transcript:
@@ -261,7 +270,7 @@ def spir_run(p: SpirProtocol, files: VecGF, k: int, seed: int) -> Transcript:
     rng = np.random.default_rng(seed)
     tr = Transcript(protocol="cspir", seed=seed)
     u_q = MatGF(p.ctx, p.ctx.random_cells(rng, p.y, p.x * p.nfiles))
-    q = p.fixed_query[k - 1] if p.fixed_query else spir_query(p, k, u_q)
+    q = p.fixed_query[_file_index(p, k) - 1] if p.fixed_query else spir_query(p, k, u_q)
     u_s = VecGF(p.ctx, p.ctx.random_cells(rng, p.y)) if p.y else VecGF.zeros(p.ctx, 0)
     shared = p.g @ u_s
     answers = q @ files + shared

@@ -151,10 +151,10 @@ def _first_verified(what: str, build, verify):
 def _staircase_mds(l: int, k: int, r_rows: int, ctx: FieldCtx) -> MatGF:
     def build(salt):
         stairs = _staircase(ctx, r_rows - l, k, FreshPicker(ctx, salt))
-        m = MatGF.zeros(ctx, r_rows, k)
-        m.a[:min(l, k), :min(l, k)] = MatGF.identity(ctx, min(l, k)).a
-        m.a[l:] = MatGF.from_elements(ctx, stairs).a
-        return m
+        m = ctx.cell_zeros(r_rows, k)
+        m[:min(l, k), :min(l, k)] = MatGF.identity(ctx, min(l, k)).a
+        m[l:] = MatGF.from_elements(ctx, stairs).a
+        return MatGF(ctx, m)
     return _first_verified("staircase matrix", build, lambda m: [("MDS", is_mds(m))])
 
 
@@ -246,7 +246,7 @@ def verify_amx(pair: AmtPair, ext: AmxExtension) -> list[tuple[str, bool]]:
     ac_mds = is_mds(hstack([pair.a_mat, ext.c_mat]))
     checks.append((f"(A,C) is (2b,{a + c})-MDS", ac_mds))
     for s in range(1, c):
-        pref = MatGF(ext.c_mat.ctx, ext.c_mat.a[:, :s].copy())
+        pref = MatGF(ext.c_mat.ctx, ext.c_mat.a[:, :s])
         checks.append((f"(A,C^({s})) is (2b,{a + s})-MDS",
                        is_mds(hstack([pair.a_mat, pref]))))
     if 2 * b - a + c <= 2 * b:
@@ -309,8 +309,8 @@ def _ea_from_amt(cls: str, r: int, t: int, n: int, dims: dict, p: int) -> MmspBu
     ctx = construction_field(p, y1, n, c)
     pair = build_amt(y1, n, ctx)
     cm = build_amx(pair, c, ctx).c_mat.a
-    bundle = make_bundle(cls, pair.a_mat, MatGF(ctx, cm[:, :y2].copy()),
-                         MatGF(ctx, cm[:, y2: y2 + x].copy()), n=n, r=r, t=t)
+    bundle = make_bundle(cls, pair.a_mat, MatGF(ctx, cm[:, :y2]),
+                         MatGF(ctx, cm[:, y2: y2 + x]), n=n, r=r, t=t)
     # (G1,G2) = (A, C^(y2)), A itself when y2 = 0, and ((G1,G2),F) = (A, C)
     return _verdict(bundle, r, t, n, [f"(G1,G2) is (2n,{y1 + y2})-MDS",
                                       f"((G1,G2),F) is (2n,{2 * r})-MDS"])
@@ -340,7 +340,7 @@ def _qq_frame(n: int, a: int, c: int, p: int) -> tuple:
         return MatGF.zeros(ctx, 2 * n, 0), None, MatGF.identity(ctx, 2 * n)
     pair = build_amt(a, n, ctx)
     g2 = build_amx(pair, c, ctx).c_mat if c > 0 else None
-    return pair.a_mat, g2, MatGF(ctx, pair.b_mat.a[:, : 2 * (n - a)].copy())
+    return pair.a_mat, g2, MatGF(ctx, pair.b_mat.a[:, : 2 * (n - a)])
 
 
 def construct_qqmmsp(r: int, t: int, n: int, p: int = 3) -> MmspBundle:

@@ -222,6 +222,6 @@ def mutate_negative(bundle: MmspBundle, fs: AccessStructure,
         fails = keep[~mmsp_verdicts(g, fk[keep], target)]
         if fails.size:
             return make_bundle(bundle.cls, bundle.g1, bundle.g2,
-                               MatGF(ctx, fk[fails[0]].copy()), n=bundle.n,
+                               MatGF(ctx, fk[fails[0]]), n=bundle.n,
                                **bundle.params)
     return None

@@ -1,6 +1,11 @@
 """Vectors and matrices over GF(q): elimination, the symplectic form, row
 restriction, orthogonality predicates, quotient maps, and MDS verification.
 
+VecGF and MatGF are values: both wrap a frozen array of cells (Cells), so
+every function here builds its cells first and wraps them after, and
+equality and hashing read one content key, which lets memos key on the
+matrix itself.
+
 Row-index subsets are 1-based everywhere in the public API, matching the
 convention used for player/server labels.  Vectors in F_q^{2n} split into an
 X part (entries 1..n) and a Z part (entries n+1..2n).
@@ -30,14 +35,59 @@ MDS_MAX_ROWS = 24
 MDS_BLOCK_CELLS = 1 << 15
 
 
-class VecGF:
-    """Column vector over a FieldCtx."""
+class Cells:
+    """An immutable array of field cells: the one value type behind VecGF
+    and MatGF.  The constructor freezes the array it is handed, copying it
+    first only when it is a view of an array that can still be written, so
+    a built value never changes; equality and hashing read one content key,
+    computed on first use and kept."""
 
-    __slots__ = ("ctx", "a")
+    __slots__ = ("ctx", "a", "_key")
 
     def __init__(self, ctx: FieldCtx, a: np.ndarray):
-        self.ctx = ctx
-        self.a = a
+        # a base that is no array (a buffer) is as writable as its view
+        if a.base is not None and getattr(a.base, "flags", a.flags).writeable:
+            a = a.copy()
+        a.setflags(write=False)
+        self.ctx, self.a, self._key = ctx, a, None
+
+    @classmethod
+    def zeros(cls, ctx: FieldCtx, *shape: int):
+        return cls(ctx, ctx.cell_zeros(*shape))
+
+    @property
+    def key(self) -> tuple:
+        """(field, shape, cell bytes): what equality and hashing compare."""
+        if self._key is None:
+            self._key = (id(self.ctx), self.a.shape, self.a.tobytes())
+        return self._key
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __add__(self, other):
+        _same_ctx(self, other)
+        if self.a.shape != other.a.shape:
+            raise DimensionMismatch("shapes differ")
+        return type(self)(self.ctx, self.ctx.ax_add(self.a, other.a))
+
+    def __neg__(self):
+        return type(self)(self.ctx, self.ctx.ax_neg(self.a))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def tolist(self):
+        return self.ctx.ax_coeffs(self.a).tolist()
+
+
+class VecGF(Cells):
+    """Column vector over a FieldCtx."""
+
+    __slots__ = ()
 
     @classmethod
     def from_elements(cls, ctx: FieldCtx, elts: Sequence) -> "VecGF":
@@ -50,67 +100,31 @@ class VecGF:
     def from_ints(cls, ctx: FieldCtx, vals: Sequence[int]) -> "VecGF":
         return cls.from_elements(ctx, [ctx.from_int(v) for v in vals])
 
-    @classmethod
-    def zeros(cls, ctx: FieldCtx, n: int) -> "VecGF":
-        return cls(ctx, ctx.cell_zeros(n))
-
     def __len__(self):
         return self.a.shape[0]
 
     def __getitem__(self, i: int):
         return self.ctx.cell_to_token(self.a[i])
 
-    def __eq__(self, other):
-        return (isinstance(other, VecGF) and self.ctx is other.ctx
-                and np.array_equal(self.a, other.a))
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.a.tobytes()))
-
-    def __add__(self, other: "VecGF") -> "VecGF":
-        _same_ctx(self, other)
-        if len(self) != len(other):
-            raise DimensionMismatch("vector lengths differ")
-        return VecGF(self.ctx, self.ctx.ax_add(self.a, other.a))
-
-    def __neg__(self) -> "VecGF":
-        return VecGF(self.ctx, self.ctx.ax_neg(self.a))
-
-    def __sub__(self, other: "VecGF") -> "VecGF":
-        return self + (-other)
-
     def is_zero(self) -> bool:
         return not bool(self.ctx.ax_nonzero(self.a).any())
-
-    def tolist(self):
-        return self.ctx.ax_coeffs(self.a).tolist()
 
     def __repr__(self):
         return f"VecGF({self.tolist()})"
 
 
-class MatGF:
+class MatGF(Cells):
     """Dense matrix over a FieldCtx (row-major)."""
 
-    __slots__ = ("ctx", "a")
-
-    def __init__(self, ctx: FieldCtx, a: np.ndarray):
-        self.ctx = ctx
-        self.a = a
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "MatGF":
-        return cls(ctx, ctx.cell_zeros(rows, cols))
-
-    @classmethod
     def identity(cls, ctx: FieldCtx, k: int) -> "MatGF":
-        m = cls.zeros(ctx, k, k)
-        one = ctx.token_to_cell(ctx.one)
-        for i in range(k):
-            m.a[i, i] = one
-        return m
+        cells = ctx.cell_zeros(k, k)
+        cells[range(k), range(k)] = ctx.token_to_cell(ctx.one)
+        return cls(ctx, cells)
 
     @classmethod
     def from_elements(cls, ctx: FieldCtx, rows: Sequence[Sequence]) -> "MatGF":
@@ -140,40 +154,15 @@ class MatGF:
         return self.a.shape[1]
 
     def col(self, j: int) -> VecGF:
-        return VecGF(self.ctx, self.a[:, j].copy())
-
-    def copy(self) -> "MatGF":
-        return MatGF(self.ctx, self.a.copy())
+        return VecGF(self.ctx, self.a[:, j])
 
     def transpose(self) -> "MatGF":
         return MatGF(self.ctx, np.swapaxes(self.a, 0, 1).copy())
-
-    def __eq__(self, other):
-        return (isinstance(other, MatGF) and self.ctx is other.ctx
-                and self.a.shape == other.a.shape and np.array_equal(self.a, other.a))
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.a.shape, self.a.tobytes()))
-
-    def tolist(self):
-        return self.ctx.ax_coeffs(self.a).tolist()
 
     def __repr__(self):
         return f"MatGF({self.rows}x{self.cols} over GF({self.ctx.p}^{self.ctx.r}))"
 
     # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "MatGF") -> "MatGF":
-        _same_ctx(self, other)
-        if self.a.shape != other.a.shape:
-            raise DimensionMismatch("matrix shapes differ")
-        return MatGF(self.ctx, self.ctx.ax_add(self.a, other.a))
-
-    def __neg__(self) -> "MatGF":
-        return MatGF(self.ctx, self.ctx.ax_neg(self.a))
-
-    def __sub__(self, other: "MatGF") -> "MatGF":
-        return self + (-other)
 
     def __matmul__(self, other):
         _same_ctx(self, other)
@@ -235,9 +224,9 @@ def mat_from_cols(cols: Sequence[VecGF]) -> MatGF:
 
 def rref(m: MatGF):
     """Reduced row echelon form; returns (MatGF, pivot columns, rank)."""
-    a = m.a[None].copy()
-    rank, piv = _accel.gf_rref(m.ctx, a)
-    return MatGF(m.ctx, a[0]), np.flatnonzero(piv[0]).tolist(), int(rank[0])
+    a = m.a.copy()
+    rank, piv = _accel.gf_rref(m.ctx, a[None])
+    return MatGF(m.ctx, a), np.flatnonzero(piv[0]).tolist(), int(rank[0])
 
 
 def rank(m: MatGF) -> int:
@@ -257,9 +246,9 @@ def solve(m: MatGF, b: VecGF) -> Optional[VecGF]:
     red, piv, rk = rref(aug)
     if m.cols in piv:
         return None
-    x = VecGF.zeros(m.ctx, m.cols)
-    x.a[piv] = red.a[:rk, m.cols]
-    return x
+    x = m.ctx.cell_zeros(m.cols)
+    x[piv] = red.a[:rk, m.cols]
+    return VecGF(m.ctx, x)
 
 
 def nullspace(m: MatGF) -> MatGF:
@@ -268,10 +257,10 @@ def nullspace(m: MatGF) -> MatGF:
     a = m.a[None].copy()
     _, (piv,) = _accel.gf_rref(m.ctx, a)
     free = np.flatnonzero(~piv)
-    out = MatGF.zeros(m.ctx, m.cols, len(free))
-    out.a[free, range(len(free))] = m.ctx.token_to_cell(m.ctx.one)
-    out.a[piv] = m.ctx.ax_neg(a[0, : piv.sum()][:, free])
-    return out
+    out = m.ctx.cell_zeros(m.cols, len(free))
+    out[free, range(len(free))] = m.ctx.token_to_cell(m.ctx.one)
+    out[piv] = m.ctx.ax_neg(a[0, : piv.sum()][:, free])
+    return MatGF(m.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +306,10 @@ def subset_rows(subset: Iterable[int], n: int) -> list[int]:
     return [s - 1 for s in rows]
 
 
-def restrict(m: MatGF, subset: Iterable[int]) -> MatGF:
-    """Rows of m indexed by a 1-based subset, in ascending order."""
-    return MatGF(m.ctx, m.a[subset_rows(subset, m.rows)].copy())
-
-
-def restrict_vec(v: VecGF, subset: Iterable[int]) -> VecGF:
-    return VecGF(v.ctx, v.a[subset_rows(subset, len(v))].copy())
+def restrict(m: Cells, subset: Iterable[int]) -> Cells:
+    """The rows of a matrix, or the entries of a vector, indexed by a
+    1-based subset, in ascending order."""
+    return type(m)(m.ctx, m.a[subset_rows(subset, len(m.a))])
 
 
 def symp_j(ctx: FieldCtx, g: np.ndarray) -> np.ndarray:
@@ -483,9 +469,9 @@ def dual_and_completion(g1: MatGF) -> tuple[MatGF, MatGF]:
     sys_rows = symp_rows(mat_from_cols(basis))
     duals = []
     for j in range(y1):
-        b = VecGF.zeros(ctx, n)
-        b.a[j] = ctx.token_to_cell(ctx.one)
-        w = solve(sys_rows, b)
+        b = ctx.cell_zeros(n)
+        b[j] = ctx.token_to_cell(ctx.one)
+        w = solve(sys_rows, VecGF(ctx, b))
         assert w is not None, "symplectic form is nondegenerate"
         duals.append(w)
     # pairwise isotropy correction: w_j += c_{jk} u_k keeps sigma(w_j, u_i)
@@ -546,7 +532,7 @@ def mat_from_json(d: dict) -> MatGF:
     flat = [json_int(c, "coefficient") for coeffs in data for c in coeffs]
     if any(not 0 <= c < ctx.p for c in flat):
         raise OutOfRange(f"coefficients must lie in 0..{ctx.p - 1}")
-    m = MatGF.zeros(ctx, rows, cols)
+    out = ctx.cell_zeros(rows, cols)
     cells = [data[k] for k in range(rows * cols)]  # by index: a dict `data` is refused
     lens = np.array([len(coeffs) for coeffs in cells], dtype=np.int64)
     over = lens[lens > ctx.r]
@@ -556,5 +542,5 @@ def mat_from_json(d: dict) -> MatGF:
     # one coefficient row per cell, short lists padded with zeros
     coeffs = np.zeros((len(cells), ctx.r), dtype=np.int64)
     coeffs[np.arange(ctx.r) < lens[:, None]] = flat
-    m.a[...] = ctx.ax_from_coeffs(coeffs).reshape(m.a.shape)
-    return m
+    out[...] = ctx.ax_from_coeffs(coeffs).reshape(out.shape)
+    return MatGF(ctx, out)

@@ -102,8 +102,8 @@ def _lemma1_table(g: MatGF, f: MatGF) -> tuple[int, dict]:
     """The two counts of every row subset of (G, F), keyed by its row
     bitmask and held in blocks of 2^k masks, 2^k the largest power of two
     within set_block(G, F): mask >> k names the block, the low k bits the
-    entry.  MatGF hashes and compares by content, so an in-place edit of G
-    or F misses the memo."""
+    entry.  G and F are frozen values keyed once by their content, so an
+    equal pair rebuilt elsewhere hits the memo."""
     return min(g.rows, set_block(g, f).bit_length() - 1), {}
 
 
@@ -202,8 +202,7 @@ def mmsp_failure(g: MatGF, f: MatGF, fs: AccessStructure) -> Optional[tuple[str,
     """("acceptance", A) for the first accept set (G, F) does not accept, else
     ("rejection", B) for the first reject set it does not reject, else None;
     the restrictions are eliminated in stacks of set_block sets.  The last
-    verdict is memoised on the content of G, F and the structure, so an
-    in-place edit of G or F misses the memo."""
+    verdict is memoised on the content of G, F and the structure."""
     sets = (fs.r, fs.t) if fs.kind == "threshold" else (fs.accept_sets, fs.reject_sets)
     return _mmsp_failure(g, f, (fs.n, *sets, fs.symplectified))
 

@@ -200,7 +200,7 @@ class StabFrame:
         self.q = g1.ctx.q
         self.n = g1.rows // 2
         self.y1 = g1.cols
-        self._lag_int = g1.a.astype(np.int64)
+        self._lag_int = g1.a
         self._res: dict = {}
 
     def resource(self, y: Sequence[int]) -> np.ndarray:
@@ -218,10 +218,9 @@ _FRAMES: dict = {}
 
 
 def frame_for(g1: MatGF) -> StabFrame:
-    key = (id(g1.ctx), g1.a.shape, g1.a.tobytes())
-    if key not in _FRAMES:
-        _FRAMES[key] = StabFrame(g1)
-    return _FRAMES[key]
+    if g1 not in _FRAMES:
+        _FRAMES[g1] = StabFrame(g1)
+    return _FRAMES[g1]
 
 
 # ---------------------------------------------------------------------------

@@ -194,14 +194,14 @@ def _pivot_dominance_suite(trials: int = 50) -> bool:
         top = la.MatGF.from_elements(ctx, rows)
         if la.rank(top) != d:
             continue
-        big = la.MatGF.zeros(ctx, d + 1, d + 1)
-        big.a[:d, :d] = top.a
+        big = ctx.cell_zeros(d + 1, d + 1)
+        big[:d, :d] = top.a
         for k in range(d):
-            big.a[d, k] = ctx.token_to_cell(pool[rng.integers(0, len(pool))])
-            big.a[k, d] = ctx.token_to_cell(pool[rng.integers(0, len(pool))])
-        big.a[d, d] = ctx.token_to_cell(
+            big[d, k] = ctx.token_to_cell(pool[rng.integers(0, len(pool))])
+            big[k, d] = ctx.token_to_cell(pool[rng.integers(0, len(pool))])
+        big[d, d] = ctx.token_to_cell(
             ctx.pick_fresh(level, int(rng.integers(0, 3))))
-        if la.rank(big) != d + 1:
+        if la.rank(la.MatGF(ctx, big)) != d + 1:
             return False
         done += 1
     return True
@@ -216,14 +216,14 @@ def _staircase_append_suite(trials: int = 50) -> bool:
            ctx.pick_fresh(2, 0), ctx.pick_fresh(2, 1)]
     for _ in range(trials):
         g = int(rng.integers(1, 3))
-        stair = la.MatGF.zeros(ctx, dd + ff, g)
+        stair = ctx.cell_zeros(dd + ff, g)
         for i in range(1, dd + ff + 1):
             for j in range(1, g + 1):
                 lvl = i + j - dd - g
                 tok = (low[int(rng.integers(0, len(low)))] if lvl <= 0
                        else ctx.pick_fresh(2 + lvl, int(rng.integers(0, 4))))
-                stair.a[i - 1, j - 1] = ctx.token_to_cell(tok)
-        if not la.is_mds(la.hstack([base, stair])):
+                stair[i - 1, j - 1] = ctx.token_to_cell(tok)
+        if not la.is_mds(la.hstack([base, la.MatGF(ctx, stair)])):
             return False
     return True
 

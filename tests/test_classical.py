@@ -53,7 +53,7 @@ def test_css_decode_roundtrip_exhaustive(css_ex1):
         for uv in _enum_vecs(3, 2):
             m, u = la.VecGF(F3, mv), la.VecGF(F3, uv)
             z = cl.css_share(css_ex1, m, u)
-            dec = cl.css_decode(css_ex1, sub, la.restrict_vec(z, sub))
+            dec = cl.css_decode(css_ex1, sub, la.restrict(z, sub))
             assert dec == m
 
 
@@ -68,7 +68,7 @@ def test_css_decode_one_elimination(css_ex1, monkeypatch):
     sub = symplectify([2, 3], 3)
     m = la.VecGF.from_ints(F3, [2, 1])
     z = cl.css_share(css_ex1, m, la.VecGF.from_ints(F3, [1, 1]))
-    assert cl.css_decode(css_ex1, sub, la.restrict_vec(z, sub)) == m
+    assert cl.css_decode(css_ex1, sub, la.restrict(z, sub)) == m
     assert len(calls) == 1
 
 
@@ -151,6 +151,34 @@ def test_spir_query_forms(spir5):
     assert q.col(1).is_zero()
     with pytest.raises(BadIndex):
         cl.spir_query(spir5, 3, la.MatGF.zeros(F5, 1, 2))
+
+
+def _fixed(spir5, queries):
+    return cl.SpirProtocol(g=spir5.g, f=spir5.f, nfiles=2, access=spir5.access,
+                           fixed_query=queries)
+
+
+def test_spir_run_checks_file_index_with_fixed_query(spir5):
+    """A fixed query is chosen by file index as a standard one is: k = 0
+    is refused, not served file 2's query from the list's end, and k = 3
+    is refused with BadIndex, not an untyped IndexError."""
+    u_q = la.MatGF.zeros(F5, 1, 2)
+    fixed = _fixed(spir5, [cl.spir_query(spir5, k, u_q) for k in (1, 2)])
+    files = la.VecGF.from_ints(F5, [1, 2])
+    for p in (spir5, fixed):
+        for k in (0, 3):
+            with pytest.raises(BadIndex):
+                cl.spir_run(p, files, k, seed=0)
+    assert cl.spir_run(fixed, files, 2, seed=0).outcome["[1, 2]"] == [[2]]
+
+
+def test_spir_protocol_checks_fixed_query_shapes(spir5):
+    """fixed_query must hold nfiles matrices of nbar x (x * nfiles)."""
+    q1, q2 = (cl.spir_query(spir5, k, la.MatGF.zeros(F5, 1, 2)) for k in (1, 2))
+    for bad in ([q1], [q1, q2, q1], [q1, la.MatGF.zeros(F5, 3, 3)],
+                [q1, la.MatGF.zeros(F5, 2, 2)]):
+        with pytest.raises(DimensionMismatch):
+            _fixed(spir5, bad)
 
 
 def test_spir_answer_reduces_to_share(spir5):
@@ -333,7 +361,9 @@ def _nonstandard_spir():
     p = cl.SpirProtocol(g=g, f=f, nfiles=3, access=make_threshold(2, 1, 3))
     u_q = la.MatGF(F5, rng.integers(0, 5, size=(1, 3)))
     queries = [cl.spir_query(p, k, u_q) for k in (1, 2, 3)]
-    queries[1].a[:, 2] = [1, 2, 4]
+    leave = queries[1].a.copy()
+    leave[:, 2] = [1, 2, 4]
+    queries[1] = la.MatGF(F5, leave)
     p.fixed_query = queries
     return p
 

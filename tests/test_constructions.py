@@ -64,7 +64,7 @@ def test_amx_and_prefix_property():
     checks = con.verify_amx(pair, ext)
     assert all(ok for _, ok in checks), checks
     # prefix property: (A, C^(1)) is MDS
-    pref = la.MatGF(ctx, ext.c_mat.a[:, :1].copy())
+    pref = la.MatGF(ctx, ext.c_mat.a[:, :1])
     assert la.is_mds(la.hstack([pair.a_mat, pref]))
     with pytest.raises(OutOfRange):
         con.build_amx(pair, 0, ctx)
@@ -133,7 +133,7 @@ def test_amx_slice_matches_direct_build(monkeypatch):
     wide = con.build_amx(pair, 3, ctx)
     for c in (1, 2):
         narrow = con.build_amx(pair, c, ctx)
-        assert narrow.c_mat == la.MatGF(ctx, wide.c_mat.a[:, :c].copy())
+        assert narrow.c_mat == la.MatGF(ctx, wide.c_mat.a[:, :c])
 
 
 def test_pivot_above_subfield_invertibility():
@@ -154,15 +154,15 @@ def test_pivot_above_subfield_invertibility():
         top = la.MatGF.from_elements(ctx, rows)
         if la.rank(top) != d:
             continue
-        big = la.MatGF.zeros(ctx, d + 1, d + 1)
-        big.a[:d, :d] = top.a
+        big = ctx.cell_zeros(d + 1, d + 1)
+        big[:d, :d] = top.a
         for k in range(d):
-            big.a[d, k] = ctx.token_to_cell(
+            big[d, k] = ctx.token_to_cell(
                 sub_elems[rng.integers(0, len(sub_elems))])
-            big.a[k, d] = ctx.token_to_cell(
+            big[k, d] = ctx.token_to_cell(
                 sub_elems[rng.integers(0, len(sub_elems))])
-        big.a[d, d] = ctx.token_to_cell(ctx.pick_fresh(level, int(rng.integers(0, 3))))
-        assert la.rank(big) == d + 1
+        big[d, d] = ctx.token_to_cell(ctx.pick_fresh(level, int(rng.integers(0, 3))))
+        assert la.rank(la.MatGF(ctx, big)) == d + 1
         count += 1
 
 
@@ -180,7 +180,7 @@ def test_staircase_append_preserves_mds():
                 ctx.pick_fresh(2, 1), ctx.pick_fresh(1, 1)]
     for trial in range(50):
         g = int(rng.integers(1, 3))
-        stair = la.MatGF.zeros(ctx, dd + ff, g)
+        stair = ctx.cell_zeros(dd + ff, g)
         for i in range(1, dd + ff + 1):
             for j in range(1, g + 1):
                 lvl = i + j - dd - g
@@ -189,8 +189,8 @@ def test_staircase_append_preserves_mds():
                 else:
                     tok = ctx.pick_fresh(base_level + lvl,
                                          int(rng.integers(0, 4)))
-                stair.a[i - 1, j - 1] = ctx.token_to_cell(tok)
-        m = la.hstack([base, stair])
+                stair[i - 1, j - 1] = ctx.token_to_cell(tok)
+        m = la.hstack([base, la.MatGF(ctx, stair)])
         assert la.is_mds(m), (trial, g)
 
 

@@ -111,8 +111,9 @@ def test_solve_all_agrees_with_solve():
     rng = np.random.default_rng(5)
     for ctx in (F3, field_build(2, 3), tower_build(3, 4)):
         for _ in range(6):
-            m = la.MatGF(ctx, ctx.random_cells(rng, 4, 3))
-            m.a[:, 2] = m.a[:, 0]
+            cells = ctx.random_cells(rng, 4, 3)
+            cells[:, 2] = cells[:, 0]
+            m = la.MatGF(ctx, cells)
             images = m @ la.MatGF(ctx, ctx.random_cells(rng, 3, 3))
             zs = np.concatenate([ctx.random_cells(rng, 3, 4),
                                  np.swapaxes(images.a, 0, 1)])
@@ -185,9 +186,7 @@ def test_is_mds_poly_backend_matches_prime_field():
 
 def test_dual_and_completion_trivial():
     n = 3
-    g1 = la.MatGF.zeros(F3, 2 * n, n)
-    for i in range(n):
-        g1.a[i, i] = 1
+    g1 = la.MatGF(F3, np.eye(2 * n, n, dtype=np.int64))
     gbar, h1 = la.dual_and_completion(g1)
     assert gbar.cols == 0 and h1.cols == n
     for j in range(n):
@@ -209,8 +208,7 @@ def test_dual_and_completion_example1():
 
 
 def test_dual_and_completion_extension_field():
-    g1 = la.MatGF.zeros(F9, 4, 1)
-    g1.a[0, 0] = F9.from_coeffs([0, 1])
+    g1 = la.MatGF.from_elements(F9, [[F9.from_coeffs([0, 1])], [F9.zero], [F9.zero], [F9.zero]])
     gbar, h1 = la.dual_and_completion(g1)
     assert la.symp(h1.col(0), g1.col(0)) == 1
     assert la.is_self_col_orth(la.hstack([g1, gbar]))
@@ -231,9 +229,7 @@ def test_matmul_and_json_round_trip():
     m = la.mat_from_json(la.mat_to_json(f))
     assert m == f
     t = tower_build(3, 2)
-    big = la.MatGF.zeros(t, 2, 2)
-    big.a[0, 0] = t.token_to_cell(t.level_gen(2))
-    big.a[1, 1] = t.token_to_cell(t.one)
+    big = la.MatGF.from_elements(t, [[t.level_gen(2), t.zero], [t.zero, t.one]])
     m2 = la.mat_from_json(la.mat_to_json(big))
     assert m2 == big
 
@@ -285,17 +281,21 @@ def test_is_mds_lockstep_one_singular_minor(monkeypatch, block_minors):
     monkeypatch.setattr(la, "MDS_BLOCK_CELLS", block_minors * 4 * t.r)
     for rows, k, singular, path in [(9, 2, (7, 8), "minors"), (7, 3, (0, 5, 6), "systematic")]:
         for _ in range(20):
-            m = la.MatGF(t, t.random_cells(rng, rows, k))
-            m.a[:k] = la.MatGF.identity(t, k).a
+            m = la.MatGF(t, np.concatenate([la.MatGF.identity(t, k).a,
+                                            t.random_cells(rng, rows, k)[k:]]))
             if _ref_is_mds(m):
                 break
         # the last rows agree on columns k-2, k-1: for 7 x 3 that is Q's last
         # 2 x 2 submatrix, Q rows {1, 2} and columns {2, 3}
-        m.a[-1, k - 2:] = m.a[-2, k - 2:]
+        cells = m.a.copy()
+        cells[-1, k - 2:] = cells[-2, k - 2:]
+        m = la.MatGF(t, cells)
         assert [s for s in combinations(range(rows), k)
                 if _minor_rank(m, s) < k] == [singular]
         assert _is_mds_path(monkeypatch, m) == (False, path)
-        m.a[-1] = t.ax_add(m.a[-1], m.a[k - 2])  # now every minor is invertible
+        cells = m.a.copy()
+        cells[-1] = t.ax_add(cells[-1], cells[k - 2])  # now every minor is invertible
+        m = la.MatGF(t, cells)
         assert _is_mds_path(monkeypatch, m) == (_ref_is_mds(m), path) == (True, path)
 
 
@@ -314,10 +314,11 @@ def test_gram_orthogonality_matches_pairwise_symp(ctx):
         x = la.MatGF(ctx, ctx.random_cells(rng, n, 3))
         y = la.MatGF(ctx, ctx.random_cells(rng, n, 2))
         # columns (x; lam x) pair to zero with each other and with (y; lam y)
-        g = la.MatGF(ctx, np.concatenate([x.a, ctx.ax_mul(lam, x.a)]))
+        g = np.concatenate([x.a, ctx.ax_mul(lam, x.a)])
         f = la.MatGF(ctx, np.concatenate([y.a, ctx.ax_mul(lam, y.a)]))
         if trial % 3 == 1:  # break one entry
-            g.a[n + 1, 2] = ctx.ax_add(g.a[n + 1, 2], ctx.random_cells(rng))
+            g[n + 1, 2] = ctx.ax_add(g[n + 1, 2], ctx.random_cells(rng))
+        g = la.MatGF(ctx, g)
         if trial % 3 == 2:
             f = la.MatGF(ctx, ctx.random_cells(rng, 2 * n, 2))
         assert la.is_self_col_orth(g) == _ref_col_orth(g, g)
@@ -347,9 +348,10 @@ def _count_poly_inv(monkeypatch):
 def test_rref_inverts_once(monkeypatch):
     t = tower_build(3, 9)
     rng = np.random.default_rng(12)
-    m = la.MatGF(t, t.random_cells(rng, 5, 7))
-    m.a[:, 1] = 0
-    m.a[3] = t.ax_add(m.a[0], m.a[2])  # rank 4, pivots 0, 2, 3, 4
+    cells = t.random_cells(rng, 5, 7)
+    cells[:, 1] = 0
+    cells[3] = t.ax_add(cells[0], cells[2])  # rank 4, pivots 0, 2, 3, 4
+    m = la.MatGF(t, cells)
     calls = _count_poly_inv(monkeypatch)
     red, piv, rk = la.rref(m)
     assert calls == [(4, t.r)]
@@ -365,8 +367,9 @@ def test_is_mds_dual_makes_no_inverse(monkeypatch):
     m = la.MatGF(t, t.random_cells(rng, 6, 5))  # no identity rows
     calls = _count_poly_inv(monkeypatch)
     assert la.is_mds(m) is True
-    m.a[5] = t.ax_add(m.a[0], m.a[1])
-    assert la.is_mds(m) is False
+    cells = m.a.copy()
+    cells[5] = t.ax_add(cells[0], cells[1])
+    assert la.is_mds(la.MatGF(t, cells)) is False
     assert calls == []
 
 
@@ -385,16 +388,17 @@ def test_is_mds_matches_minor_reference(ctx, monkeypatch):
     rng = np.random.default_rng(ctx.q)
     seen = set()
     for rows, k, path in MDS_SHAPES * 3:
-        m = la.MatGF(ctx, ctx.random_cells(rng, rows, k))
+        cells = ctx.random_cells(rng, rows, k)
         case = rng.integers(5)
         if case == 1:  # rank-deficient: one column repeats another
-            m.a[:, k - 1] = m.a[:, 0]
+            cells[:, k - 1] = cells[:, 0]
         elif case == 2:  # full rank, with a singular minor through a zero row
-            m.a[rows - 1] = 0
+            cells[rows - 1] = 0
         elif case == 3:  # an identity block on top, as constructions build
-            m.a[:k] = la.MatGF.identity(ctx, k).a
+            cells[:k] = la.MatGF.identity(ctx, k).a
         elif case == 4 and k < rows:  # the top k rows dependent
-            m.a[k - 1] = 0 if k == 1 else m.a[0]
+            cells[k - 1] = 0 if k == 1 else cells[0]
+        m = la.MatGF(ctx, cells)
         want = _ref_is_mds(m)
         assert _is_mds_path(monkeypatch, m) == (want, path), (rows, k, case)
         seen.add((case, want, path))
@@ -427,7 +431,9 @@ def test_is_mds_systematic_form_cases(ctx, case, monkeypatch):
         m = la.MatGF(ctx, np.concatenate([la.MatGF.identity(ctx, 3).a, b]))
         m = m @ la.MatGF(ctx, ctx.random_cells(rng, 3, 3))
         if case == "top-rows-dependent":
-            m.a[2] = ctx.ax_add(m.a[0], m.a[1])
+            cells = m.a.copy()
+            cells[2] = ctx.ax_add(cells[0], cells[1])
+            m = la.MatGF(ctx, cells)
             if la.rank(m) == 3:
                 break
         elif [s for s in combinations(range(6), 3) if _minor_rank(m, s) < 3] == singular:
@@ -439,10 +445,10 @@ def test_is_mds_systematic_form_cases(ctx, case, monkeypatch):
 
 def _cells_one_by_one(ctx, d):
     """mat_from_json's matrix built cell by cell through from_coeffs."""
-    m = la.MatGF.zeros(ctx, d["rows"], d["cols"])
+    cells = ctx.cell_zeros(d["rows"], d["cols"])
     for k, coeffs in enumerate(d["data"]):
-        m.a[divmod(k, d["cols"])] = ctx.token_to_cell(ctx.from_coeffs(coeffs))
-    return m
+        cells[divmod(k, d["cols"])] = ctx.token_to_cell(ctx.from_coeffs(coeffs))
+    return la.MatGF(ctx, cells)
 
 
 @pytest.mark.parametrize("ctx", [field_build(2, 1), F9, tower_build(3, 3), tower_build(3, 5),
@@ -513,9 +519,10 @@ def test_coset_coords_pinned():
                 tower_build(3, 4)):
         for _ in range(12):
             rows, cols = int(rng.integers(1, 6)), int(rng.integers(0, 5))
-            m = la.MatGF(ctx, ctx.random_cells(rng, rows, cols))
+            cells = ctx.random_cells(rng, rows, cols)
             if cols > 1:
-                m.a[:, -1] = m.a[:, 0]  # a dependent column
+                cells[:, -1] = cells[:, 0]  # a dependent column
+            m = la.MatGF(ctx, cells)
             v = la.VecGF(ctx, ctx.random_cells(rng, rows))
             qm = la.QuotientMap(m)
             out.append([qm.subspace_rank, qm.coset_coords(v).tolist(),
@@ -560,3 +567,72 @@ def test_dual_and_completion_pinned():
                 out.append([gbar.tolist(), h1.tolist()])
     blob = json.dumps(out).encode()
     assert hashlib.sha256(blob).hexdigest() == DUAL_DIGEST
+
+
+def _bundle_cells(bundle):
+    return [bundle.g1, bundle.g2, bundle.f, bundle.g_stack()]
+
+
+def _produced():
+    """Every producer of VecGF and MatGF values, by name: each returns the
+    values it built."""
+    from mmsplab.constructions import construct_eammsp
+    from mmsplab.fixtures import make_pools
+
+    g1, f = g1_f()
+    t = tower_build(3, 4)
+    v = la.VecGF.from_ints(F3, [1, 2, 0, 1, 1, 2])
+    tm = la.MatGF(t, t.random_cells(np.random.default_rng(2), 4, 2))
+    return {
+        "constructors": [la.MatGF(F3, np.ones((2, 2), dtype=np.int64)),
+                         la.VecGF(F3, np.ones(2, dtype=np.int64)),
+                         la.MatGF.zeros(F3, 2, 3), la.VecGF.zeros(t, 3),
+                         la.MatGF.identity(t, 3), la.MatGF.from_ints(F5, [[1, 2]]),
+                         la.VecGF.from_ints(F5, [1, 2]), g1, f, v, tm],
+        "@": [g1.transpose() @ f, f @ la.VecGF.from_ints(F3, [1, 2]),
+              tm.transpose() @ tm],
+        "+": [g1 + f, -g1, g1 - f, v + v, tm + tm],
+        "hstack": [la.hstack([g1, f]), la.hstack([tm, tm])],
+        "restrict": [la.restrict(g1, [1, 3]), la.restrict(v, [2, 4]),
+                     la.restrict(tm, [2])],
+        "col": [g1.col(1), tm.col(0)],
+        "transpose": [g1.transpose(), tm.transpose()],
+        "rref": [la.rref(f)[0], la.rref(tm)[0]],
+        "nullspace": [la.nullspace(g1.transpose()), la.nullspace(tm.transpose())],
+        "solve": [la.solve(g1, g1 @ la.VecGF.from_ints(F3, [1, 1])),
+                  la.solve(tm, tm @ la.VecGF.zeros(t, 2))],
+        "QuotientMap.t": [la.QuotientMap(g1).t, la.QuotientMap(tm).t],
+        "mat_from_json": [la.mat_from_json(la.mat_to_json(f)),
+                          la.mat_from_json(la.mat_to_json(tm))],
+        "construct_eammsp": _bundle_cells(construct_eammsp(2, 1, 2, 2)),
+        "make_pools": [m for b, _ in make_pools("ea", 2, seed=102, n_values=(2,))[0]
+                       for m in _bundle_cells(b)],
+    }
+
+
+@pytest.mark.parametrize("producer", list(_produced()))
+def test_every_producer_returns_frozen_cells(producer):
+    """No built matrix or vector can be written: every memo keyed on one
+    reads the content it was built with."""
+    values = _produced()[producer]
+    assert values
+    for m in values:
+        assert isinstance(m, la.Cells) and not m.a.flags.writeable, (producer, m)
+        with pytest.raises(ValueError):
+            m.a[...] = 0
+
+
+def test_wrapping_a_view_copies_only_what_can_still_be_written():
+    """A view of a writable array is copied, so writes through its base
+    leave the value and its hash as built; an array that owns its cells is
+    frozen in place, and a view of a frozen value is kept uncopied."""
+    base = F5.random_cells(np.random.default_rng(3), 4, 3)
+    for value in (la.MatGF(F5, base[:, :2]), la.VecGF(F5, base[1])):
+        built, key = value.a.copy(), hash(value)
+        base[...] = F5.ax_add(base, np.ones_like(base))
+        assert np.array_equal(value.a, built) and hash(value) == key
+        assert value == type(value)(F5, built.copy())
+    owned = F5.random_cells(np.random.default_rng(4), 3, 2)
+    m = la.MatGF(F5, owned)
+    assert m.a is owned and not owned.flags.writeable
+    assert m.col(1).a.base is owned and la.restrict(m, [1, 2]) == la.MatGF(F5, owned[:2])

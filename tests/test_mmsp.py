@@ -139,10 +139,11 @@ def test_lemma1_table_matches_single_subset_reductions(p, r, rows, y, x):
     every subset, whether the sweep asks in order or in reverse."""
     ctx = tower_build(3, 9) if r == 512 else field_build(p, r)
     rng = np.random.default_rng(rows * 100 + y)
-    g = MatGF(ctx, ctx.random_cells(rng, rows, y))
-    f = MatGF(ctx, ctx.random_cells(rng, rows, x))
-    g.a[0] = ctx.cell_zeros(y)  # row 1 apart from the rest, so a wrong mask shows
-    f.a[:, -1] = g.a[:, 0]  # one F column inside span(G)
+    g = ctx.random_cells(rng, rows, y)
+    f = ctx.random_cells(rng, rows, x)
+    g[0] = ctx.cell_zeros(y)  # row 1 apart from the rest, so a wrong mask shows
+    f[:, -1] = g[:, 0]  # one F column inside span(G)
+    g, f = MatGF(ctx, g), MatGF(ctx, f)
     subsets = [s for k in range(rows + 1) for s in combinations(range(1, rows + 1), k)]
     want = [_lemma1_reference(g, f, s) for s in subsets]
     assert {w[0] > 0 for w in want} == {True, False}
@@ -158,38 +159,61 @@ def test_lemma1_table_matches_single_subset_reductions(p, r, rows, y, x):
 
 
 def test_lemma1_memo_reads_content_not_identity():
-    """Editing G in place between the pair's two calls makes the second call
-    answer for the edited matrix, never from the first call's reduction."""
+    """G cannot be edited in place, and a G with other content asked right
+    after is answered for itself, never from the last pair's reduction."""
     ex = example1()
-    g, f = MatGF(ex.g1.ctx, ex.g1.a.copy()), ex.f
+    g, f = ex.g1, ex.f
     sub = symplectify([3], 3)
     assert mmsp.a1_a2_agree(g, f, sub) and mmsp.rejects_one(g, f, sub)
     assert mmsp._lemma1_pivots(g, f, sub) == (0, f.cols)
-    g.a[:] = F3.cell_zeros(*g.a.shape)
+    with pytest.raises(ValueError):
+        g.a[:] = F3.cell_zeros(*g.a.shape)
+    assert mmsp._lemma1_pivots(g, f, sub) == (0, f.cols)
+    g = MatGF.zeros(F3, *g.a.shape)
     assert mmsp.b1_b2_agree(g, f, sub)
     assert mmsp.cond_b2(g, f, sub) == mmsp.rejects_one(g, f, sub) is False
     assert mmsp.cond_b2(ex.g1, f, sub) and mmsp.rejects_one(ex.g1, f, sub)
 
 
 def test_mmsp_memo_reads_content_not_identity():
-    """The verdict memo keys on the content of G, F and the structure: an
-    in-place edit of G or of F, and the same (G, F) under another threshold,
-    are decided afresh, each as the per-subset rank loop decides it."""
+    """The verdict memo keys on the content of G, F and the structure: G
+    and F cannot be edited in place, and a G or an F with other content,
+    and the same (G, F) under another threshold, are decided afresh, each
+    as the per-subset rank loop decides it."""
     ex = example1()
-    g, f = (MatGF(m.ctx, m.a.copy()) for m in (ex.g1, ex.f))
+    g, f = ex.g1, ex.f
     fs = symplectify_structure(ex.access)
     assert mmsp.mmsp_failure(g, f, fs) is None
-    g.a[:] = F3.cell_zeros(*g.a.shape)
+    for m in (g, f):
+        with pytest.raises(ValueError):
+            m.a[:] = F3.cell_zeros(*m.a.shape)
+    assert mmsp.mmsp_failure(g, f, fs) is None
+    g = MatGF.zeros(F3, *g.a.shape)
     assert mmsp.mmsp_failure(g, f, fs) == _two_rank_failure(g, f, fs) is not None
-    g.a[:] = ex.g1.a
+    g = MatGF(F3, ex.g1.a.copy())
     assert mmsp.is_mmsp(g, f, fs)
-    f.a[:] = F3.cell_zeros(*f.a.shape)
+    f = MatGF.zeros(F3, *f.a.shape)
     assert mmsp.mmsp_failure(g, f, fs) == _two_rank_failure(g, f, fs) is not None
     for r, t, want in [(2, 1, None), (3, 2, "rejection"), (1, 0, "acceptance")]:
         fs = symplectify_structure(make_threshold(r, t, 3))
         failure = mmsp.mmsp_failure(ex.g1, ex.f, fs)
         assert failure == _two_rank_failure(ex.g1, ex.f, fs)
         assert (failure and failure[0]) == want
+
+
+def test_mmsp_memo_hits_a_rebuilt_g_stack():
+    """A second is_mmsp on a rebuilt, equal G is served by the memo: the
+    verdict is keyed on what G holds, not on which object holds it."""
+    ex = example1()
+    fs = symplectify_structure(ex.access)
+    mmsp._mmsp_failure.cache_clear()
+    first = ex.bundle.g_stack()
+    assert mmsp.is_mmsp(first, ex.f, fs)
+    hits = mmsp._mmsp_failure.cache_info().hits
+    again = ex.bundle.g_stack()
+    assert again is not first and again == first
+    assert mmsp.is_mmsp(again, ex.f, fs)
+    assert mmsp._mmsp_failure.cache_info().hits == hits + 1
 
 
 def test_audits_share_one_mmsp_sweep(monkeypatch):
@@ -351,11 +375,12 @@ def test_stacked_mmsp_matches_per_subset_ranks(ctx, monkeypatch):
         for base in structures:
             for fs in (base, symplectify_structure(base)):
                 rows, y, x = fs.n, 1 + trial % 2, 1 + trial // 3
-                g = MatGF(ctx, ctx.random_cells(rng, rows, y))
-                f = MatGF(ctx, ctx.random_cells(rng, rows, x))
+                g = ctx.random_cells(rng, rows, y)
+                f = ctx.random_cells(rng, rows, x)
                 if trial % 3 == 2:  # a zero row or F inside span(G) somewhere
-                    f.a[rng.integers(rows)] = 0
-                    g.a[rng.integers(rows), 0] = f.a[rng.integers(rows), 0]
+                    f[rng.integers(rows)] = 0
+                    g[rng.integers(rows), 0] = f[rng.integers(rows), 0]
+                g, f = MatGF(ctx, g), MatGF(ctx, f)
                 want = _two_rank_failure(g, f, fs)
                 for block_sets in (1, 3, 10 ** 6):
                     cells = rows * (y + x) * int(np.prod(g.a.shape[2:]))
@@ -374,11 +399,11 @@ def test_lemma1_predicates_match_rank_definitions(ctx):
     rng = np.random.default_rng(43)
     for trial in range(4):
         g = MatGF(ctx, ctx.random_cells(rng, 5, 2))
-        f = MatGF(ctx, ctx.random_cells(rng, 5, 2))
+        f = ctx.random_cells(rng, 5, 2)
         if trial % 2:
-            f.a[:, 1] = g.a[:, 0]
-        e = MatGF.zeros(ctx, 2, 4)
-        e.a[[0, 1], [2, 3]] = ctx.token_to_cell(ctx.one)
+            f[:, 1] = g.a[:, 0]
+        f = MatGF(ctx, f)
+        e = hstack([MatGF.zeros(ctx, 2, 2), MatGF.identity(ctx, 2)])
         for k in range(6):
             for sub in combinations(range(1, 6), k):
                 pg, pf = restrict(g, sub), restrict(f, sub)

@@ -599,7 +599,7 @@ def test_symp_track_matches_css_decode(field, tower32):
     randomness matrix (G1|G2), on every qualified set."""
     from mmsplab.access import symplectify
     from mmsplab.classical import CssProtocol, css_decode
-    from mmsplab.linalg import restrict, restrict_vec
+    from mmsplab.linalg import restrict
 
     rng = np.random.default_rng(12)
     if field == "GF(3^32)":
@@ -618,7 +618,7 @@ def test_symp_track_matches_css_decode(field, tower32):
         disp = bundle.f @ VecGF(ctx, m) + bundle.g2 @ VecGF(ctx, u2)
         for a in fs.accept_iter():
             sympl = sorted(symplectify(a, bundle.n))
-            want = css_decode(css, sympl, restrict_vec(disp, sympl))
+            want = css_decode(css, sympl, restrict(disp, sympl))
             _, got = qp.symp_track(bundle, m, u2, sorted(a))
             assert (got is None) == (want is None)
             if want is not None:
@@ -628,7 +628,7 @@ def test_symp_track_matches_css_decode(field, tower32):
             # displacement: CSS decoding and the coset of P_A G1
             rep2, got2 = decoders[tuple(sorted(a))].track(disp)
             assert rep2 == qp.coset_rep(restrict(bundle.g1, sympl),
-                                        restrict_vec(disp, sympl).a[None])[0]
+                                        restrict(disp, sympl).a[None])[0]
             assert (got2 is None) == (want is None)
             assert want is None or np.array_equal(got2.a, want.a)
     assert decoded

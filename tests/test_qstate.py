@@ -51,14 +51,10 @@ def test_weyl_order():
 
 def test_stabilizer_pure_x_and_z():
     n = 2
-    ix = MatGF.zeros(F3, 2 * n, n)
-    for i in range(n):
-        ix.a[i, i] = 1
+    ix = MatGF(F3, np.eye(2 * n, n, dtype=np.int64))
     st = qs.joint_eigenvector(Q, n, ix.a, [0] * n)
     assert np.allclose(st, np.full((Q,) * n, 1 / Q))
-    iz = MatGF.zeros(F3, 2 * n, n)
-    for i in range(n):
-        iz.a[n + i, i] = 1
+    iz = MatGF(F3, np.eye(2 * n, n, -n, dtype=np.int64))
     st = qs.joint_eigenvector(Q, n, iz.a, [0] * n)
     want = np.zeros((Q,) * n)
     want[0, 0] = 1
@@ -80,6 +76,19 @@ def test_stabilizer_rejects_non_isotropic():
         qs.frame_for(bad)
 
 
+def test_equal_content_shares_one_frame(monkeypatch):
+    """frame_for keys on the content of G1: two objects with the same cells
+    share one StabFrame, and other content gets its own."""
+    monkeypatch.setattr(qs, "_FRAMES", {})
+    cells = np.eye(4, 2, -2, dtype=np.int64)
+    first, again = MatGF(F3, cells.copy()), MatGF(F3, cells.copy())
+    assert first is not again
+    assert qs.frame_for(first) is qs.frame_for(again)
+    assert len(qs._FRAMES) == 1
+    qs.frame_for(MatGF(F3, np.eye(4, 2, dtype=np.int64)))
+    assert len(qs._FRAMES) == 2
+
+
 def test_ea_resource_flavors():
     n = 2
     empty = MatGF.zeros(F3, 2 * n, 0)
@@ -90,9 +99,7 @@ def test_ea_resource_flavors():
             want[i, j, i, j] = 1 / Q
     assert np.allclose(res, want)
     # y1 = n: product of a stabilizer state and a fixed user state
-    iz = MatGF.zeros(F3, 2 * n, n)
-    for i in range(n):
-        iz.a[n + i, i] = 1
+    iz = MatGF(F3, np.eye(2 * n, n, -n, dtype=np.int64))
     prod = qs.frame_for(iz).resource([0, 0])
     mat = prod.reshape(Q**n, Q**n)
     s = np.linalg.svd(mat, compute_uv=False)
