@@ -38,7 +38,7 @@ from .mmsp import SpanDecoder, is_mmsp, rejects_one
 AUDIT_LIMIT = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class CssProtocol:
     """Linear CSS: shares Z = F m + G u over the ground set [nbar]."""
 
@@ -69,7 +69,7 @@ class CssProtocol:
         return self.g.cols
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpirProtocol(CssProtocol):
     """Standard-form linear CSPIR with f files of x symbols each; the
     answers to a standard query are a CSS share of the target file."""

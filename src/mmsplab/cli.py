@@ -22,8 +22,8 @@ from . import qprotocols as qp
 from .access import (AccessStructure, make_explicit, structure_from_json,
                      symplectify_structure, validate)
 from .classical import CssProtocol, SpirProtocol, css_audit, css_run, spir_audit
-from .errors import (BadIndex, DimensionMismatch, IndexOutOfRange, MmsplabError,
-                     NotQualified, OutOfRange, TooLarge)
+from .errors import (BadIndex, ClassMismatch, DimensionMismatch, IndexOutOfRange,
+                     MmsplabError, NotQualified, OutOfRange, TooLarge)
 from .linalg import VecGF
 from .mmsp import MmspBundle, bundle_from_json, mmsp_failure, rate
 from .qstate import _enum_vecs, check_dense
@@ -212,6 +212,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     bundle, fs = _load_inputs(args)
+    if bundle.cls == "plain":
+        raise ClassMismatch("crosscheck needs an ea, cq or qq bundle, got plain")
     ctx, q = bundle.ctx, bundle.ctx.q
     engine = qp.EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
     decoders = [(sorted(a), qp.DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))

@@ -17,11 +17,11 @@ Audits enumerate protocol randomness exhaustively, compare reduced states
 at trace distance 1e-9, and cross-check every verdict against the
 span-program classification; SPIR server secrecy is the classical sweep on
 (G1|G2, F), as displacements in distinct Im(G1) cosets leave orthogonal
-states.  Every dense path runs behind qstate.check_dense.  Secrecy states
-are held as amplitude factors and compared by distances_from, which factors
-the reference state once per set; the QQ channel is one precomputed Kraus
-tensor, one block per G2 randomization.  A symplectic-track backend
-propagates displacements classically (any q, prime powers included) and is
+states.  Every dense path runs behind qstate.check_dense.  A mixture over
+the dealer's randomness is one stack from one apply_weyl call; secrecy states
+are its reduce_factor factors, compared by distances_from, which factors the
+reference once per set, and the QQ channel is one Kraus tensor over every G2
+randomization.  A symplectic-track backend propagates displacements classically (any q, prime powers included) and is
 cross-validated against the dense oracle.
 """
 
@@ -71,22 +71,19 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
-def distances_from(ref: list) -> Callable[[list], float]:
-    """The trace distance from the mixture ref, given as [(w, A), ...] for
-    sum_i w_i A_i A_i^dag, as a function of another such mixture.  One thin
-    SVD of ref's stack [sqrt(w_i) A_i] gives its support: eigenvectors U and
-    eigenvalues lam above EIG_CUTOFF.  Another stack is B = U C + Y with
+def distances_from(ref: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The trace distance from the state A A^dag of the factor ref = A, as a
+    function of another factor B.  One thin SVD of A gives its support:
+    eigenvectors U and eigenvalues lam above EIG_CUTOFF.  B = U C + Y with
     Y = Q' R' orthogonal to U, and in the basis [U | Q'] the difference is
-    diag(lam, 0) - X X^dag with X = [C; R'], no wider than both stacks.
+    diag(lam, 0) - X X^dag with X = [C; R'], no wider than both factors.
     Dropping R' and the cut eigenvalues moves the distance by at most
     cut/2 + |C| |Y| + |Y|^2 / 2 (Frobenius norms); below EIG_CUTOFF, X = C."""
-    u, s, _ = np.linalg.svd(np.concatenate([np.sqrt(w) * f for w, f in ref], axis=1),
-                            full_matrices=False)
+    u, s, _ = np.linalg.svd(ref, full_matrices=False)
     keep = s**2 > EIG_CUTOFF
     u, lam, cut = u[:, keep], s[keep] ** 2, (s[~keep] ** 2).sum()
 
-    def distance(mix: list) -> float:
-        b = np.concatenate([np.sqrt(w) * f for w, f in mix], axis=1)
+    def distance(b: np.ndarray) -> float:
         x = u.conj().T @ b
         y = b - u @ x
         ny = np.linalg.norm(y)
@@ -169,16 +166,15 @@ class EaEngine:
         return _displacements(self.g2, (self.f @ mv).a)
 
     def message_cases(self) -> list:
-        """(m, share mixture of F m + G2 u2) for every message m."""
+        """(m, share stack of F m + G2 u2) for every message m."""
         return [(tuple(m.tolist()), self.share_components(self.message_displacements(m)))
                 for m in _enum_vecs(self.q, self.f.cols)]
 
-    def share_components(self, disp_list: Iterable[np.ndarray]):
-        regs = list(range(self.n))
-        disp_list = list(disp_list)
-        w = 1.0 / len(disp_list)
-        return [(w, apply_weyl(self.base, self.q, list(x), regs))
-                for x in disp_list]
+    def share_components(self, disps: np.ndarray) -> np.ndarray:
+        """The uniform mixture of W(x)|Phi[0, G1]> over the rows x of disps,
+        as one stack with the weight folded in (see qstate.reduce_factor)."""
+        return np.sqrt(1.0 / len(disps)) * apply_weyl(self.base, self.q, disps,
+                                                      range(self.n))
 
     def dm_for(self, subset: Sequence[int]) -> DisplacedMeasurement:
         key = tuple(sorted(subset))
@@ -186,19 +182,16 @@ class EaEngine:
             self._dms[key] = qs.displaced_measurement_for(self.g1, key)
         return self._dms[key]
 
-    def outcome_distribution(self, subset: Sequence[int], components) -> np.ndarray:
+    def outcome_distribution(self, subset: Sequence[int], stack: np.ndarray) -> np.ndarray:
         """Born distribution over z in F_q^(2|A|) plus a complement tail."""
         sub = sorted(subset)
         keep = [s - 1 for s in sub] + [self.n + s - 1 for s in sub]
-        # Born probabilities are linear in the mixture: each component enters
-        # through its (kept x traced) factor, one column per traced basis state
-        return self.dm_for(sub).probabilities(
-            [(w, reduce_factor(amps, keep)) for w, amps in components])
+        return self.dm_for(sub).probabilities(reduce_factor(stack, keep))
 
-    def _fold(self, subset: Sequence[int], components, keys_of) -> dict:
+    def _fold(self, subset: Sequence[int], stack: np.ndarray, keys_of) -> dict:
         """Outcome distribution folded by keys_of, which maps the rows of
         measured label cells to one key each; the complement tail is None."""
-        probs = self.outcome_distribution(subset, components)
+        probs = self.outcome_distribution(subset, stack)
         dm = self.dm_for(sorted(subset))
         hit = np.nonzero(~(probs < 1e-12))[0]
         inner = hit[hit < dm.nout]
@@ -209,30 +202,25 @@ class EaEngine:
             out[key] = out.get(key, 0.0) + float(probs[idx])
         return out
 
-    def decoded_distribution(self, subset: Sequence[int], components,
+    def decoded_distribution(self, subset: Sequence[int], stack: np.ndarray,
                              decoder: DispDecoder) -> dict:
         """Outcome distribution folded onto decoded messages."""
         def keys_of(zs):
             msgs, ok = decoder.decode_all(zs)
             return [tuple(m.tolist()) if good else None for m, good in zip(msgs, ok)]
-        return self._fold(subset, components, keys_of)
+        return self._fold(subset, stack, keys_of)
 
-    def coset_distribution(self, subset: Sequence[int], components,
+    def coset_distribution(self, subset: Sequence[int], stack: np.ndarray,
                            decoder: DispDecoder) -> dict:
         """Outcome distribution folded onto Im(P G1)-cosets."""
-        return self._fold(subset, components, lambda zs: coset_rep(decoder.pg1, zs))
+        return self._fold(subset, stack, lambda zs: coset_rep(decoder.pg1, zs))
 
-    def secrecy_state(self, subset: Sequence[int], components) -> list:
-        """The reduced state on D[B] (x) E-full of the given mixture, as its
-        [(w, factor), ...] pairs (see distances_from)."""
+    def secrecy_states_equal(self, subset: Sequence[int], stacks) -> bool:
+        """Whether every stack leaves the same state on D[B] (x) E-full."""
         keep = [s - 1 for s in sorted(subset)] + list(range(self.n, 2 * self.n))
-        return [(w, reduce_factor(amps, keep)) for w, amps in components]
-
-    def secrecy_states_equal(self, subset: Sequence[int], mixtures) -> bool:
-        """Whether every mixture leaves the same state on D[B] (x) E-full."""
-        states = (self.secrecy_state(subset, comps) for comps in mixtures)
-        distance = distances_from(next(states))
-        return all(distance(s) < TRACE_TOL for s in states)
+        factors = (reduce_factor(stack, keep) for stack in stacks)
+        distance = distances_from(next(factors))
+        return all(distance(f) < TRACE_TOL for f in factors)
 
 
 def _flavor_bundle(bundle: MmspBundle, protocol: str) -> MmspBundle:
@@ -255,9 +243,9 @@ def decoded_distributions(bundle: MmspBundle, base: VecGF,
     """The exact decoded distribution of the share displacement base + G2 u2
     (u2 exhaustive) on every accept set, keyed by the set."""
     engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
-    comps = engine.share_components(_displacements(bundle.g2, base.a))
+    stack = engine.share_components(_displacements(bundle.g2, base.a))
     return {str(sorted(a)): engine.decoded_distribution(
-        sorted(a), comps, DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
+        sorted(a), stack, DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
         for a in access.accept_iter()}
 
 
@@ -331,16 +319,13 @@ def run_modified_eass(bundle: MmspBundle, m: VecGF, seed: int,
     engine = EaEngine(g1=bundle.g1, g2=bundle.g2, f=bundle.f)
     q, n, y1 = engine.q, engine.n, bundle.y1
     disps = engine.message_displacements(m.a)
-    comps = []
-    wy = 1.0 / (q**y1 * len(disps))
-    for y in _enum_vecs(q, y1):
-        base = engine.frame.resource(list(y))
-        for x in disps:
-            comps.append((wy, apply_weyl(base, q, list(x), list(range(n)))))
+    stack = np.sqrt(1.0 / (q**y1 * len(disps))) * np.concatenate(
+        [apply_weyl(engine.frame.resource(y), q, disps, range(n))
+         for y in _enum_vecs(q, y1)])
     feass = EaEngine(g1=MatGF.zeros(bundle.ctx, 2 * n, 0), g2=bundle.g2, f=bundle.f)
     tr = Transcript(protocol="modified-eass", seed=seed)
     tr.outcome = {str(sorted(a)): feass.decoded_distribution(
-        sorted(a), comps, DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
+        sorted(a), stack, DispDecoder(bundle.g1, bundle.g2, bundle.f, sorted(a)))
         for a in access.accept_iter()}
     return tr
 
@@ -374,11 +359,11 @@ class QAuditReport:
 
 def _decodes(engine: EaEngine, bundle: MmspBundle, subset: list[int],
              cases: Iterable) -> bool:
-    """Every (message, share mixture) case decodes to its message with
+    """Every (message, share stack) case decodes to its message with
     probability 1 on the subset; stops at the first case that does not."""
     dec = DispDecoder(bundle.g1, bundle.g2, bundle.f, subset)
-    return all(engine.decoded_distribution(subset, comps, dec).get(mt, 0.0)
-               >= 1 - TRACE_TOL for mt, comps in cases)
+    return all(engine.decoded_distribution(subset, stack, dec).get(mt, 0.0)
+               >= 1 - TRACE_TOL for mt, stack in cases)
 
 
 def _qreport(protocol: str, bundle: MmspBundle, access: AccessStructure,
@@ -406,7 +391,7 @@ def audit_ss(bundle: MmspBundle, access: AccessStructure,
         correct &= ok
     secret = True
     for b in access.reject_iter():
-        ok = engine.secrecy_states_equal(sorted(b), [comps for _, comps in cases])
+        ok = engine.secrecy_states_equal(sorted(b), [stack for _, stack in cases])
         details.append([f"secret@{sorted(b)}", ok])
         secret &= ok
     return _qreport(protocol, bundle, access, correct, secret, details)
@@ -474,8 +459,7 @@ class QqCodec:
         # Ft_X x over every x in C order (the first coordinate the most
         # significant digit): the span of Ft_X's columns in reverse order
         disps = gf_span(self.ft[:, :self.xq][:, ::-1], ctx.tables())
-        self.v = np.stack([apply_sw(xi0, self.q, list(d), list(range(self.n))).reshape(-1)
-                           for d in disps], axis=1)  # (q^n, q^xq)
+        self.v = apply_sw(xi0, self.q, disps, range(self.n)).reshape(len(disps), -1).T
 
 
 def qq_channel(bundle: MmspBundle, codec: QqCodec,
@@ -492,8 +476,7 @@ def qq_channel(bundle: MmspBundle, codec: QqCodec,
     d_msg = code.shape[-1]
     disps = _displacements(bundle.g2, bundle.ctx.cell_zeros(2 * n))
     # rows a; columns (x, r, m) with m fastest
-    kraus = np.concatenate([reduce_factor(apply_weyl(code, q, list(x), list(range(n))), keep)
-                            for x in disps], axis=1) / np.sqrt(len(disps))
+    kraus = reduce_factor(apply_weyl(code, q, disps, range(n)), keep) / np.sqrt(len(disps))
     kconj = kraus.conj().T
     return Channel(din=d_msg, dout=d_b,
                    fn=lambda rho: (kraus.reshape(-1, d_msg) @ rho)
@@ -509,9 +492,8 @@ def _decoder_factors(bundle: MmspBundle, codec: QqCodec,
     phi = (codec.v.T / np.sqrt(q**xq)).reshape((q**xq,) + (q,) * n)
     keep = [0] + sorted(subset)
     for base in gf_span(codec.ft[:, ::-1], bundle.ctx.tables()):  # Ft x, x in C order
-        yield np.concatenate(
-            [reduce_factor(apply_weyl(phi, q, list(full), list(range(1, n + 1))), keep)
-             for full in _displacements(bundle.g2, base)], axis=1)
+        yield reduce_factor(apply_weyl(phi, q, _displacements(bundle.g2, base),
+                                       range(1, n + 1)), keep)
 
 
 def _support_factor(psi: np.ndarray) -> np.ndarray:
@@ -624,15 +606,12 @@ def dense_coding_information_check(chan: Channel, q: int, n_prime: int) -> tuple
     # sigma_RB = (id_R (x) Lambda)(phi); R-first ordering matches choi()
     sigma = chan.choi()
     i_chan = mutual_info_dims(sigma, d, chan.dout)
-    # dense coding: tau_x = (id_R (x) Lambda)(W_A(x) phi) over uniform x
-    taus = []
+    # dense coding: tau_x = (id_R (x) Lambda)(W_A(x) phi) over uniform x in C order
     phi = np.eye(d, dtype=np.complex128) / np.sqrt(d)  # phi[r, a]
-    for x in _enum_vecs(q, 2 * n_prime)[:, ::-1]:  # C order
-        fx = apply_weyl(phi.reshape((d,) + (q,) * n_prime), q, list(x),
-                        list(range(1, 1 + n_prime))).reshape(d, d)
-        rho_ra = np.einsum("ra,sb->rasb", fx, fx.conj()).reshape(d * d, d * d)
-        tau = qs.apply_on_second(rho_ra, d, chan)
-        taus.append(tau)
+    fxs = apply_weyl(phi.reshape((d,) + (q,) * n_prime), q, _enum_vecs(q, 2 * n_prime)[:, ::-1],
+                     range(1, 1 + n_prime)).reshape(-1, d, d)
+    taus = [qs.apply_on_second(np.einsum("ra,sb->rasb", fx, fx.conj()).reshape(d * d, d * d),
+                               d, chan) for fx in fxs]
     avg = sum(taus) / len(taus)
     i_dense = vn_entropy(avg) - sum(vn_entropy(t) for t in taus) / len(taus)
     return float(i_dense), float(i_chan)
@@ -679,8 +658,8 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
     ctx, n, x, y = bundle.ctx, bundle.n, bundle.x, bundle.y1 + bundle.y2
     details = []
 
-    def components(qmat: MatGF, fv: np.ndarray):
-        """Share-state mixture for the file vector fv under query qmat."""
+    def components(qmat: MatGF, fv: np.ndarray) -> np.ndarray:
+        """Share-state stack for the file vector fv under query qmat."""
         return engine.share_components(
             _displacements(bundle.g2, (qmat @ VecGF(ctx, fv)).a))
 
@@ -706,8 +685,10 @@ def audit_spir(bundle: MmspBundle, access: AccessStructure, nfiles: int,
         correct &= ok
 
     # user secrecy: restricted query columns have k-independent multisets
+    # (with one file there is no index to leak)
     reject = [sorted(b) for b in access.reject_iter() if b]
-    user = _marginals_equal(proto.g, proto.f, [symplectify(b, n) for b in reject])
+    user = (_marginals_equal(proto.g, proto.f, [symplectify(b, n) for b in reject])
+            if nfiles > 1 else [True] * len(reject))
     details += [[f"user-secret@{b}", ok] for b, ok in zip(reject, user)]
     user_ok = all(user)
 
@@ -761,12 +742,12 @@ def flow5_equivalence(bundle: MmspBundle, nfiles: int,
         # over F_q^y when m != 0, and w = 0 when m = 0
         fm = (bundle.f @ VecGF(ctx, m)).a
         mids = _displacements(bundle.g_stack(), fm) if m.any() else fm[None]
-        conv_comps = engine.share_components(
+        conv = engine.share_components(
             np.concatenate([_displacements(bundle.g2, mid) for mid in mids]))
-        direct_comps = engine.share_components(engine.message_displacements(m))
+        direct = engine.share_components(engine.message_displacements(m))
         for sub, dec in decoders:
-            d1 = engine.coset_distribution(sub, conv_comps, dec)
-            d2 = engine.coset_distribution(sub, direct_comps, dec)
+            d1 = engine.coset_distribution(sub, conv, dec)
+            d2 = engine.coset_distribution(sub, direct, dec)
             keys = set(d1) | set(d2)
             if any(abs(d1.get(kk, 0.0) - d2.get(kk, 0.0)) > 1e-9
                    for kk in keys):

@@ -6,9 +6,11 @@ self-column-orthogonal matrices over F_q, reductions, displaced-basis
 measurements, the factored POVM of the teleportation-style QQ decoder,
 channels, and the von Neumann entropies of the dense-coding information
 check.  States carry shape (q,)*m amplitude arrays; register order for
-protocol states is [D_1..D_n, E_1..E_n].  A mixed state is held as its
-amplitude factors, [(w, psi), ...] for sum_i w_i psi_i psi_i^dag, with each
-psi from reduce_factor.
+protocol states is [D_1..D_n, E_1..E_n].  A mixed state is one stack: a
+leading axis over its pure components, each scaled by the square root of its
+weight, as apply_weyl returns it for all displacements at once.
+reduce_factor turns a stack into the factor psi of its reduction psi psi^dag,
+with columns over (component, traced registers).
 
 Group phases use the symmetric alignment SW(a,b) = w^(ab/2) X(a) Z(b)
 (2^{-1} taken mod p), under which SW(v)SW(w) = w^(-symp(v,w)/2) SW(v+w);
@@ -79,34 +81,42 @@ def _omega_powers(q: int) -> np.ndarray:
 # Weyl operators
 # ---------------------------------------------------------------------------
 
-def apply_weyl(amps: np.ndarray, q: int, disp: Sequence[int],
+def apply_weyl(amps: np.ndarray, q: int, disps: np.ndarray,
                regs: Sequence[int]) -> np.ndarray:
-    """Apply W(a_i, b_i) on each register in regs; disp = (a... | b...)."""
+    """The stack of W(x) amps over the rows x = (a... | b...) of disps, with
+    W(a_i, b_i) on register regs[i]: shape (len(disps),) + amps.shape.  Each
+    row applies, register by register, the phase and then the shift."""
     k = len(regs)
     om = _omega_powers(q)
-    out = amps
-    for idx, axis in enumerate(regs):
-        ai, bi = int(disp[idx]) % q, int(disp[k + idx]) % q
-        if bi:
-            shape = [1] * out.ndim
-            shape[axis] = q
-            out = out * om[(np.arange(q) * bi) % q].reshape(shape)
-        if ai:
-            out = np.roll(out, ai, axis=axis)
+    disps = np.asarray(disps, dtype=np.int64) % q
+    out = np.empty((len(disps),) + amps.shape, dtype=np.result_type(amps, om))
+    for row, disp in zip(out, disps):
+        cur = amps
+        for axis, ai, bi in zip(regs, disp[:k], disp[k:]):
+            if bi:
+                shape = [1] * amps.ndim
+                shape[axis] = q
+                cur = cur * om[(np.arange(q) * bi) % q].reshape(shape)
+            if ai:
+                cur = np.roll(cur, ai, axis=axis)
+        row[...] = cur
     return out
 
 
-def aligned_phase(q: int, disp: Sequence[int]) -> complex:
-    """Phase making SW(v) = phase * W(v) a representation on isotropic spans."""
-    k = len(disp) // 2
-    inv2 = pow(2, -1, q)
-    s = sum(int(disp[i]) * int(disp[k + i]) for i in range(k)) % q
-    return _omega_powers(q)[(inv2 * s) % q]
+def aligned_phase(q: int, disps: np.ndarray) -> np.ndarray:
+    """The phase making SW(v) = phase * W(v) a representation on isotropic
+    spans, for each row v = (a | b) of disps: w^(a.b / 2)."""
+    disps = np.asarray(disps, dtype=np.int64)
+    k = disps.shape[1] // 2
+    s = (disps[:, :k] * disps[:, k:]).sum(axis=1)
+    return _omega_powers(q)[pow(2, -1, q) * s % q]
 
 
-def apply_sw(amps: np.ndarray, q: int, disp: Sequence[int],
+def apply_sw(amps: np.ndarray, q: int, disps: np.ndarray,
              regs: Sequence[int]) -> np.ndarray:
-    return aligned_phase(q, disp) * apply_weyl(amps, q, disp, regs)
+    """The stack of SW(x) amps over the rows x of disps (see apply_weyl)."""
+    phases = aligned_phase(q, disps).reshape((-1,) + (1,) * amps.ndim)
+    return phases * apply_weyl(amps, q, disps, regs)
 
 
 def _weyl_columns(q: int, n: int, disps: np.ndarray) -> tuple:
@@ -158,7 +168,7 @@ def stabilizer_projector(q: int, n: int, gens: np.ndarray,
     cs = _enum_vecs(q, gens.shape[1])
     disps = cs @ gens.T % q
     rows, vals = _weyl_columns(q, n, disps)
-    aligned = om[pow(2, -1, q) * (disps[:, :n] * disps[:, n:]).sum(axis=1) % q]
+    aligned = aligned_phase(q, disps)
     group = om[cs @ np.asarray(phases, dtype=np.int64) % q].conjugate()
     # one scatter in c order: each cell sums its terms in enumeration order
     acc = np.zeros(d * d, dtype=np.complex128)
@@ -227,22 +237,24 @@ def frame_for(g1: MatGF) -> StabFrame:
 # reductions
 # ---------------------------------------------------------------------------
 
-def reduce_factor(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """The (kept x traced) amplitude matrix psi of a pure state, kept
-    registers in sorted order; its reduction to them is psi psi^dag.
-    Registers may differ in size; the traced ones flatten in axis order."""
-    m = amps.ndim
+def reduce_factor(stack: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """The factor psi of a mixture held as a stack of amplitude arrays (a
+    leading axis over its components, weights folded in): its reduction to
+    the kept registers (sorted order) is psi psi^dag.  Rows run over the kept
+    registers, columns over (component, traced registers in axis order).
+    Registers may differ in size."""
+    m = stack.ndim - 1
     keep = sorted(keep)
     if any(not 0 <= k < m for k in keep) or len(set(keep)) != len(keep):
         raise BadRegisters(f"keep={keep} invalid for {m} registers")
-    drop = [i for i in range(m) if i not in keep]
-    kept = int(np.prod([amps.shape[k] for k in keep]))
-    return np.transpose(amps, keep + drop).reshape(kept, -1)
+    drop = [i + 1 for i in range(m) if i not in keep]
+    kept = int(np.prod([stack.shape[k + 1] for k in keep]))
+    return np.transpose(stack, [k + 1 for k in keep] + [0] + drop).reshape(kept, -1)
 
 
 def reduce_state(amps: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Density matrix of a pure state on the kept registers (sorted order)."""
-    psi = reduce_factor(amps, keep)
+    psi = reduce_factor(amps[None], keep)
     return psi @ psi.conj().T
 
 
@@ -256,7 +268,7 @@ class DisplacedMeasurement:
     sigma acts on (n_act displaced registers) x (a rest factor) and is given
     by an amplitude factor psi with sigma = psi psi^dag (see reduce_factor).
     The thin SVD of psi keeps sigma's support as weighted singular vectors;
-    Born probabilities of a mixture of factors are then one batched overlap
+    Born probabilities of a measured factor are then one batched overlap
     matrix, a gather of its shifted diagonals and one character-table
     product (the DFT over the displaced registers), never
     materializing the q^(2 n_act) operators.  The family is normalized so the
@@ -294,25 +306,23 @@ class DisplacedMeasurement:
         # calibrate lam against sigma's own top eigenvector, which lies in
         # the support by construction (input-independent, deterministic)
         self._lam = 1.0
-        total = self.probabilities([(1.0, vecs[:, 0])])[:-1].sum()
+        total = self.probabilities(vecs[:, :1])[:-1].sum()
         if total <= 1e-12:
             raise IncompletePovm("degenerate displaced family")
         if vecs.shape[1] > 1:
-            other = self.probabilities([(1.0, vecs[:, -1])])[:-1].sum()
+            other = self.probabilities(vecs[:, -1:])[:-1].sum()
             if abs(other - total) > 1e-8 * total:
                 raise IncompletePovm(
                     "displacement family does not tile its support uniformly")
         self._lam = float(total)
 
-    def probabilities(self, components: list) -> np.ndarray:
-        """Born distribution over z (+ complement tail) for the mixture
-        sum_j w_j psi_j psi_j^dag given as [(w_j, psi_j), ...]; psi_j is a
-        pure amplitude array or any factor that reshapes to (d, columns)."""
+    def probabilities(self, factor: np.ndarray) -> np.ndarray:
+        """Born distribution over z (+ complement tail) for the state
+        psi psi^dag of a factor psi that reshapes to (d, columns), such as
+        reduce_factor's."""
         q, n = self.q, self.n_act
         k, rest = q**n, self.rest
-        cols = np.concatenate(
-            [np.sqrt(w) * np.asarray(f).reshape(self.d, -1)
-             for w, f in components], axis=1)
+        cols = factor.reshape(self.d, -1)
         nphi = self._nphi
         # <W(a,b) phi_i | psi_p> = sum_k w^{-b.k} sum_r conj(phi_i[k,r])
         #   psi_p[k+a, r]: overlaps M[i,k,k',p], gathered at k' = k + a, then
@@ -339,7 +349,7 @@ def displaced_measurement_for(g1: MatGF, subset: Sequence[int]) -> DisplacedMeas
     n, q = fr.n, fr.q
     sub = sorted(int(s) for s in subset)
     keep = [s - 1 for s in sub] + [n + s - 1 for s in sub]
-    psi = reduce_factor(fr.resource([0] * fr.y1), keep)
+    psi = reduce_factor(fr.resource([0] * fr.y1)[None], keep)
     # register order after reduce: D[A] then E[A]
     return DisplacedMeasurement(q, len(sub), psi, rest_dim=q ** len(sub))
 

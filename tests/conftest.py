@@ -35,9 +35,8 @@ def bell_povm(q: int, n: int):
 
     phi = np.eye(q**n, dtype=np.complex128).reshape((q,) * 2 * n) / np.sqrt(q**n)
     zs = qs._enum_vecs(q, 2 * n)
-    return qs.Povm(labels=[tuple(z.tolist()) for z in zs],
-                   factors=[qs.apply_weyl(phi, q, z, list(range(n, 2 * n))).reshape(-1, 1)
-                            for z in zs])
+    moved = qs.apply_weyl(phi, q, zs, range(n, 2 * n)).reshape(len(zs), -1, 1)
+    return qs.Povm(labels=[tuple(z.tolist()) for z in zs], factors=list(moved))
 
 
 def identity_channel(d: int):

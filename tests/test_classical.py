@@ -1,5 +1,6 @@
 """Classical CSS/CSPIR protocols and exhaustive audits."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -213,6 +214,21 @@ def test_spir_audit_f1_trivially_user_secret(spir5):
     assert rep.secure and rep.matches_mmsp
 
 
+def test_protocols_cannot_change_after_their_checks(spir5):
+    """CSS and SPIR protocols are frozen: assigning a field raises, so a
+    fixed_query can only arrive through the constructor and its shape check
+    (a one-file query assigned to this two-file protocol used to end
+    spir_run and spir_audit in an untyped IndexError)."""
+    css = cl.CssProtocol(g=spir5.g, f=spir5.f, access=spir5.access)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        css.f = spir5.g
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spir5.fixed_query = [la.MatGF.zeros(F5, 3, 1)]
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(spir5, fixed_query=[la.MatGF.zeros(F5, 3, 1)])
+    assert spir5.fixed_query is None
+
+
 def test_spir_audit_nonstandard_query_flagged(spir5):
     qbad = []
     for k in (1, 2):
@@ -364,8 +380,7 @@ def _nonstandard_spir():
     leave = queries[1].a.copy()
     leave[:, 2] = [1, 2, 4]
     queries[1] = la.MatGF(F5, leave)
-    p.fixed_query = queries
-    return p
+    return dataclasses.replace(p, fixed_query=queries)
 
 
 def test_audit_reports_pinned():

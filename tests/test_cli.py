@@ -120,6 +120,23 @@ def test_crosscheck(ex1_files):
     assert rc == 0 and json.loads(out)["ok"]
 
 
+def test_crosscheck_refuses_plain_bundle(tmp_path):
+    """Example 1's (G1|G2, F) as a plain 6-row bundle under the (4, 2, 6)
+    threshold is refused with ClassMismatch; it used to name the set
+    [1..7], which the engine made by symplectifying the user's sets."""
+    from mmsplab.access import make_threshold
+    from mmsplab.mmsp import make_bundle
+
+    ex = fx.example1()
+    bpath, spath = tmp_path / BUNDLE, tmp_path / STRUCT
+    bpath.write_text(json.dumps(make_bundle("plain", ex.bundle.g_stack(), None,
+                                            ex.f).to_json()))
+    spath.write_text(json.dumps(make_threshold(4, 2, 6).to_json()))
+    rc, out, err = run_cli("crosscheck", str(bpath), str(spath))
+    assert rc == 1 and "Traceback" not in err
+    assert _error_report(out, "crosscheck").startswith("ClassMismatch: ")
+
+
 def test_fixtures_regenerate_bit_exact():
     rc1, out1, _ = run_cli("fixtures")
     rc2, out2, _ = run_cli("fixtures")

@@ -397,16 +397,19 @@ def test_mixture_distance_matches_dense(cols, narrow):
     def dense(mix):
         return sum(w * f @ f.conj().T for w, f in mix)
 
+    def factor(mix):
+        return np.concatenate([np.sqrt(w) * f for w, f in mix], axis=1)
+
     a, b = mixture(cols), mixture(cols[::-1])
     assert (2 * sum(cols) < d) == narrow
     want = qp.trace_distance(dense(a), dense(b))
     assert want > 0.1
-    assert abs(qp.distances_from(a)(b) - want) < 1e-12
+    assert abs(qp.distances_from(factor(a))(factor(b)) - want) < 1e-12
     # the same state with its first piece split in two at other weights
     w0, f0 = a[0]
     split = [(w0 / 4, 2 * f0[:, :1]), (w0, f0[:, 1:])] + a[1:]
     assert qp.trace_distance(dense(a), dense(split)) < 1e-12
-    assert qp.distances_from(a)(split) < 1e-12
+    assert qp.distances_from(factor(a))(factor(split)) < 1e-12
 
 
 def test_spir_secrecy_eigvalsh_width_is_factor_span(monkeypatch):
@@ -439,6 +442,25 @@ def test_spir_audits_at_n4_match_classify(kind):
     for (bundle, fs), want in ((pos[0], True), (neg[0], False)):
         rep = qp.audit_spir(bundle, fs, nfiles=2, protocol=kind + "spir")
         assert rep.secure == want and rep.matches_classify
+
+
+def test_spir_audit_one_file_agrees_with_classical():
+    """With one file there is no index to leak: on the 32 n = 2 EA and CQ
+    pool bundles, the quantum SPIR audit reports every user-secrecy check
+    True and gives the (correct, secret) verdict of classical.spir_audit on
+    (G1|G2, F); 14 negatives reported user-secret False before."""
+    from mmsplab import fixtures as fx
+
+    bundles = []
+    for kind in ("ea", "cq"):
+        pos, neg = fx.make_pools(kind, 8, seed=5, n_values=(2,))
+        bundles += [(kind, b, fs) for b, fs in pos + neg]
+    assert len(bundles) == 32
+    for kind, bundle, fs in bundles:
+        rep = qp.audit_spir(bundle, fs, nfiles=1, protocol=kind + "spir")
+        assert all(ok for name, ok in rep.details if name.startswith("user-secret"))
+        want = cl.spir_audit(qp._spir_protocol(bundle, fs, 1))
+        assert (rep.correct, rep.secret) == (want.correct, want.secret)
 
 
 def test_spir_query_index_outside_files_refused(ex1):

@@ -65,8 +65,7 @@ def test_stabilizer_example2_generator_fixed():
     ex = example2()
     gens = ex.g1.a  # y1 = n = 3: 27-dim state
     st = qs.joint_eigenvector(Q, 3, gens, [0, 0, 0])
-    for j in range(3):
-        moved = qs.apply_sw(st, Q, gens[:, j], [0, 1, 2])
+    for moved in qs.apply_sw(st, Q, gens.T, [0, 1, 2]):
         assert np.linalg.norm(moved - st) < 1e-10
 
 
@@ -130,8 +129,7 @@ def test_resource_is_the_eigenspace_projector(g1):
     for y in qs._enum_vecs(q, y1):
         res = fr.resource(y)
         assert abs(np.linalg.norm(res) - 1) < 1e-12
-        for j in range(y1):
-            moved = qs.apply_sw(res, q, g1.a[:, j], list(range(n)))
+        for j, moved in enumerate(qs.apply_sw(res, q, g1.a.T, range(n))):
             assert np.linalg.norm(moved - om ** y[j] * res) < 1e-10
         s = np.linalg.svd(res.reshape(q**n, q**n), compute_uv=False)
         assert (s > 1e-9).sum() == q ** (n - y1)
@@ -147,9 +145,9 @@ def test_xzp_reduction():
         phi[i, i] = 1 / np.sqrt(Q)
     for _ in range(6):
         x = rng.integers(0, Q, size=2 * n)
-        amps = qs.apply_weyl(res, Q, list(x), list(range(n)))
+        amps = qs.apply_weyl(res, Q, [x], range(n))[0]
         rho = qs.reduce_state(amps, [1, n + 1])
-        bell = qs.apply_weyl(phi, Q, [x[1], x[n + 1]], [0]).reshape(-1)
+        bell = qs.apply_weyl(phi, Q, [[x[1], x[n + 1]]], [0]).reshape(-1)
         assert np.linalg.norm(rho - np.outer(bell, bell.conj())) < 1e-10
         # the dropped side is maximally mixed
         rest = qs.reduce_state(amps, [0])
@@ -164,8 +162,7 @@ def test_displaced_measurement_point_mass():
     rng = np.random.default_rng(1)
     for _ in range(6):
         x = rng.integers(0, Q, size=2 * n)
-        amps = qs.apply_weyl(res, Q, list(x), list(range(n)))
-        probs = dm.probabilities([(1.0, amps)])
+        probs = dm.probabilities(qs.apply_weyl(res, Q, [x], range(n)))
         top = int(probs.argmax())
         assert probs[top] > 1 - 1e-9
         assert np.unravel_index(top, (Q,) * (2 * n)) == tuple(int(v) % Q for v in x)
@@ -176,12 +173,9 @@ def test_displaced_measurement_uniform_mixture():
     empty = MatGF.zeros(F3, 2 * n, 0)
     res = qs.frame_for(empty).resource([])
     dm = qs.displaced_measurement_for(empty, [1])
-    comps = []
-    for zi in range(Q**2):
-        z = [zi % Q, zi // Q]
-        comps.append((1.0 / Q**2,
-                      qs.apply_weyl(res, Q, z, [0])))
-    probs = dm.probabilities(comps)
+    zs = [[zi % Q, zi // Q] for zi in range(Q**2)]
+    stack = qs.apply_weyl(res, Q, zs, [0]) / Q
+    probs = dm.probabilities(qs.reduce_factor(stack, [0, 1]))
     assert np.allclose(probs[:-1], 1.0 / Q**2, atol=1e-10)
 
 
@@ -205,7 +199,7 @@ def test_displaced_measurement_brute_force_born_rule(case, block_cells,
           "example2": example2().g1}[name]
     k = len(sub)
     keep = [s - 1 for s in sub] + [n + s - 1 for s in sub]
-    psi = qs.reduce_factor(qs.frame_for(g1).resource([0] * g1.cols), keep)
+    psi = qs.reduce_factor(qs.frame_for(g1).resource([0] * g1.cols)[None], keep)
     sigma = psi @ psi.conj().T
     d, rest = sigma.shape[0], Q**k
     if k < n:
@@ -232,7 +226,7 @@ def test_displaced_measurement_brute_force_born_rule(case, block_cells,
     want = [np.trace(e @ rho).real for e in elems]
     want.append(np.trace(tail_op @ rho).real)
     dm = qs.DisplacedMeasurement(Q, k, psi, rest_dim=rest)
-    got = dm.probabilities(pieces)
+    got = dm.probabilities(np.concatenate([np.sqrt(w) * f for w, f in pieces], axis=1))
     assert np.abs(got - np.array(want)).max() < 1e-12
     assert (want[-1] > 1e-3) == has_tail
 
@@ -242,7 +236,7 @@ def _weyl_by_rolls(q, n, disp):
     apply_weyl (phase, then np.roll per register) on the identity."""
     d = q**n
     eye = np.eye(d, dtype=np.complex128).reshape((q,) * n + (d,))
-    return qs.apply_weyl(eye, q, disp, list(range(n))).reshape(d, d)
+    return qs.apply_weyl(eye, q, [disp], range(n)).reshape(d, d)
 
 
 def _group_sum_reference(q, n, gens, phases):
@@ -252,7 +246,7 @@ def _group_sum_reference(q, n, gens, phases):
     for c in qs._enum_vecs(q, gens.shape[1]):
         disp = (gens @ c) % q
         ph = om[int(c @ np.asarray(phases)) % q].conjugate()
-        acc = acc + ph * (qs.aligned_phase(q, disp) * _weyl_by_rolls(q, n, disp))
+        acc = acc + ph * (qs.aligned_phase(q, [disp])[0] * _weyl_by_rolls(q, n, disp))
     return acc
 
 
@@ -293,13 +287,72 @@ def test_stabilizer_projector_matches_group_sum_bytes(q):
             assert np.array_equal(qs.weyl_matrix(q, n, disp), _weyl_by_rolls(q, n, disp))
 
 
-def _probabilities_by_fftn(dm, components):
-    """Born distribution with the DFT over the k axes taken by np.fft.fftn,
-    blocked as DisplacedMeasurement.probabilities blocks it."""
+def _weyl_one_displacement(amps, q, disp, regs):
+    """Reference: W(a, b) for one displacement (a | b), per register the
+    phase and then np.roll, as apply_weyl applied one row at a time."""
+    k = len(regs)
+    om = np.exp(2j * np.pi * np.arange(q) / q)
+    out = amps
+    for idx, axis in enumerate(regs):
+        ai, bi = int(disp[idx]) % q, int(disp[k + idx]) % q
+        if bi:
+            shape = [1] * out.ndim
+            shape[axis] = q
+            out = out * om[(np.arange(q) * bi) % q].reshape(shape)
+        if ai:
+            out = np.roll(out, ai, axis=axis)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("shape, regs", [
+    ("plain", [0, 1]),
+    ("plain", [2, 1]),
+    ("leading", [1, 2]),    # _decoder_factors: (q^x', D...) with regs past axis 0
+    ("trailing", [0, 2]),   # qq_channel: (D..., message)
+], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+def test_apply_weyl_stack_equals_one_displacement_at_a_time(q, shape, regs):
+    """Row i of apply_weyl(amps, q, disps, regs) equals, bit for bit, the
+    one-displacement phase-then-roll action of disps[i], over F_3, F_5 and
+    F_7, for registers past axis 0 and arrays with a leading or a trailing
+    axis that no displacement touches."""
+    rng = np.random.default_rng(q)
+    dims = {"plain": (q, q, q), "leading": (4, q, q), "trailing": (q, q, q, 2)}[shape]
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    disps = np.concatenate([np.zeros((1, 2 * len(regs)), dtype=np.int64),
+                            rng.integers(0, q, size=(6, 2 * len(regs)))])
+    got = qs.apply_weyl(amps, q, disps, regs)
+    assert got.shape == (len(disps),) + dims
+    for row, disp in zip(got, disps):
+        assert np.array_equal(row, _weyl_one_displacement(amps, q, disp, regs))
+    sw = qs.apply_sw(amps, q, disps, regs)
+    for row, disp in zip(sw, disps):
+        want = qs.aligned_phase(q, [disp])[0] * _weyl_one_displacement(amps, q, disp, regs)
+        assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("keep", [[0], [1, 3], [0, 2, 3], [0, 1, 2, 3]])
+def test_reduce_factor_of_a_stack_is_the_component_major_concatenation(keep):
+    """reduce_factor of a stack equals the column concatenation of its
+    components' factors, component-major, so its reduction is the sum of
+    theirs."""
+    rng = np.random.default_rng(len(keep))
+    stack = rng.normal(size=(5, 2, Q, Q, 4)) + 1j * rng.normal(size=(5, 2, Q, Q, 4))
+    order = keep + [i for i in range(4) if i not in keep]
+    kept = int(np.prod([stack.shape[1 + i] for i in keep]))
+    want = np.concatenate([np.transpose(c, order).reshape(kept, -1) for c in stack], axis=1)
+    assert np.array_equal(qs.reduce_factor(stack, keep), want)
+    rho = sum(qs.reduce_state(c, keep) for c in stack)
+    got = qs.reduce_factor(stack, keep)
+    assert np.abs(got @ got.conj().T - rho).max() < 1e-12
+
+
+def _probabilities_by_fftn(dm, cols):
+    """Born distribution of the factor cols with the DFT over the k axes
+    taken by np.fft.fftn, blocked as DisplacedMeasurement.probabilities
+    blocks it."""
     q, n = dm.q, dm.n_act
     k, rest, nphi = q**n, dm.rest, dm._nphi
-    cols = np.concatenate([np.sqrt(w) * np.asarray(f).reshape(dm.d, -1)
-                           for w, f in components], axis=1)
     acc = np.zeros(q ** (2 * n))
     step = max(1, dm.BLOCK_CELLS // (nphi * k * k))
     for lo in range(0, cols.shape[1], step):
@@ -329,12 +382,13 @@ def test_probabilities_character_table_matches_fftn(sub, blocks, monkeypatch):
     monkeypatch.setattr(qs.DisplacedMeasurement, "BLOCK_CELLS", cells)
     rng = np.random.default_rng(len(sub))
     d = dm.d
-    pieces = [(0.5, qs.reduce_factor(qs.frame_for(g1).resource([0] * g1.cols), keep))]
+    pieces = [(0.5, qs.reduce_factor(qs.frame_for(g1).resource([0] * g1.cols)[None], keep))]
     for cols in (1, 4, 2):
         f = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
         pieces.append((float(rng.uniform(0.2, 2.0)) / np.linalg.norm(f) ** 2, f))
-    want = _probabilities_by_fftn(dm, pieces)
-    assert np.abs(dm.probabilities(pieces) - want).max() < 1e-12
+    factor = np.concatenate([np.sqrt(w) * f for w, f in pieces], axis=1)
+    want = _probabilities_by_fftn(dm, factor)
+    assert np.abs(dm.probabilities(factor) - want).max() < 1e-12
     assert dm.rest > 1 and want[:-1].max() > 1e-3
 
 
@@ -345,11 +399,11 @@ def test_reduce_factor_mixed_register_sizes():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(9, Q, Q, Q)) + 1j * rng.normal(size=(9, Q, Q, Q))
     v /= np.linalg.norm(v)
-    psi = qs.reduce_factor(v, [0, 2])
+    psi = qs.reduce_factor(v[None], [0, 2])
     assert psi.shape == (27, 9)
     want = np.einsum("abcd,ebfd->acef", v, v.conj()).reshape(27, 27)
     assert np.linalg.norm(psi @ psi.conj().T - want) < 1e-12
-    psi = qs.reduce_factor(v, [1, 3])
+    psi = qs.reduce_factor(v[None], [1, 3])
     want = np.einsum("abcd,aecf->bdef", v, v.conj()).reshape(9, 9)
     assert psi.shape == (9, 27)
     assert np.linalg.norm(psi @ psi.conj().T - want) < 1e-12
@@ -403,21 +457,20 @@ def test_alignment_covariance():
     base = engine.decoded_distribution(sub, comps, dec)
 
     shift = np.array([1, 0, 2, 0, 1, 1], dtype=np.int64)
-    shifted_base = qs.apply_weyl(engine.frame.resource([0, 0]), Q,
-                                 list(shift), [0, 1, 2])
-    comps2 = [(w, qs.apply_weyl(shifted_base, Q, list(x), [0, 1, 2]))
-              for (w, _), x in zip(comps, engine.message_displacements(m))]
+    shifted_base = qs.apply_weyl(engine.frame.resource([0, 0]), Q, [shift], [0, 1, 2])[0]
+    disps = engine.message_displacements(m)
+    w = 1.0 / len(disps)
     keep = [s - 1 for s in sub] + [3 + s - 1 for s in sub]
-    psi2 = qs.reduce_factor(shifted_base, keep)
+    psi2 = qs.reduce_factor(shifted_base[None], keep)
     dm2 = qs.DisplacedMeasurement(Q, len(sub), psi2, rest_dim=Q ** len(sub))
     pieces = []
-    for w, a in comps2:
+    for a in qs.apply_weyl(shifted_base, Q, disps, [0, 1, 2]):
         rho = qs.reduce_state(a, keep)
         ev, vec = np.linalg.eigh(rho)
         for lam, v in zip(ev, vec.T):
             if lam > 1e-12:
-                pieces.append((w * lam, v))
-    probs = dm2.probabilities(pieces)
+                pieces.append(np.sqrt(w * lam) * v[:, None])
+    probs = dm2.probabilities(np.concatenate(pieces, axis=1))
     shifted = {}
     for idx, p in enumerate(probs):
         if p < 1e-12 or idx == dm2.nout:  # the complement tail
